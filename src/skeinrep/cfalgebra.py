@@ -155,16 +155,13 @@ class CFAlgebra:
         on such elements the positive-rational part is the omega -> 1 limit.
         values may be exact scalars or complex numbers.
         """
-        total = None
+        total = 0
         for k, c in a.terms.items():
-            q, _ = self._split_root(c)
-            term = q if not isinstance(values[0], complex) else complex(q)
+            term, _ = self._split_root(c)
             for i, ki in enumerate(k):
                 if ki:
                     term = term * values[i] ** ki
-            total = term if total is None else total + term
-        if total is None:
-            return 0
+            total = total + term
         return total
 
     def _split_root(self, c):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .cfalgebra import BalancedLattice, CFAlgebra, SignReversalClass
-from .errors import SkeinrepError
+from .errors import ParseError, SkeinrepError
 from .kernels import (eigen_analysis, matrix_kernel, offdiag_kernel,
                       sample_generic_weights, total_kernel)
 from .moves import (LocalizedElement, are_isomorphic, flip, flip_weights,
@@ -52,7 +52,8 @@ def main(argv=None) -> int:
     p_ker.add_argument("--name", choices=("sphere2", "torus1", "genus2_sep"))
     p_ker.add_argument("--weights", help="weights JSON file; random if omitted")
     p_ker.add_argument("--N", type=int, default=3)
-    p_ker.add_argument("--mode", choices=("exact", "float"), default="float")
+    p_ker.add_argument("--mode", choices=("exact", "float"),
+                       help="must match the weights file; float without one")
     p_ker.add_argument("--tol", type=float, default=1e-8)
     p_ker.add_argument("--seed", type=int, default=0)
     p_ker.add_argument("--out")
@@ -60,13 +61,14 @@ def main(argv=None) -> int:
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("--suite", required=True, choices=SUITES)
     p_ver.add_argument("--N", type=int, default=3)
-    p_ver.add_argument("--mode", choices=("exact", "float"), default="float")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tol", type=float, default=1e-8)
     p_ver.add_argument("--out")
 
     args = parser.parse_args(argv)
     try:
+        if args.N % 2 == 0 or args.N < 3:
+            raise ParseError("N must be odd and >= 3")
         if args.command == "info":
             return cmd_info(args)
         if args.command == "kernels":
@@ -86,7 +88,6 @@ def _load_triangulation(args) -> Triangulation:
     if getattr(args, "triangulation", None):
         with open(args.triangulation) as fh:
             return Triangulation.from_json(fh.read())
-    from .errors import ParseError
     raise ParseError("provide --triangulation FILE or --name NAME")
 
 
@@ -101,7 +102,7 @@ def _emit(report: dict, out_path) -> None:
 
 def cmd_info(args) -> int:
     T = _load_triangulation(args)
-    alg = CFAlgebra(T, args.N if args.N % 2 else args.N + 1)
+    alg = CFAlgebra(T, args.N)
     lat = BalancedLattice(alg)
     report = {
         "genus": T.genus,
@@ -129,16 +130,18 @@ def cmd_info(args) -> int:
 def cmd_kernels(args) -> int:
     T = _load_triangulation(args)
     N = args.N
-    if N % 2 == 0 or N < 3:
-        from .errors import ParseError
-        raise ParseError("N must be odd and >= 3")
     if args.weights:
         with open(args.weights) as fh:
             W = WeightSystem.from_json(T, fh.read())
+        if W.N != N:
+            raise ParseError(f"weights file has N={W.N} but --N is {N}")
+        if args.mode is not None and args.mode != W.mode:
+            raise ParseError(f"weights file is {W.mode} but --mode is {args.mode}")
+    elif args.mode == "exact":
+        raise ParseError("--mode exact needs --weights")
     elif T.num_vertices == 1:
         W = sample_generic_weights(T, N, random.Random(args.seed))
     else:
-        from .errors import ParseError
         raise ParseError("provide --weights for triangulations with several vertices")
     vrep = W.validate()
     if not vrep["valid"]:
@@ -224,7 +227,7 @@ def exact_genus2_weights(alg):
     raise RuntimeError("no exact weight system found")
 
 
-def suite_algebra(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_algebra(N: int, seed: int, tol: float, log: Log):
     """Exact symbolic identities for the quantum torus."""
     rng = random.Random(seed)
     algs = {name: CFAlgebra(standard_library(name), N)
@@ -306,7 +309,7 @@ def suite_algebra(N: int, seed: int, mode: str, tol: float, log: Log):
     log.add("offdiag-start-rotation-recursion", ok, "all vertices, all starts")
 
 
-def suite_torus(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_torus(N: int, seed: int, tol: float, log: Log):
     T = standard_library("torus1")
     alg = CFAlgebra(T, N)
     rng = random.Random(seed)
@@ -322,30 +325,25 @@ def suite_torus(N: int, seed: int, mode: str, tol: float, log: Log):
     for W in systems:
         ok_valid = ok_valid and W.validate()["valid"]
         rep = build_rep(T, N, W, algebra=alg if W.mode == "exact" else None)
-        M = rep.apply(alg.offdiag_Q(0))
-        if W.mode == "exact":
-            ok_zero = ok_zero and all(v.is_zero() for row in M for v in row)
-        else:
-            ok_zero = ok_zero and np.abs(M).max() < 1e-9
+        ok_zero = ok_zero and rep.ctx.is_zero(rep.apply(alg.offdiag_Q(0)), 1e-9)
         ok_dim = ok_dim and total_kernel(rep, tol).dim == N
     log.add("torus-weights-valid", ok_valid, "x=(1,1,-1) and 10 random systems")
     log.add("torus-annihilates-offdiag", ok_zero, "mu(Q_v) = 0")
     log.add("torus-kernel-dim", ok_dim, f"dim F = {N}")
 
 
-def suite_sphere(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_sphere(N: int, seed: int, tol: float, log: Log):
     T = standard_library("sphere2")
     alg = CFAlgebra(T, N)
     w = alg.scalars.omega(1)
     rep = build_rep(T, N, WeightSystem(T, N, u=[w, w, w]), algebra=alg)
     log.add("sphere-rep-dim", rep.dim == 1, "dim E = 1")
     log.add("sphere-kernel-dim", total_kernel(rep).dim == 1, "dim F = 1")
-    ok = all(all(v.is_zero() for row in rep.apply(alg.offdiag_Q(u)) for v in row)
-             for u in range(3))
+    ok = all(rep.ctx.is_zero(rep.apply(alg.offdiag_Q(u))) for u in range(3))
     log.add("sphere-annihilates-offdiag", ok, "mu(Q_v) = 0 at all three vertices")
 
 
-def suite_genus2(N: int, seed: int, mode: str, tol: float, log: Log,
+def suite_genus2(N: int, seed: int, tol: float, log: Log,
                  samples: int = 20):
     T = standard_library("genus2_sep")
     rng = random.Random(seed)
@@ -377,7 +375,7 @@ def suite_genus2(N: int, seed: int, mode: str, tol: float, log: Log,
             f"{N} eigenvalues solving T_N(x) = -trace, multiplicity {expected_dim // N}")
 
 
-def suite_subdivision(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_subdivision(N: int, seed: int, tol: float, log: Log):
     rng = random.Random(seed)
     T = standard_library("torus1")
     T2, rec = subdivide(T, 0)
@@ -414,7 +412,6 @@ def suite_subdivision(N: int, seed: int, mode: str, tol: float, log: Log):
     algE = CFAlgebra(T, 3, field_order=36)
     alg2E = CFAlgebra(T2, 3, field_order=36)
     field = alg2E.scalars.field
-    one = algE.scalars.one()
     W = WeightSystem(T, 3, u=[field.root_pow(0), field.root_pow(0),
                               field.root_pow(3)])
     W2x = subdivision_weights(rec, W, field.root_pow(12))
@@ -432,8 +429,7 @@ def suite_subdivision(N: int, seed: int, mode: str, tol: float, log: Log):
     K = matrix_kernel(M, "exact")
     log.add("subdivision-kernel-dim", K.dim == 3 and rep2.dim == 9,
             "dim ker mu'(Q_v0) = dim E = dim E'/N")
-    shifted = [[M[i][j] - (alg2E.scalars.one() if i == j else alg2E.scalars.zero())
-                for j in range(9)] for i in range(9)]
+    shifted = rep2.ctx.sub(M, rep2.ctx.identity(M, 1))
     cands = [-alg2E.omega(8 * k) for k in range(3)]
     try:
         eig = eigen_analysis(shifted, "exact", candidates=cands)
@@ -445,16 +441,12 @@ def suite_subdivision(N: int, seed: int, mode: str, tol: float, log: Log):
     vold = rec.vertex_map[0]
     PhiQ = rep2.apply(phi(rec, algE.offdiag_Q(0), alg2E))
     Mnew = rep2.apply(alg2E.offdiag_Q(vold))
-    zero = alg2E.scalars.zero()
-    ok = all(
-        all(sum(((Mnew[i][j] - PhiQ[i][j]) * col[j] for j in range(9)), zero)
-            .is_zero() for i in range(9))
-        for col in K.basis)
+    ok = rep2.ctx.is_zero(rep2.ctx.image(rep2.ctx.sub(Mnew, PhiQ), K.basis))
     log.add("subdivision-restriction-identity", ok,
             "mu'(Q'_v) = mu'(Phi(Q_v)) on ker mu'(Q_v0)")
 
 
-def suite_flip(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_flip(N: int, seed: int, tol: float, log: Log):
     from fractions import Fraction
     T0 = standard_library("sphere2")
     T1, rec_sub = subdivide(T0, 0)
@@ -539,7 +531,7 @@ def suite_flip(N: int, seed: int, mode: str, tol: float, log: Log):
             "shear coordinate change matches the specialized formulas")
 
 
-def suite_sweep(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_sweep(N: int, seed: int, tol: float, log: Log):
     T = standard_library("genus2_sep")
     rng = random.Random(seed)
     W = sample_generic_weights(T, N, rng)
@@ -562,7 +554,7 @@ def suite_sweep(N: int, seed: int, mode: str, tol: float, log: Log):
             "[Z^seg](rho K1 - rho K2) = mu(Q_v)")
 
 
-def suite_threading(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_threading(N: int, seed: int, tol: float, log: Log):
     T = standard_library("genus2_sep")
     if N == 3:
         alg = CFAlgebra(T, 3)
@@ -589,14 +581,12 @@ def suite_threading(N: int, seed: int, mode: str, tol: float, log: Log):
     algT = CFAlgebra(TT, N)
     repT = build_rep(TT, N, exact_torus_weights(algT), algebra=algT)
     TN = repT.apply(element_chebyshev(algT.central_H(0), N))
-    expected = chebyshev(N).eval_scalar(-algT.omega(4))
-    ok = all((TN[i][j] - (expected if i == j else algT.scalars.zero())).is_zero()
-             for i in range(repT.dim) for j in range(repT.dim))
+    ok = repT.ctx.scalar_of(TN) == chebyshev(N).eval_scalar(-algT.omega(4))
     log.add("threading-central-scalar", ok,
             "T_N of a central image is the expected scalar, exact")
 
 
-def suite_signrev(N: int, seed: int, mode: str, tol: float, log: Log):
+def suite_signrev(N: int, seed: int, tol: float, log: Log):
     log.add("chebyshev-odd-degrees",
             all(chebyshev(n).odd_degrees_only() for n in range(1, 12, 2)),
             "T_N has only odd-degree terms for odd N")
@@ -626,9 +616,6 @@ def suite_signrev(N: int, seed: int, mode: str, tol: float, log: Log):
 
 
 def cmd_verify(args) -> int:
-    if args.N % 2 == 0 or args.N < 3:
-        from .errors import ParseError
-        raise ParseError("N must be odd and >= 3")
     log = Log()
     suite = {
         "algebra": suite_algebra, "torus": suite_torus, "sphere": suite_sphere,
@@ -636,7 +623,7 @@ def cmd_verify(args) -> int:
         "flip": suite_flip, "sweep": suite_sweep, "threading": suite_threading,
         "signrev": suite_signrev,
     }[args.suite]
-    suite(args.N, args.seed, args.mode, args.tol, log)
+    suite(args.N, args.seed, args.tol, log)
     report = {"suite": args.suite, "N": args.N, "seed": args.seed,
               "checks": log.checks, "passed": log.passed}
     if args.out:

@@ -13,15 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_divexact_int(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (monic-up-to-sign denominator)."""
     num = list(num)
@@ -288,6 +279,8 @@ class CycloScalar:
         for c in reversed(self.coeffs):
             out = out * z + complex(c)
         return out
+
+    __complex__ = to_complex
 
     def serialize(self) -> list[list[int]]:
         return [[c.numerator, c.denominator] for c in self.coeffs]

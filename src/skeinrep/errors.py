@@ -15,15 +15,6 @@ class RepeatedFaceEdge(SkeinrepError):
     """A face whose three sides meet fewer than three distinct edges."""
 
 
-class NonOrientable(SkeinrepError):
-    """Gluing data incompatible with an oriented surface.
-
-    The slot-pairing encoding used here glues counterclockwise faces with
-    reversed edge traversal, so every well-formed table yields an oriented
-    surface; this error is reserved for loaders of direction-annotated data.
-    """
-
-
 class UnknownName(SkeinrepError):
     """Requested triangulation name is not in the standard library."""
 
@@ -92,6 +83,10 @@ class NotOneVertex(SkeinrepError):
 
 class BadState(SkeinrepError):
     """Unknown corner-arc state."""
+
+
+class SamplerExhausted(SkeinrepError):
+    """A random sampler rejected every draw up to its attempt bound."""
 
 
 # --- moves ---

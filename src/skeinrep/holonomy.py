@@ -9,12 +9,18 @@ homogeneous coordinates throughout so degeneracies are detected exactly.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateConfiguration, ZeroWeight
+from . import scalars
+from .errors import DegenerateConfiguration, SamplerExhausted, ZeroWeight
 from .representation import WeightSystem
 from .triangulation import Triangulation
+
+# Draws random_enhancement may reject before SamplerExhausted: 100 times the
+# most that any tier-1 test was measured to need (1).
+MAX_ENHANCEMENT_DRAWS = 100
 
 
 class Mat2:
@@ -49,33 +55,13 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def is_plus_minus_identity(self, tol: float = 0.0) -> bool:
-        from .representation import _is_zero_value
-        mode = "float" if isinstance(self.a, complex) else "exact"
-        for sign in (1, -1):
-            offs = [self.b, self.c, self.a - sign * _one_like(self.a),
-                    self.d - sign * _one_like(self.d)]
-            if all(_near_zero(v, tol) for v in offs):
-                return True
-        return False
+        one = scalars.one_like(self.a)
+        return any(all(scalars.is_zero(v, max(tol, 1e-9))
+                       for v in (self.b, self.c, self.a - sign * one, self.d - sign * one))
+                   for sign in (1, -1))
 
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}; {self.c}, {self.d})"
-
-
-def _one_like(v):
-    if isinstance(v, complex):
-        return 1 + 0j
-    if isinstance(v, Fraction):
-        return Fraction(1)
-    return v.field.one()
-
-
-def _near_zero(v, tol=0.0):
-    if isinstance(v, complex):
-        return abs(v) <= max(tol, 1e-9)
-    if isinstance(v, Fraction):
-        return v == 0
-    return v.is_zero()
 
 
 @dataclass(frozen=True)
@@ -86,27 +72,19 @@ class ProjPoint:
     den: object
 
     def __post_init__(self):
-        if _near_zero(self.num) and _near_zero(self.den):
+        if scalars.is_zero(self.num, 1e-9) and scalars.is_zero(self.den, 1e-9):
             raise ValueError("(0 : 0) is not a projective point")
 
     @staticmethod
     def affine(z) -> "ProjPoint":
-        return ProjPoint(z, _one_like_value(z))
+        return ProjPoint(z, scalars.one_like(z))
 
     @staticmethod
     def infinity(one=Fraction(1)) -> "ProjPoint":
         return ProjPoint(one, one - one)
 
     def same_as(self, other: "ProjPoint", tol: float = 0.0) -> bool:
-        return _near_zero(cross_det(self, other), tol)
-
-
-def _one_like_value(z):
-    if isinstance(z, complex):
-        return 1 + 0j
-    if isinstance(z, (int, Fraction)):
-        return Fraction(1)
-    return z.field.one()
+        return scalars.is_zero(cross_det(self, other), max(tol, 1e-9))
 
 
 def cross_det(p: ProjPoint, q: ProjPoint):
@@ -153,50 +131,40 @@ class DevelopedTriangulation:
 
     def to_json(self) -> str:
         def ser(p):
-            return [_ser_scalar(p.num), _ser_scalar(p.den)]
+            return [scalars.serialize(p.num), scalars.serialize(p.den)]
         return json.dumps({
             "points": [[ser(p) for p in row] for row in self.points],
-            "transitions": {f"{k[0]},{k[1]}": [_ser_scalar(v) for v in m.entries()]
+            "transitions": {f"{k[0]},{k[1]}": [scalars.serialize(v) for v in m.entries()]
                             for k, m in self.transitions.items()},
         })
-
-
-def _ser_scalar(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
-    return v.serialize()
 
 
 def crossratio_weight(D: DevelopedTriangulation, e: int):
     """Minus the crossratio of the four developed points around an edge."""
     vp, vm, left, right = D.edge_points(e)
-    if _near_zero(cross_det(vp, vm)):
+    if scalars.is_zero(cross_det(vp, vm), 1e-9):
         raise DegenerateConfiguration(f"edge {e} has coincident developed endpoints")
     den1 = cross_det(left, vm)
     den2 = cross_det(right, vp)
-    if _near_zero(den1) or _near_zero(den2):
+    if scalars.is_zero(den1, 1e-9) or scalars.is_zero(den2, 1e-9):
         raise DegenerateConfiguration(f"crossratio undefined at edge {e}")
     num = cross_det(left, vp) * cross_det(right, vm)
-    if _near_zero(num):
+    if scalars.is_zero(num, 1e-9):
         raise DegenerateConfiguration(f"crossratio vanishes at edge {e}")
-    x = num / (den1 * den2) if isinstance(num, (complex, Fraction)) \
-        else num * (den1 * den2).inv()
-    return -x
+    return -(num / (den1 * den2))
 
 
 def random_enhancement(T: Triangulation, seed: int) -> DevelopedTriangulation:
     """Random trivial-transition development of a combinatorial triangulation.
 
     Vertex points are sampled until every edge sees four usable points, so
-    the derived crossratio weights exist and are vertex-valid.
+    the derived crossratio weights exist and are vertex-valid; after
+    MAX_ENHANCEMENT_DRAWS unusable draws SamplerExhausted is raised.
     """
     if not T.is_combinatorial():
         raise ValueError("random enhancement needs a combinatorial triangulation")
-    import random as _random
-    rng = _random.Random(seed)
-    while True:
+    rng = random.Random(seed)
+    for _ in range(MAX_ENHANCEMENT_DRAWS):
         pts = [ProjPoint.affine(Fraction(rng.randint(-50, 50), rng.randint(1, 7)))
                for _ in range(T.num_vertices)]
         if any(pts[i].same_as(pts[j]) for i in range(len(pts))
@@ -209,6 +177,7 @@ def random_enhancement(T: Triangulation, seed: int) -> DevelopedTriangulation:
         except DegenerateConfiguration:
             continue
         return D
+    raise SamplerExhausted(f"no usable development in {MAX_ENHANCEMENT_DRAWS} draws")
 
 
 def weights_from_development(D: DevelopedTriangulation, N: int) -> WeightSystem:
@@ -217,7 +186,7 @@ def weights_from_development(D: DevelopedTriangulation, N: int) -> WeightSystem:
     u = []
     for e in range(D.T.num_edges):
         x = crossratio_weight(D, e)
-        xc = complex(x) if isinstance(x, (complex, Fraction)) else x.to_complex()
+        xc = complex(x)
         if xc == 0:
             raise ZeroWeight(f"edge {e}")
         u.append(cmath.exp(cmath.log(xc) / (2 * N)))
@@ -236,14 +205,13 @@ def vertex_holonomy(W: WeightSystem, v: int, sqrt_choices=None) -> Mat2:
         z = [cmath.sqrt(complex(xi)) for xi in W.x]
     if sqrt_choices is not None:
         z = [(-zi if s < 0 else zi) for zi, s in zip(z, sqrt_choices)]
-    mode_one = _one_like_value(z[0])
-    zero = mode_one - mode_one
-    M = Mat2(mode_one, zero, zero, mode_one)
+    one = scalars.one_like(z[0])
+    zero = one - one
+    M = Mat2(one, zero, zero, one)
     for e in fan:
         zi = z[e]
-        zinv = (1 / zi) if isinstance(zi, complex) else zi.inv()
-        M = M * Mat2(mode_one, mode_one, zero, mode_one)
-        M = M * Mat2(zi, zero, zero, zinv)
+        M = M * Mat2(one, one, zero, one)
+        M = M * Mat2(zi, zero, zero, one / zi)
     return M
 
 
@@ -251,7 +219,7 @@ def trace_word(gens: list[Mat2], word):
     """Trace of a word in the generators; entry +-(i+1) means gens[i]^(+-1)."""
     if not gens:
         raise ValueError("need at least one generator")
-    one = _one_like_value(gens[0].a)
+    one = scalars.one_like(gens[0].a)
     zero = one - one
     M = Mat2(one, zero, zero, one)
     for w in word:

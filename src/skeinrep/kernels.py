@@ -11,12 +11,18 @@ import cmath
 
 import numpy as np
 
+from . import scalars
 from .cfalgebra import CFAlgebra, QTElement
-from .errors import (NotDiagonalizable, NotMonomial, NotScalar, NotSeparating)
+from .errors import (NotBalanced, NotDiagonalizable, NotMonomial, NotOneVertex,
+                     NotSeparating, SamplerExhausted)
 from .representation import CFRep, WeightSystem
 from .triangulation import Triangulation
 
 DEFAULT_RANK_TOL = 1e-9
+
+# Draws sample_generic_weights may reject before SamplerExhausted: 100 times
+# the most that any tier-1 test or benchmark input was measured to need (2).
+MAX_SAMPLER_DRAWS = 200
 
 
 class Subspace:
@@ -26,20 +32,15 @@ class Subspace:
         self.ambient = ambient
         self.basis = basis          # float: (ambient x d) ndarray; exact: list of columns
         self.mode = mode
+        self._ctx = scalars.for_mode(mode)
 
     @property
     def dim(self) -> int:
-        if self.mode == "float":
-            return self.basis.shape[1]
-        return len(self.basis)
+        return self._ctx.ncols(self.basis)
 
     def contains(self, other: "Subspace", tol: float = DEFAULT_RANK_TOL) -> bool:
         """True iff other is contained in self (rank test on the join)."""
-        if self.mode == "float":
-            joint = np.hstack([self.basis, other.basis])
-            return _float_rank(joint, tol) == _float_rank(self.basis, tol)
-        cols = [list(c) for c in self.basis] + [list(c) for c in other.basis]
-        return _exact_rank_cols(cols) == len(self.basis)
+        return self._ctx.spans(self.basis, other.basis, tol)
 
     def equals(self, other: "Subspace", tol: float = DEFAULT_RANK_TOL) -> bool:
         return (self.dim == other.dim and self.contains(other, tol)
@@ -47,100 +48,14 @@ class Subspace:
 
     def is_invariant_under(self, M, tol: float = DEFAULT_RANK_TOL) -> bool:
         """True iff M maps this subspace into itself."""
-        if self.dim == 0:
-            return True
-        if self.mode == "float":
-            image = np.asarray(M) @ self.basis
-            return self.contains(Subspace(self.ambient, image, "float"), tol)
-        zero = M[0][0].field.zero()
-        image = []
-        for col in self.basis:
-            image.append([sum((M[i][j] * col[j] for j in range(self.ambient)), zero)
-                          for i in range(self.ambient)])
-        return self.contains(Subspace(self.ambient, image, "exact"), tol)
-
-
-def _float_rank(M, tol=DEFAULT_RANK_TOL):
-    """Numerical rank; the threshold floor treats O(1)-entry operators whose
-    norm is already below tolerance as zero."""
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * max(s[0], 1.0)))
-
-
-def _exact_rank_cols(cols) -> int:
-    """Rank of a list of exact column vectors."""
-    if not cols:
-        return 0
-    rows = [list(r) for r in zip(*cols)]
-    return _exact_row_rank(rows)
-
-
-def _exact_row_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(m):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        image = self._ctx.image(M, self.basis)
+        return self.contains(Subspace(self.ambient, image, self.mode), tol)
 
 
 def matrix_kernel(M, mode: str, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Kernel of a square matrix as a Subspace."""
-    if mode == "float":
-        M = np.asarray(M)
-        n = M.shape[1]
-        u, s, vh = np.linalg.svd(M)
-        r = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-        return Subspace(n, vh.conj().T[:, r:], "float")
-    n = len(M[0])
-    field = M[0][0].field
-    zero, one = field.zero(), field.one()
-    rows = [list(r) for r in M]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    pivot_set = set(pivots)
-    basis = []
-    for fcol in (c for c in range(n) if c not in pivot_set):
-        vec = [zero] * n
-        vec[fcol] = one
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -rows[r][fcol]
-        basis.append(vec)
-    return Subspace(n, basis, "exact")
-
-
-def _field_one_of(M):
-    return M[0][0].field.one()
+    basis, _ = scalars.for_mode(mode).kernel(M, tol)
+    return Subspace(len(M[0]), basis, mode)
 
 
 # ---- kernel operations ----
@@ -154,13 +69,8 @@ def offdiag_kernel(rep: CFRep, v: int, start: int = 0,
 
 def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Intersection of the off-diagonal kernels over all vertices."""
-    T = rep.T
-    mats = [rep.apply(rep.algebra.offdiag_Q(v)) for v in range(T.num_vertices)]
-    if rep.weights.mode == "float":
-        stacked = np.vstack([np.asarray(M) for M in mats])
-        return matrix_kernel(stacked, "float", tol)
-    stacked = [row for M in mats for row in M]
-    return matrix_kernel(stacked, "exact", tol)
+    mats = [rep.apply(rep.algebra.offdiag_Q(v)) for v in range(rep.T.num_vertices)]
+    return matrix_kernel(rep.ctx.stack(mats), rep.weights.mode, tol)
 
 
 def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
@@ -170,45 +80,21 @@ def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
     checks that geometric multiplicities fill the space.  Exact mode needs
     an explicit candidate list and computes exact eigenspace dimensions.
     """
-    if mode == "float":
-        M = np.asarray(M)
-        n = M.shape[0]
-        vals = np.linalg.eigvals(M)
-        order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
-        groups: list[list] = []
-        for z in vals[order]:
-            if groups and abs(z - groups[-1][0]) < tol:
-                groups[-1][1] += 1
-            else:
-                groups.append([z, 1])
-        out = []
-        total_geo = 0
-        for z, alg_mult in groups:
-            geo = n - _float_rank(M - z * np.eye(n), tol=max(tol * 1e-3, 1e-12))
-            if geo != alg_mult:
-                raise NotDiagonalizable(
-                    f"eigenvalue {z}: geometric {geo} != algebraic {alg_mult}")
-            total_geo += geo
-            out.append((complex(z), int(alg_mult)))
-        if total_geo != n:
-            raise NotDiagonalizable("eigenspaces do not fill the space")
-        return out
-    if candidates is None:
-        raise ValueError("exact eigen-analysis needs a candidate list")
+    ctx = scalars.for_mode(mode)
     n = len(M)
-    one = _field_one_of(M)
     out = []
     total = 0
-    for lam in candidates:
-        shifted = [[M[i][j] - (lam if i == j else lam - lam)
-                    for j in range(n)] for i in range(n)]
-        d = matrix_kernel(shifted, "exact").dim
-        if d:
-            out.append((lam, d))
-            total += d
+    for lam, alg_mult in ctx.eigen_candidates(M, tol, candidates):
+        shifted = ctx.sub(M, ctx.identity(M, lam))
+        geo = n - ctx.rank(shifted, max(tol * 1e-3, 1e-12))
+        if alg_mult is not None and geo != alg_mult:
+            raise NotDiagonalizable(
+                f"eigenvalue {lam}: geometric {geo} != algebraic {alg_mult}")
+        if geo:
+            out.append((lam, geo))
+            total += geo
     if total != n:
-        raise NotDiagonalizable(
-            f"candidate eigenspaces span {total} of {n} dimensions")
+        raise NotDiagonalizable(f"eigenspaces span {total} of {n} dimensions")
     return out
 
 
@@ -221,13 +107,11 @@ def tensor_split(algebra: CFAlgebra, e_sep: int, a: QTElement):
     """
     T = algebra.T
     if T.num_vertices != 1:
-        from .errors import NotOneVertex
         raise NotOneVertex("splitting needs a one-vertex triangulation")
     if not T.is_separating(e_sep):
         raise NotSeparating(f"edge {e_sep} does not separate")
     k, c = a.monomial_data()
     if not algebra.is_balanced(k):
-        from .errors import NotBalanced
         raise NotBalanced("monomial is not balanced")
     if k[e_sep] % 2 != 0:
         raise NotMonomial("separating-edge exponent must be even")
@@ -244,24 +128,6 @@ def tensor_split(algebra: CFAlgebra, e_sep: int, a: QTElement):
     return f1.scale(c * rc.inv()), f2, m
 
 
-def kernel_equality_check(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """ker(rho[K1] - rho[K2]) = total off-diagonal kernel, as subspaces."""
-    from .qtrace import LoopSpec, edge_parallel_trace
-    T = rep.T
-    e = T.designated_edge
-    if e is None or not T.is_separating(e):
-        raise NotSeparating("triangulation has no designated separating edge")
-    tr1 = edge_parallel_trace(rep.algebra, LoopSpec.edge_parallel(e, 1))
-    tr2 = edge_parallel_trace(rep.algebra, LoopSpec.edge_parallel(e, 2))
-    if rep.weights.mode == "float":
-        diff = rep.apply(tr1) - rep.apply(tr2)
-    else:
-        M1, M2 = rep.apply(tr1), rep.apply(tr2)
-        diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
-    kd = matrix_kernel(diff, rep.weights.mode, tol)
-    return kd.equals(total_kernel(rep, tol), tol)
-
-
 # ---- generic weight sampling ----
 
 def sample_generic_weights(T: Triangulation, N: int, rng,
@@ -271,15 +137,19 @@ def sample_generic_weights(T: Triangulation, N: int, rng,
     All but two edge weights are random unit-modulus values; the remaining
     two are solved from the fan product relation (on the branch compatible
     with mu(H_v) = -omega^4) and the prefix-sum relation.  Draws whose
-    separating-edge loop trace is within trace_margin of +-2 are rejected.
+    separating-edge loop trace is within trace_margin of +-2 are rejected,
+    and SamplerExhausted is raised after MAX_SAMPLER_DRAWS rejected draws.
     """
     if T.num_vertices != 1:
-        from .errors import NotOneVertex
         raise NotOneVertex("generic sampler needs a one-vertex triangulation")
     fan = T.fans[0].edges
     n = T.num_edges
     solve_a, solve_b = _solver_edges(T)
-    while True:
+    if T.designated_edge is not None:
+        from .qtrace import LoopSpec, classical_trace, edge_parallel_trace
+        alg = CFAlgebra(T, N)
+        tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(T.designated_edge, 1))
+    for _ in range(MAX_SAMPLER_DRAWS):
         x = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
         others = 1
         for i in range(n):
@@ -313,13 +183,11 @@ def sample_generic_weights(T: Triangulation, N: int, rng,
         if not W.validate()["valid"]:
             continue
         if T.designated_edge is not None:
-            from .qtrace import LoopSpec, classical_trace, edge_parallel_trace
-            alg = CFAlgebra(T, N)
-            tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(T.designated_edge, 1))
             tau = classical_trace(alg, tr, W)
             if min(abs(tau - 2), abs(tau + 2)) < trace_margin:
                 continue
         return W
+    raise SamplerExhausted(f"no acceptable weight system in {MAX_SAMPLER_DRAWS} draws")
 
 
 def _solver_edges(T: Triangulation):

@@ -165,27 +165,21 @@ def subdivision_weights(record: MoveRecord, W: WeightSystem, t_param
     """
     if record.kind != "subdivide":
         raise ValueError("record is not a subdivision")
-    mode = W.mode
-    one = 1 if mode == "float" else t_param.field.one()
-    if _val_is_zero(t_param, mode) or _val_is_zero(t_param + one, mode):
+    ctx = W.ctx
+    one = ctx.one()
+    if ctx.is_zero(t_param, 1e-12) or ctx.is_zero(t_param + one, 1e-12):
         raise DegenerateParam("parameter must avoid 0 and -1")
     T2 = record.after
     x_new = [None] * T2.num_edges
     for e_old, e_new in record.edge_map.items():
         x_new[e_new] = W.x[e_old]
     m1, m2, m3 = record.new_edges
-    inv_t = (1 / t_param) if mode == "float" else t_param.inv()
-    inv_1t = (1 / (one + t_param)) if mode == "float" else (one + t_param).inv()
     x_new[m1] = t_param
-    x_new[m2] = -(one + t_param) * inv_t
-    x_new[m3] = -inv_1t
+    x_new[m2] = -(one + t_param) * ctx.inv(t_param)
+    x_new[m3] = -ctx.inv(one + t_param)
     for E_j, m_j in zip(record.side_edges, record.new_edges):
         x_new[record.edge_map[E_j]] = -W.x[E_j] * x_new[m_j]
-    return WeightSystem(T2, W.N, x=x_new, mode=mode)
-
-
-def _val_is_zero(v, mode):
-    return abs(v) < 1e-12 if mode == "float" else v.is_zero()
+    return WeightSystem(T2, W.N, x=x_new, mode=W.mode)
 
 
 # ---- diagonal exchange ----
@@ -241,10 +235,6 @@ class LocalizedElement:
         self.d_edge = d_edge
         self.num = num
         self.denom = tuple(sorted(j % (2 * algebra.N) for j in denom))
-
-    @staticmethod
-    def from_qt(algebra: CFAlgebra, d_edge: int, a: QTElement) -> "LocalizedElement":
-        return LocalizedElement(algebra, d_edge, a)
 
     def _factor(self, j: int) -> QTElement:
         alg = self.algebra
@@ -453,24 +443,23 @@ def flip_weights(record: MoveRecord, W: WeightSystem) -> WeightSystem:
     """Shear coordinate change under a diagonal exchange."""
     if record.kind != "flip":
         raise ValueError("record is not a flip")
-    mode = W.mode
+    ctx = W.ctx
     xd = W.x[record.square[1]]
-    one = 1 if mode == "float" else xd.field.one()
-    if _val_is_zero(xd + one, mode):
+    one = ctx.one()
+    if ctx.is_zero(xd + one, 1e-12):
         raise DegenerateCrossratio("diagonal weight -1 makes the change singular")
-    inv_xd = (1 / xd) if mode == "float" else xd.inv()
     fac = one + xd
-    inv_fac = (1 / fac) if mode == "float" else fac.inv()
+    inv_fac = ctx.inv(fac)
     x_new = [None] * record.after.num_edges
     for e_old, e_new in record.edge_map.items():
         x_new[e_new] = W.x[e_old]
     emap = record.edge_map
-    x_new[emap[record.square[1]]] = inv_xd
+    x_new[emap[record.square[1]]] = ctx.inv(xd)
     x_new[emap[record.square[2]]] = fac * W.x[record.square[2]]
     x_new[emap[record.square[4]]] = fac * W.x[record.square[4]]
     x_new[emap[record.square[3]]] = xd * inv_fac * W.x[record.square[3]]
     x_new[emap[record.square[5]]] = xd * inv_fac * W.x[record.square[5]]
-    return WeightSystem(record.after, W.N, x=x_new, mode=mode)
+    return WeightSystem(record.after, W.N, x=x_new, mode=W.mode)
 
 
 # ---- making a triangulation combinatorial ----

@@ -11,24 +11,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import scalars
 from .cfalgebra import CFAlgebra, QTElement
 from .errors import BadState, NotOneVertex, NotScalar, NotSeparating
-from .kernels import (DEFAULT_RANK_TOL, Subspace, matrix_kernel, offdiag_kernel,
-                      total_kernel)
+from .kernels import DEFAULT_RANK_TOL, matrix_kernel, total_kernel
 from .representation import CFRep, WeightSystem
 
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """A supported framed loop: kind 'edge_parallel' with an edge and a side,
-    or 'corner_arc_word' naming star corner arcs; framing is vertical."""
+    """A supported framed loop: kind 'edge_parallel' with an edge and a side;
+    framing is vertical."""
 
     kind: str
     edge: int = -1
     side: int = 1
-    word: tuple = ()
 
     @staticmethod
     def edge_parallel(edge: int, side: int) -> "LoopSpec":
@@ -99,27 +96,12 @@ class ChebyshevPoly:
 
     def eval_matrix(self, M, rep: CFRep | None = None, mode: str = "float"):
         """T_N(M) via the recurrence, for float arrays or exact matrices."""
-        if mode == "float":
-            M = np.asarray(M)
-            n = M.shape[0]
-            prev = 2 * np.eye(n, dtype=complex)
-            cur = M
-            if self.N == 0:
-                return prev
-            for _ in range(self.N - 1):
-                prev, cur = cur, M @ cur - prev
-            return cur
-        field = M[0][0].field
-        n = len(M)
-        zero, one, two = field.zero(), field.one(), field.from_rational(2)
-        prev = [[two if i == j else zero for j in range(n)] for i in range(n)]
-        cur = [list(r) for r in M]
+        ctx = scalars.for_mode(mode)
+        prev, cur = ctx.identity(M, 2), M
         if self.N == 0:
             return prev
         for _ in range(self.N - 1):
-            nxt = [[sum((M[i][k] * cur[k][j] for k in range(n)), zero) - prev[i][j]
-                    for j in range(n)] for i in range(n)]
-            prev, cur = cur, nxt
+            prev, cur = cur, ctx.sub(ctx.matmul(M, cur), prev)
         return cur
 
 
@@ -233,36 +215,20 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
         raise NotOneVertex("sweep check needs a one-vertex triangulation")
     if not T.is_separating(edge):
         raise NotSeparating(f"edge {edge} does not separate")
-    alg = rep.algebra
+    alg, ctx = rep.algebra, rep.ctx
     tr1 = edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, 1))
     tr2 = edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, 2))
-    M1, M2 = rep.apply(tr1), rep.apply(tr2)
+    diff = ctx.sub(rep.apply(tr1), rep.apply(tr2))
     F = total_kernel(rep, tol)
-    if rep.weights.mode == "float":
-        diff = M1 - M2
-        restr = np.abs(diff @ F.basis).max() if F.dim else 0.0
-        kd = matrix_kernel(diff, "float", tol)
-        report = {
-            "restriction_norm": float(restr),
-            "restriction_zero": bool(restr < 1e-7 * max(np.abs(diff).max(), 1)),
-            "kernel_dim": kd.dim,
-            "total_kernel_dim": F.dim,
-            "kernel_equals_total": kd.equals(F, tol),
-        }
-    else:
-        diff = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
-        zero = alg.scalars.zero()
-        restr_zero = all(
-            sum((diff[i][j] * col[j] for j in range(rep.dim)), zero).is_zero()
-            for col in F.basis for i in range(rep.dim))
-        kd = matrix_kernel(diff, "exact")
-        report = {
-            "restriction_norm": 0.0 if restr_zero else 1.0,
-            "restriction_zero": restr_zero,
-            "kernel_dim": kd.dim,
-            "total_kernel_dim": F.dim,
-            "kernel_equals_total": kd.equals(F),
-        }
+    restriction = ctx.image(diff, F.basis)
+    kd = matrix_kernel(diff, rep.weights.mode, tol)
+    report = {
+        "restriction_norm": ctx.norm(restriction),
+        "restriction_zero": ctx.is_zero(restriction, 1e-7 * max(ctx.norm(diff), 1)),
+        "kernel_dim": kd.dim,
+        "total_kernel_dim": F.dim,
+        "kernel_equals_total": kd.equals(F, tol),
+    }
     report["passed"] = report["restriction_zero"] and report["kernel_equals_total"]
     return report
 
@@ -283,25 +249,12 @@ def element_chebyshev(a: QTElement, N: int) -> QTElement:
 
 def threading_check(rep: CFRep, loop: LoopSpec, tol: float = 1e-6) -> dict:
     """T_N(rho([K])) must be scalar, equal to minus the classical trace."""
-    alg = rep.algebra
+    alg, ctx = rep.algebra, rep.ctx
     a = edge_parallel_trace(alg, loop)
-    TN = rep.apply(element_chebyshev(a, alg.N))
+    scalar = ctx.scalar_of(rep.apply(element_chebyshev(a, alg.N)), tol)
+    if scalar is None:
+        raise NotScalar("T_N image is not a scalar matrix")
     tau = classical_trace(alg, a, rep.weights)
-    if rep.weights.mode == "float":
-        scalar = complex(np.trace(TN) / rep.dim)
-        off = float(np.abs(TN - scalar * np.eye(rep.dim)).max())
-        if off > max(tol, 1e-9 * max(abs(scalar), 1)):
-            raise NotScalar(f"T_N image has off-scalar norm {off}")
-        residual = abs(scalar + tau)
-        return {"scalar": scalar, "classical_trace": complex(tau),
-                "residual": residual, "passed": residual < tol}
-    scalar = TN[0][0]
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            expected = scalar if i == j else alg.scalars.zero()
-            if not (TN[i][j] - expected).is_zero():
-                raise NotScalar("T_N image is not an exact scalar matrix")
-    diffv = scalar + tau
-    passed = diffv.is_zero()
+    residual = scalar + tau
     return {"scalar": scalar, "classical_trace": tau,
-            "residual": 0.0 if passed else 1.0, "passed": passed}
+            "residual": ctx.norm(residual), "passed": ctx.is_zero(residual, tol)}

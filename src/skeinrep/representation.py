@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
-
-import numpy as np
 
 from . import intlinalg as il
+from . import scalars
 from .cfalgebra import BalancedLattice, CFAlgebra, QTElement, SignReversalClass
 from .errors import (DimensionMismatch, InconsistentCenter, NotScalar,
                      ZeroWeight)
-from .scalars import ExactScalars, FloatScalars
 from .triangulation import Triangulation
 
 
@@ -39,102 +36,65 @@ class WeightSystem:
     def __init__(self, T: Triangulation, N: int, u=None, x=None, mode: str = "exact"):
         if u is None and x is None:
             raise ValueError("need u or x values")
+        values = list(u if u is not None else x)
+        if len(values) != T.num_edges:
+            raise ValueError(f"need one weight per edge: got {len(values)}, "
+                             f"the triangulation has {T.num_edges} edges")
         self.T = T
         self.N = N
         self.mode = mode
+        self.ctx = scalars.backend(mode, N, scalars.field_order(values[0]))
         self.u = list(u) if u is not None else None
-        if self.u is not None:
-            for ui in self.u:
-                if _is_zero_value(ui, mode):
-                    raise ZeroWeight("weight u_i = 0")
-            self.x = [ui ** (2 * N) for ui in self.u]
-        else:
-            self.x = list(x)
-        for xi in self.x:
-            if _is_zero_value(xi, mode):
-                raise ZeroWeight("weight x_i = 0")
+        self.x = [ui ** (2 * N) for ui in self.u] if u is not None else values
+        if any(self.ctx.is_zero(v, 0.0) for v in values + self.x):
+            raise ZeroWeight("a weight u_i or x_i is 0")
 
     def has_roots(self) -> bool:
         return self.u is not None
-
-    def x_product_over_fan(self, v: int):
-        out = None
-        for e, _ in self.T.fans[v].entries:
-            out = self.x[e] if out is None else out * self.x[e]
-        return out
 
     def validate(self) -> dict:
         """Residuals of the two fan relations at every vertex."""
         report = {"vertices": [], "valid": True}
         for v in range(self.T.num_vertices):
-            edges = self.T.fans[v].edges
-            prefix = 1
-            total = None
-            for j in range(len(edges)):
-                term = prefix if j == 0 else prefix
-                total = term if total is None else total + term
-                prefix = prefix * self.x[edges[j]]
-            sum_res = total
-            prod_res = prefix - 1 if self.mode == "float" else prefix - 1
-            entry = {
+            total, prefix = 0, 1
+            for e in self.T.fans[v].edges:
+                total = total + prefix
+                prefix = prefix * self.x[e]
+            prod_res = prefix - 1
+            ok = self.ctx.is_zero(total, 1e-9) and self.ctx.is_zero(prod_res, 1e-9)
+            report["vertices"].append({
                 "vertex": v,
-                "sum_residual": _residual_value(sum_res),
-                "product_residual": _residual_value(prod_res),
-            }
-            ok = _is_zero_value(sum_res, self.mode, tol=1e-9) and \
-                _is_zero_value(prod_res, self.mode, tol=1e-9)
-            entry["valid"] = ok
+                "sum_residual": self.ctx.residual(total),
+                "product_residual": self.ctx.residual(prod_res),
+                "valid": ok,
+            })
             report["valid"] = report["valid"] and ok
-            report["vertices"].append(entry)
         return report
 
     # -- serialization --
 
     def to_json(self) -> str:
-        if self.mode == "float":
-            u = [[z.real, z.imag] for z in (self.u or [])]
-        else:
-            u = [ui.serialize() for ui in (self.u or [])]
-        data = {"mode": self.mode, "N": self.N, "u": u}
+        data = {"mode": self.mode, "N": self.N,
+                "u": [scalars.serialize(ui) for ui in self.u or []]}
         if self.u is None:
-            if self.mode == "float":
-                data["x"] = [[z.real, z.imag] for z in self.x]
-            else:
-                data["x"] = [xi.serialize() for xi in self.x]
-        if self.mode == "exact":
-            data["field_order"] = self.x[0].field.order
+            data["x"] = [scalars.serialize(xi) for xi in self.x]
+        data.update(self.ctx.json_fields())
         return json.dumps(data)
 
     @staticmethod
     def from_json(T: Triangulation, text: str) -> "WeightSystem":
-        from .cyclotomic import CycloField, CycloScalar
         from .errors import ParseError
         try:
             data = json.loads(text)
             N = data["N"]
             mode = data["mode"]
-            if mode == "float":
-                u = [complex(re, im) for re, im in data["u"]] or None
-                x = ([complex(re, im) for re, im in data["x"]]
-                     if u is None else None)
-            else:
-                field = CycloField(data.get("field_order", 4 * N))
-                u = [CycloScalar.deserialize(field, d) for d in data["u"]] or None
-                x = ([CycloScalar.deserialize(field, d) for d in data["x"]]
-                     if u is None else None)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            ctx = scalars.backend(mode, N, data.get("field_order"))
+            u = [ctx.deserialize(d) for d in data["u"]] or None
+            x = [ctx.deserialize(d) for d in data["x"]] if u is None else None
+            return WeightSystem(T, N, u=u, x=x, mode=mode)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                json.JSONDecodeError) as exc:
             raise ParseError(f"bad weights file: {exc}") from exc
-        return WeightSystem(T, N, u=u, x=x, mode=mode)
-
-
-def _is_zero_value(v, mode, tol=0.0):
-    if mode == "float":
-        return abs(v) <= max(tol, 0.0)
-    return (v - v.field.from_rational(0)).is_zero() if hasattr(v, "field") else v == 0
-
-
-def _residual_value(v):
-    return abs(v) if isinstance(v, complex) else repr(v)
 
 
 class MonomialMatrix:
@@ -146,10 +106,6 @@ class MonomialMatrix:
         self.dim = dim
         self.perm = perm
         self.scale = scale
-
-    @staticmethod
-    def identity(dim, one):
-        return MonomialMatrix(dim, list(range(dim)), [one] * dim)
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         perm = [self.perm[other.perm[i]] for i in range(self.dim)]
@@ -163,24 +119,13 @@ class MonomialMatrix:
         if any(self.perm[i] != i for i in range(self.dim)):
             return None
         s0 = self.scale[0]
-        for s in self.scale[1:]:
-            if isinstance(s, complex):
-                if abs(s - s0) > 1e-9:
-                    return None
-            elif s != s0:
-                return None
-        return s0
+        if all(scalars.is_zero(s - s0, 1e-9) for s in self.scale[1:]):
+            return s0
+        return None
 
     def to_dense(self, zero):
-        if isinstance(zero, complex):
-            M = np.zeros((self.dim, self.dim), dtype=complex)
-            for i in range(self.dim):
-                M[self.perm[i], i] = self.scale[i]
-            return M
-        M = [[zero for _ in range(self.dim)] for _ in range(self.dim)]
-        for i in range(self.dim):
-            M[self.perm[i]][i] = self.scale[i]
-        return M
+        """Dense matrix in the arithmetic of `zero` (numpy array for 0j)."""
+        return scalars.for_value(zero).dense(self.dim, [(1, self)], zero)
 
 
 class CFRep:
@@ -197,8 +142,7 @@ class CFRep:
         self.N = algebra.N
         self.weights = weights
         self.sign = sign_choices
-        self.ctx = (FloatScalars(self.N) if weights.mode == "float"
-                    else algebra.scalars)
+        self.ctx = weights.ctx
         self.lattice = BalancedLattice(algebra)
         self._setup_factors()
         self._solve_character()
@@ -242,27 +186,6 @@ class CFRep:
             if t in self.active:
                 ab.append((al, be, d, self.orders[t]))
         return s % (4 * self.N), ab
-
-    def _w_matrix(self, gamma, extra_exp=0, coeff=None) -> MonomialMatrix:
-        """omega^extra * coeff * W(k) for k with the given coordinates."""
-        base, ab = self._w_data(gamma)
-        base = (base + extra_exp) % (4 * self.N)
-        dim = self.dim
-        perm = [0] * dim
-        scale = [None] * dim
-        one = self.ctx.one()
-        c = one if coeff is None else coeff
-        for i in range(dim):
-            idx = i
-            expo = base
-            target = 0
-            for (al, be, d, m), stride in zip(ab, self.strides):
-                pos = (idx // stride) % m
-                expo += 2 * d * al * pos
-                target += ((pos + be) % m) * stride
-            perm[i] = target
-            scale[i] = c * self.ctx.omega(expo % (4 * self.N))
-        return MonomialMatrix(dim, perm, scale)
 
     # -- character --
 
@@ -310,22 +233,14 @@ class CFRep:
         for i, ki in enumerate(k):
             if ki:
                 ui = self.weights.u[i]
-                if ki > 0:
-                    out = out * ui ** ki
-                else:
-                    inv = (1.0 / ui) if self.weights.mode == "float" else ui.inv()
-                    out = out * inv ** (-ki)
+                out = out * (ui if ki > 0 else self.ctx.inv(ui)) ** abs(ki)
         return out
 
     # -- evaluation --
 
     def cocycle(self, k):
         """tau(k) with mu([Z^k]) = tau(k) W(k)."""
-        gamma = self.lattice.coords(k)
-        e = sum(r * g for r, g in zip(self.rho, gamma)) % (4 * self.N)
-        if self.sign is not None and self.sign.value(k):
-            e = (e + 2 * self.N) % (4 * self.N)
-        return self._u_power(k) * self.ctx.omega(e)
+        return self._u_power(k) * self.ctx.omega(self.cocycle_exponent(k))
 
     def cocycle_exponent(self, k) -> int:
         """Weight-independent omega-exponent part of tau(k)."""
@@ -337,15 +252,13 @@ class CFRep:
 
     def weyl_image(self, k) -> MonomialMatrix:
         """mu([Z^k])."""
-        gamma = self.lattice.coords(k)
-        return self._w_matrix(gamma, coeff=self.cocycle(k))
+        return self._image(k, 0)
 
     def intertwiner_part(self, k):
         """A_k with mu([Z^k]) = u^k A_k, as weight-independent discrete data:
         (perm tuple, omega-exponent tuple)."""
-        gamma = self.lattice.coords(k)
-        base, ab = self._w_data(gamma)
-        base = (base + self.cocycle_exponent(k)) % (4 * self.N)
+        base, ab = self._w_data(self.lattice.coords(k))
+        base += self.cocycle_exponent(k)
         perm, expo = [], []
         for i in range(self.dim):
             e = base
@@ -360,39 +273,22 @@ class CFRep:
 
     def monomial_image(self, k) -> MonomialMatrix:
         """mu(Z^k) = omega^(w(k)) mu([Z^k])."""
-        gamma = self.lattice.coords(k)
-        w = self.algebra.weyl_weight(k)
-        return self._w_matrix(gamma, extra_exp=0,
-                              coeff=self.cocycle(k) * self.ctx.omega(w))
+        return self._image(k, self.algebra.weyl_weight(k))
+
+    def _image(self, k, extra_exp) -> MonomialMatrix:
+        """omega^extra_exp u^k A_k."""
+        perm, expo = self.intertwiner_part(k)
+        uk = self._u_power(k)
+        mod = 4 * self.N
+        scales = [uk * self.ctx.omega(j) for j in range(mod)]
+        return MonomialMatrix(self.dim, list(perm),
+                              [scales[(e + extra_exp) % mod] for e in expo])
 
     def apply(self, a: QTElement):
         """Dense matrix of mu(a); float mode returns a numpy array."""
         self.algebra.require_balanced(a)
-        zero = self.ctx.zero()
-        if self.weights.mode == "float":
-            M = np.zeros((self.dim, self.dim), dtype=complex)
-            for k, c in a.terms.items():
-                mm = self.monomial_image(k)
-                cc = c.to_complex()
-                for i in range(self.dim):
-                    M[mm.perm[i], i] += cc * mm.scale[i]
-            return M
-        M = [[zero for _ in range(self.dim)] for _ in range(self.dim)]
-        for k, c in a.terms.items():
-            mm = self.monomial_image(k)
-            for i in range(self.dim):
-                M[mm.perm[i]][i] = M[mm.perm[i]][i] + c * mm.scale[i]
-        return M
-
-    def identity_matrix(self):
-        if self.weights.mode == "float":
-            return np.eye(self.dim, dtype=complex)
-        one, zero = self.ctx.one(), self.ctx.zero()
-        return [[one if i == j else zero for j in range(self.dim)]
-                for i in range(self.dim)]
-
-    def basis_images(self) -> list[MonomialMatrix]:
-        return [self.weyl_image(b) for b in self.lattice.basis]
+        terms = ((c, self.monomial_image(k)) for k, c in a.terms.items())
+        return self.ctx.dense(self.dim, terms, self.ctx.zero())
 
     def hv_scalar(self):
         """The common scalar of mu(H_v)."""
@@ -400,43 +296,37 @@ class CFRep:
 
     # -- derived checks --
 
-    def commutant_dim(self, tol: float = 1e-8) -> int:
+    def commutant_dim(self) -> int:
         """Dimension of the commutant of the image, via orbit-phase
-        propagation over the monomial generator matrices."""
-        gens = self.basis_images()
+        propagation over the monomial generator matrices.
+
+        A generator u^k A_k with A_k e_i = omega^(e_i) e_(p(i)) forces
+        X[p(i), p(j)] = omega^(e_i - e_j) X[i, j] on a commuting X: the factor
+        u^k cancels, so phases are integer omega-exponents mod 4N and the count
+        is exact in both modes.
+        """
+        gens = [self.intertwiner_part(b) for b in self.lattice.basis]
+        mod = 4 * self.N
         D = self.dim
-        total = D * D
-        seen = [False] * total
+        phase = [None] * (D * D)
         dim = 0
-        for root in range(total):
-            if seen[root]:
+        for root in range(D * D):
+            if phase[root] is not None:
                 continue
-            phases = {root: self.ctx.one()}
+            phase[root] = 0
             stack = [root]
-            seen[root] = True
             consistent = True
             while stack:
                 pos = stack.pop()
                 i, j = divmod(pos, D)
-                ph = phases[pos]
-                for g in gens:
-                    # X[p(i), p(j)] = s_i / s_j X[i, j]
-                    ni, nj = g.perm[i], g.perm[j]
-                    npos = ni * D + nj
-                    sj = g.scale[j]
-                    mult = g.scale[i] * ((1.0 / sj) if isinstance(sj, complex)
-                                         else sj.inv())
-                    val = ph * mult
-                    if npos in phases:
-                        diff = phases[npos] - val
-                        bad = (abs(diff) > tol if isinstance(diff, complex)
-                               else not diff.is_zero())
-                        if bad:
-                            consistent = False
-                    else:
-                        phases[npos] = val
-                        seen[npos] = True
+                for perm, expo in gens:
+                    npos = perm[i] * D + perm[j]
+                    val = (phase[pos] + expo[i] - expo[j]) % mod
+                    if phase[npos] is None:
+                        phase[npos] = val
                         stack.append(npos)
+                    elif phase[npos] != val:
+                        consistent = False
             if consistent:
                 dim += 1
         return dim
@@ -457,13 +347,8 @@ class CFRep:
 
     def dump_matrices(self) -> str:
         basis = [list(b) for b in self.lattice.basis]
-        mats = []
-        for mm in self.basis_images():
-            dense = mm.to_dense(self.ctx.zero())
-            if self.weights.mode == "float":
-                mats.append([[z.real, z.imag] for row in dense for z in row])
-            else:
-                mats.append([z.serialize() for row in dense for z in row])
+        mats = [[scalars.serialize(z) for row in self.weyl_image(b).to_dense(self.ctx.zero())
+                 for z in row] for b in basis]
         return json.dumps({"dim": self.dim, "basis": basis, "matrices": mats})
 
 

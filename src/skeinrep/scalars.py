@@ -1,21 +1,235 @@
-"""Scalar backends shared by representations and kernel computations.
+"""Scalar and matrix backends shared by representations and kernel computations.
 
 Exact mode works in Q(zeta_L) with 4N | L and omega = zeta_L^(L/4N), a
 primitive 4N-th root of unity; then omega^(2N) = -1 and A = omega^(-2) is a
 primitive N-th root of -1.  Float mode uses complex doubles with the same
 conventions.  Symbolic algebra (module cfalgebra) is always exact; these
 backends only decide how representation matrices and kernels are evaluated.
+
+This module alone chooses between the two arithmetics, from a mode string
+(`for_mode`, `backend`) or from a value's type (`for_value`, `one_like`,
+`is_zero`, `serialize`, which also take the Fraction points of holonomy).
+
+Contract.  A matrix is a numpy array (float) or a list of rows (exact); a
+subspace basis is an ambient x d array (float) or a list of d columns (exact).
+Callers pass the threshold they use as `tol`; exact methods ignore it.  The
+N-free Exact/FloatArithmetic give (float | exact):
+
+    is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
+    norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
+    residual(a)       |a| | repr(a), for weight validation reports
+    kernel(M, tol)    (basis, rank): SVD dropping s <= tol max(s_0, 1) | Gauss-Jordan
+    scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
+                      max(tol, 1e-9 max(|c|, 1)) | exact equality
+    eigen_candidates(M, tol, candidates)  eigenvalue clusters at tol with
+                      their multiplicities | (candidate, None) per candidate
+    inv, sub, matmul, identity(M, c) = c Id, stack, rank, spans(B, C) (span of B
+    contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
+    over terms (c, MonomialMatrix P)
+
+ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
+and the weights-file format (deserialize, json_fields).
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
+from fractions import Fraction
+from functools import reduce
+
+import numpy as np
 
 from .cyclotomic import CycloField, CycloScalar
 
 
-class ExactScalars:
+def _dot(u, v):
+    """sum_j u_j v_j: the one exact matrix product."""
+    return reduce(operator.add, map(operator.mul, u, v))
+
+
+def _exact_zero(v) -> bool:
+    return v.is_zero() if isinstance(v, CycloScalar) else v == 0
+
+
+class ExactArithmetic:
     mode = "exact"
+
+    def is_zero(self, a, tol: float = 0.0) -> bool:
+        if isinstance(a, list):
+            return all(_exact_zero(v) for row in a for v in row)
+        return _exact_zero(a)
+
+    def norm(self, a) -> float:
+        return 0.0 if self.is_zero(a) else 1.0
+
+    def residual(self, a) -> str:
+        return repr(a)
+
+    def inv(self, a):
+        return a.inv()
+
+    def dense(self, dim, terms, zero):
+        M = [[zero] * dim for _ in range(dim)]
+        for c, mm in terms:
+            for i in range(dim):
+                p = mm.perm[i]
+                M[p][i] = M[p][i] + c * mm.scale[i]
+        return M
+
+    def sub(self, A, B):
+        return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+    def matmul(self, A, B):
+        cols = list(zip(*B))
+        return [[_dot(row, col) for col in cols] for row in A]
+
+    def identity(self, M, c):
+        zero = M[0][0].field.zero()
+        c = zero + c
+        return [[c if i == j else zero for j in range(len(M))] for i in range(len(M))]
+
+    def stack(self, mats):
+        return [row for M in mats for row in M]
+
+    def image(self, M, basis):
+        return [[_dot(row, col) for row in M] for col in basis]
+
+    def ncols(self, basis) -> int:
+        return len(basis)
+
+    def _eliminate(self, rows):
+        """Gauss-Jordan reduction of a copy of rows: (reduced rows, pivot columns)."""
+        rows = [list(r) for r in rows]
+        m = len(rows)
+        pivots = []
+        for col in range(len(rows[0]) if m else 0):
+            rank = len(pivots)
+            piv = next((r for r in range(rank, m) if not rows[r][col].is_zero()), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            inv = rows[rank][col].inv()
+            rows[rank] = [x * inv for x in rows[rank]]
+            for r in range(m):
+                if r != rank and not rows[r][col].is_zero():
+                    f = rows[r][col]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            pivots.append(col)
+        return rows, pivots
+
+    def kernel(self, M, tol: float = 0.0):
+        rows, pivots = self._eliminate(M)
+        n = len(M[0])
+        field = M[0][0].field
+        zero, one = field.zero(), field.one()
+        pivot_set = set(pivots)
+        basis = []
+        for fcol in (c for c in range(n) if c not in pivot_set):
+            vec = [zero] * n
+            vec[fcol] = one
+            for r, pcol in enumerate(pivots):
+                vec[pcol] = -rows[r][fcol]
+            basis.append(vec)
+        return basis, len(pivots)
+
+    def rank(self, M, tol: float = 0.0) -> int:
+        return len(self._eliminate(M)[1])
+
+    def spans(self, B, C, tol: float = 0.0) -> bool:
+        """Kernel bases are independent, so B spans C iff B + C has rank |B|."""
+        return self.rank(list(B) + list(C)) == len(B)
+
+    def scalar_of(self, M, tol: float = 0.0):
+        s = M[0][0]
+        ok = all((M[i][j] - s if i == j else M[i][j]).is_zero()
+                 for i in range(len(M)) for j in range(len(M)))
+        return s if ok else None
+
+    def eigen_candidates(self, M, tol, candidates):
+        if candidates is None:
+            raise ValueError("exact eigen-analysis needs a candidate list")
+        return [(lam, None) for lam in candidates]
+
+
+class FloatArithmetic:
+    mode = "float"
+
+    def is_zero(self, a, tol: float) -> bool:
+        return self.norm(a) <= tol
+
+    def norm(self, a) -> float:
+        return float(np.max(np.abs(a), initial=0.0))
+
+    def residual(self, a) -> float:
+        return abs(a)
+
+    def inv(self, a):
+        return 1 / a
+
+    def dense(self, dim, terms, zero):
+        M = np.zeros((dim, dim), dtype=complex)
+        for c, mm in terms:
+            cc = complex(c)
+            for i in range(dim):
+                M[mm.perm[i], i] += cc * mm.scale[i]
+        return M
+
+    def sub(self, A, B):
+        return np.asarray(A) - np.asarray(B)
+
+    def matmul(self, A, B):
+        return np.asarray(A) @ B
+
+    image = matmul
+
+    def identity(self, M, c):
+        return c * np.eye(len(M), dtype=complex)
+
+    def stack(self, mats):
+        return np.vstack([np.asarray(M) for M in mats])
+
+    def ncols(self, basis) -> int:
+        return basis.shape[1]
+
+    def kernel(self, M, tol: float):
+        u, s, vh = np.linalg.svd(np.asarray(M))
+        r = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+        return vh.conj().T[:, r:], r
+
+    def rank(self, M, tol: float) -> int:
+        """Numerical rank; the threshold floor treats O(1)-entry operators whose
+        norm is already below tolerance as zero."""
+        M = np.asarray(M)
+        if M.size == 0:
+            return 0
+        s = np.linalg.svd(M, compute_uv=False)
+        return int(np.sum(s > tol * max(s[0], 1.0)))
+
+    def spans(self, B, C, tol: float) -> bool:
+        return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
+
+    def scalar_of(self, M, tol: float):
+        M = np.asarray(M)
+        s = complex(np.trace(M) / len(M))
+        off = self.norm(M - s * np.eye(len(M)))
+        return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
+
+    def eigen_candidates(self, M, tol, candidates):
+        """Eigenvalue clusters: sorted eigenvalues closer than tol to the
+        first of a cluster join it."""
+        vals = np.linalg.eigvals(np.asarray(M))
+        order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
+        groups: list[list] = []
+        for z in vals[order]:
+            if groups and abs(z - groups[-1][0]) < tol:
+                groups[-1][1] += 1
+            else:
+                groups.append([z, 1])
+        return [(complex(z), int(m)) for z, m in groups]
+
+
+class ExactScalars(ExactArithmetic):
 
     def __init__(self, N: int, order: int | None = None):
         if N < 3 or N % 2 == 0:
@@ -39,12 +253,6 @@ class ExactScalars:
     def from_rational(self, q) -> CycloScalar:
         return self.field.from_rational(q)
 
-    def is_zero(self, a, tol: float = 0.0) -> bool:
-        return a.is_zero()
-
-    def to_complex(self, a) -> complex:
-        return a.to_complex()
-
     def omega_log(self, a) -> int:
         """k with a == omega^k, or raise ValueError."""
         for k in range(4 * self.N):
@@ -52,15 +260,19 @@ class ExactScalars:
                 return k
         raise ValueError("not a power of omega")
 
+    def deserialize(self, data) -> CycloScalar:
+        return CycloScalar.deserialize(self.field, data)
 
-class FloatScalars:
-    mode = "float"
+    def json_fields(self) -> dict:
+        return {"field_order": self.field.order}
 
-    def __init__(self, N: int, tol: float = 1e-9):
+
+class FloatScalars(FloatArithmetic):
+
+    def __init__(self, N: int):
         if N < 3 or N % 2 == 0:
             raise ValueError("N must be odd and >= 3")
         self.N = N
-        self.tol = tol
 
     def omega(self, k: int = 1) -> complex:
         return cmath.exp(2j * cmath.pi * k / (4 * self.N))
@@ -71,15 +283,6 @@ class FloatScalars:
     def zero(self) -> complex:
         return 0j
 
-    def from_rational(self, q) -> complex:
-        return complex(q)
-
-    def is_zero(self, a, tol: float | None = None) -> bool:
-        return abs(a) <= (self.tol if tol is None else tol)
-
-    def to_complex(self, a) -> complex:
-        return complex(a)
-
     def omega_log(self, a) -> int:
         """Nearest k with a ~ omega^k; raise if not close to a 4N-th root of 1."""
         n = 4 * self.N
@@ -89,3 +292,58 @@ class FloatScalars:
         if abs(a - self.omega(k)) > 1e-6:
             raise ValueError("not close to a power of omega")
         return k
+
+    def deserialize(self, data) -> complex:
+        return complex(*data)
+
+    def json_fields(self) -> dict:
+        return {}
+
+
+_ARITHMETIC = {"exact": ExactArithmetic(), "float": FloatArithmetic()}
+
+
+def for_mode(mode: str):
+    """The N-free arithmetic of a mode string ("exact" or "float")."""
+    if mode not in _ARITHMETIC:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _ARITHMETIC[mode]
+
+
+def backend(mode: str, N: int, order: int | None = None):
+    """Scalars of a mode; exact ones live in Q(zeta_order), Q(zeta_4N) by default."""
+    for_mode(mode)
+    return FloatScalars(N) if mode == "float" else ExactScalars(N, order)
+
+
+def for_value(v):
+    """The arithmetic a scalar belongs to."""
+    return _ARITHMETIC["float" if isinstance(v, complex) else "exact"]
+
+
+def field_order(v) -> int | None:
+    """Order L of the cyclotomic field of an exact value; None otherwise."""
+    return v.field.order if isinstance(v, CycloScalar) else None
+
+
+def one_like(v):
+    """The one of v's arithmetic: complex, Fraction or Q(zeta_L)."""
+    if isinstance(v, complex):
+        return 1 + 0j
+    if isinstance(v, CycloScalar):
+        return v.field.one()
+    return Fraction(1)
+
+
+def is_zero(v, tol: float = 0.0) -> bool:
+    """v == 0: within tol for a complex v, exactly (tol unused) otherwise."""
+    return abs(v) <= tol if isinstance(v, complex) else _exact_zero(v)
+
+
+def serialize(v):
+    """JSON form of a complex ([re, im]), Fraction ([num, den]) or exact value."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, Fraction):
+        return [v.numerator, v.denominator]
+    return v.serialize()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra
-from skeinrep.cli import main
+from skeinrep.cli import SUITES, main
 from skeinrep.representation import WeightSystem
 from skeinrep.triangulation import standard_library
 
@@ -48,6 +48,46 @@ def test_kernels_torus_with_weights_file(tmp_path, capsys):
     assert report["per_vertex_dims"] == [3]
 
 
+def torus_weights_file(tmp_path, entries=3):
+    """Exact torus weights at N=3, keeping only the first `entries` weights."""
+    T = standard_library("torus1")
+    alg = CFAlgebra(T, 3)
+    one = alg.scalars.one()
+    data = json.loads(WeightSystem(T, 3, u=[one, one, alg.scalars.omega(1)]).to_json())
+    data["u"] = data["u"][:entries]
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(data))
+    return str(wpath)
+
+
+def assert_input_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_kernels_weights_too_few_entries(tmp_path, capsys):
+    wpath = torus_weights_file(tmp_path, entries=2)
+    assert_input_error(main(["kernels", "--name", "torus1", "--weights", wpath]), capsys)
+
+
+def test_kernels_weights_N_mismatch(tmp_path, capsys):
+    wpath = torus_weights_file(tmp_path)
+    rc = main(["kernels", "--name", "torus1", "--weights", wpath, "--N", "5"])
+    assert_input_error(rc, capsys)
+
+
+def test_kernels_mode_mismatch(tmp_path, capsys):
+    wpath = torus_weights_file(tmp_path)
+    rc = main(["kernels", "--name", "torus1", "--weights", wpath, "--mode", "float"])
+    assert_input_error(rc, capsys)
+    assert_input_error(main(["kernels", "--name", "torus1", "--mode", "exact"]), capsys)
+
+
+def test_info_even_N_rejected(capsys):
+    assert_input_error(main(["info", "--name", "torus1", "--N", "4"]), capsys)
+
+
 def test_kernels_invalid_weights(tmp_path, capsys):
     T = standard_library("torus1")
     alg = CFAlgebra(T, 3)
@@ -90,3 +130,8 @@ def test_verify_deterministic_reports(tmp_path, capsys):
                  "--out", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suite_passes(suite, capsys):
+    assert main(["verify", "--suite", suite, "--N", "3"]) == 0

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra
-from skeinrep.errors import DegenerateConfiguration
+from skeinrep.errors import DegenerateConfiguration, SamplerExhausted
 from skeinrep.holonomy import (DevelopedTriangulation, Mat2, ProjPoint,
                                cross_det, crossratio_weight, random_enhancement,
                                trace_word, vertex_holonomy,
@@ -60,6 +61,18 @@ def test_random_enhancement_weights_valid():
         D = random_enhancement(T, seed=1)
         W = weights_from_development(D, 3)
         assert W.validate()["valid"]
+
+
+def test_random_enhancement_gives_up_on_degenerate_draws(monkeypatch):
+    class ConstantRandom(random.Random):
+        def randint(self, a, b):
+            return 1
+
+    monkeypatch.setattr(random, "Random", ConstantRandom)
+    start = time.monotonic()
+    with pytest.raises(SamplerExhausted):   # all vertex points coincide
+        random_enhancement(standard_library("sphere2"), seed=1)
+    assert time.monotonic() - start < 1.0
 
 
 def test_random_enhancement_needs_combinatorial():

@@ -1,15 +1,17 @@
+import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.errors import (NotDiagonalizable, NotMonomial, NotOneVertex,
-                             NotSeparating)
-from skeinrep.kernels import (Subspace, eigen_analysis, kernel_equality_check,
-                              matrix_kernel, offdiag_kernel,
-                              sample_generic_weights, tensor_split,
-                              total_kernel)
+                             NotSeparating, SamplerExhausted)
+from skeinrep.kernels import (Subspace, eigen_analysis, matrix_kernel,
+                              offdiag_kernel, sample_generic_weights,
+                              tensor_split, total_kernel)
+from skeinrep.qtrace import sweep_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 
@@ -158,13 +160,14 @@ def test_balanced_monomial_sep_exponent_even(genus2_rep):
 
 # ---- sweep kernel equality ----
 
-def test_kernel_equality_check(genus2_rep):
-    assert kernel_equality_check(genus2_rep)
+def test_sweep_kernel_equals_total(genus2_rep):
+    e = genus2_rep.T.designated_edge
+    assert sweep_check(genus2_rep, e)["kernel_equals_total"]
 
 
 def test_kernel_equality_requires_separating(torus_rep):
     with pytest.raises(NotSeparating):
-        kernel_equality_check(torus_rep)
+        sweep_check(torus_rep, 0)
 
 
 # ---- sampler ----
@@ -180,6 +183,14 @@ def test_sampler_deterministic():
 def test_sampler_needs_one_vertex():
     with pytest.raises(NotOneVertex):
         sample_generic_weights(standard_library("sphere2"), 3, random.Random(0))
+
+
+def test_sampler_gives_up_when_every_draw_is_rejected():
+    start = time.monotonic()
+    with pytest.raises(SamplerExhausted):
+        sample_generic_weights(standard_library("genus2_sep"), 3, random.Random(0),
+                               trace_margin=math.inf)
+    assert time.monotonic() - start < 1.0
 
 
 # ---- subspace utilities ----

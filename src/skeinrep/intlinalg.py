@@ -86,28 +86,26 @@ def smith_normal_form(A):
                         dirty = True
         t += 1
 
-    # enforce divisibility chain
+    # divisibility chain: diag(a, b) -> diag(g, ab/g) with g = sa + tb, by
+    # [[s, t], [-b/g, a/g]] on rows i, j and [[1, -tb/g], [1, sa/g]] on columns
     for i in range(t):
         for j in range(i + 1, t):
-            if D[j][j] % D[i][i] != 0:
-                # standard trick: move gcd into position i
-                for r in range(m):
-                    D[r][i] += D[r][j]
-                for r in range(n):
-                    V[r][i] += V[r][j]
-                # re-reduce the 2x2 block via the generic loop
-                return smith_normal_form_assemble(D, U, V, m, n)
+            a, b = D[i][i], D[j][j]
+            if b % a == 0:
+                continue
+            g, s, tt = xgcd(a, b)
+            for M in (D, U):
+                M[i], M[j] = ([s * x + tt * y for x, y in zip(M[i], M[j])],
+                              [(a * y - b * x) // g for x, y in zip(M[i], M[j])])
+            for M in (D, V):
+                for row in M:
+                    x, y = row[i], row[j]
+                    row[i], row[j] = x + y, (s * a * y - tt * b * x) // g
     for i in range(t):
         if D[i][i] < 0:
             D[i] = [-x for x in D[i]]
             U[i] = [-x for x in U[i]]
     return D, U, V
-
-
-def smith_normal_form_assemble(D, U, V, m, n):
-    """Restart SNF on a partially reduced matrix, composing the multipliers."""
-    D2, U2, V2 = smith_normal_form(D)
-    return D2, mat_mul(U2, U), mat_mul(V, V2)
 
 
 def alternating_normal_form(P):
@@ -227,6 +225,17 @@ def solve_mod(A, b, modulus):
             return None
     x = mat_vec(V, y)
     return [xi % modulus for xi in x]
+
+
+def xgcd(a, b):
+    """(g, s, t) with g = s*a + t*b a greatest common divisor of a and b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def gcd(a, b):

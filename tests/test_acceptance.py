@@ -3,34 +3,25 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Tolerances are pinned here: exact checks use field equality (zero tolerance),
 float rank decisions use 1e-8, eigenvalue/threading residuals use 1e-6.
+Criteria 1-6, 8, 9 and 11 run the named checks of skeinrep.verify, which
+`skeinrep verify` runs too, and assert which checks ran.
 """
 
-import itertools
 import random
 import time
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from skeinrep.cfalgebra import BalancedLattice, CFAlgebra, SignReversalClass
-from skeinrep.kernels import (eigen_analysis, matrix_kernel, offdiag_kernel,
-                              sample_generic_weights, total_kernel)
-from skeinrep.moves import (LocalizedElement, are_isomorphic, flip,
-                            flip_weights, phi, subdivide, subdivision_weights,
-                            theta)
-from skeinrep.qtrace import (LoopSpec, chebyshev, classical_trace,
-                             corner_arc_factor, edge_parallel_trace,
-                             element_chebyshev, fan_segment, segment_weyl,
-                             sweep_check, threading_check)
+from skeinrep import verify
+from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
+from skeinrep.kernels import offdiag_kernel, sample_generic_weights, total_kernel
+from skeinrep.qtrace import corner_arc_factor
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.holonomy import vertex_holonomy
-from skeinrep.triangulation import build, octahedron, standard_library
+from skeinrep.triangulation import octahedron, standard_library
 
 RANK_TOL = 1e-8
 EIGEN_TOL = 1e-6
-
-_collected_weight_systems = []
 
 
 def report(number, passed, text):
@@ -39,86 +30,54 @@ def report(number, passed, text):
     assert passed, f"criterion {number}: {text}"
 
 
-def exact_torus_weights(alg):
-    one = alg.scalars.one()
-    W = WeightSystem(alg.T, alg.N, u=[one, one, alg.scalars.omega(1)])
-    _collected_weight_systems.append(W)
-    return W
+def all_pass(checks, *names):
+    """Exactly the named checks ran, in this order, and all passed."""
+    return [c.name for c in checks] == list(names) and all(c.passed for c in checks)
 
 
-def exact_sphere_weights(alg):
+def octahedron_weights(alg):
     w = alg.scalars.omega(1)
-    W = WeightSystem(alg.T, alg.N, u=[w, w, w])
-    _collected_weight_systems.append(W)
-    return W
+    return WeightSystem(alg.T, 3, u=[w] * alg.T.num_edges)
 
 
-def exact_genus2_weights(alg):
-    T = alg.T
-    one, w = alg.scalars.one(), alg.scalars.omega(1)
-    fan = T.fans[0].edges
-    two = alg.scalars.from_rational(2)
-    tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(T.designated_edge, 1))
-    for signs in itertools.product([1, -1], repeat=T.num_edges):
-        if signs.count(-1) % 2 == 0:
-            continue
-        prefix, tot = 1, 0
-        for j in range(len(fan)):
-            tot += prefix
-            prefix *= signs[fan[j]]
-        if tot != 0 or prefix != 1:
-            continue
-        W = WeightSystem(T, alg.N, u=[w if s < 0 else one for s in signs])
-        tau = classical_trace(alg, tr, W)
-        if tau == two or tau == -two:
-            continue
-        _collected_weight_systems.append(W)
-        return W
-    raise RuntimeError("no exact genus-2 weight system found")
+def genus2_samples():
+    """Twenty generic float weight systems at N=3."""
+    T = standard_library("genus2_sep")
+    rng = random.Random(2026)
+    return [sample_generic_weights(T, 3, rng) for _ in range(20)]
 
 
-def random_torus_weights(T, N, rng):
-    import cmath
-    s = cmath.exp(2j * cmath.pi * rng.random())
-    t = cmath.exp(2j * cmath.pi * rng.random())
-    W = WeightSystem(T, N, u=[cmath.exp(cmath.log(v) / (2 * N))
-                              for v in (s, t, -1 / (s * t))], mode="float")
-    _collected_weight_systems.append(W)
-    return W
+def signrev_sample():
+    return sample_generic_weights(standard_library("genus2_sep"), 3, random.Random(3))
 
 
 @pytest.fixture(scope="module")
 def genus2_runs():
-    """Twenty generic float weight systems with their representations."""
-    T = standard_library("genus2_sep")
-    alg = CFAlgebra(T, 3)
-    rng = random.Random(2026)
-    runs = []
-    for _ in range(20):
-        W = sample_generic_weights(T, 3, rng)
-        _collected_weight_systems.append(W)
-        runs.append(build_rep(T, 3, W, algebra=alg))
-    return runs
+    """The genus-2 samples with their representations."""
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    return [build_rep(alg.T, 3, W, algebra=alg) for W in genus2_samples()]
+
+
+@pytest.fixture(scope="module")
+def weight_systems():
+    """Every distinct weight system the criteria use, drawn as they draw it."""
+    torus, sphere, genus2 = (standard_library(name)
+                             for name in ("torus1", "sphere2", "genus2_sep"))
+    rng = random.Random(11)
+    systems = [W for N in (3, 5)
+               for W in verify.torus_weight_systems(CFAlgebra(torus, N), rng)]
+    systems += [verify.exact_sphere_weights(CFAlgebra(sphere, 3)),
+                verify.exact_genus2_weights(CFAlgebra(genus2, 3)),
+                octahedron_weights(CFAlgebra(octahedron(), 3))]
+    return systems + genus2_samples() + [signrev_sample()]
 
 
 def test_criterion_1_torus_dimension_theorem():
     start = time.monotonic()
-    ok = True
     rng = random.Random(11)
-    for N in (3, 5):
-        T = standard_library("torus1")
-        alg = CFAlgebra(T, N)
-        systems = [exact_torus_weights(alg)]
-        systems += [random_torus_weights(T, N, rng) for _ in range(10)]
-        for W in systems:
-            ok = ok and W.validate()["valid"]
-            rep = build_rep(T, N, W, algebra=alg if W.mode == "exact" else None)
-            M = rep.apply(alg.offdiag_Q(0))
-            if W.mode == "exact":
-                ok = ok and all(v.is_zero() for row in M for v in row)
-            else:
-                ok = ok and np.abs(M).max() < 1e-9
-            ok = ok and total_kernel(rep, RANK_TOL).dim == N
+    checks = verify.torus_checks(3, rng, RANK_TOL) + verify.torus_checks(5, rng, RANK_TOL)
+    ok = all_pass(checks, *["torus-weights-valid", "torus-annihilates-offdiag",
+                            "torus-kernel-dim"] * 2)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 5.0
     report(1, ok, f"torus: mu(Q_v) = 0 and dim F = N for N in (3,5), "
@@ -127,10 +86,8 @@ def test_criterion_1_torus_dimension_theorem():
 
 def test_criterion_2_sphere_dimension_theorem():
     start = time.monotonic()
-    T = standard_library("sphere2")
-    alg = CFAlgebra(T, 3)
-    rep = build_rep(T, 3, exact_sphere_weights(alg), algebra=alg)
-    ok = rep.dim == 1 and total_kernel(rep).dim == 1
+    ok = all_pass(verify.sphere_checks(3), "sphere-rep-dim", "sphere-kernel-dim",
+                  "sphere-annihilates-offdiag")
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 1.0
     report(2, ok, f"sphere: dim E = 1 and dim F = 1 [{elapsed:.2f}s < 1s]")
@@ -138,9 +95,8 @@ def test_criterion_2_sphere_dimension_theorem():
 
 def test_criterion_3_genus2_dimension_theorem(genus2_runs):
     start = time.monotonic()
-    ok = all(rep.dim == 81 for rep in genus2_runs)
-    for rep in genus2_runs:
-        ok = ok and total_kernel(rep, RANK_TOL).dim == 27
+    ok = all_pass(verify.genus2_dimension_checks(genus2_runs, RANK_TOL),
+                  "genus2-rep-dim", "genus2-kernel-dim")
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     report(3, ok, f"genus 2, N=3: dim E = 81 and dim F = 27 at rank tol 1e-8, "
@@ -148,88 +104,25 @@ def test_criterion_3_genus2_dimension_theorem(genus2_runs):
 
 
 def test_criterion_4_eigen_structure(genus2_runs):
-    T = standard_library("genus2_sep")
-    loop = LoopSpec.edge_parallel(T.designated_edge, 1)
-    TN = chebyshev(3)
-    ok = True
-    for rep in genus2_runs:
-        tr = edge_parallel_trace(rep.algebra, loop)
-        tau = classical_trace(rep.algebra, tr, rep.weights)
-        eig = eigen_analysis(rep.apply(tr), "float", tol=EIGEN_TOL)
-        ok = ok and len(eig) == 3
-        ok = ok and all(m == 27 for _, m in eig)
-        ok = ok and all(abs(TN.eval_scalar(lam) + tau) < EIGEN_TOL
-                        for lam, _ in eig)
+    ok = all_pass([verify.genus2_eigen_check(genus2_runs, EIGEN_TOL)],
+                  "genus2-eigen-structure")
     report(4, ok, "genus 2: rho[K1] diagonalizable, N eigenvalues of "
                   "multiplicity dim E / N solving T_N(x) = -trace, residual < 1e-6")
 
 
 def test_criterion_5_sweep_identity(genus2_runs):
-    T = standard_library("genus2_sep")
-    ok = True
-    for rep in genus2_runs[:5]:
-        rpt = sweep_check(rep, T.designated_edge, RANK_TOL)
-        ok = ok and rpt["passed"] and rpt["kernel_dim"] == 27
+    checks = [c for rep in genus2_runs[:5] for c in verify.sweep_checks(rep, RANK_TOL)]
+    ok = all_pass(checks, *["sweep-restriction-agrees", "sweep-kernel-equality",
+                            "sweep-offdiag-identity"] * 5)
     report(5, ok, "genus 2: ker(rho[K1] - rho[K2]) = total off-diagonal "
                   "kernel, mutual containment at 1e-8")
 
 
 def test_criterion_6_symbolic_algebra_suite():
-    rng = random.Random(6)
-    algs = {n: CFAlgebra(standard_library(n), 3)
-            for n in ("torus1", "sphere2", "genus2_sep")}
-    lats = {n: BalancedLattice(a) for n, a in algs.items()}
-
-    def rand_k(name):
-        alg, lat = algs[name], lats[name]
-        k = [0] * alg.n
-        for b in lat.basis:
-            c = rng.randint(-2, 2)
-            if c:
-                k = [x + c * y for x, y in zip(k, b)]
-        return tuple(k)
-
-    ok = True
-    for name in ("torus1", "genus2_sep"):
-        alg = algs[name]
-        for _ in range(100):
-            k, l = rand_k(name), rand_k(name)
-            ok = ok and alg.weyl(k) * alg.weyl(l) == \
-                alg.weyl([a + b for a, b in zip(k, l)]).scale(
-                    alg.omega(alg.pairing(k, l)))
-    for name, alg in algs.items():
-        for v in range(alg.T.num_vertices):
-            fan = alg.T.fans[v].edges
-            ok = ok and alg.central_H(v) == \
-                alg.ordered_product(fan).scale(alg.omega(2 - len(fan)))
-            H = alg.central_H(v)
-            for _ in range(10):
-                m = algs[name].monomial(rand_k(name))
-                ok = ok and (H * m - m * H).is_zero()
-    t_alg = algs["torus1"]
-    ok = ok and t_alg.weyl_prefix(0, 4) == -2 and t_alg.weyl_prefix(0, 2) == -2
-    o_alg = CFAlgebra(octahedron(), 3)
-    fan = o_alg.T.fans[0].edges
-    ok = ok and all(o_alg.weyl_prefix(0, k0) == -k0 + 1
-                    for k0 in range(2, len(fan))
-                    if fan[k0 - 1] != fan[0] and fan[k0] != fan[-1])
-    Q = t_alg.offdiag_Q(0)
-    inner = (t_alg.one() + t_alg.gen(0, 2).scale(t_alg.omega(-4))
-             + (t_alg.gen(0, 2) * t_alg.gen(1, 2)).scale(t_alg.omega(-8)))
-    ok = ok and Q == (t_alg.one() + t_alg.central_H(0).scale(t_alg.omega(-4))) * inner
-    for name, alg in algs.items():
-        for v in range(alg.T.num_vertices):
-            f = alg.T.fans[v].edges
-            u = len(f)
-            for start in range(u):
-                Qv = alg.offdiag_Q(v, start=start)
-                Qp = alg.offdiag_Q(v, start=(start - 1) % u)
-                last = alg.gen(f[(start - 1) % u], 2)
-                tail = alg.one()
-                for j in range(u - 1):
-                    tail = tail * alg.gen(f[(start + j) % u], 2)
-                ok = ok and Qp == (alg.one() + (last * Qv).scale(alg.omega(-4))
-                                   - (last * tail).scale(alg.omega(-4 * u)))
+    ok = all_pass(verify.algebra_checks(3, random.Random(6)),
+                  "weyl-product-law", "central-element-coefficient",
+                  "central-element-commutes", "prefix-order-cases",
+                  "torus-offdiag-factorization", "offdiag-start-rotation-recursion")
     report(6, ok, "exact symbolic suite: Weyl law (200 pairs), central "
                   "coefficient and centrality, prefix cases, torus "
                   "factorization, start-rotation recursion; zero tolerance")
@@ -237,9 +130,9 @@ def test_criterion_6_symbolic_algebra_suite():
 
 def test_criterion_7_representation_contract():
     ok = True
-    for name, wfun in (("torus1", exact_torus_weights),
-                       ("sphere2", exact_sphere_weights),
-                       ("genus2_sep", exact_genus2_weights)):
+    for name, wfun in (("torus1", verify.exact_torus_weights),
+                       ("sphere2", verify.exact_sphere_weights),
+                       ("genus2_sep", verify.exact_genus2_weights)):
         T = standard_library(name)
         alg = CFAlgebra(T, 3)
         rep = build_rep(T, 3, wfun(alg), algebra=alg)
@@ -271,130 +164,21 @@ def test_criterion_7_representation_contract():
 
 
 def test_criterion_8_subdivision_suite():
-    T = standard_library("torus1")
-    T2, rec = subdivide(T, 0)
-    ok = True
-    for N in (3, 5):
-        alg2 = CFAlgebra(T2, N)
-        start = T2.fans[rec.new_vertex].edges.index(rec.new_edges[0])
-        Q = alg2.offdiag_Q(rec.new_vertex, start=start)
-        m1, m2 = rec.new_edges[0], rec.new_edges[1]
-        ok = ok and (Q - alg2.one()) ** N == \
-            alg2.gen(m1, 2 * N) + alg2.gen(m1, 2 * N) * alg2.gen(m2, 2 * N)
-    alg = CFAlgebra(T, 3)
-    alg2 = CFAlgebra(T2, 3)
-    lat = BalancedLattice(alg)
-    rng = random.Random(8)
-    for _ in range(100):
-        k = [0] * 3
-        l = [0] * 3
-        for b in lat.basis:
-            c, d = rng.randint(-2, 2), rng.randint(-2, 2)
-            k = [x + c * y for x, y in zip(k, b)]
-            l = [x + d * y for x, y in zip(l, b)]
-        a, bb = alg.monomial(k), alg.monomial(l)
-        ok = ok and phi(rec, a * bb, alg2) == phi(rec, a, alg2) * phi(rec, bb, alg2)
-    # representation level over Q(zeta_36)
-    algE = CFAlgebra(T, 3, field_order=36)
-    alg2E = CFAlgebra(T2, 3, field_order=36)
-    field = alg2E.scalars.field
-    W = WeightSystem(T, 3, u=[field.root_pow(0), field.root_pow(0),
-                              field.root_pow(3)])
-    W2x = subdivision_weights(rec, W, field.root_pow(12))
-    ulift = []
-    for xi in W2x.x:
-        kk = next(kk for kk in range(36) if xi == field.root_pow(kk))
-        ulift.append(field.root_pow(next(r for r in range(36)
-                                         if (6 * r - kk) % 36 == 0)))
-    rep2 = build_rep(T2, 3, WeightSystem(T2, 3, u=ulift), algebra=alg2E)
-    M = rep2.apply(alg2E.offdiag_Q(rec.new_vertex))
-    K = matrix_kernel(M, "exact")
-    ok = ok and rep2.dim == 9 and K.dim == 3
-    shifted = [[M[i][j] - (alg2E.scalars.one() if i == j
-                           else alg2E.scalars.zero())
-                for j in range(9)] for i in range(9)]
-    eig = eigen_analysis(shifted, "exact",
-                         candidates=[-alg2E.omega(8 * k) for k in range(3)])
-    ok = ok and sorted(m for _, m in eig) == [3, 3, 3]
-    vold = rec.vertex_map[0]
-    PhiQ = rep2.apply(phi(rec, algE.offdiag_Q(0), alg2E))
-    Mnew = rep2.apply(alg2E.offdiag_Q(vold))
-    zero = alg2E.scalars.zero()
-    ok = ok and all(
-        all(sum(((Mnew[i][j] - PhiQ[i][j]) * col[j] for j in range(9)), zero)
-            .is_zero() for i in range(9))
-        for col in K.basis)
+    ok = all_pass(verify.subdivision_checks(3, random.Random(8)),
+                  "quantum-binomial-N3", "quantum-binomial-N5",
+                  "subdivision-homomorphism", "subdivision-weights-valid",
+                  "subdivision-kernel-dim", "subdivision-eigenvalues",
+                  "subdivision-restriction-identity")
     report(8, ok, "subdivision: homomorphism (100 pairs), quantum binomial "
                   "exact at N=3,5, kernel dimension, root-of-minus-one "
                   "eigenvalues, restriction identity on the new kernel")
 
 
 def test_criterion_9_flip_suite():
-    T0 = standard_library("sphere2")
-    T1, rec_sub = subdivide(T0, 0)
-    edge = rec_sub.edge_map[rec_sub.side_edges[0]]
-    T2, rec = flip(T1, edge)
-    alg1, alg2 = CFAlgebra(T1, 3), CFAlgebra(T2, 3)
-    emap, sq = rec.edge_map, rec.square
-    d_old = sq[1]
-    w4 = alg1.omega(4)
-
-    def TH(el):
-        return theta(rec, el, alg1)
-
-    ok = TH(alg2.gen(emap[sq[1]], 2)) == \
-        LocalizedElement(alg1, d_old, alg1.gen(d_old, -2))
-    for role in (2, 4):
-        ok = ok and TH(alg2.gen(emap[sq[role]], 2)) == LocalizedElement(
-            alg1, d_old,
-            (alg1.one() + alg1.gen(d_old, 2).scale(w4)) * alg1.gen(sq[role], 2))
-    for role in (3, 5):
-        lhs = LocalizedElement(alg1, d_old,
-                               alg1.one() + alg1.gen(d_old, -2).scale(w4))
-        ok = ok and lhs * TH(alg2.gen(emap[sq[role]], 2)) == \
-            LocalizedElement(alg1, d_old, alg1.gen(sq[role], 2))
-    ok = ok and all(
-        TH(alg2.gen(emap[e], 2)) == LocalizedElement(alg1, d_old, alg1.gen(e, 2))
-        for e in range(T1.num_edges) if e not in sq.values())
-    ok = ok and all(
-        TH(alg2.central_H(rec.vertex_map[v]))
-        == LocalizedElement(alg1, d_old, alg1.central_H(v))
-        for v in range(T1.num_vertices))
-    # off-diagonal transfer in the two-corner configuration
-    two_corner = [(1, 0), (4, 2), (5, 1), (0, 0), (2, 0), (3, 0), (1, 1),
-                  (3, 2), (4, 0), (1, 2), (5, 0), (2, 1), (2, 2), (5, 2),
-                  (0, 1), (3, 1), (0, 2), (4, 1)]
-    Tc = build(6, two_corner)
-    algc = CFAlgebra(Tc, 3)
-    for d, v in ((1, 0), (7, 0)):
-        Tc2, recc = flip(Tc, d)
-        algc2 = CFAlgebra(Tc2, 3)
-        n_old = recc.square[2]
-        hit = any(
-            theta(recc, algc2.gen(recc.edge_map[n_old], 2)
-                  * algc2.offdiag_Q(recc.vertex_map[v], start=s_new), algc)
-            == LocalizedElement(algc, d, algc.gen(n_old, 2)
-                                * algc.offdiag_Q(v, start=s_old))
-            for s_new in range(len(Tc2.fans[recc.vertex_map[v]]))
-            for s_old in range(len(Tc.fans[v])))
-        ok = ok and hit
-    # classical table and double-flip involutivity
-    one = alg1.scalars.one()
-    W0 = WeightSystem(T0, 3, x=[-one, -one, -one])
-    W1 = subdivision_weights(rec_sub, W0, alg1.scalars.from_rational(Fraction(-2)))
-    W2 = flip_weights(rec, W1)
-    T3, rec2 = flip(T2, rec.edge_map[edge])
-    W3 = flip_weights(rec2, W2)
-    ok = ok and W2.validate()["valid"]
-    ok = ok and all(W3.x[rec2.edge_map[rec.edge_map[e]]] == W1.x[e]
-                    for e in range(T1.num_edges))
-    ok = ok and are_isomorphic(T1, T3)
-    xd = W1.x[sq[1]]
-    ok = ok and W2.x[emap[sq[1]]] == xd.inv()
-    ok = ok and all(W2.x[emap[sq[r]]] == (one + xd) * W1.x[sq[r]]
-                    for r in (2, 4))
-    ok = ok and all(W2.x[emap[sq[r]]] == (one + xd.inv()).inv() * W1.x[sq[r]]
-                    for r in (3, 5))
+    ok = all_pass(verify.flip_checks(3), "flip-coordinate-change",
+                  "flip-preserves-central-elements", "flip-offdiag-transfer",
+                  "flip-weights-involutive", "flip-double-isomorphic",
+                  "flip-classical-table")
     report(9, ok, "flip: six coordinate-change formulas, Theta(H') = H, "
                   "two-corner off-diagonal transfer, classical table, "
                   "double-flip involutivity; all exact")
@@ -403,10 +187,7 @@ def test_criterion_9_flip_suite():
 def test_criterion_10_corner_arc_invariance():
     T = octahedron()
     alg = CFAlgebra(T, 3)
-    w = alg.scalars.omega(1)
-    W = WeightSystem(T, 3, u=[w] * T.num_edges)
-    _collected_weight_systems.append(W)
-    rep = build_rep(T, 3, W, algebra=alg)
+    rep = build_rep(T, 3, octahedron_weights(alg), algebra=alg)
     ok = rep.dim == 27 and T.is_combinatorial()
     for v in range(T.num_vertices):
         F = offdiag_kernel(rep, v)
@@ -420,30 +201,21 @@ def test_criterion_10_corner_arc_invariance():
 
 
 def test_criterion_11_sign_reversal():
-    ok = all(chebyshev(n).odd_degrees_only() for n in (1, 3, 5, 7, 9))
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, 3)
     eps = SignReversalClass(T, (1, 0, 1, 1, 0, 1, 0, 0, 1))
-    ok = ok and eps.is_admissible()
-    Q = alg.offdiag_Q(0)
-    ok = ok and eps.apply(Q) == Q
-    W = sample_generic_weights(T, 3, random.Random(3))
-    _collected_weight_systems.append(W)
-    rep = build_rep(T, 3, W, algebra=alg)
-    rep2 = rep.precompose_sign_reversal(eps)
-    ok = ok and rep2.weights.x == rep.weights.x
-    ok = ok and np.abs(rep.apply(alg.central_H(0))
-                       - rep2.apply(alg.central_H(0))).max() < 1e-12
-    ok = ok and total_kernel(rep, RANK_TOL).equals(total_kernel(rep2, RANK_TOL),
-                                                   RANK_TOL)
+    rep = build_rep(T, 3, signrev_sample(), algebra=alg)
+    ok = all_pass(verify.signrev_checks(rep, eps, RANK_TOL), "chebyshev-odd-degrees",
+                  "signrev-fixes-offdiag", "signrev-invariants",
+                  "signrev-flips-odd-monomials")
     report(11, ok, "T_N odd for odd N; admissible sign reversal fixes Q_v, "
                    "the total kernel, the x_i and the H_v scalar")
 
 
-def test_criterion_12_holonomy_cross_check():
+def test_criterion_12_holonomy_cross_check(weight_systems):
     ok = True
     exact_count = float_count = 0
-    for W in _collected_weight_systems:
+    for W in weight_systems:
         if not W.has_roots() or not W.validate()["valid"]:
             continue
         for v in range(W.T.num_vertices):

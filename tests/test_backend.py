@@ -8,22 +8,19 @@ import numpy as np
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra
-from skeinrep.cli import exact_genus2_weights
 from skeinrep.kernels import sample_generic_weights, total_kernel
 from skeinrep.qtrace import LoopSpec, threading_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
+from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
+                             exact_torus_weights)
 
 RANK_TOL = 1e-8
 
 
 def exact_weights(name, alg):
-    one, w = alg.scalars.one(), alg.scalars.omega(1)
-    if name == "torus1":
-        return WeightSystem(alg.T, alg.N, u=[one, one, w])
-    if name == "sphere2":
-        return WeightSystem(alg.T, alg.N, u=[w, w, w])
-    return exact_genus2_weights(alg)
+    return {"torus1": exact_torus_weights, "sphere2": exact_sphere_weights,
+            "genus2_sep": exact_genus2_weights}[name](alg)
 
 
 def to_complex(M):

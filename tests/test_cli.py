@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cli import SUITES, main
+from skeinrep.errors import SamplerExhausted
 from skeinrep.representation import WeightSystem
 from skeinrep.triangulation import standard_library
+from skeinrep.verify import exact_torus_weights, suite_signrev
 
 
 def test_info_name(capsys):
@@ -33,13 +36,7 @@ def test_info_malformed(tmp_path, capsys):
 
 
 def test_kernels_torus_with_weights_file(tmp_path, capsys):
-    T = standard_library("torus1")
-    alg = CFAlgebra(T, 3)
-    one = alg.scalars.one()
-    W = WeightSystem(T, 3, u=[one, one, alg.scalars.omega(1)])
-    wpath = tmp_path / "w.json"
-    wpath.write_text(W.to_json())
-    rc = main(["kernels", "--name", "torus1", "--weights", str(wpath),
+    rc = main(["kernels", "--name", "torus1", "--weights", torus_weights_file(tmp_path),
                "--N", "3", "--mode", "exact"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -50,10 +47,7 @@ def test_kernels_torus_with_weights_file(tmp_path, capsys):
 
 def torus_weights_file(tmp_path, entries=3):
     """Exact torus weights at N=3, keeping only the first `entries` weights."""
-    T = standard_library("torus1")
-    alg = CFAlgebra(T, 3)
-    one = alg.scalars.one()
-    data = json.loads(WeightSystem(T, 3, u=[one, one, alg.scalars.omega(1)]).to_json())
+    data = json.loads(exact_torus_weights(CFAlgebra(standard_library("torus1"), 3)).to_json())
     data["u"] = data["u"][:entries]
     wpath = tmp_path / "w.json"
     wpath.write_text(json.dumps(data))
@@ -86,6 +80,12 @@ def test_kernels_mode_mismatch(tmp_path, capsys):
 
 def test_info_even_N_rejected(capsys):
     assert_input_error(main(["info", "--name", "torus1", "--N", "4"]), capsys)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tol_rejected(tol, capsys):
+    assert_input_error(main(["kernels", "--name", "torus1", "--tol", tol]), capsys)
+    assert_input_error(main(["verify", "--suite", "torus", "--tol", tol]), capsys)
 
 
 def test_kernels_invalid_weights(tmp_path, capsys):
@@ -132,6 +132,49 @@ def test_verify_deterministic_reports(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_verify_suite_passes(suite, capsys):
-    assert main(["verify", "--suite", suite, "--N", "3"]) == 0
+def test_verify_failed_check_exits_1(capsys):
+    assert main(["verify", "--suite", "torus", "--tol", "1e-30"]) == 1
+    assert "FAIL torus-kernel-dim" in capsys.readouterr().out
+
+
+# The ordered check names each suite's report must carry.
+REPORT_CHECKS = {
+    "algebra": ["weyl-product-law", "central-element-coefficient",
+                "central-element-commutes", "prefix-order-cases",
+                "torus-offdiag-factorization", "offdiag-start-rotation-recursion"],
+    "torus": ["torus-weights-valid", "torus-annihilates-offdiag", "torus-kernel-dim"],
+    "sphere": ["sphere-rep-dim", "sphere-kernel-dim", "sphere-annihilates-offdiag"],
+    "genus2": ["genus2-rep-dim", "genus2-kernel-dim", "genus2-eigen-structure"],
+    "subdivision": ["quantum-binomial-N3", "quantum-binomial-N5",
+                    "subdivision-homomorphism", "subdivision-weights-valid",
+                    "subdivision-kernel-dim", "subdivision-eigenvalues",
+                    "subdivision-restriction-identity"],
+    "flip": ["flip-coordinate-change", "flip-preserves-central-elements",
+             "flip-offdiag-transfer", "flip-weights-involutive",
+             "flip-double-isomorphic", "flip-classical-table"],
+    "sweep": ["sweep-restriction-agrees", "sweep-kernel-equality",
+              "sweep-offdiag-identity"],
+    "threading": ["threading-exact", "threading-float", "threading-central-scalar"],
+    "signrev": ["chebyshev-odd-degrees", "signrev-fixes-offdiag", "signrev-invariants",
+                "signrev-flips-odd-monomials"],
+}
+
+
+# seed 4 draws a sign-reversal class that is even on the whole balanced lattice
+@pytest.mark.parametrize("suite,seed", [(s, 0) for s in SUITES] + [("signrev", 4)],
+                         ids=list(SUITES) + ["signrev-seed4"])
+def test_verify_suite_passes(suite, seed, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--N", "3", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == REPORT_CHECKS[suite]
+
+
+def test_signrev_class_draws_are_bounded():
+    class Zeros(random.Random):
+        def randint(self, a, b):
+            return a
+
+    with pytest.raises(SamplerExhausted):
+        suite_signrev(3, Zeros(0), 1e-8)

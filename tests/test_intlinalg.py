@@ -9,9 +9,9 @@ def rand_matrix(rng, m, n, lo=-6, hi=6):
 
 def test_smith_normal_form_random():
     rng = random.Random(11)
-    for _ in range(40):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        A = rand_matrix(rng, m, n)
+    cases = [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    for A in cases + [[[2, 0], [0, 3]]]:
+        m, n = len(A), len(A[0])
         D, U, V = il.smith_normal_form(A)
         assert il.mat_mul(il.mat_mul(U, A), V) == D
         # diagonal, nonnegative, divisibility chain

@@ -9,18 +9,9 @@ from skeinrep.errors import (DimensionMismatch, Inadmissible,
 from skeinrep.kernels import sample_generic_weights
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
+from skeinrep.verify import exact_sphere_weights, exact_torus_weights
 
 from conftest import random_balanced_monomial
-
-
-def exact_torus_weights(alg):
-    one = alg.scalars.one()
-    return WeightSystem(alg.T, alg.N, u=[one, one, alg.scalars.omega(1)])
-
-
-def exact_sphere_weights(alg):
-    w = alg.scalars.omega(1)
-    return WeightSystem(alg.T, alg.N, u=[w, w, w])
 
 
 @pytest.fixture(scope="module")

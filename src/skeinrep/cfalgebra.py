@@ -343,9 +343,6 @@ class BalancedLattice:
         mat = il.transpose(self.nf_basis)        # columns are nf basis vectors
         self._inv = il.fraction_inverse(mat)
 
-    def contains(self, k) -> bool:
-        return self.algebra.is_balanced(k)
-
     def coords(self, k):
         """Integer coordinates of k in the normal-form basis."""
         vals = il.mat_vec(self._inv, list(k))

@@ -222,22 +222,16 @@ class CycloScalar:
         if len(a) != 1:
             raise ArithmeticError("gcd with Phi_L is not constant")
         g = a[0]
+        # the Bezout coefficient against Phi_L has degree < phi(L)
         inv_coeffs = [c / g for c in sa]
         inv_coeffs += [Fraction(0)] * (self.field.degree - len(inv_coeffs))
-        # reduce (sa may have degree >= degree in corner cases)
-        if len(inv_coeffs) > self.field.degree:
-            out = self.field.zero()
-            for k, c in enumerate(inv_coeffs):
-                if c:
-                    out = out + self.field.root_pow(k) * c
-            return out
         return CycloScalar(self.field, tuple(inv_coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return self * Fraction(1, 1) / self.field.from_rational(other)
+            return self * (1 / Fraction(other))
         return self * other.inv()
 
     def __pow__(self, n: int):

@@ -1,8 +1,8 @@
 """SL2 matrices, projective points and crossratio edge weights.
 
 Developments are finite per-face data: each face carries three projective
-corner points, and gluings carry transition matrices (the identity for the
-trivial-holonomy developments produced here).  Projective points use
+corner points, one point per vertex shared by every face at it (trivial
+holonomy, so gluings need no transition matrices).  Projective points use
 homogeneous coordinates throughout so degeneracies are detected exactly.
 """
 
@@ -51,9 +51,6 @@ class Mat2:
         return ProjPoint(self.a * p.num + self.b * p.den,
                          self.c * p.num + self.d * p.den)
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     def is_plus_minus_identity(self, tol: float = 0.0) -> bool:
         one = scalars.one_like(self.a)
         return any(all(scalars.is_zero(v, max(tol, 1e-9))
@@ -93,12 +90,11 @@ def cross_det(p: ProjPoint, q: ProjPoint):
 
 
 class DevelopedTriangulation:
-    """Per-face corner points plus per-gluing transition matrices."""
+    """Per-face corner points of a trivial-holonomy development."""
 
-    def __init__(self, T: Triangulation, points, transitions=None):
+    def __init__(self, T: Triangulation, points):
         self.T = T
         self.points = points          # points[f][c] = ProjPoint at corner (f, c)
-        self.transitions = transitions or {}
 
     @staticmethod
     def from_vertex_points(T: Triangulation, vertex_points) -> "DevelopedTriangulation":
@@ -124,19 +120,13 @@ class DevelopedTriangulation:
         head = self.corner_point(f, sf)
         tail = self.corner_point(f, (sf - 1) % 3)
         right = self.corner_point(f, (sf + 1) % 3)
-        left_local = self.corner_point(g, (sg + 1) % 3)
-        tr = self.transitions.get((g, f))
-        left = tr.apply(left_local) if tr is not None else left_local
+        left = self.corner_point(g, (sg + 1) % 3)
         return head, tail, left, right
 
     def to_json(self) -> str:
         def ser(p):
             return [scalars.serialize(p.num), scalars.serialize(p.den)]
-        return json.dumps({
-            "points": [[ser(p) for p in row] for row in self.points],
-            "transitions": {f"{k[0]},{k[1]}": [scalars.serialize(v) for v in m.entries()]
-                            for k, m in self.transitions.items()},
-        })
+        return json.dumps({"points": [[ser(p) for p in row] for row in self.points]})
 
 
 def crossratio_weight(D: DevelopedTriangulation, e: int):
@@ -190,7 +180,7 @@ def weights_from_development(D: DevelopedTriangulation, N: int) -> WeightSystem:
         if xc == 0:
             raise ZeroWeight(f"edge {e}")
         u.append(cmath.exp(cmath.log(xc) / (2 * N)))
-    return WeightSystem(D.T, N, u=u, mode="float")
+    return WeightSystem(D.T, N, u=u)
 
 
 def vertex_holonomy(W: WeightSystem, v: int, sqrt_choices=None) -> Mat2:

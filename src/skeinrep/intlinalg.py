@@ -6,6 +6,7 @@ tiny (at most a few dozen rows), so clarity beats vectorization.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -214,7 +215,7 @@ def solve_mod(A, b, modulus):
             if c[i] % modulus != 0:
                 return None
             continue
-        g = gcd(d, modulus)
+        g = math.gcd(d, modulus)
         if c[i] % g != 0:
             return None
         # solve d * y = c[i] mod modulus
@@ -236,10 +237,3 @@ def xgcd(a, b):
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return a, s0, t0
-
-
-def gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a

@@ -1,8 +1,9 @@
 """Off-diagonal kernels, eigen-analysis and the separating-edge splitting.
 
-Exact mode computes kernels by Gaussian elimination over the cyclotomic
-field (division is exact, so no tolerance enters); float mode uses singular
-value thresholding at a relative tolerance.
+A matrix's type picks how its kernel is computed: a list of exact rows by
+Gaussian elimination over the cyclotomic field (division is exact, so no
+tolerance enters), a numpy array by singular value thresholding at a
+relative tolerance.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ MAX_SAMPLER_DRAWS = 200
 
 
 class Subspace:
-    """Column span of a basis matrix, exact or float."""
+    """Column span of an (ambient x d) numpy array (float) or of a list of d
+    exact columns."""
 
-    def __init__(self, ambient: int, basis, mode: str):
+    def __init__(self, ambient: int, basis):
         self.ambient = ambient
-        self.basis = basis          # float: (ambient x d) ndarray; exact: list of columns
-        self.mode = mode
-        self._ctx = scalars.for_mode(mode)
+        self.basis = basis
+        self._ctx = scalars.of(basis)
 
     @property
     def dim(self) -> int:
@@ -43,19 +44,20 @@ class Subspace:
         return self._ctx.spans(self.basis, other.basis, tol)
 
     def equals(self, other: "Subspace", tol: float = DEFAULT_RANK_TOL) -> bool:
-        return (self.dim == other.dim and self.contains(other, tol)
-                and other.contains(self, tol))
+        """Equality of spans for independent bases, as kernel bases are: then
+        equal dimensions and one inclusion suffice."""
+        return self.dim == other.dim and self.contains(other, tol)
 
     def is_invariant_under(self, M, tol: float = DEFAULT_RANK_TOL) -> bool:
         """True iff M maps this subspace into itself."""
         image = self._ctx.image(M, self.basis)
-        return self.contains(Subspace(self.ambient, image, self.mode), tol)
+        return self.contains(Subspace(self.ambient, image), tol)
 
 
-def matrix_kernel(M, mode: str, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Kernel of a square matrix as a Subspace."""
-    basis, _ = scalars.for_mode(mode).kernel(M, tol)
-    return Subspace(len(M[0]), basis, mode)
+def matrix_kernel(M, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """Kernel of a matrix (numpy array or list of exact rows) as a Subspace."""
+    basis, _ = scalars.of(M).kernel(M, tol)
+    return Subspace(len(M[0]), basis)
 
 
 # ---- kernel operations ----
@@ -64,13 +66,13 @@ def offdiag_kernel(rep: CFRep, v: int, start: int = 0,
                    tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """ker mu(Q_v); independent of the start position."""
     Q = rep.algebra.offdiag_Q(v, start=start)
-    return matrix_kernel(rep.apply(Q), rep.weights.mode, tol)
+    return matrix_kernel(rep.apply(Q), tol)
 
 
 def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Intersection of the off-diagonal kernels over all vertices."""
     mats = [rep.apply(rep.algebra.offdiag_Q(v)) for v in range(rep.T.num_vertices)]
-    return matrix_kernel(rep.ctx.stack(mats), rep.weights.mode, tol)
+    return matrix_kernel(rep.ctx.stack(mats), tol)
 
 
 def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
@@ -179,7 +181,7 @@ def sample_generic_weights(T: Triangulation, N: int, rng,
         x[solve_a] = t
         x[solve_b] = amp / t
         u = [cmath.exp(cmath.log(xi) / (2 * N)) for xi in x]
-        W = WeightSystem(T, N, u=u, mode="float")
+        W = WeightSystem(T, N, u=u)
         if not W.validate()["valid"]:
             continue
         if T.designated_edge is not None:

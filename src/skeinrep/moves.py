@@ -179,7 +179,7 @@ def subdivision_weights(record: MoveRecord, W: WeightSystem, t_param
     x_new[m3] = -ctx.inv(one + t_param)
     for E_j, m_j in zip(record.side_edges, record.new_edges):
         x_new[record.edge_map[E_j]] = -W.x[E_j] * x_new[m_j]
-    return WeightSystem(T2, W.N, x=x_new, mode=W.mode)
+    return WeightSystem(T2, W.N, x=x_new)
 
 
 # ---- diagonal exchange ----
@@ -459,7 +459,7 @@ def flip_weights(record: MoveRecord, W: WeightSystem) -> WeightSystem:
     x_new[emap[record.square[4]]] = fac * W.x[record.square[4]]
     x_new[emap[record.square[3]]] = xd * inv_fac * W.x[record.square[3]]
     x_new[emap[record.square[5]]] = xd * inv_fac * W.x[record.square[5]]
-    return WeightSystem(record.after, W.N, x=x_new, mode=W.mode)
+    return WeightSystem(record.after, W.N, x=x_new)
 
 
 # ---- making a triangulation combinatorial ----

@@ -94,9 +94,9 @@ class ChebyshevPoly:
                 out[0] = out.get(0, 0) + c
         return {k: v for k, v in out.items() if v}
 
-    def eval_matrix(self, M, rep: CFRep | None = None, mode: str = "float"):
+    def eval_matrix(self, M):
         """T_N(M) via the recurrence, for float arrays or exact matrices."""
-        ctx = scalars.for_mode(mode)
+        ctx = scalars.of(M)
         prev, cur = ctx.identity(M, 2), M
         if self.N == 0:
             return prev
@@ -221,7 +221,7 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     diff = ctx.sub(rep.apply(tr1), rep.apply(tr2))
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
-    kd = matrix_kernel(diff, rep.weights.mode, tol)
+    kd = matrix_kernel(diff, tol)
     report = {
         "restriction_norm": ctx.norm(restriction),
         "restriction_zero": ctx.is_zero(restriction, 1e-7 * max(ctx.norm(diff), 1)),

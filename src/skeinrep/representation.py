@@ -31,9 +31,11 @@ class WeightSystem:
 
     Move-transport operations work at the level of the x_i alone; such
     systems carry x values but no u and cannot back a representation.
+    The values pick the arithmetic: complex values are float, CycloScalars
+    exact; a mix of the two raises ValueError.
     """
 
-    def __init__(self, T: Triangulation, N: int, u=None, x=None, mode: str = "exact"):
+    def __init__(self, T: Triangulation, N: int, u=None, x=None):
         if u is None and x is None:
             raise ValueError("need u or x values")
         values = list(u if u is not None else x)
@@ -42,12 +44,17 @@ class WeightSystem:
                              f"the triangulation has {T.num_edges} edges")
         self.T = T
         self.N = N
-        self.mode = mode
-        self.ctx = scalars.backend(mode, N, scalars.field_order(values[0]))
+        self.ctx = scalars.of(values[0], N)
+        if any(scalars.of(v).mode != self.ctx.mode for v in values):
+            raise ValueError("weights mix exact and float values")
         self.u = list(u) if u is not None else None
         self.x = [ui ** (2 * N) for ui in self.u] if u is not None else values
         if any(self.ctx.is_zero(v, 0.0) for v in values + self.x):
             raise ZeroWeight("a weight u_i or x_i is 0")
+
+    @property
+    def mode(self) -> str:
+        return self.ctx.mode
 
     def has_roots(self) -> bool:
         return self.u is not None
@@ -87,11 +94,10 @@ class WeightSystem:
         try:
             data = json.loads(text)
             N = data["N"]
-            mode = data["mode"]
-            ctx = scalars.backend(mode, N, data.get("field_order"))
+            ctx = scalars.backend(data["mode"], N, data.get("field_order"))
             u = [ctx.deserialize(d) for d in data["u"]] or None
             x = [ctx.deserialize(d) for d in data["x"]] if u is None else None
-            return WeightSystem(T, N, u=u, x=x, mode=mode)
+            return WeightSystem(T, N, u=u, x=x)
         except (KeyError, TypeError, ValueError, ZeroDivisionError,
                 json.JSONDecodeError) as exc:
             raise ParseError(f"bad weights file: {exc}") from exc
@@ -125,7 +131,7 @@ class MonomialMatrix:
 
     def to_dense(self, zero):
         """Dense matrix in the arithmetic of `zero` (numpy array for 0j)."""
-        return scalars.for_value(zero).dense(self.dim, [(1, self)], zero)
+        return scalars.of(zero).dense(self.dim, [(1, self)], zero)
 
 
 class CFRep:

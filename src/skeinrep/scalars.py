@@ -6,9 +6,12 @@ primitive N-th root of -1.  Float mode uses complex doubles with the same
 conventions.  Symbolic algebra (module cfalgebra) is always exact; these
 backends only decide how representation matrices and kernels are evaluated.
 
-This module alone chooses between the two arithmetics, from a mode string
-(`for_mode`, `backend`) or from a value's type (`for_value`, `one_like`,
-`is_zero`, `serialize`, which also take the Fraction points of holonomy).
+This module alone chooses between the two arithmetics.  Values pick it by
+their type (`of`, `one_like`, `is_zero`, `serialize`, which also take the
+Fraction points of holonomy): a complex or a numpy array is float, anything
+else is exact.  A mode string picks it only where the values are not at hand
+yet or a caller names the arithmetic it expects (`for_mode`, `backend`): the
+"mode" tag of a weights file and the mode argument of eigen_analysis.
 
 Contract.  A matrix is a numpy array (float) or a list of rows (exact); a
 subspace basis is an ambient x d array (float) or a list of d columns (exact).
@@ -316,14 +319,16 @@ def backend(mode: str, N: int, order: int | None = None):
     return FloatScalars(N) if mode == "float" else ExactScalars(N, order)
 
 
-def for_value(v):
-    """The arithmetic a scalar belongs to."""
-    return _ARITHMETIC["float" if isinstance(v, complex) else "exact"]
-
-
-def field_order(v) -> int | None:
-    """Order L of the cyclotomic field of an exact value; None otherwise."""
-    return v.field.order if isinstance(v, CycloScalar) else None
+def of(x, N: int | None = None):
+    """The arithmetic of a scalar, a matrix or a basis, picked by its type:
+    float for a complex or a numpy array, exact otherwise (a CycloScalar or
+    a list of rows or columns).  Given N, the scalars of that arithmetic;
+    exact ones live in the field of a CycloScalar x, Q(zeta_4N) otherwise."""
+    if isinstance(x, (complex, np.ndarray)):
+        return _ARITHMETIC["float"] if N is None else FloatScalars(N)
+    if N is None:
+        return _ARITHMETIC["exact"]
+    return ExactScalars(N, x.field.order if isinstance(x, CycloScalar) else None)
 
 
 def one_like(v):

@@ -80,7 +80,7 @@ def random_torus_weights(T, N, rng):
     s = cmath.exp(2j * cmath.pi * rng.random())
     t = cmath.exp(2j * cmath.pi * rng.random())
     return WeightSystem(T, N, u=[cmath.exp(cmath.log(v) / (2 * N))
-                                 for v in (s, t, -1 / (s * t))], mode="float")
+                                 for v in (s, t, -1 / (s * t))])
 
 
 def torus_weight_systems(alg, rng):
@@ -215,7 +215,7 @@ def subdivision_checks(N, rng):
     checks.append(Check("subdivision-weights-valid", W2.validate()["valid"],
                         "transported weights satisfy the vertex relations"))
     M = rep2.apply(alg2E.offdiag_Q(v0))
-    K = matrix_kernel(M, "exact")
+    K = matrix_kernel(M)
     checks.append(Check("subdivision-kernel-dim", K.dim == 3 and rep2.dim == 9,
                         "dim ker mu'(Q_v0) = dim E = dim E'/N"))
     cands = [-alg2E.omega(8 * k) for k in range(3)]
@@ -319,7 +319,7 @@ def torus_checks(N, rng, tol):
     ok_zero = ok_dim = ok_valid = True
     for W in torus_weight_systems(alg, rng):
         ok_valid = ok_valid and W.validate()["valid"]
-        rep = build_rep(alg.T, N, W, algebra=alg if W.mode == "exact" else None)
+        rep = build_rep(alg.T, N, W, algebra=alg)
         ok_zero = ok_zero and rep.ctx.is_zero(rep.apply(alg.offdiag_Q(0)), 1e-9)
         ok_dim = ok_dim and total_kernel(rep, tol).dim == N
     return [Check("torus-weights-valid", ok_valid, "x=(1,1,-1) and 10 random systems"),

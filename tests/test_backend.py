@@ -32,7 +32,7 @@ def test_exact_and_float_agree_on_roots_of_unity(name):
     T = standard_library(name)
     alg = CFAlgebra(T, 3)
     W = exact_weights(name, alg)
-    Wf = WeightSystem(T, 3, u=[complex(ui) for ui in W.u], mode="float")
+    Wf = WeightSystem(T, 3, u=[complex(ui) for ui in W.u])
     rep = build_rep(T, 3, W, algebra=alg)
     repf = build_rep(T, 3, Wf, algebra=alg)
     assert rep.dim == repf.dim

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from skeinrep.cfalgebra import (BalancedLattice, CFAlgebra, QTElement,
-                                SignReversalClass, commutator_is_zero)
+from skeinrep.cfalgebra import (CFAlgebra, SignReversalClass,
+                                commutator_is_zero)
 from skeinrep.errors import (IndexOutOfRange, Inadmissible, MixedAlgebra,
                              NotBalanced)
 from skeinrep.triangulation import octahedron, standard_library

@@ -1,4 +1,3 @@
-import cmath
 import random
 from fractions import Fraction
 

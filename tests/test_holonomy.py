@@ -101,7 +101,7 @@ def test_vertex_holonomy_valid_weights():
 
 def test_vertex_holonomy_invalid_weights():
     T = standard_library("torus1")
-    W = WeightSystem(T, 3, u=[1 + 0j, 1 + 0j, 1 + 0j], mode="float")  # x = (1,1,1)
+    W = WeightSystem(T, 3, u=[1 + 0j, 1 + 0j, 1 + 0j])  # x = (1,1,1)
     M = vertex_holonomy(W, 0)
     assert not M.is_plus_minus_identity(tol=1e-7)
     assert abs(M.b) > 1  # off-diagonal prefix sum is 6 up to a unit

@@ -198,10 +198,10 @@ def test_sampler_gives_up_when_every_draw_is_rejected():
 def test_subspace_equality_float():
     rng = np.random.default_rng(0)
     B = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    S1 = Subspace(6, B, "float")
-    S2 = Subspace(6, B @ (rng.normal(size=(3, 3)) + np.eye(3) * 5), "float")
+    S1 = Subspace(6, B)
+    S2 = Subspace(6, B @ (rng.normal(size=(3, 3)) + np.eye(3) * 5))
     assert S1.equals(S2)
-    S3 = Subspace(6, rng.normal(size=(6, 3)), "float")
+    S3 = Subspace(6, rng.normal(size=(6, 3)))
     assert not S1.equals(S3)
 
 
@@ -209,5 +209,5 @@ def test_matrix_kernel_exact(torus_rep):
     field = torus_rep.ctx.field
     one, zero = field.one(), field.zero()
     M = [[one, one, zero], [zero, zero, zero], [one, one, zero]]
-    K = matrix_kernel(M, "exact")
+    K = matrix_kernel(M)
     assert K.dim == 2

@@ -145,7 +145,7 @@ def test_subdivision_weights_untouched_edges():
     T = standard_library("genus2_sep")
     import cmath
     x = [cmath.exp(2j * cmath.pi * k / 11) for k in range(9)]
-    W = WeightSystem(T, 3, x=x, mode="float")
+    W = WeightSystem(T, 3, x=x)
     T2, rec = subdivide(T, 3)
     W2 = subdivision_weights(rec, W, 0.3 + 0.4j)
     for e in range(9):

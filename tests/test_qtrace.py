@@ -6,8 +6,7 @@ import pytest
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating, ParseError
 from skeinrep.kernels import offdiag_kernel, sample_generic_weights
-from skeinrep.qtrace import (ChebyshevPoly, LoopSpec, chebyshev,
-                             classical_trace, corner_arc_factor,
+from skeinrep.qtrace import (LoopSpec, chebyshev, corner_arc_factor,
                              edge_parallel_trace, fan_segment, segment_weyl,
                              sweep_check, threading_check)
 from skeinrep.representation import WeightSystem, build_rep
@@ -180,7 +179,7 @@ def test_threading_central_torus():
     rep = build_rep(T, 3, WeightSystem(T, 3, u=[one, one, alg.scalars.omega(1)]),
                     algebra=alg)
     H = rep.apply(alg.central_H(0))
-    TN = chebyshev(3).eval_matrix(H, mode="exact")
+    TN = chebyshev(3).eval_matrix(H)
     # T_3(-omega^4) on the diagonal
     expected = chebyshev(3).eval_scalar(-alg.scalars.omega(4))
     for i in range(3):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
-from skeinrep.errors import (DimensionMismatch, Inadmissible,
-                             InconsistentCenter, NotBalanced, ZeroWeight)
-from skeinrep.kernels import sample_generic_weights
+from skeinrep.errors import (Inadmissible, InconsistentCenter, NotBalanced,
+                             ZeroWeight)
+from skeinrep.kernels import sample_generic_weights, total_kernel
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_sphere_weights, exact_torus_weights
@@ -59,6 +59,21 @@ def test_validate_weights_examples():
 
     with pytest.raises(ZeroWeight):
         WeightSystem(T, 3, x=[one, one, alg.scalars.zero()])
+    with pytest.raises(ValueError, match="mix exact and float"):
+        WeightSystem(T, 3, x=[one, one, -1 + 0j])
+    with pytest.raises(ValueError, match="mix exact and float"):
+        WeightSystem(T, 3, u=[1 + 0j, 1 + 0j, alg.scalars.omega(1)])
+
+
+def test_complex_weights_build_float_rep():
+    """Complex u given without a mode is a float weight system: u = (1, 1,
+    omega) as complex numbers gives the torus representation, dim F = N."""
+    T = standard_library("torus1")
+    alg = CFAlgebra(T, 3)
+    u = [complex(ui) for ui in (alg.scalars.one(), alg.scalars.one(), alg.scalars.omega(1))]
+    W = WeightSystem(T, 3, u=u)
+    assert W.mode == "float"
+    assert total_kernel(build_rep(T, 3, W, algebra=alg)).dim == 3
 
 
 def test_weights_json_roundtrip():
@@ -67,7 +82,7 @@ def test_weights_json_roundtrip():
     W = exact_torus_weights(alg)
     W2 = WeightSystem.from_json(T, W.to_json())
     assert W2.mode == "exact" and W2.u == W.u
-    Wf = WeightSystem(T, 3, u=[1 + 0j, 1j, -1j], mode="float")
+    Wf = WeightSystem(T, 3, u=[1 + 0j, 1j, -1j])
     Wf2 = WeightSystem.from_json(T, Wf.to_json())
     assert Wf2.u == Wf.u
 
@@ -214,7 +229,7 @@ def test_inconsistent_center_float():
     assert tot == 0 and prefix == 1  # vertex-valid
     u = [cmath.exp(1j * cmath.pi / 6) if xi < 0 else 1 + 0j for xi in x]
     with pytest.raises(InconsistentCenter):
-        build_rep(T, 3, WeightSystem(T, 3, u=u, mode="float"))
+        build_rep(T, 3, WeightSystem(T, 3, u=u))
 
 
 # ---- sign reversal and weight rescaling ----

@@ -1,16 +1,29 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_L).
 
-Elements are represented on the power basis 1, x, ..., x^(phi(L)-1) of
-Z[x]/(Phi_L(x)) with Fraction coefficients, so equality with zero is exact.
-A complex-double evaluation (zeta_L -> exp(2 pi i / L)) is provided for the
-floating backend and for cross-checks.
+An element is a tuple of Python ints on the power basis 1, x, ...,
+x^(phi(L)-1) of Z[x]/(Phi_L(x)) over one positive integer denominator, kept
+in lowest terms (gcd(den, content) = 1, and zero has den = 1), so equal
+values have equal representations and `==` and `hash` compare values.
+Products of the integer coefficient polynomials that quantum traces and
+representation matrices are made of have den = 1 and need no gcd at all.
+Phi_L is monic, so reduction modulo Phi_L stays in the integers.
+
+The field owns two fused loops for exact linear algebra: `dot`, which sums
+u_j v_j in one unreduced integer array and reduces once, and `row_update`,
+the elimination step a - f b that skips the zero entries of b.  Roots of
+unity zeta^k are recognised by a table lookup, which gives their inverses
+and discrete logarithms directly.  A complex-double evaluation (zeta_L ->
+exp(2 pi i / L)) serves the floating backend and cross-checks.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+_RATIONAL = (int, Fraction)
 
 
 def _poly_divexact_int(num: list[int], den: list[int]) -> list[int]:
@@ -64,61 +77,145 @@ class CycloField:
             raise ValueError("order must be positive")
         self.order = order
         phi = cyclotomic_polynomial(order)
-        self.degree = len(phi) - 1
-        self._phi = phi
+        d = len(phi) - 1
+        self.degree = d
+        # x^d = sum of c x^i over (i, c) in _fold_terms, modulo Phi_L (monic)
+        self._fold_terms = tuple((i, -c) for i, c in enumerate(phi[:-1]) if c)
         # x^k reduced mod Phi_L, for k = 0 .. order-1 (covers all root powers)
-        red: list[tuple[Fraction, ...]] = []
-        cur = [Fraction(0)] * self.degree
-        cur[0] = Fraction(1)
+        rows: list[tuple[int, ...]] = []
+        cur = [1] + [0] * (d - 1)
         for _ in range(order):
-            red.append(tuple(cur))
-            cur = self._shift_reduce(cur)
-        self._root_powers = red
+            rows.append(tuple(cur))
+            cur = self._fold([0] + cur)
+        self._root_powers = rows
+        self._root_log = {row: k for k, row in enumerate(rows)}
+        self._units = [k for k in range(1, order) if math.gcd(k, order) == 1]
         self._ready = True
 
-    def _shift_reduce(self, coeffs: list[Fraction]) -> list[Fraction]:
-        """Multiply by x and reduce modulo Phi_L."""
+    def _fold(self, p: list[int]) -> list[int]:
+        """Reduce an integer polynomial of degree < 2 phi(L) modulo Phi_L, in
+        place from the top; returns its first phi(L) coefficients."""
         d = self.degree
-        top = coeffs[d - 1]
-        out = [Fraction(0)] + coeffs[: d - 1]
-        if top:
-            for i in range(d):
-                out[i] -= top * self._phi[i]
-        return out
+        terms = self._fold_terms
+        for k in range(len(p) - 1, d - 1, -1):
+            c = p[k]
+            if c:
+                base = k - d
+                for i, t in terms:
+                    p[base + i] += c * t
+        del p[d:]
+        return p
+
+    def _product(self, an, bn) -> list[int]:
+        """The integer vectors an and bn multiplied and reduced modulo Phi_L."""
+        d = self.degree
+        p = [0] * (2 * d - 1)
+        for i, a in enumerate(an):
+            if a:
+                for j, b in enumerate(bn, i):
+                    if b:
+                        p[j] += a * b
+        return self._fold(p)
+
+    def _substitute(self, num, step: int) -> list[int]:
+        """sum of c zeta_L^(i step) over the coefficients c x^i of num."""
+        acc = [0] * self.degree
+        for i, c in enumerate(num):
+            if c:
+                for j, r in enumerate(self._root_powers[i * step % self.order]):
+                    acc[j] += c * r
+        return acc
+
+    def _make(self, num, den: int) -> "CycloScalar":
+        """The element num / den (den > 0), brought to lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return CycloScalar(self, tuple(num), den)
+
+    def _own(self, a: "CycloScalar"):
+        if a.field is not self:
+            raise ValueError("scalars from different fields")
 
     # -- constructors --
 
     def zero(self) -> "CycloScalar":
-        return CycloScalar(self, (Fraction(0),) * self.degree)
+        return CycloScalar(self, (0,) * self.degree, 1)
 
     def one(self) -> "CycloScalar":
-        return self.from_rational(1)
+        return self.root_pow(0)
 
     def from_rational(self, q) -> "CycloScalar":
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(q)
-        return CycloScalar(self, tuple(v))
+        if not isinstance(q, _RATIONAL):
+            q = Fraction(q)
+        return CycloScalar(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def root_pow(self, k: int) -> "CycloScalar":
         """zeta_L^k as a field element."""
-        return CycloScalar(self, self._root_powers[k % self.order])
+        return CycloScalar(self, self._root_powers[k % self.order], 1)
 
     def from_coeffs(self, coeffs) -> "CycloScalar":
         v = [Fraction(c) for c in coeffs]
         if len(v) != self.degree:
             raise ValueError("wrong coefficient length")
-        return CycloScalar(self, tuple(v))
+        den = math.lcm(*(c.denominator for c in v))
+        return self._make([c.numerator * (den // c.denominator) for c in v], den)
 
     def embed(self, degree_divisor_field: "CycloField", a: "CycloScalar") -> "CycloScalar":
         """Re-express a in this field; requires divisor_field.order | self.order."""
         m = degree_divisor_field.order
         if self.order % m != 0:
             raise ValueError("no embedding: orders incompatible")
-        step = self.order // m
-        out = self.zero()
-        for k, c in enumerate(a.coeffs):
-            if c:
-                out = out + self.root_pow(k * step) * self.from_rational(c)
+        return self._make(self._substitute(a.num, self.order // m), a.den)
+
+    # -- fused loops of exact linear algebra --
+
+    def dot(self, us, vs) -> "CycloScalar":
+        """sum_j u_j v_j, accumulated unreduced over one common denominator
+        and reduced modulo Phi_L once."""
+        d = self.degree
+        acc = [0] * (2 * d - 1)
+        den = 1
+        for u, v in zip(us, vs):
+            un, vn = u.num, v.num
+            if not (any(un) and any(vn)):
+                continue
+            if u.field is not self or v.field is not self:
+                raise ValueError("scalars from different fields")
+            t = u.den * v.den
+            scale = 1
+            if t != den:
+                common = math.lcm(den, t)
+                if common != den:
+                    s = common // den
+                    acc = [c * s for c in acc]
+                    den = common
+                scale = den // t
+            for i, a in enumerate(un):
+                if a:
+                    a *= scale
+                    for j, b in enumerate(vn, i):
+                        if b:
+                            acc[j] += a * b
+        return self._make(self._fold(acc), den)
+
+    def row_update(self, row, f: "CycloScalar", pivot_row) -> list:
+        """[a - f b for a, b in zip(row, pivot_row)], skipping b = 0."""
+        self._own(f)
+        fnum, fden = f.num, f.den
+        out = list(row)
+        for j, b in enumerate(pivot_row):
+            bn = b.num
+            if not any(bn):
+                continue
+            a = out[j]
+            if a.field is not self or b.field is not self:
+                raise ValueError("scalars from different fields")
+            p = self._product(fnum, bn)
+            t, ad = fden * b.den, a.den
+            out[j] = self._make([x * t - y * ad for x, y in zip(a.num, p)], ad * t)
         return out
 
     def __repr__(self):
@@ -126,112 +223,102 @@ class CycloField:
 
 
 class CycloScalar:
-    """Element of a CycloField; immutable."""
+    """Element num / den of a CycloField; immutable and in lowest terms."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
-    def _check(self, other: "CycloScalar"):
-        if self.field is not other.field:
-            raise ValueError("scalars from different fields")
+    def _coerce(self, other):
+        """other as an element of this field, or None for a foreign type."""
+        if isinstance(other, CycloScalar):
+            self.field._own(other)
+            return other
+        if isinstance(other, _RATIONAL):
+            return self.field.from_rational(other)
+        return None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        self._check(other)
-        return CycloScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        sd, od = self.den, other.den
+        if sd == od:
+            return self.field._make([a + b for a, b in zip(self.num, other.num)], sd)
+        return self.field._make([a * od + b * sd for a, b in zip(self.num, other.num)],
+                                sd * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycloScalar(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        return self + (-other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        sd, od = self.den, other.den
+        if sd == od:
+            return self.field._make([a - b for a, b in zip(self.num, other.num)], sd)
+        return self.field._make([a * od - b * sd for a, b in zip(self.num, other.num)],
+                                sd * od)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloScalar(self.field, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        # fold tail using x^k tables
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                row = self.field._root_powers[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycloScalar(self.field, tuple(out))
+        f = self.field
+        if not isinstance(other, CycloScalar):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            return f._make([a * other.numerator for a in self.num],
+                           self.den * other.denominator)
+        f._own(other)
+        p = f._product(self.num, other.num)
+        den = self.den * other.den
+        return CycloScalar(f, tuple(p), 1) if den == 1 else f._make(p, den)
 
     __rmul__ = __mul__
 
+    def root_log(self) -> int | None:
+        """k in [0, L) with self == zeta_L^k, or None."""
+        return self.field._root_log.get(self.num) if self.den == 1 else None
+
     def inv(self) -> "CycloScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse: zeta^-k for a root of unity zeta^k,
+        otherwise den P / Norm(num), where P is the product of the other
+        Galois conjugates of num, so that num P = Norm(num) is an integer."""
+        f = self.field
+        k = self.root_log()
+        if k is not None:
+            return f.root_pow(-k)
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        # extended gcd of self (as poly) and Phi_L
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        b = [Fraction(c) for c in self.field._phi]
-        # invariants: a = sa * self mod Phi ; b = sb * self mod Phi
-        sa, sb = [Fraction(1)], [Fraction(0)]
-        while b:
-            # divmod a by b
-            q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-            r = list(a)
-            for i in range(len(r) - 1, len(b) - 2, -1):
-                if r[i]:
-                    f = r[i] / b[-1]
-                    q[i - len(b) + 1] = f
-                    for j in range(len(b)):
-                        r[i - len(b) + 1 + j] -= f * b[j]
-            while r and r[-1] == 0:
-                r.pop()
-            # s update: snew = sa - q*sb
-            qsb = [Fraction(0)] * (len(q) + len(sb) - 1) if q and sb else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(sb):
-                        qsb[i + j] += qi * sj
-            snew = [Fraction(0)] * max(len(sa), len(qsb))
-            for i, c in enumerate(sa):
-                snew[i] += c
-            for i, c in enumerate(qsb):
-                snew[i] -= c
-            while snew and snew[-1] == 0:
-                snew.pop()
-            a, b = b, r
-            sa, sb = sb, snew
-        # now a = gcd (degree 0 since Phi_L is irreducible), a = sa * self mod Phi
-        if len(a) != 1:
-            raise ArithmeticError("gcd with Phi_L is not constant")
-        g = a[0]
-        # the Bezout coefficient against Phi_L has degree < phi(L)
-        inv_coeffs = [c / g for c in sa]
-        inv_coeffs += [Fraction(0)] * (self.field.degree - len(inv_coeffs))
-        return CycloScalar(self.field, tuple(inv_coeffs))
+        P = list(f._root_powers[0])
+        for u in f._units[1:]:
+            P = f._product(f._substitute(self.num, u), P)
+        norm = f._product(self.num, P)
+        if any(norm[1:]):
+            raise ArithmeticError("norm is not rational")
+        sign = -1 if norm[0] < 0 else 1
+        return f._make([sign * self.den * c for c in P], abs(norm[0]))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return self * (1 / Fraction(other))
+        if isinstance(other, _RATIONAL):
+            return self * Fraction(other.denominator, other.numerator)
+        if not isinstance(other, CycloScalar):
+            return NotImplemented
         return self * other.inv()
 
     def __pow__(self, n: int):
@@ -247,31 +334,33 @@ class CycloScalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             other = self.field.from_rational(other)
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.num, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.field.order)
         out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + complex(c)
+        den = self.den
+        for c in reversed(self.num):
+            out = out * z + complex(c / den)
         return out
 
     __complex__ = to_complex

@@ -70,9 +70,13 @@ def offdiag_kernel(rep: CFRep, v: int, start: int = 0,
 
 
 def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Intersection of the off-diagonal kernels over all vertices."""
-    mats = [rep.apply(rep.algebra.offdiag_Q(v)) for v in range(rep.T.num_vertices)]
-    return matrix_kernel(rep.ctx.stack(mats), tol)
+    """Intersection of the off-diagonal kernels over all vertices, computed
+    once per representation and tolerance; callers share the returned
+    Subspace and must not modify its basis."""
+    if tol not in rep.total_kernels:
+        mats = [rep.apply(rep.algebra.offdiag_Q(v)) for v in range(rep.T.num_vertices)]
+        rep.total_kernels[tol] = matrix_kernel(rep.ctx.stack(mats), tol)
+    return rep.total_kernels[tol]
 
 
 def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):

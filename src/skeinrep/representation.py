@@ -150,6 +150,7 @@ class CFRep:
         self.sign = sign_choices
         self.ctx = weights.ctx
         self.lattice = BalancedLattice(algebra)
+        self.total_kernels = {}  # tol -> Subspace, filled by kernels.total_kernel
         self._setup_factors()
         self._solve_character()
 
@@ -347,6 +348,7 @@ class CFRep:
         rep = object.__new__(CFRep)
         rep.__dict__.update(self.__dict__)
         rep.sign = combined if any(combined.c) else None
+        rep.total_kernels = {}
         return rep
 
     # -- serialization --

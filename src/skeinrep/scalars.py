@@ -32,23 +32,22 @@ N-free Exact/FloatArithmetic give (float | exact):
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
+
+Exact matrix products (matmul, image) call the field's fused `dot` and
+Gauss-Jordan elimination calls its fused `row_update`; omega_log reads the
+field's root-of-unity table through `CycloScalar.root_log`.  The element
+format belongs to module cyclotomic: nothing here reads a numerator or a
+denominator.
 """
 
 from __future__ import annotations
 
 import cmath
-import operator
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
 from .cyclotomic import CycloField, CycloScalar
-
-
-def _dot(u, v):
-    """sum_j u_j v_j: the one exact matrix product."""
-    return reduce(operator.add, map(operator.mul, u, v))
 
 
 def _exact_zero(v) -> bool:
@@ -85,7 +84,8 @@ class ExactArithmetic:
 
     def matmul(self, A, B):
         cols = list(zip(*B))
-        return [[_dot(row, col) for col in cols] for row in A]
+        dot = A[0][0].field.dot
+        return [[dot(row, col) for col in cols] for row in A]
 
     def identity(self, M, c):
         zero = M[0][0].field.zero()
@@ -96,7 +96,8 @@ class ExactArithmetic:
         return [row for M in mats for row in M]
 
     def image(self, M, basis):
-        return [[_dot(row, col) for row in M] for col in basis]
+        dot = M[0][0].field.dot
+        return [[dot(row, col) for row in M] for col in basis]
 
     def ncols(self, basis) -> int:
         return len(basis)
@@ -112,12 +113,13 @@ class ExactArithmetic:
             if piv is None:
                 continue
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = rows[rank][col].inv()
+            pivot = rows[rank][col]
+            inv = pivot.inv()
             rows[rank] = [x * inv for x in rows[rank]]
+            update = pivot.field.row_update
             for r in range(m):
                 if r != rank and not rows[r][col].is_zero():
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+                    rows[r] = update(rows[r], rows[r][col], rows[rank])
             pivots.append(col)
         return rows, pivots
 
@@ -258,10 +260,10 @@ class ExactScalars(ExactArithmetic):
 
     def omega_log(self, a) -> int:
         """k with a == omega^k, or raise ValueError."""
-        for k in range(4 * self.N):
-            if a == self.omega(k):
-                return k
-        raise ValueError("not a power of omega")
+        k = a.root_log() if a.field is self.field else None
+        if k is None or k % self._omega_step:
+            raise ValueError("not a power of omega")
+        return k // self._omega_step
 
     def deserialize(self, data) -> CycloScalar:
         return CycloScalar.deserialize(self.field, data)

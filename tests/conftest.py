@@ -1,6 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings
+
+# Property tests run the same few examples on every run, with no time limit
+# per example and no example database on disk.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=15,
+                          database=None)
+settings.load_profile("tier1")
 
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.triangulation import octahedron, standard_library

@@ -1,10 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skeinrep.cyclotomic import CycloField, CycloScalar, cyclotomic_polynomial
 from skeinrep.scalars import ExactScalars, FloatScalars
+
+ORDERS = (12, 20, 36)
 
 
 def test_cyclotomic_polynomials():
@@ -103,3 +108,144 @@ def test_omega_log():
     assert flo.omega_log(flo.omega(7)) == 7
     with pytest.raises(ValueError):
         flo.omega_log(0.5 + 0j)
+
+
+def test_mixed_type_arithmetic_raises_type_error():
+    a = CycloField(12).root_pow(1)
+    for op in (lambda: a * 1.5, lambda: 1.5 * a, lambda: a + 2j, lambda: 2j + a,
+               lambda: a - 0.5, lambda: 0.5 - a, lambda: a / 1.5):
+        with pytest.raises(TypeError):
+            op()
+    assert a != 1.5
+
+
+def test_root_of_unity_fast_paths():
+    for L in ORDERS:
+        field = CycloField(L)
+        for k in range(L):
+            z = field.root_pow(k)
+            assert z.root_log() == k
+            assert z.inv() == field.root_pow(L - k)
+            assert z * z.inv() == field.one()
+        assert (field.root_pow(1) * 2).root_log() is None
+        assert field.from_rational(Fraction(1, 2)).root_log() is None
+    ctx = ExactScalars(3, order=36)
+    assert [ctx.omega_log(ctx.omega(k)) for k in range(12)] == list(range(12))
+    for bad in (ctx.field.root_pow(1), ctx.omega(1) * 2, ExactScalars(3).omega(1)):
+        with pytest.raises(ValueError):
+            ctx.omega_log(bad)
+
+
+# ---- properties of the integer representation (hypothesis) ----
+
+
+def elements(field):
+    """Elements with small rational coefficients, roots of unity and zero."""
+    d = field.degree
+    coeffs = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6),
+                      min_size=d, max_size=d)
+    return st.one_of(coeffs.map(field.from_coeffs),
+                     st.integers(0, field.order - 1).map(field.root_pow),
+                     st.just(field.zero()))
+
+
+@st.composite
+def field_elements(draw, n):
+    field = CycloField(draw(st.sampled_from(ORDERS)))
+    return (field,) + tuple(draw(elements(field)) for _ in range(n))
+
+
+@st.composite
+def field_vectors(draw, n):
+    """A field and n equally long vectors over it."""
+    field = CycloField(draw(st.sampled_from(ORDERS)))
+    size = draw(st.integers(0, 4))
+    return (field,) + tuple(draw(st.lists(elements(field), min_size=size, max_size=size))
+                            for _ in range(n))
+
+
+def assert_normal(a):
+    """Lowest terms: den > 0 and gcd(den, content) = 1, so zero has den = 1."""
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    assert any(a.num) or a.den == 1
+    assert a.coeffs == tuple(Fraction(c, a.den) for c in a.num)
+
+
+@given(field_elements(2))
+def test_normal_form_after_every_operation(fab):
+    _, a, b = fab
+    results = [a + b, a - b, a * b, -a, a * Fraction(3, 4), a / 6, a + 1, 1 - a]
+    if not b.is_zero():
+        results += [b.inv(), a / b]
+    for r in results:
+        assert_normal(r)
+
+
+@given(field_elements(1))
+def test_divide_then_multiply_by_three(fa):
+    _, a = fa
+    b = (a / 3) * 3
+    assert b == a and hash(b) == hash(a)
+
+
+@given(field_elements(3))
+def test_field_laws(fabc):
+    field, a, b, c = fabc
+    zero, one = field.zero(), field.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero
+    if not a.is_zero():
+        assert a * a.inv() == one
+        assert (a * b) / a == b
+
+
+@given(field_vectors(2))
+def test_fused_dot_is_the_sum_of_products(fuv):
+    field, u, v = fuv
+    expected = field.zero()
+    for x, y in zip(u, v):
+        expected = expected + x * y
+    got = field.dot(u, v)
+    assert got == expected
+    assert_normal(got)
+
+
+@given(field_vectors(2), st.data())
+def test_fused_row_update_is_a_minus_f_b(fab, data):
+    field, a, b = fab
+    f = data.draw(elements(field))
+    got = field.row_update(a, f, b)
+    assert got == [x - f * y for x, y in zip(a, b)]
+    for r in got:
+        assert_normal(r)
+
+
+def l1(a) -> float:
+    return float(sum(abs(c) for c in a.coeffs))
+
+
+@given(field_elements(2))
+def test_to_complex_is_a_homomorphism(fab):
+    _, a, b = fab
+    za, zb = a.to_complex(), b.to_complex()
+    scale = 1e-9 * (1 + l1(a)) * (1 + l1(b))
+    assert abs((a + b).to_complex() - (za + zb)) <= scale
+    assert abs((a * b).to_complex() - za * zb) <= scale
+
+
+@given(field_elements(2))
+def test_products_and_inverses_agree_with_sympy(fab):
+    sympy = pytest.importorskip("sympy")
+    field, a, b = fab
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(field.order, x), x, domain="QQ")
+
+    def poly(c):
+        return sympy.Poly(list(reversed(c.coeffs)), x, domain="QQ")
+
+    assert (poly(a) * poly(b)).rem(phi) == poly(a * b)
+    if not a.is_zero():
+        assert poly(a).invert(phi) == poly(a.inv())

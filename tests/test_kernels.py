@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from skeinrep.cfalgebra import CFAlgebra
+from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import (NotDiagonalizable, NotMonomial, NotOneVertex,
                              NotSeparating, SamplerExhausted)
 from skeinrep.kernels import (Subspace, eigen_analysis, matrix_kernel,
@@ -65,6 +65,16 @@ def test_genus2_kernel_dims(genus2_rep):
     Fv = offdiag_kernel(genus2_rep, 0)
     assert Fv.dim == 27
     assert F.equals(Fv)
+
+
+def test_total_kernel_computed_once_per_rep_and_tol(genus2_rep):
+    F = total_kernel(genus2_rep)
+    assert total_kernel(genus2_rep) is F
+    assert total_kernel(genus2_rep, 1e-6) is not F
+    flipped = genus2_rep.precompose_sign_reversal(
+        SignReversalClass(genus2_rep.T, (1, 0, 1, 1, 0, 1, 0, 0, 1)))
+    assert total_kernel(flipped) is not F
+    assert total_kernel(genus2_rep) is F
 
 
 def test_kernel_start_independent(genus2_rep):

@@ -31,6 +31,8 @@ class CFAlgebra:
         self.scalars = ExactScalars(N, order=field_order)
         self.sigma = T.sigma_matrix()
         self.n = T.num_edges
+        # LoopSpec -> (trace, T_N(trace)), filled by qtrace.threading_check
+        self.threaded_traces = {}
 
     # -- scalars --
 

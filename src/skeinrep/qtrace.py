@@ -248,10 +248,17 @@ def element_chebyshev(a: QTElement, N: int) -> QTElement:
 
 
 def threading_check(rep: CFRep, loop: LoopSpec, tol: float = 1e-6) -> dict:
-    """T_N(rho([K])) must be scalar, equal to minus the classical trace."""
+    """T_N(rho([K])) must be scalar, equal to minus the classical trace.
+
+    The trace of K and its T_N depend only on the algebra and the loop, so
+    they are built once per algebra and loop and shared by every
+    representation of that algebra; callers must not modify them."""
     alg, ctx = rep.algebra, rep.ctx
-    a = edge_parallel_trace(alg, loop)
-    scalar = ctx.scalar_of(rep.apply(element_chebyshev(a, alg.N)), tol)
+    if loop not in alg.threaded_traces:
+        a = edge_parallel_trace(alg, loop)
+        alg.threaded_traces[loop] = (a, element_chebyshev(a, alg.N))
+    a, threaded = alg.threaded_traces[loop]
+    scalar = ctx.scalar_of(rep.apply(threaded), tol)
     if scalar is None:
         raise NotScalar("T_N image is not a scalar matrix")
     tau = classical_trace(alg, a, rep.weights)

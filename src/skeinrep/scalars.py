@@ -22,13 +22,23 @@ N-free Exact/FloatArithmetic give (float | exact):
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
     kernel(M, tol)    (basis, rank): SVD dropping s <= tol max(s_0, 1) | Gauss-Jordan
+    rank(M, tol)      number of singular values s > tol max(s_0, 1), taken per
+                      connected component of a square M's nonzero pattern,
+                      s_0 the largest over all components | Gauss-Jordan
     scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
                       max(tol, 1e-9 max(|c|, 1)) | exact equality
-    eigen_candidates(M, tol, candidates)  eigenvalue clusters at tol with
-                      their multiplicities | (candidate, None) per candidate
-    inv, sub, matmul, identity(M, c) = c Id, stack, rank, spans(B, C) (span of B
+    eigen_candidates(M, tol, candidates)  clusters at tol, with their
+                      multiplicities, of the eigenvalues of all connected
+                      components of M's nonzero pattern | (candidate, None)
+                      per candidate
+    inv, sub, matmul, identity(M, c) = c Id, stack, spans(B, C) (span of B
     contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
     over terms (c, MonomialMatrix P)
+
+Float rank and eigen_candidates split a square matrix into the diagonal
+blocks its nonzero pattern permutes it to (rho of an edge-parallel loop at
+genus 2 has N^2 blocks of size N^2) and give the dense answer up to rounding:
+the rank cut is the dense one, and eigenvalues may move in the last bits.
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
@@ -157,6 +167,38 @@ class ExactArithmetic:
         return [(lam, None) for lam in candidates]
 
 
+def _pattern_blocks(M):
+    """A square array M as its diagonal blocks: the connected components of
+    its nonzero pattern (i ~ j when M[i, j] != 0), stacked as one
+    (count, size, size) array per block size.  Singular values and
+    eigenvalues of M are those of the blocks together.  A non-square M, or
+    one whose pattern is connected, comes back whole as [M]."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        return [M]
+    n = len(M)
+    rows, cols = np.nonzero(M)
+    # Union-find by min-label propagation with pointer jumping: each index
+    # ends labelled by the least index of its component.
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    if len(comps) <= 1:
+        return [M]
+    by_size: dict[int, list] = {}
+    for c in comps:
+        by_size.setdefault(len(c), []).append(c)
+    return [M[idx[:, :, None], idx[:, None, :]]
+            for idx in map(np.array, by_size.values())]
+
+
 class FloatArithmetic:
     mode = "float"
 
@@ -203,13 +245,15 @@ class FloatArithmetic:
         return vh.conj().T[:, r:], r
 
     def rank(self, M, tol: float) -> int:
-        """Numerical rank; the threshold floor treats O(1)-entry operators whose
-        norm is already below tolerance as zero."""
+        """Numerical rank from the singular values of the pattern blocks, cut
+        once at the largest of them; the threshold floor treats O(1)-entry
+        operators whose norm is already below tolerance as zero."""
         M = np.asarray(M)
         if M.size == 0:
             return 0
-        s = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(s > tol * max(s[0], 1.0)))
+        s = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel()
+                            for B in _pattern_blocks(M)])
+        return int(np.sum(s > tol * max(s.max(), 1.0)))
 
     def spans(self, B, C, tol: float) -> bool:
         return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
@@ -221,9 +265,10 @@ class FloatArithmetic:
         return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
 
     def eigen_candidates(self, M, tol, candidates):
-        """Eigenvalue clusters: sorted eigenvalues closer than tol to the
-        first of a cluster join it."""
-        vals = np.linalg.eigvals(np.asarray(M))
+        """Eigenvalue clusters of the pattern blocks' eigenvalues together:
+        sorted eigenvalues closer than tol to the first of a cluster join it."""
+        vals = np.concatenate([np.linalg.eigvals(B).ravel()
+                               for B in _pattern_blocks(np.asarray(M))])
         order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
         groups: list[list] = []
         for z in vals[order]:

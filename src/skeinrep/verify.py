@@ -368,7 +368,9 @@ def genus2_eigen_check(reps, tol):
 
 def suite_genus2(N, rng, tol):
     T = standard_library("genus2_sep")
-    reps = [build_rep(T, N, sample_generic_weights(T, N, rng)) for _ in range(20)]
+    alg = CFAlgebra(T, N)
+    reps = [build_rep(T, N, sample_generic_weights(T, N, rng), algebra=alg)
+            for _ in range(20)]
     return genus2_dimension_checks(reps, tol) + [genus2_eigen_check(reps, EIGEN_TOL)]
 
 
@@ -400,9 +402,9 @@ def suite_sweep(N, rng, tol):
 
 def threading_checks(N, rng):
     T = standard_library("genus2_sep")
+    alg = CFAlgebra(T, N)
     checks = []
     if N == 3:
-        alg = CFAlgebra(T, 3)
         rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
         ok = all(threading_check(rep, LoopSpec.edge_parallel(T.designated_edge, side))["passed"]
                  for side in (1, 2))
@@ -411,7 +413,7 @@ def threading_checks(N, rng):
     ok = True
     worst = 0.0
     for _ in range(20):
-        rep = build_rep(T, N, sample_generic_weights(T, N, rng))
+        rep = build_rep(T, N, sample_generic_weights(T, N, rng), algebra=alg)
         r = threading_check(rep, LoopSpec.edge_parallel(T.designated_edge, 1),
                             tol=EIGEN_TOL)
         ok = ok and r["passed"]

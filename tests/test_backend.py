@@ -1,4 +1,5 @@
-"""The exact and float backends against each other, and the omega-exponent
+"""The exact and float backends against each other, the block-structured
+float rank and eigenvalues against dense LAPACK, and the omega-exponent
 commutant count against field-arithmetic orbit propagation."""
 
 import copy
@@ -7,8 +8,10 @@ import random
 import numpy as np
 import pytest
 
+from skeinrep import scalars
 from skeinrep.cfalgebra import CFAlgebra
-from skeinrep.kernels import sample_generic_weights, total_kernel
+from skeinrep.errors import NotDiagonalizable
+from skeinrep.kernels import eigen_analysis, sample_generic_weights, total_kernel
 from skeinrep.qtrace import LoopSpec, threading_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
@@ -46,6 +49,110 @@ def test_exact_and_float_agree_on_roots_of_unity(name):
             s = threading_check(rep, loop)["scalar"]
             sf = threading_check(repf, loop)["scalar"]
             assert abs(complex(s) - sf) < 1e-9
+
+
+# ---- block-structured float rank and eigenvalues ----
+
+FLOAT = scalars.FloatArithmetic()
+
+
+def dense_rank(M, tol):
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+
+
+def dense_clusters(M, tol):
+    vals = np.linalg.eigvals(M)
+    order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
+    groups = []
+    for z in vals[order]:
+        if groups and abs(z - groups[-1][0]) < tol:
+            groups[-1][1] += 1
+        else:
+            groups.append([z, 1])
+    return [(complex(z), m) for z, m in groups]
+
+
+def block_diagonal(blocks, rng):
+    """The blocks on the diagonal, rows and columns then permuted alike."""
+    n = sum(len(B) for B in blocks)
+    M = np.zeros((n, n), dtype=complex)
+    at = 0
+    for B in blocks:
+        M[at:at + len(B), at:at + len(B)] = B
+        at += len(B)
+    p = rng.permutation(n)
+    return M[np.ix_(p, p)]
+
+
+def random_complex(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def diagonalizable(rng, eigenvalues):
+    S = random_complex(rng, len(eigenvalues), len(eigenvalues)) + 3 * np.eye(len(eigenvalues))
+    return S @ np.diag(eigenvalues) @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_rank_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    # rank-deficient blocks A B with inner dimension below the block size
+    blocks = [random_complex(rng, s, r) @ random_complex(rng, r, s)
+              for s, r in ((1, 1), (3, 1), (4, 4), (5, 2), (5, 3), (2, 1))]
+    M = block_diagonal(blocks, rng)
+    assert len(scalars._pattern_blocks(M)) == 5  # sizes 1, 2, 3, 4 and 5
+    for tol in (1e-9, 1e-6):
+        assert FLOAT.rank(M, tol) == dense_rank(M, tol) == 12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_eigen_candidates_match_dense(seed):
+    rng = np.random.default_rng(seed)
+    spectrum = [1.0, 2j, -1.5 + 0.5j]
+    blocks = [diagonalizable(rng, rng.choice(spectrum, size=s)) for s in (1, 3, 3, 4, 6)]
+    M = block_diagonal(blocks, rng)
+    assert len(scalars._pattern_blocks(M)) == 4
+    got, want = FLOAT.eigen_candidates(M, 1e-6, None), dense_clusters(M, 1e-6)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert all(abs(a - b) < 1e-9 for (a, _), (b, _) in zip(got, want))
+    assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
+
+
+def test_block_rank_cuts_at_the_global_largest_singular_value():
+    rng = np.random.default_rng(7)
+    big = 1e6 * random_complex(rng, 3, 3)
+    small = 1e-3 * np.linalg.qr(random_complex(rng, 4, 4))[0]  # singular values 1e-3
+    M = block_diagonal([big, small], rng)
+    assert len(scalars._pattern_blocks(M)) == 2
+    # a cut per block would keep the small block: 1e-3 > 1e-8 max(1e-3, 1)
+    assert FLOAT.rank(M, 1e-8) == dense_rank(M, 1e-8) == 3
+
+
+def test_block_eigen_analysis_rejects_a_jordan_block():
+    rng = np.random.default_rng(3)
+    jordan = np.array([[2, 1], [0, 2]], dtype=complex)
+    M = block_diagonal([jordan, diagonalizable(rng, [2, -1, 1j]), np.diag([3, 4])], rng)
+    assert len(scalars._pattern_blocks(M)) > 1
+    with pytest.raises(NotDiagonalizable):
+        eigen_analysis(M, "float")
+
+
+def test_dense_fallbacks_give_the_dense_answer():
+    rng = np.random.default_rng(11)
+    connected = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)
+    assert FLOAT.rank(connected, 1e-9) == dense_rank(connected, 1e-9) == 2
+    assert FLOAT.eigen_candidates(connected, 1e-6, None) == dense_clusters(connected, 1e-6)
+    zero = np.zeros((5, 5), dtype=complex)
+    assert FLOAT.rank(zero, 1e-9) == dense_rank(zero, 1e-9) == 0
+    assert FLOAT.eigen_candidates(zero, 1e-6, None) == dense_clusters(zero, 1e-6) == [(0j, 5)]
+    empty = np.zeros((0, 0), dtype=complex)
+    assert FLOAT.rank(empty, 1e-9) == 0
+    assert FLOAT.eigen_candidates(empty, 1e-6, None) == dense_clusters(empty, 1e-6) == []
+    wide = np.hstack([connected, np.zeros((6, 3))])
+    assert FLOAT.rank(wide, 1e-9) == dense_rank(wide, 1e-9) == 2
+    with pytest.raises(np.linalg.LinAlgError):
+        FLOAT.eigen_candidates(wide, 1e-6, None)
 
 
 # ---- commutant ----

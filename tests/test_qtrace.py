@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from skeinrep.cfalgebra import CFAlgebra
+from skeinrep import qtrace
+from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating, ParseError
 from skeinrep.kernels import offdiag_kernel, sample_generic_weights
 from skeinrep.qtrace import (LoopSpec, chebyshev, corner_arc_factor,
@@ -169,6 +170,28 @@ def test_threading_many_random_weights():
         rep = build_rep(T, 3, W)
         loop = LoopSpec.edge_parallel(T.designated_edge, 1)
         assert threading_check(rep, loop)["passed"]
+
+
+def test_threaded_trace_built_once_per_algebra_and_loop(monkeypatch):
+    T = standard_library("genus2_sep")
+    loop = LoopSpec.edge_parallel(T.designated_edge, 1)
+    weights = [sample_generic_weights(T, 3, random.Random(s)) for s in (5, 6)]
+    # references, each on an algebra of its own
+    expected = [threading_check(build_rep(T, 3, W), loop) for W in weights]
+    calls = []
+    real = qtrace.element_chebyshev
+    monkeypatch.setattr(qtrace, "element_chebyshev",
+                        lambda a, N: calls.append(a) or real(a, N))
+    alg = CFAlgebra(T, 3)
+    reps = [build_rep(T, 3, W, algebra=alg) for W in weights]
+    assert [threading_check(rep, loop) for rep in reps] == expected
+    assert len(calls) == 1
+    flipped = reps[0].precompose_sign_reversal(
+        SignReversalClass(T, (1, 0, 1, 1, 0, 1, 0, 0, 1)))
+    threading_check(flipped, loop)
+    assert len(calls) == 1
+    threading_check(reps[0], LoopSpec.edge_parallel(T.designated_edge, 2))
+    assert len(calls) == 2
 
 
 def test_threading_central_torus():

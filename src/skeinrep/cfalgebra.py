@@ -31,6 +31,10 @@ class CFAlgebra:
         self.scalars = ExactScalars(N, order=field_order)
         self.sigma = T.sigma_matrix()
         self.n = T.num_edges
+        # (i, j, sigma_ij) for the nonzero entries below the diagonal; sigma is
+        # antisymmetric, so they determine the whole form
+        self._lower = [(i, j, s) for i, row in enumerate(self.sigma)
+                       for j, s in enumerate(row[:i]) if s]
         # LoopSpec -> (trace, T_N(trace)), filled by qtrace.threading_check
         self.threaded_traces = {}
 
@@ -61,35 +65,24 @@ class CFAlgebra:
 
     # -- normal form bookkeeping --
 
+    def _lower_form(self, k, l) -> int:
+        """L(k, l) = sum_{i>j} k_i sigma_ij l_j."""
+        t = 0
+        for i, j, s in self._lower:
+            t += k[i] * s * l[j]
+        return t
+
     def product_twist(self, k, l) -> int:
         """omega-exponent in Z^k . Z^l = omega^t Z^(k+l)."""
-        sig = self.sigma
-        t = 0
-        for i in range(self.n):
-            ki = k[i]
-            if ki:
-                row = sig[i]
-                for j in range(i):
-                    if l[j]:
-                        t += ki * l[j] * row[j]
-        return 2 * t
+        return 2 * self._lower_form(k, l)
 
     def weyl_weight(self, k) -> int:
         """w(k) with [Z^k] = omega^(-w(k)) Z^k."""
-        sig = self.sigma
-        w = 0
-        for i in range(self.n):
-            if k[i]:
-                for j in range(i + 1, self.n):
-                    if k[j]:
-                        w += k[i] * k[j] * sig[i][j]
-        return w
+        return -self._lower_form(k, k)
 
     def pairing(self, k, l) -> int:
         """k^T sigma l."""
-        return sum(k[i] * self.sigma[i][j] * l[j]
-                   for i in range(self.n) for j in range(self.n)
-                   if k[i] and self.sigma[i][j] and l[j])
+        return self._lower_form(k, l) - self._lower_form(l, k)
 
     def weyl(self, k) -> "QTElement":
         """Weyl-ordered monomial [Z^k]."""
@@ -343,16 +336,20 @@ class BalancedLattice:
         self.pairs = pairs                       # (index_a, index_b, d) in nf_basis
         self.radical = radical
         mat = il.transpose(self.nf_basis)        # columns are nf basis vectors
-        self._inv = il.fraction_inverse(mat)
+        # the basis has determinant +-index_in_ZE, so index_in_ZE times its
+        # inverse is an integer matrix (the adjugate up to sign)
+        scaled = [[self.index_in_ZE * x for x in row] for row in il.fraction_inverse(mat)]
+        assert all(x.denominator == 1 for row in scaled for x in row)
+        self._scaled_inv = [[int(x) for x in row] for row in scaled]
 
     def coords(self, k):
         """Integer coordinates of k in the normal-form basis."""
-        vals = il.mat_vec(self._inv, list(k))
         out = []
-        for v in vals:
-            if v.denominator != 1:
+        for row in self._scaled_inv:
+            q, r = divmod(sum(a * b for a, b in zip(row, k, strict=True)), self.index_in_ZE)
+            if r:
                 raise NotBalanced(f"{tuple(k)} is not in the balanced lattice")
-            out.append(int(v))
+            out.append(q)
         return tuple(out)
 
     @property

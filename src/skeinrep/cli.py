@@ -39,10 +39,10 @@ def main(argv=None) -> int:
     p_ker = sub.add_parser("kernels", help="off-diagonal kernel dimensions")
     p_ker.add_argument("--triangulation")
     p_ker.add_argument("--name", choices=("sphere2", "torus1", "genus2_sep"))
-    p_ker.add_argument("--weights", help="weights JSON file; random if omitted")
+    p_ker.add_argument("--weights",
+                       help="weights JSON file, whose mode picks the arithmetic; "
+                            "random float weights if omitted")
     p_ker.add_argument("--N", type=int, default=3)
-    p_ker.add_argument("--mode", choices=("exact", "float"),
-                       help="must match the weights file; float without one")
     p_ker.add_argument("--tol", type=float, default=1e-8)
     p_ker.add_argument("--seed", type=int, default=0)
     p_ker.add_argument("--out")
@@ -126,10 +126,6 @@ def cmd_kernels(args) -> int:
             W = WeightSystem.from_json(T, fh.read())
         if W.N != N:
             raise ParseError(f"weights file has N={W.N} but --N is {N}")
-        if args.mode is not None and args.mode != W.mode:
-            raise ParseError(f"weights file is {W.mode} but --mode is {args.mode}")
-    elif args.mode == "exact":
-        raise ParseError("--mode exact needs --weights")
     elif T.num_vertices == 1:
         W = sample_generic_weights(T, N, random.Random(args.seed))
     else:

@@ -8,7 +8,6 @@ homogeneous coordinates throughout so degeneracies are detected exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,11 +121,6 @@ class DevelopedTriangulation:
         right = self.corner_point(f, (sf + 1) % 3)
         left = self.corner_point(g, (sg + 1) % 3)
         return head, tail, left, right
-
-    def to_json(self) -> str:
-        def ser(p):
-            return [scalars.serialize(p.num), scalars.serialize(p.den)]
-        return json.dumps({"points": [[ser(p) for p in row] for row in self.points]})
 
 
 def crossratio_weight(D: DevelopedTriangulation, e: int):

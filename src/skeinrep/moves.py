@@ -9,12 +9,11 @@ localized algebra whose denominators are the commuting family
 
 Edge indices are re-derived after every move; a MoveRecord carries the
 old-to-new edge map, the square or face labels, and enough data to transport
-weights, so moves are replayable.
+weights and to map the algebra along the move.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .cfalgebra import CFAlgebra, QTElement
@@ -37,11 +36,6 @@ class MoveRecord:
     new_vertex: int = -1           # subdivide: the added vertex
     edge: int = -1                 # flip: flipped edge (old id)
     square: dict = field(default_factory=dict)  # flip: paper-role -> old edge id
-
-    def to_json_entry(self) -> dict:
-        if self.kind == "subdivide":
-            return {"op": "subdivide", "face": self.face}
-        return {"op": "flip", "edge": self.edge}
 
 
 def _relocate_build(T: Triangulation, relocation, extra_faces: int,
@@ -464,15 +458,19 @@ def flip_weights(record: MoveRecord, W: WeightSystem) -> WeightSystem:
 
 # ---- making a triangulation combinatorial ----
 
-def make_combinatorial(T: Triangulation, max_rounds: int = 4
-                       ) -> tuple[Triangulation, list[MoveRecord]]:
+# Rounds of moves make_combinatorial tries before giving up; each library
+# surface needs one.
+COMBINATORIAL_ROUNDS = 4
+
+
+def make_combinatorial(T: Triangulation) -> tuple[Triangulation, list[MoveRecord]]:
     """Subdivide and flip until every edge has distinct endpoints and no two
     edges share an endpoint pair.  Each round subdivides every face and then
     flips every pre-round edge; a preliminary pass splits face pairs sharing
     more than one edge."""
     moves: list[MoveRecord] = []
     cur = T
-    for _ in range(max_rounds):
+    for _ in range(COMBINATORIAL_ROUNDS):
         if cur.is_combinatorial():
             return cur, moves
         # ensure any two faces share at most one edge
@@ -505,23 +503,6 @@ def _face_pair_sharing_two(T: Triangulation):
             if len(ef & set(T.face_edges(g))) > 1:
                 return f
     return None
-
-
-def replay(T: Triangulation, moves: list[dict]) -> Triangulation:
-    """Re-apply a JSON move list to a triangulation."""
-    cur = T
-    for mv in moves:
-        if mv["op"] == "subdivide":
-            cur, _ = subdivide(cur, mv["face"])
-        elif mv["op"] == "flip":
-            cur, _ = flip(cur, mv["edge"])
-        else:
-            raise ValueError(f"unknown move {mv['op']!r}")
-    return cur
-
-
-def moves_to_json(moves: list[MoveRecord]) -> str:
-    return json.dumps([m.to_json_entry() for m in moves])
 
 
 # ---- triangulation isomorphism (used by double-flip tests) ----

@@ -143,6 +143,8 @@ class CFRep:
             raise ValueError("representation needs root weights u_i")
         if weights.N != algebra.N:
             raise ValueError("weight system and algebra disagree on N")
+        if weights.T.glue != algebra.T.glue:
+            raise ValueError("weight system and algebra belong to different triangulations")
         self.algebra = algebra
         self.T = algebra.T
         self.N = algebra.N
@@ -351,18 +353,12 @@ class CFRep:
         rep.total_kernels = {}
         return rep
 
-    # -- serialization --
-
-    def dump_matrices(self) -> str:
-        basis = [list(b) for b in self.lattice.basis]
-        mats = [[scalars.serialize(z) for row in self.weyl_image(b).to_dense(self.ctx.zero())
-                 for z in row] for b in basis]
-        return json.dumps({"dim": self.dim, "basis": basis, "matrices": mats})
-
 
 def build_rep(T: Triangulation, N: int, weights: WeightSystem,
               sign_choices: SignReversalClass | None = None,
               algebra: CFAlgebra | None = None) -> CFRep:
     """Construct the representation with mu(Z_i^2N) = x_i, mu(H_v) = -omega^4."""
+    if algebra is not None and (algebra.T.glue != T.glue or algebra.N != N):
+        raise ValueError("algebra does not match the triangulation and N")
     alg = algebra if algebra is not None else CFAlgebra(T, N)
     return CFRep(alg, weights, sign_choices=sign_choices)

@@ -7,9 +7,9 @@ conventions.  Symbolic algebra (module cfalgebra) is always exact; these
 backends only decide how representation matrices and kernels are evaluated.
 
 This module alone chooses between the two arithmetics.  Values pick it by
-their type (`of`, `one_like`, `is_zero`, `serialize`, which also take the
-Fraction points of holonomy): a complex or a numpy array is float, anything
-else is exact.  A mode string picks it only where the values are not at hand
+their type (`of`, `one_like`, `is_zero`, `serialize`; `one_like` and
+`is_zero` also take the Fraction points of holonomy): a complex or a numpy
+array is float, anything else is exact.  A mode string picks it only where the values are not at hand
 yet or a caller names the arithmetic it expects (`for_mode`, `backend`): the
 "mode" tag of a weights file and the mode argument of eigen_analysis.
 
@@ -393,9 +393,7 @@ def is_zero(v, tol: float = 0.0) -> bool:
 
 
 def serialize(v):
-    """JSON form of a complex ([re, im]), Fraction ([num, den]) or exact value."""
+    """JSON form of a complex ([re, im]) or exact value."""
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
     return v.serialize()

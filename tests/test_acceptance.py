@@ -187,8 +187,9 @@ def test_criterion_9_flip_suite():
 def test_criterion_10_corner_arc_invariance():
     T = octahedron()
     alg = CFAlgebra(T, 3)
-    rep = build_rep(T, 3, octahedron_weights(alg), algebra=alg)
-    ok = rep.dim == 27 and T.is_combinatorial()
+    W = octahedron_weights(alg)
+    rep = build_rep(T, 3, W, algebra=alg)
+    ok = rep.dim == 27 and T.is_combinatorial() and W.validate()["valid"]
     for v in range(T.num_vertices):
         F = offdiag_kernel(rep, v)
         ok = ok and 0 < F.dim < rep.dim

@@ -37,7 +37,7 @@ def test_info_malformed(tmp_path, capsys):
 
 def test_kernels_torus_with_weights_file(tmp_path, capsys):
     rc = main(["kernels", "--name", "torus1", "--weights", torus_weights_file(tmp_path),
-               "--N", "3", "--mode", "exact"])
+               "--N", "3"])
     out = capsys.readouterr().out
     assert rc == 0
     report = json.loads(out)
@@ -69,13 +69,6 @@ def test_kernels_weights_N_mismatch(tmp_path, capsys):
     wpath = torus_weights_file(tmp_path)
     rc = main(["kernels", "--name", "torus1", "--weights", wpath, "--N", "5"])
     assert_input_error(rc, capsys)
-
-
-def test_kernels_mode_mismatch(tmp_path, capsys):
-    wpath = torus_weights_file(tmp_path)
-    rc = main(["kernels", "--name", "torus1", "--weights", wpath, "--mode", "float"])
-    assert_input_error(rc, capsys)
-    assert_input_error(main(["kernels", "--name", "torus1", "--mode", "exact"]), capsys)
 
 
 def test_info_even_N_rejected(capsys):

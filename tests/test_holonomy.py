@@ -133,11 +133,3 @@ def test_trace_word():
     assert trace_word([A, B], w) == trace_word(gens_conj, w)
     # commutator of a generic pair has trace != 2
     assert trace_word([A, B], [1, 2, -1, -2]) != 2
-
-
-def test_development_json():
-    T = standard_library("sphere2")
-    D = random_enhancement(T, seed=4)
-    import json
-    data = json.loads(D.to_json())
-    assert len(data["points"]) == T.num_faces

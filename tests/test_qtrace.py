@@ -5,8 +5,8 @@ import pytest
 
 from skeinrep import qtrace
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
-from skeinrep.errors import BadState, NotOneVertex, NotSeparating, ParseError
-from skeinrep.kernels import offdiag_kernel, sample_generic_weights
+from skeinrep.errors import BadState, NotOneVertex, NotSeparating
+from skeinrep.kernels import sample_generic_weights
 from skeinrep.qtrace import (LoopSpec, chebyshev, corner_arc_factor,
                              edge_parallel_trace, fan_segment, segment_weyl,
                              sweep_check, threading_check)
@@ -94,13 +94,6 @@ def test_trace_needs_one_vertex():
     alg = CFAlgebra(standard_library("sphere2"), 3)
     with pytest.raises(NotOneVertex):
         edge_parallel_trace(alg, LoopSpec.edge_parallel(0, 1))
-
-
-def test_loop_spec_json():
-    loop = LoopSpec.edge_parallel(4, 2)
-    assert LoopSpec.from_json(loop.to_json()) == loop
-    with pytest.raises(ParseError):
-        LoopSpec.from_json('{"kind": "vertex_circle"}')
 
 
 # ---- sweep ----
@@ -223,21 +216,3 @@ def test_corner_arc_shapes():
     assert len(mixed.terms) == 2
     with pytest.raises(BadState):
         corner_arc_factor(alg, 0, 0, "-+")
-
-
-def test_corner_arc_invariance_exact_octahedron():
-    # mu(A') F_v <= F_v for every vertex, corner and state; exact kernels
-    T = octahedron()
-    alg = CFAlgebra(T, 3)
-    w = alg.scalars.omega(1)
-    W = WeightSystem(T, 3, u=[w] * T.num_edges)  # x = -1 everywhere
-    assert W.validate()["valid"]
-    rep = build_rep(T, 3, W, algebra=alg)
-    assert rep.dim == 27
-    for v in range(T.num_vertices):
-        F = offdiag_kernel(rep, v)
-        assert 0 < F.dim < rep.dim
-        for corner in range(len(T.fans[v])):
-            for state in ("++", "--", "+-"):
-                A = rep.apply(corner_arc_factor(alg, v, corner, state))
-                assert F.is_invariant_under(A), (v, corner, state)

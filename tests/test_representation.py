@@ -7,7 +7,7 @@ from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import (Inadmissible, InconsistentCenter, NotBalanced,
                              ZeroWeight)
 from skeinrep.kernels import sample_generic_weights, total_kernel
-from skeinrep.representation import WeightSystem, build_rep
+from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_sphere_weights, exact_torus_weights
 
@@ -232,6 +232,22 @@ def test_inconsistent_center_float():
         build_rep(T, 3, WeightSystem(T, 3, u=u))
 
 
+def test_rep_rejects_foreign_triangulation():
+    sphere, torus = standard_library("sphere2"), standard_library("torus1")
+    alg_s, alg_t = CFAlgebra(sphere, 3), CFAlgebra(torus, 3)
+    W_sphere, W_torus = exact_sphere_weights(alg_s), exact_torus_weights(alg_t)
+    with pytest.raises(ValueError):
+        build_rep(sphere, 3, W_sphere, algebra=alg_t)
+    with pytest.raises(ValueError):
+        build_rep(standard_library("genus2_sep"), 3, W_torus, algebra=alg_t)
+    with pytest.raises(ValueError):
+        build_rep(torus, 5, W_torus, algebra=alg_t)
+    with pytest.raises(ValueError):
+        CFRep(alg_t, W_sphere)
+    # an equal gluing table on another object is the same triangulation
+    assert build_rep(torus, 3, W_torus, algebra=CFAlgebra(standard_library("torus1"), 3)).dim == 3
+
+
 # ---- sign reversal and weight rescaling ----
 
 def test_precompose_sign_reversal(torus_rep):
@@ -299,10 +315,3 @@ def test_weight_independent_intertwiner():
     lat = rep1.lattice
     for k in lat.basis:
         assert rep1.intertwiner_part(k) == rep2.intertwiner_part(k)
-
-
-def test_matrix_dump(torus_rep):
-    import json
-    data = json.loads(torus_rep.dump_matrices())
-    assert data["dim"] == 3
-    assert len(data["basis"]) == len(data["matrices"]) == 3

@@ -316,7 +316,7 @@ class BalancedLattice:
             for e in T.face_edges(f):
                 row[e] ^= 1
             rows.append(row)
-        basis, rank2 = _lift_parity_kernel(rows, n)
+        basis, two_inv, rank2 = _lift_parity_kernel(rows, n)
         self.basis = basis                       # list of E integer vectors
         self.index_in_ZE = 2 ** rank2
         self.pairing_matrix = [
@@ -327,26 +327,18 @@ class BalancedLattice:
                 if v % 2 != 0:
                     raise OmegaIntegralityError(
                         "half-pairing is not integral on the balanced lattice")
-        C, pairs, radical = il.alternating_normal_form(self.pairing_matrix)
-        cols = il.transpose(C)
-        self.nf_basis = [
-            [sum(basis[t][i] * cols[j][t] for t in range(n)) for i in range(n)]
-            for j in range(n)
-        ]
+        C, C_inv, pairs, radical = il.alternating_normal_form(self.pairing_matrix)
+        self.nf_basis = il.mat_mul(il.transpose(C), basis)
         self.pairs = pairs                       # (index_a, index_b, d) in nf_basis
         self.radical = radical
-        mat = il.transpose(self.nf_basis)        # columns are nf basis vectors
-        # the basis has determinant +-index_in_ZE, so index_in_ZE times its
-        # inverse is an integer matrix (the adjugate up to sign)
-        scaled = [[self.index_in_ZE * x for x in row] for row in il.fraction_inverse(mat)]
-        assert all(x.denominator == 1 for row in scaled for x in row)
-        self._scaled_inv = [[int(x) for x in row] for row in scaled]
+        # twice the inverse of the nf basis matrix (columns = nf basis vectors)
+        self._two_inv = il.mat_mul(C_inv, two_inv)
 
     def coords(self, k):
         """Integer coordinates of k in the normal-form basis."""
         out = []
-        for row in self._scaled_inv:
-            q, r = divmod(sum(a * b for a, b in zip(row, k, strict=True)), self.index_in_ZE)
+        for row in self._two_inv:
+            q, r = divmod(sum(a * b for a, b in zip(row, k, strict=True)), 2)
             if r:
                 raise NotBalanced(f"{tuple(k)} is not in the balanced lattice")
             out.append(q)
@@ -359,7 +351,9 @@ class BalancedLattice:
 
 def _lift_parity_kernel(rows, n):
     """GF(2) kernel of the face-parity map, lifted to a Z-basis of its
-    preimage lattice: kernel vectors as 0/1 vectors plus doubled pivots."""
+    preimage lattice: kernel vectors as 0/1 vectors plus doubled pivots.
+    Also returns twice the inverse of the basis matrix (columns = basis
+    vectors) and the number of pivots."""
     m = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -373,17 +367,21 @@ def _lift_parity_kernel(rows, n):
                 m[i] = [a ^ b for a, b in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
-    pivot_set = set(pivots)
-    basis = []
+    pivot_row = {pc: rr for rr, pc in enumerate(pivots)}
+    basis, two_inv = [], []
     for col in range(n):
-        if col in pivot_set:
-            v = [0] * n
+        v = [0] * n
+        if col in pivot_row:
+            # m is reduced: 2 coord_col(k) = k_col - sum over free c of m[r][c] k_c
             v[col] = 2
-            basis.append(v)
+            w = [-x for x in m[pivot_row[col]]]
+            w[col] = 1
         else:
-            v = [0] * n
             v[col] = 1
             for rr, pc in enumerate(pivots):
                 v[pc] = m[rr][col]
-            basis.append(v)
-    return basis, len(pivots)
+            w = [0] * n
+            w[col] = 2
+        basis.append(v)
+        two_inv.append(w)
+    return basis, two_inv, len(pivots)

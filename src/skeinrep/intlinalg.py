@@ -1,13 +1,13 @@
-"""Exact integer and rational linear algebra helpers.
+"""Exact integer linear algebra helpers.
 
-Everything here works on plain lists of Python ints / Fractions; sizes are
-tiny (at most a few dozen rows), so clarity beats vectorization.
+Everything here works on plain lists of Python ints; sizes are tiny (at most
+a few dozen rows), so clarity beats vectorization.  `solve_mod` works on
+residues mod its modulus throughout, so no entry grows.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def identity(n: int) -> list[list[int]]:
@@ -28,99 +28,19 @@ def transpose(A):
     return [list(row) for row in zip(*A)]
 
 
-def smith_normal_form(A):
-    """Return (D, U, V) with D = U A V diagonal, U and V unimodular."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [list(row) for row in A]
-    U = identity(m)
-    V = identity(n)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            D[r][i] -= q * D[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while t < min(m, n):
-        # find minimal nonzero entry in D[t:, t:]
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
-                    if D[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-
-    # divisibility chain: diag(a, b) -> diag(g, ab/g) with g = sa + tb, by
-    # [[s, t], [-b/g, a/g]] on rows i, j and [[1, -tb/g], [1, sa/g]] on columns
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = D[i][i], D[j][j]
-            if b % a == 0:
-                continue
-            g, s, tt = xgcd(a, b)
-            for M in (D, U):
-                M[i], M[j] = ([s * x + tt * y for x, y in zip(M[i], M[j])],
-                              [(a * y - b * x) // g for x, y in zip(M[i], M[j])])
-            for M in (D, V):
-                for row in M:
-                    x, y = row[i], row[j]
-                    row[i], row[j] = x + y, (s * a * y - tt * b * x) // g
-    for i in range(t):
-        if D[i][i] < 0:
-            D[i] = [-x for x in D[i]]
-            U[i] = [-x for x in U[i]]
-    return D, U, V
-
-
 def alternating_normal_form(P):
     """Congruence-reduce an antisymmetric integer matrix.
 
-    Returns (C, pairs, radical) with C unimodular such that, for B = C^T P C,
-    pairs is a list of (i, j, d) meaning B[i][j] = d > 0 (and B[j][i] = -d)
-    with all other entries in rows/cols i, j zero, and radical lists the
-    indices of identically-zero rows of B.  Columns of C are the new basis
-    expressed in the old one.
+    Returns (C, C_inv, pairs, radical) with C unimodular and C_inv its
+    inverse such that, for B = C^T P C, pairs is a list of (i, j, d) meaning
+    B[i][j] = d > 0 (and B[j][i] = -d) with all other entries in rows/cols
+    i, j zero, and radical lists the indices of identically-zero rows of B.
+    Columns of C are the new basis expressed in the old one.
     """
     n = len(P)
     B = [list(row) for row in P]
     C = identity(n)
+    C_inv = identity(n)
 
     def col_op(i, j, q):  # col_i += q * col_j, symmetric row op
         for r in range(n):
@@ -129,6 +49,7 @@ def alternating_normal_form(P):
             B[i][r] += q * B[j][r]
         for r in range(n):
             C[r][i] += q * C[r][j]
+        C_inv[j] = [a - q * b for a, b in zip(C_inv[j], C_inv[i])]
 
     def swap(i, j):
         for r in range(n):
@@ -136,6 +57,7 @@ def alternating_normal_form(P):
         B[i], B[j] = B[j], B[i]
         for r in range(n):
             C[r][i], C[r][j] = C[r][j], C[r][i]
+        C_inv[i], C_inv[j] = C_inv[j], C_inv[i]
 
     pairs = []
     t = 0
@@ -178,62 +100,47 @@ def alternating_normal_form(P):
         pairs.append((t, t + 1, B[t][t + 1]))
         t += 2
     radical = list(range(t, n))
-    return C, pairs, radical
-
-
-def fraction_inverse(B):
-    """Exact inverse of an integer matrix, as Fractions."""
-    n = len(B)
-    M = [[Fraction(B[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix not invertible")
-        M[col], M[piv] = M[piv], M[col]
-        f = M[col][col]
-        M[col] = [x / f for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                g = M[r][col]
-                M[r] = [a - g * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+    return C, C_inv, pairs, radical
 
 
 def solve_mod(A, b, modulus):
-    """Smallest-entry solution x of A x = b (mod modulus), or None.
+    """A solution x of A x = b (mod modulus), entries in [0, modulus), or None.
 
-    A is an integer matrix (rows = constraints), b an integer vector.
+    A is an integer matrix (rows = constraints), b an integer vector.  The
+    augmented matrix [A | b] is reduced mod modulus and diagonalized over
+    Z/modulus by Euclidean row and column operations on the smallest nonzero
+    residue; V keeps the column operations, so x = V y for the diagonal
+    solution y.
     """
-    D, U, V = smith_normal_form(A)
     m, n = len(A), len(A[0])
-    c = mat_vec(U, b)
+    M = [[a % modulus for a in row] + [c % modulus] for row, c in zip(A, b, strict=True)]
+    V = identity(n)
+    for t in range(min(m, n)):
+        while True:
+            pivot = min(((M[i][j], i, j) for i in range(t, m) for j in range(t, n)
+                         if M[i][j]), default=None)
+            if pivot is None:
+                break
+            d, i0, j0 = pivot
+            M[t], M[i0] = M[i0], M[t]
+            for row in (*M, *V):
+                row[t], row[j0] = row[j0], row[t]
+            for i in range(t + 1, m):
+                q = M[i][t] // d
+                M[i] = [(a - q * p) % modulus for a, p in zip(M[i], M[t])]
+            for j in range(t + 1, n):
+                q = M[t][j] // d
+                for row in (*M, *V):
+                    row[j] = (row[j] - q * row[t]) % modulus
+            # remainders below or right of the pivot are smaller pivots
+            if not any(M[i][t] for i in range(t + 1, m)) and not any(M[t][t + 1:n]):
+                break
     y = [0] * n
-    for i in range(min(m, n)):
-        d = D[i][i]
-        if d == 0:
-            if c[i] % modulus != 0:
-                return None
-            continue
-        g = math.gcd(d, modulus)
-        if c[i] % g != 0:
+    for i, row in enumerate(M):
+        d, c = (row[i] if i < n else 0), row[n]
+        g = math.gcd(d, modulus)  # g = modulus when d = 0
+        if c % g:
             return None
-        # solve d * y = c[i] mod modulus
-        d_, m_, c_ = d // g, modulus // g, c[i] // g
-        y[i] = (c_ * pow(d_, -1, m_)) % m_ if m_ > 1 else 0
-    for i in range(min(m, n), m):
-        if c[i] % modulus != 0:
-            return None
-    x = mat_vec(V, y)
-    return [xi % modulus for xi in x]
-
-
-def xgcd(a, b):
-    """(g, s, t) with g = s*a + t*b a greatest common divisor of a and b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+        if i < n:
+            y[i] = c // g * pow(d // g, -1, modulus // g) % (modulus // g)
+    return [sum(v * yj for v, yj in zip(row, y)) % modulus for row in V]

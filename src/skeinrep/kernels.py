@@ -56,8 +56,7 @@ class Subspace:
 
 def matrix_kernel(M, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Kernel of a matrix (numpy array or list of exact rows) as a Subspace."""
-    basis, _ = scalars.of(M).kernel(M, tol)
-    return Subspace(len(M[0]), basis)
+    return Subspace(len(M[0]), scalars.of(M).kernel(M, tol))
 
 
 # ---- kernel operations ----

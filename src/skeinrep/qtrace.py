@@ -121,6 +121,8 @@ def edge_parallel_trace(algebra: CFAlgebra, loop: LoopSpec) -> QTElement:
 
 def fan_segment(T, edge: int, side: int) -> list[int]:
     """Fan entries strictly between the two ends of the edge, on one side."""
+    if not 0 <= edge < T.num_edges:
+        raise ValueError(f"no edge {edge}")
     fan = T.fans[0].edges
     u = len(fan)
     pos = [i for i, e in enumerate(fan) if e == edge]

@@ -21,7 +21,7 @@ N-free Exact/FloatArithmetic give (float | exact):
     is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
-    kernel(M, tol)    (basis, rank): SVD dropping s <= tol max(s_0, 1) | Gauss-Jordan
+    kernel(M, tol)    basis: SVD dropping s <= tol max(s_0, 1) | Gauss-Jordan
     rank(M, tol)      number of singular values s > tol max(s_0, 1), taken per
                       connected component of a square M's nonzero pattern,
                       s_0 the largest over all components | Gauss-Jordan
@@ -146,7 +146,7 @@ class ExactArithmetic:
             for r, pcol in enumerate(pivots):
                 vec[pcol] = -rows[r][fcol]
             basis.append(vec)
-        return basis, len(pivots)
+        return basis
 
     def rank(self, M, tol: float = 0.0) -> int:
         return len(self._eliminate(M)[1])
@@ -242,7 +242,7 @@ class FloatArithmetic:
     def kernel(self, M, tol: float):
         u, s, vh = np.linalg.svd(np.asarray(M))
         r = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-        return vh.conj().T[:, r:], r
+        return vh.conj().T[:, r:]
 
     def rank(self, M, tol: float) -> int:
         """Numerical rank from the singular values of the pattern blocks, cut

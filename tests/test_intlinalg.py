@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 from skeinrep import intlinalg as il
 
@@ -7,26 +9,8 @@ def rand_matrix(rng, m, n, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
-def test_smith_normal_form_random():
-    rng = random.Random(11)
-    cases = [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
-    for A in cases + [[[2, 0], [0, 3]]]:
-        m, n = len(A), len(A[0])
-        D, U, V = il.smith_normal_form(A)
-        assert il.mat_mul(il.mat_mul(U, A), V) == D
-        # diagonal, nonnegative, divisibility chain
-        diag = [D[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        nz = [d for d in diag if d != 0]
-        assert all(d > 0 for d in nz)
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-        # unimodularity via exact inverse
-        il.fraction_inverse(U)
-        il.fraction_inverse(V)
+def residues(A, x, mod):
+    return [v % mod for v in il.mat_vec(A, x)]
 
 
 def test_alternating_normal_form_random():
@@ -38,7 +22,7 @@ def test_alternating_normal_form_random():
             for j in range(i + 1, n):
                 P[i][j] = rng.randint(-5, 5)
                 P[j][i] = -P[i][j]
-        C, pairs, radical = il.alternating_normal_form(P)
+        C, C_inv, pairs, radical = il.alternating_normal_form(P)
         B = il.mat_mul(il.transpose(C), il.mat_mul(P, C))
         expected = [[0] * n for _ in range(n)]
         for i, j, d in pairs:
@@ -47,19 +31,45 @@ def test_alternating_normal_form_random():
             expected[j][i] = -d
         assert B == expected
         assert len(pairs) * 2 + len(radical) == n
-        il.fraction_inverse(C)
+        assert il.mat_mul(C, C_inv) == il.identity(n)
 
 
 def test_solve_mod():
     rng = random.Random(3)
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = rand_matrix(rng, m, n, -4, 4)
-        mod = rng.choice([12, 20, 8])
-        x0 = [rng.randrange(mod) for _ in range(n)]
-        b = [v % mod for v in il.mat_vec(A, x0)]
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        A = rand_matrix(rng, m, n, -9, 9)
+        mod = rng.choice([12, 20, 28, 36, 8, 1])
+        b = residues(A, [rng.randrange(mod) for _ in range(n)], mod)
         x = il.solve_mod(A, b, mod)
         assert x is not None
-        assert all(v % mod == bv for v, bv in zip(il.mat_vec(A, x), b))
-    # an inconsistent system
+        assert all(0 <= v < mod for v in x)
+        assert residues(A, x, mod) == b
+
+
+def test_solve_mod_inconsistent_exactly_when_brute_force_finds_nothing():
+    rng = random.Random(8)
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        A = rand_matrix(rng, m, n)
+        mod = rng.choice([2, 4, 6, 8, 9, 12])
+        b = [rng.randrange(mod) for _ in range(m)]
+        solvable = any(residues(A, list(x), mod) == b
+                       for x in itertools.product(range(mod), repeat=n))
+        x = il.solve_mod(A, b, mod)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert residues(A, x, mod) == b
     assert il.solve_mod([[2]], [1], 12) is None
+
+
+def test_solve_mod_entries_stay_bounded():
+    # over Z, min-pivot Smith reduction of this matrix grows multipliers
+    # past 4,300 digits
+    A = [[-9, 3, 7, -5, 7, 8], [-3, 4, -8, 6, 2, 9], [8, -3, 7, 4, 6, 2],
+         [4, 2, -9, 8, 8, 1], [5, -9, -2, -4, 8, 9]]
+    b = residues(A, [1, 2, 3, 4, 5, 6], 12)
+    start = time.perf_counter()
+    x = il.solve_mod(A, b, 12)
+    assert time.perf_counter() - start < 0.5
+    assert residues(A, x, 12) == b

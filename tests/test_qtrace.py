@@ -96,6 +96,12 @@ def test_trace_needs_one_vertex():
         edge_parallel_trace(alg, LoopSpec.edge_parallel(0, 1))
 
 
+@pytest.mark.parametrize("edge", [99, -1, 9])
+def test_trace_rejects_an_edge_out_of_range(g2_alg, edge):
+    with pytest.raises(ValueError, match=f"no edge {edge}"):
+        edge_parallel_trace(g2_alg, LoopSpec.edge_parallel(edge, 1))
+
+
 # ---- sweep ----
 
 def test_sweep_check(g2_rep):

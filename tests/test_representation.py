@@ -9,7 +9,8 @@ from skeinrep.errors import (Inadmissible, InconsistentCenter, NotBalanced,
 from skeinrep.kernels import sample_generic_weights, total_kernel
 from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
-from skeinrep.verify import exact_sphere_weights, exact_torus_weights
+from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
+                             exact_torus_weights)
 
 from conftest import random_balanced_monomial
 
@@ -115,6 +116,23 @@ def test_central_values_exact(torus_rep, sphere_rep):
         for i in range(alg.n):
             M = rep.apply(alg.gen(i, 2 * alg.N))
             assert exact_is_scalar(rep, M, rep.weights.x[i])
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+@pytest.mark.parametrize("name, weights", [("torus1", exact_torus_weights),
+                                           ("genus2_sep", exact_genus2_weights)])
+def test_character_contract_exact(name, weights, N):
+    """Any solution rho of the character congruences gives mu(Z_i^2N) = x_i
+    and mu(H_v) = -omega^4."""
+    alg = CFAlgebra(standard_library(name), N)
+    W = weights(alg)
+    rep = build_rep(alg.T, N, W, algebra=alg)
+    for i in range(alg.n):
+        k = [0] * alg.n
+        k[i] = 2 * N
+        assert rep.monomial_image(k).is_scalar() == W.x[i]
+    for v in range(alg.T.num_vertices):
+        assert rep.weyl_image(alg.T.end_counts(v)).is_scalar() == rep.hv_scalar()
 
 
 def test_central_values_float(genus2_rep):

@@ -14,6 +14,7 @@ under permutation of the factors and satisfies [Z^k][Z^l] = omega^(k.sigma.l)
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from . import intlinalg as il
 from .errors import (IndexOutOfRange, Inadmissible, MixedAlgebra, NotBalanced,
@@ -75,6 +76,16 @@ class CFAlgebra:
     def product_twist(self, k, l) -> int:
         """omega-exponent in Z^k . Z^l = omega^t Z^(k+l)."""
         return 2 * self._lower_form(k, l)
+
+    def _product_layout(self, k, ls) -> list:
+        """(k + l, zeta_L-exponent of product_twist(k, l)) for each l in ls,
+        the twists read off one row r_j = 2 sum_i k_i sigma_ij (i > j)."""
+        row = [0] * self.n
+        for i, j, s in self._lower:
+            row[j] += s * k[i]
+        step = 2 * self.scalars.omega_step
+        row = [step * x for x in row]
+        return [(tuple(map(add, k, l)), sum(map(mul, row, l))) for l in ls]
 
     def weyl_weight(self, k) -> int:
         """w(k) with [Z^k] = omega^(-w(k)) Z^k."""
@@ -179,10 +190,10 @@ class QTElement:
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
     def _check(self, other: "QTElement"):
-        if self.algebra is not other.algebra:
-            if (self.algebra.T is not other.algebra.T
-                    or self.algebra.N != other.algebra.N):
-                raise MixedAlgebra("operands from different algebras")
+        a, b = self.algebra, other.algebra
+        if a is not b and (a.T is not b.T or a.N != b.N
+                           or a.scalars.field is not b.scalars.field):
+            raise MixedAlgebra("operands from different algebras")
 
     def __add__(self, other):
         self._check(other)
@@ -202,13 +213,8 @@ class QTElement:
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        terms: dict = {}
-        for k, ck in self.terms.items():
-            for l, cl in other.terms.items():
-                m = tuple(a + b for a, b in zip(k, l))
-                c = ck * cl * alg.omega(alg.product_twist(k, l))
-                terms[m] = terms[m] + c if m in terms else c
-        return QTElement(alg, terms)
+        return QTElement(alg, alg.scalars.field.twisted_products(
+            self.terms, other.terms, alg._product_layout))
 
     def __rmul__(self, other):
         return self.scale(other)

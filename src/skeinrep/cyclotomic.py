@@ -8,12 +8,17 @@ Products of the integer coefficient polynomials that quantum traces and
 representation matrices are made of have den = 1 and need no gcd at all.
 Phi_L is monic, so reduction modulo Phi_L stays in the integers.
 
-The field owns two fused loops for exact linear algebra: `dot`, which sums
-u_j v_j in one unreduced integer array and reduces once, and `row_update`,
-the elimination step a - f b that skips the zero entries of b.  Roots of
-unity zeta^k are recognised by a table lookup, which gives their inverses
-and discrete logarithms directly.  A complex-double evaluation (zeta_L ->
-exp(2 pi i / L)) serves the floating backend and cross-checks.
+The field owns three fused loops:
+
+- `dot`, which sums u_j v_j in one unreduced integer array and reduces once;
+- `row_update`, the elimination step a - f b that skips the zero entries of b;
+- `twisted_products`, the quantum-torus product: for each output key it sums
+  a b zeta^s unreduced in Z[x]/(x^L - 1) over one common denominator, shifts
+  cyclically when a or b is a root of unity, and reduces modulo Phi_L once.
+
+Roots of unity zeta^k are recognised by a table lookup, which gives their
+inverses and discrete logarithms directly.  A complex-double evaluation
+(zeta_L -> exp(2 pi i / L)) serves the floating backend and cross-checks.
 """
 
 from __future__ import annotations
@@ -93,8 +98,8 @@ class CycloField:
         self._ready = True
 
     def _fold(self, p: list[int]) -> list[int]:
-        """Reduce an integer polynomial of degree < 2 phi(L) modulo Phi_L, in
-        place from the top; returns its first phi(L) coefficients."""
+        """Reduce an integer polynomial modulo Phi_L, in place from the top;
+        returns its first phi(L) coefficients."""
         d = self.degree
         terms = self._fold_terms
         for k in range(len(p) - 1, d - 1, -1):
@@ -170,7 +175,7 @@ class CycloField:
             raise ValueError("no embedding: orders incompatible")
         return self._make(self._substitute(a.num, self.order // m), a.den)
 
-    # -- fused loops of exact linear algebra --
+    # -- fused loops --
 
     def dot(self, us, vs) -> "CycloScalar":
         """sum_j u_j v_j, accumulated unreduced over one common denominator
@@ -200,6 +205,67 @@ class CycloField:
                         if b:
                             acc[j] += a * b
         return self._make(self._fold(acc), den)
+
+    def twisted_products(self, left: dict, right: dict, layout) -> dict:
+        """{m: sum of a b zeta^s} over every pair of a value a of left and a
+        value b of right, where layout(k, right) lists the pair (m, s) for
+        each key of right, in order, given the key k of a.
+
+        The sums are accumulated unreduced in Z[x]/(x^L - 1) over the one
+        denominator lcm(left dens) lcm(right dens).  A factor that is a root
+        of unity shifts the other one's vector cyclically, so only a pair of
+        two non-roots pays a full product.  Each sum is reduced modulo Phi_L
+        (a divisor of x^L - 1) once; keys come out in order of first
+        appearance."""
+        L = self.order
+        da = math.lcm(*(a.den for a in left.values()))
+        db = math.lcm(*(b.den for b in right.values()))
+        rights = [self._factor(b, db, da) for b in right.values()]
+        both = da * db
+        # shifts lie in [0, L), so indices stay below L + 2 phi(L) - 2
+        width = L + 2 * self.degree - 2
+        acc: dict = {}
+        for k, a in left.items():
+            ra, va, wa = self._factor(a, da, db)
+            for (m, s), (rb, vb, wb) in zip(layout(k, right), rights):
+                p = acc.get(m)
+                if p is None:
+                    p = acc[m] = [0] * width
+                if ra is not None:
+                    if rb is not None:
+                        p[(ra + rb + s) % L] += both
+                    else:
+                        base = (ra + s) % L
+                        for j, c in wb:
+                            p[base + j] += c
+                elif rb is not None:
+                    base = (rb + s) % L
+                    for i, c in wa:
+                        p[base + i] += c
+                else:
+                    base = s % L
+                    for i, x in va:
+                        bi = base + i
+                        for j, y in vb:
+                            p[bi + j] += x * y
+        for m, p in acc.items():
+            for x in range(width - 1, L - 1, -1):  # x^L = 1
+                p[x - L] += p[x]
+            del p[L:]
+            acc[m] = self._make(self._fold(p), both)
+        return acc
+
+    def _factor(self, a: "CycloScalar", den: int, other_den: int):
+        """a as a factor of twisted_products: (k, None, None) for a = zeta^k,
+        else the nonzero (index, coefficient) pairs of its numerator over den,
+        and the same scaled by other_den."""
+        self._own(a)
+        k = a.root_log()
+        if k is not None:
+            return k, None, None
+        s = den // a.den
+        v = [(i, c * s) for i, c in enumerate(a.num) if c]
+        return None, v, [(i, c * other_den) for i, c in v]
 
     def row_update(self, row, f: "CycloScalar", pivot_row) -> list:
         """[a - f b for a, b in zip(row, pivot_row)], skipping b = 0."""

@@ -89,9 +89,8 @@ def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
     n = len(M)
     out = []
     total = 0
-    for lam, alg_mult in ctx.eigen_candidates(M, tol, candidates):
-        shifted = ctx.sub(M, ctx.identity(M, lam))
-        geo = n - ctx.rank(shifted, max(tol * 1e-3, 1e-12))
+    for lam, alg_mult, geo in ctx.eigenspaces(M, tol, candidates,
+                                              max(tol * 1e-3, 1e-12)):
         if alg_mult is not None and geo != alg_mult:
             raise NotDiagonalizable(
                 f"eigenvalue {lam}: geometric {geo} != algebraic {alg_mult}")

@@ -27,15 +27,17 @@ N-free Exact/FloatArithmetic give (float | exact):
                       s_0 the largest over all components | Gauss-Jordan
     scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
                       max(tol, 1e-9 max(|c|, 1)) | exact equality
-    eigen_candidates(M, tol, candidates)  clusters at tol, with their
-                      multiplicities, of the eigenvalues of all connected
-                      components of M's nonzero pattern | (candidate, None)
+    eigenspaces(M, tol, candidates, rank_tol)  (lam, multiplicity,
+                      dim ker(M - lam Id)) per cluster at tol of the
+                      eigenvalues of all connected components of M's nonzero
+                      pattern, each dimension from a rank at rank_tol; the
+                      pattern is searched once | (candidate, None, dimension)
                       per candidate
     inv, sub, matmul, identity(M, c) = c Id, stack, spans(B, C) (span of B
     contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
     over terms (c, MonomialMatrix P)
 
-Float rank and eigen_candidates split a square matrix into the diagonal
+Float rank and eigenspaces split a square matrix into the diagonal
 blocks its nonzero pattern permutes it to (rho of an edge-parallel loop at
 genus 2 has N^2 blocks of size N^2) and give the dense answer up to rounding:
 the rank cut is the dense one, and eigenvalues may move in the last bits.
@@ -161,10 +163,12 @@ class ExactArithmetic:
                  for i in range(len(M)) for j in range(len(M)))
         return s if ok else None
 
-    def eigen_candidates(self, M, tol, candidates):
+    def eigenspaces(self, M, tol, candidates, rank_tol):
+        """(candidate, None, dim ker(M - candidate Id)) per candidate."""
         if candidates is None:
             raise ValueError("exact eigen-analysis needs a candidate list")
-        return [(lam, None) for lam in candidates]
+        return [(lam, None, len(M) - self.rank(self.sub(M, self.identity(M, lam))))
+                for lam in candidates]
 
 
 def _pattern_blocks(M):
@@ -197,6 +201,27 @@ def _pattern_blocks(M):
         by_size.setdefault(len(c), []).append(c)
     return [M[idx[:, :, None], idx[:, None, :]]
             for idx in map(np.array, by_size.values())]
+
+
+def _blocks_rank(blocks, tol: float) -> int:
+    """Number of singular values of the blocks together above tol times the
+    largest of them (at least 1)."""
+    s = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
+    return int(np.sum(s > tol * max(s.max(), 1.0)))
+
+
+def _clusters(blocks, tol: float) -> list:
+    """The blocks' eigenvalues together, clustered: sorted eigenvalues closer
+    than tol to the first of a cluster join it."""
+    vals = np.concatenate([np.linalg.eigvals(B).ravel() for B in blocks])
+    order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
+    groups: list[list] = []
+    for z in vals[order]:
+        if groups and abs(z - groups[-1][0]) < tol:
+            groups[-1][1] += 1
+        else:
+            groups.append([z, 1])
+    return [(complex(z), int(m)) for z, m in groups]
 
 
 class FloatArithmetic:
@@ -249,11 +274,7 @@ class FloatArithmetic:
         once at the largest of them; the threshold floor treats O(1)-entry
         operators whose norm is already below tolerance as zero."""
         M = np.asarray(M)
-        if M.size == 0:
-            return 0
-        s = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel()
-                            for B in _pattern_blocks(M)])
-        return int(np.sum(s > tol * max(s.max(), 1.0)))
+        return _blocks_rank(_pattern_blocks(M), tol) if M.size else 0
 
     def spans(self, B, C, tol: float) -> bool:
         return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
@@ -264,19 +285,15 @@ class FloatArithmetic:
         off = self.norm(M - s * np.eye(len(M)))
         return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
 
-    def eigen_candidates(self, M, tol, candidates):
-        """Eigenvalue clusters of the pattern blocks' eigenvalues together:
-        sorted eigenvalues closer than tol to the first of a cluster join it."""
-        vals = np.concatenate([np.linalg.eigvals(B).ravel()
-                               for B in _pattern_blocks(np.asarray(M))])
-        order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
-        groups: list[list] = []
-        for z in vals[order]:
-            if groups and abs(z - groups[-1][0]) < tol:
-                groups[-1][1] += 1
-            else:
-                groups.append([z, 1])
-        return [(complex(z), int(m)) for z, m in groups]
+    def eigenspaces(self, M, tol, candidates, rank_tol):
+        """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster of
+        the pattern blocks.  M - lam Id has M's pattern off the diagonal, so
+        the pattern is searched once and each shift is taken block by block."""
+        blocks = _pattern_blocks(np.asarray(M))
+        return [(lam, m, len(M) - _blocks_rank(
+                    [B - lam * np.eye(B.shape[-1]) for B in blocks], rank_tol))
+                for lam, m in _clusters(blocks, tol)]
+
 
 
 class ExactScalars(ExactArithmetic):
@@ -289,10 +306,11 @@ class ExactScalars(ExactArithmetic):
             raise ValueError("field order must be a multiple of 4N")
         self.N = N
         self.field = CycloField(L)
-        self._omega_step = L // (4 * N)
+        # omega = zeta_L^omega_step
+        self.omega_step = L // (4 * N)
 
     def omega(self, k: int = 1) -> CycloScalar:
-        return self.field.root_pow(k * self._omega_step)
+        return self.field.root_pow(k * self.omega_step)
 
     def one(self) -> CycloScalar:
         return self.field.one()
@@ -306,9 +324,9 @@ class ExactScalars(ExactArithmetic):
     def omega_log(self, a) -> int:
         """k with a == omega^k, or raise ValueError."""
         k = a.root_log() if a.field is self.field else None
-        if k is None or k % self._omega_step:
+        if k is None or k % self.omega_step:
             raise ValueError("not a power of omega")
-        return k // self._omega_step
+        return k // self.omega_step
 
     def deserialize(self, data) -> CycloScalar:
         return CycloScalar.deserialize(self.field, data)

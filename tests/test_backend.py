@@ -113,9 +113,10 @@ def test_block_eigen_candidates_match_dense(seed):
     blocks = [diagonalizable(rng, rng.choice(spectrum, size=s)) for s in (1, 3, 3, 4, 6)]
     M = block_diagonal(blocks, rng)
     assert len(scalars._pattern_blocks(M)) == 4
-    got, want = FLOAT.eigen_candidates(M, 1e-6, None), dense_clusters(M, 1e-6)
-    assert [m for _, m in got] == [m for _, m in want]
-    assert all(abs(a - b) < 1e-9 for (a, _), (b, _) in zip(got, want))
+    got, want = FLOAT.eigenspaces(M, 1e-6, None, 1e-9), dense_clusters(M, 1e-6)
+    assert [m for _, m, _ in got] == [m for _, m in want]
+    assert [geo for _, _, geo in got] == [m for _, m in want]  # diagonalizable
+    assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
     assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
 
 
@@ -139,20 +140,23 @@ def test_block_eigen_analysis_rejects_a_jordan_block():
 
 
 def test_dense_fallbacks_give_the_dense_answer():
+    def clusters(M):
+        return [(lam, m) for lam, m, _ in FLOAT.eigenspaces(M, 1e-6, None, 1e-9)]
+
     rng = np.random.default_rng(11)
     connected = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)
     assert FLOAT.rank(connected, 1e-9) == dense_rank(connected, 1e-9) == 2
-    assert FLOAT.eigen_candidates(connected, 1e-6, None) == dense_clusters(connected, 1e-6)
+    assert clusters(connected) == dense_clusters(connected, 1e-6)
     zero = np.zeros((5, 5), dtype=complex)
     assert FLOAT.rank(zero, 1e-9) == dense_rank(zero, 1e-9) == 0
-    assert FLOAT.eigen_candidates(zero, 1e-6, None) == dense_clusters(zero, 1e-6) == [(0j, 5)]
+    assert clusters(zero) == dense_clusters(zero, 1e-6) == [(0j, 5)]
     empty = np.zeros((0, 0), dtype=complex)
     assert FLOAT.rank(empty, 1e-9) == 0
-    assert FLOAT.eigen_candidates(empty, 1e-6, None) == dense_clusters(empty, 1e-6) == []
+    assert clusters(empty) == dense_clusters(empty, 1e-6) == []
     wide = np.hstack([connected, np.zeros((6, 3))])
     assert FLOAT.rank(wide, 1e-9) == dense_rank(wide, 1e-9) == 2
     with pytest.raises(np.linalg.LinAlgError):
-        FLOAT.eigen_candidates(wide, 1e-6, None)
+        clusters(wide)
 
 
 # ---- commutant ----

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from skeinrep.cfalgebra import (CFAlgebra, SignReversalClass,
+from skeinrep.cfalgebra import (CFAlgebra, QTElement, SignReversalClass,
                                 commutator_is_zero)
 from skeinrep.errors import (IndexOutOfRange, Inadmissible, MixedAlgebra,
                              NotBalanced)
@@ -43,6 +45,13 @@ def test_identity_and_mixed(torus_alg, sphere_alg):
     assert torus_alg.one() * a == a
     with pytest.raises(MixedAlgebra):
         torus_alg.one() * sphere_alg.one()
+    # same triangulation and N, coefficients in Q(zeta_12) and Q(zeta_36)
+    wide = CFAlgebra(torus_alg.T, 3, field_order=36)
+    for a, b in ((torus_alg.gen(0), wide.gen(1)), (wide.gen(0), torus_alg.gen(1))):
+        with pytest.raises(MixedAlgebra):
+            a * b
+        with pytest.raises(MixedAlgebra):
+            a + b
 
 
 def test_associativity_random(torus_alg, genus2_alg):
@@ -53,6 +62,88 @@ def test_associativity_random(torus_alg, genus2_alg):
             b = random_balanced_monomial(alg, rng)
             c = random_balanced_monomial(alg, rng) + random_balanced_monomial(alg, rng)
             assert (a * b) * c == a * (b * c)
+
+
+# ---- the fused product against a term-by-term reference (hypothesis) ----
+
+_GENUS2 = standard_library("genus2_sep")
+# L = 12, 36 (omega = zeta_36^3) and 20
+PRODUCT_ALGEBRAS = (CFAlgebra(_GENUS2, 3), CFAlgebra(_GENUS2, 3, field_order=36),
+                    CFAlgebra(_GENUS2, 5))
+
+
+def reference_product(a, b):
+    """a * b summed term by term: ck cl omega^(product_twist(k, l))."""
+    alg = a.algebra
+    terms = {}
+    for k, ck in a.terms.items():
+        for l, cl in b.terms.items():
+            m = tuple(x + y for x, y in zip(k, l))
+            c = ck * cl * alg.omega(alg.product_twist(k, l))
+            terms[m] = terms[m] + c if m in terms else c
+    return QTElement(alg, terms)
+
+
+def coefficients(field):
+    """Roots of unity, rationals with denominators and general elements."""
+    d = field.degree
+    general = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                       min_size=d, max_size=d).map(field.from_coeffs)
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+        bool).map(field.from_rational)
+    root = st.integers(0, field.order - 1).map(field.root_pow)
+    return st.one_of(root, rational, general)
+
+
+def exponents(alg):
+    return st.tuples(*[st.integers(-2, 2)] * alg.n)
+
+
+@st.composite
+def qt_elements(draw, alg, max_terms=4):
+    terms = draw(st.dictionaries(exponents(alg), coefficients(alg.scalars.field),
+                                 min_size=1, max_size=max_terms))
+    return QTElement(alg, terms)
+
+
+@st.composite
+def algebra_and_elements(draw, n):
+    alg = draw(st.sampled_from(PRODUCT_ALGEBRAS))
+    return (alg,) + tuple(draw(qt_elements(alg)) for _ in range(n))
+
+
+def assert_same_product(got, want):
+    """Equal values, and monomials in the same order of first appearance."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+@given(algebra_and_elements(3))
+def test_product_matches_reference(abc):
+    _, a, b, c = abc
+    assert_same_product(a * b, reference_product(a, b))
+    assert_same_product(b * a, reference_product(b, a))
+    assert (a * b) * c == a * (b * c)
+
+
+@given(st.data())
+def test_product_drops_cancelled_monomials(data):
+    alg = data.draw(st.sampled_from(PRODUCT_ALGEBRAS))
+    field = alg.scalars.field
+    k1, l1, k2 = (data.draw(exponents(alg)) for _ in range(3))
+    assume(k1 != k2)
+    l2 = tuple(x + y - z for x, y, z in zip(k1, l1, k2))
+    g, h = (data.draw(coefficients(field)) for _ in range(2))
+    assume(not (g.is_zero() or h.is_zero()))
+    # g Z^k1 . h Z^l1 and the second term of a times h Z^l2 meet at m and cancel
+    t = alg.product_twist(k1, l1) - alg.product_twist(k2, l2)
+    a = alg.monomial(k1, g) - alg.monomial(k2, g * alg.omega(t))
+    b = alg.monomial(l1, h) + alg.monomial(l2, h)
+    m = tuple(x + y for x, y in zip(k1, l1))
+    ab = a * b
+    assert m not in ab.terms
+    assert_same_product(ab, reference_product(a, b))
+    assert len(ab.terms) == 2
 
 
 def test_monomial_inverse(torus_alg):

@@ -295,7 +295,6 @@ class FloatArithmetic:
                 for lam, m in _clusters(blocks, tol)]
 
 
-
 class ExactScalars(ExactArithmetic):
 
     def __init__(self, N: int, order: int | None = None):

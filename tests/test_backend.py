@@ -116,6 +116,9 @@ def test_block_eigen_candidates_match_dense(seed):
     got, want = FLOAT.eigenspaces(M, 1e-6, None, 1e-9), dense_clusters(M, 1e-6)
     assert [m for _, m, _ in got] == [m for _, m in want]
     assert [geo for _, _, geo in got] == [m for _, m in want]  # diagonalizable
+    # one pattern search gives the ranks of the shifts searched one by one
+    assert [geo for _, _, geo in got] == [
+        len(M) - FLOAT.rank(M - lam * np.eye(len(M)), 1e-9) for lam, _, _ in got]
     assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
     assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
 

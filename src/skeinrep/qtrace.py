@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import scalars
 from .cfalgebra import CFAlgebra, QTElement
 from .errors import BadState, NotOneVertex, NotScalar, NotSeparating
-from .kernels import DEFAULT_RANK_TOL, total_kernel
+from .kernels import DEFAULT_RANK_TOL, matrix_kernel, total_kernel
 from .representation import CFRep, WeightSystem
 
 
@@ -205,14 +205,14 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     diff = ctx.sub(rep.apply(tr1), rep.apply(tr2))
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
-    kernel_dim = rep.dim - ctx.rank(diff, tol)
+    kd = matrix_kernel(diff, tol)
     restriction_zero = ctx.is_zero(restriction, 1e-7 * max(ctx.norm(diff), 1))
     # restriction_zero puts F inside the kernel, so equal dimensions are equality
-    equal = restriction_zero and kernel_dim == F.dim
+    equal = restriction_zero and kd.dim == F.dim
     return {
         "restriction_norm": ctx.norm(restriction),
         "restriction_zero": restriction_zero,
-        "kernel_dim": kernel_dim,
+        "kernel_dim": kd.dim,
         "total_kernel_dim": F.dim,
         "kernel_equals_total": equal,
         "passed": equal,

@@ -14,6 +14,7 @@ under permutation of the factors and satisfies [Z^k][Z^l] = omega^(k.sigma.l)
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 
 from . import intlinalg as il
@@ -38,6 +39,12 @@ class CFAlgebra:
                        for j, s in enumerate(row[:i]) if s]
         # LoopSpec -> (trace, T_N(trace)), filled by qtrace.threading_check
         self.threaded_traces = {}
+
+    @cached_property
+    def lattice(self) -> "BalancedLattice":
+        """The balanced lattice: weight-independent, shared by every
+        representation of this algebra."""
+        return BalancedLattice(self)
 
     # -- scalars --
 
@@ -262,11 +269,6 @@ class QTElement:
 
     def is_balanced(self) -> bool:
         return all(self.algebra.is_balanced(k) for k in self.terms)
-
-    def support(self):
-        """Edges with a nonzero exponent in some term."""
-        n = self.algebra.n
-        return {i for k in self.terms for i in range(n) if k[i]}
 
     def __repr__(self):
         if not self.terms:

@@ -12,7 +12,7 @@ import math
 import random
 import sys
 
-from .cfalgebra import BalancedLattice, CFAlgebra
+from .cfalgebra import CFAlgebra
 from .errors import ParseError, SkeinrepError
 from .kernels import (eigen_analysis, offdiag_kernel, sample_generic_weights,
                       total_kernel)
@@ -74,9 +74,11 @@ def main(argv=None) -> int:
 
 
 def _load_triangulation(args) -> Triangulation:
-    if getattr(args, "name", None):
+    if args.name and args.triangulation:
+        raise ParseError("give --triangulation FILE or --name NAME, not both")
+    if args.name:
         return standard_library(args.name)
-    if getattr(args, "triangulation", None):
+    if args.triangulation:
         with open(args.triangulation) as fh:
             return Triangulation.from_json(fh.read())
     raise ParseError("provide --triangulation FILE or --name NAME")
@@ -93,8 +95,7 @@ def _emit(report: dict, out_path) -> None:
 
 def cmd_info(args) -> int:
     T = _load_triangulation(args)
-    alg = CFAlgebra(T, args.N)
-    lat = BalancedLattice(alg)
+    lat = CFAlgebra(T, args.N).lattice
     report = {
         "genus": T.genus,
         "vertices": T.num_vertices,

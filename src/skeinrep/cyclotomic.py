@@ -168,13 +168,6 @@ class CycloField:
         den = math.lcm(*(c.denominator for c in v))
         return self._make([c.numerator * (den // c.denominator) for c in v], den)
 
-    def embed(self, degree_divisor_field: "CycloField", a: "CycloScalar") -> "CycloScalar":
-        """Re-express a in this field; requires divisor_field.order | self.order."""
-        m = degree_divisor_field.order
-        if self.order % m != 0:
-            raise ValueError("no embedding: orders incompatible")
-        return self._make(self._substitute(a.num, self.order // m), a.den)
-
     # -- fused loops --
 
     def dot(self, us, vs) -> "CycloScalar":

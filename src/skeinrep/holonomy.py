@@ -76,11 +76,11 @@ class ProjPoint:
         return ProjPoint(z, scalars.one_like(z))
 
     @staticmethod
-    def infinity(one=Fraction(1)) -> "ProjPoint":
-        return ProjPoint(one, one - one)
+    def infinity() -> "ProjPoint":
+        return ProjPoint(Fraction(1), Fraction(0))
 
-    def same_as(self, other: "ProjPoint", tol: float = 0.0) -> bool:
-        return scalars.is_zero(cross_det(self, other), max(tol, 1e-9))
+    def same_as(self, other: "ProjPoint") -> bool:
+        return scalars.is_zero(cross_det(self, other), 1e-9)
 
 
 def cross_det(p: ProjPoint, q: ProjPoint):

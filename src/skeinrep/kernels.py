@@ -1,4 +1,4 @@
-"""Off-diagonal kernels, eigen-analysis and the separating-edge splitting.
+"""Off-diagonal kernels, eigen-analysis and generic weight sampling.
 
 A matrix's type picks how its kernel is computed: a list of exact rows by
 Gaussian elimination over the cyclotomic field (division is exact, so no
@@ -13,9 +13,8 @@ import cmath
 import numpy as np
 
 from . import scalars
-from .cfalgebra import CFAlgebra, QTElement
-from .errors import (NotBalanced, NotDiagonalizable, NotMonomial, NotOneVertex,
-                     NotSeparating, SamplerExhausted)
+from .cfalgebra import CFAlgebra
+from .errors import NotDiagonalizable, NotOneVertex, SamplerExhausted
 from .representation import CFRep, WeightSystem
 from .triangulation import Triangulation
 
@@ -24,6 +23,10 @@ DEFAULT_RANK_TOL = 1e-9
 # Draws sample_generic_weights may reject before SamplerExhausted: 100 times
 # the most that any tier-1 test or benchmark input was measured to need (2).
 MAX_SAMPLER_DRAWS = 200
+
+# sample_generic_weights rejects draws whose separating-edge loop trace lies
+# within this distance of +-2.
+TRACE_MARGIN = 0.2
 
 
 class Subspace:
@@ -102,46 +105,15 @@ def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
     return out
 
 
-def tensor_split(algebra: CFAlgebra, e_sep: int, a: QTElement):
-    """Split a balanced monomial across a separating edge.
-
-    Returns (factor1, factor2, h_power) with factor1 supported on one side's
-    interior edges, factor2 on the other side's, and
-    a = factor1 * factor2 * H_v^h_power  (the scalar is carried by factor1).
-    """
-    T = algebra.T
-    if T.num_vertices != 1:
-        raise NotOneVertex("splitting needs a one-vertex triangulation")
-    if not T.is_separating(e_sep):
-        raise NotSeparating(f"edge {e_sep} does not separate")
-    k, c = a.monomial_data()
-    if not algebra.is_balanced(k):
-        raise NotBalanced("monomial is not balanced")
-    if k[e_sep] % 2 != 0:
-        raise NotMonomial("separating-edge exponent must be even")
-    m = k[e_sep] // 2
-    side1, side2 = T.side_edges(e_sep)
-    h = T.end_counts(0)
-    k1 = tuple(k[i] - m * h[i] if i in side1 else 0 for i in range(algebra.n))
-    k2 = tuple(k[i] - m * h[i] if i in side2 else 0 for i in range(algebra.n))
-    f1 = algebra.monomial(k1)
-    f2 = algebra.monomial(k2)
-    recomb = f1 * f2 * algebra.central_H(0) ** m
-    rk, rc = recomb.monomial_data()
-    assert rk == k
-    return f1.scale(c * rc.inv()), f2, m
-
-
 # ---- generic weight sampling ----
 
-def sample_generic_weights(T: Triangulation, N: int, rng,
-                           trace_margin: float = 0.2) -> WeightSystem:
+def sample_generic_weights(T: Triangulation, N: int, rng) -> WeightSystem:
     """Random vertex-valid float weights on a one-vertex triangulation.
 
     All but two edge weights are random unit-modulus values; the remaining
     two are solved from the fan product relation (on the branch compatible
     with mu(H_v) = -omega^4) and the prefix-sum relation.  Draws whose
-    separating-edge loop trace is within trace_margin of +-2 are rejected,
+    separating-edge loop trace is within TRACE_MARGIN of +-2 are rejected,
     and SamplerExhausted is raised after MAX_SAMPLER_DRAWS rejected draws.
     """
     if T.num_vertices != 1:
@@ -188,7 +160,7 @@ def sample_generic_weights(T: Triangulation, N: int, rng,
             continue
         if T.designated_edge is not None:
             tau = classical_trace(alg, tr, W)
-            if min(abs(tau - 2), abs(tau + 2)) < trace_margin:
+            if min(abs(tau - 2), abs(tau + 2)) < TRACE_MARGIN:
                 continue
         return W
     raise SamplerExhausted(f"no acceptable weight system in {MAX_SAMPLER_DRAWS} draws")

@@ -39,7 +39,7 @@ class MoveRecord:
 
 
 def _relocate_build(T: Triangulation, relocation, extra_faces: int,
-                    extra_glue_pairs, name=None) -> Triangulation:
+                    extra_glue_pairs) -> Triangulation:
     """Build a new triangulation from T by moving slots and adding faces."""
     new_faces = T.num_faces + extra_faces
     glue = [None] * (3 * new_faces)
@@ -55,7 +55,7 @@ def _relocate_build(T: Triangulation, relocation, extra_faces: int,
     for (s1, s2) in extra_glue_pairs:
         glue[3 * s1[0] + s1[1]] = s2
         glue[3 * s2[0] + s2[1]] = s1
-    return build(new_faces, glue, name=name)
+    return build(new_faces, glue)
 
 
 def _vertex_map(T: Triangulation, T2: Triangulation, corner_map) -> dict:
@@ -454,55 +454,6 @@ def flip_weights(record: MoveRecord, W: WeightSystem) -> WeightSystem:
     x_new[emap[record.square[3]]] = xd * inv_fac * W.x[record.square[3]]
     x_new[emap[record.square[5]]] = xd * inv_fac * W.x[record.square[5]]
     return WeightSystem(record.after, W.N, x=x_new)
-
-
-# ---- making a triangulation combinatorial ----
-
-# Rounds of moves make_combinatorial tries before giving up; each library
-# surface needs one.
-COMBINATORIAL_ROUNDS = 4
-
-
-def make_combinatorial(T: Triangulation) -> tuple[Triangulation, list[MoveRecord]]:
-    """Subdivide and flip until every edge has distinct endpoints and no two
-    edges share an endpoint pair.  Each round subdivides every face and then
-    flips every pre-round edge; a preliminary pass splits face pairs sharing
-    more than one edge."""
-    moves: list[MoveRecord] = []
-    cur = T
-    for _ in range(COMBINATORIAL_ROUNDS):
-        if cur.is_combinatorial():
-            return cur, moves
-        # ensure any two faces share at most one edge
-        while True:
-            bad = _face_pair_sharing_two(cur)
-            if bad is None:
-                break
-            cur, rec = subdivide(cur, bad)
-            moves.append(rec)
-        old_edges = list(range(cur.num_edges))
-        forward = {e: e for e in old_edges}
-        faces = cur.num_faces
-        for f in range(faces):
-            cur, rec = subdivide(cur, f)
-            moves.append(rec)
-            forward = {e: rec.edge_map[i] for e, i in forward.items()}
-        for e in old_edges:
-            cur, rec = flip(cur, forward[e])
-            moves.append(rec)
-            forward = {x: rec.edge_map[i] for x, i in forward.items()}
-    if not cur.is_combinatorial():
-        raise RuntimeError("combinatorial refinement did not converge")
-    return cur, moves
-
-
-def _face_pair_sharing_two(T: Triangulation):
-    for f in range(T.num_faces):
-        ef = set(T.face_edges(f))
-        for g in range(f + 1, T.num_faces):
-            if len(ef & set(T.face_edges(g))) > 1:
-                return f
-    return None
 
 
 # ---- triangulation isomorphism (used by double-flip tests) ----

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import scalars
 from .cfalgebra import CFAlgebra, QTElement
 from .errors import BadState, NotOneVertex, NotScalar, NotSeparating
 from .kernels import DEFAULT_RANK_TOL, matrix_kernel, total_kernel
@@ -60,33 +59,6 @@ class ChebyshevPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def eval_laurent(self) -> dict:
-        """T_N applied to (t + t^-1), as a Laurent polynomial dict."""
-        lin = {1: 1, -1: 1}
-        out: dict[int, int] = {}
-
-        def lmul(p, q):
-            r: dict[int, int] = {}
-            for i, a in p.items():
-                for j, b in q.items():
-                    r[i + j] = r.get(i + j, 0) + a * b
-            return {k: v for k, v in r.items() if v}
-        for c in reversed(self.coeffs):
-            out = lmul(out, lin)
-            if c:
-                out[0] = out.get(0, 0) + c
-        return {k: v for k, v in out.items() if v}
-
-    def eval_matrix(self, M):
-        """T_N(M) via the recurrence, for float arrays or exact matrices."""
-        ctx = scalars.of(M)
-        prev, cur = ctx.identity(M, 2), M
-        if self.N == 0:
-            return prev
-        for _ in range(self.N - 1):
-            prev, cur = cur, ctx.sub(ctx.matmul(M, cur), prev)
-        return cur
 
 
 def chebyshev(N: int) -> ChebyshevPoly:

@@ -1,9 +1,11 @@
 """Irreducible representations of the balanced algebra from edge weights.
 
-Construction: the pairing k^T sigma l on the balanced lattice is put into
-skew normal form; each hyperbolic pair with commutation scalar omega^(2d) of
-order m contributes an m-dimensional clock/shift factor, the radical maps to
-scalars, and a character of the lattice is solved exactly so that
+Construction: the pairing k^T sigma l on the balanced lattice, which the
+algebra builds once (CFAlgebra.lattice) and all its representations share,
+is put into skew normal form; each hyperbolic pair with commutation scalar
+omega^(2d) of order m contributes an m-dimensional clock/shift factor, the
+radical maps to scalars, and a character of the lattice is solved exactly so
+that
 
     mu(Z_i^(2N)) = x_i Id      and      mu(H_v) = -omega^4 Id.
 
@@ -18,9 +20,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from . import intlinalg as il
 from . import scalars
-from .cfalgebra import BalancedLattice, CFAlgebra, QTElement, SignReversalClass
+from .cfalgebra import CFAlgebra, QTElement, SignReversalClass
 from .errors import (DimensionMismatch, InconsistentCenter, NotScalar,
                      ZeroWeight)
 from .triangulation import Triangulation
@@ -137,8 +141,7 @@ class MonomialMatrix:
 class CFRep:
     """Concrete irreducible representation of the balanced algebra."""
 
-    def __init__(self, algebra: CFAlgebra, weights: WeightSystem,
-                 sign_choices: SignReversalClass | None = None):
+    def __init__(self, algebra: CFAlgebra, weights: WeightSystem):
         if not weights.has_roots():
             raise ValueError("representation needs root weights u_i")
         if weights.N != algebra.N:
@@ -149,9 +152,9 @@ class CFRep:
         self.T = algebra.T
         self.N = algebra.N
         self.weights = weights
-        self.sign = sign_choices
+        self.sign = None  # SignReversalClass, set by precompose_sign_reversal
         self.ctx = weights.ctx
-        self.lattice = BalancedLattice(algebra)
+        self.lattice = algebra.lattice
         self.total_kernels = {}  # tol -> Subspace, filled by kernels.total_kernel
         self._setup_factors()
         self._solve_character()
@@ -166,20 +169,18 @@ class CFRep:
             m = (4 * N) // math.gcd(4 * N, 2 * d)
             self.orders.append(m)
         self.active = [t for t, m in enumerate(self.orders) if m > 1]
-        dim = 1
-        for t in self.active:
-            dim *= self.orders[t]
-        self.dim = dim
+        radix = self.radix = np.array([self.orders[t] for t in self.active],
+                                      dtype=np.int64)
+        dim = self.dim = int(radix.prod())
         expected = N ** (3 * T.genus + T.num_vertices - 3)
         if dim != expected:
             raise DimensionMismatch(
                 f"clock/shift dimension {dim} != N^(3g+p-3) = {expected}")
-        # mixed-radix strides for the tensor index
-        self.strides = []
-        s = 1
-        for t in reversed(self.active):
-            self.strides.insert(0, s)
-            s *= self.orders[t]
+        # mixed-radix strides for the tensor index, and the digits of every
+        # index: digits[i, j] is the position of index i in active factor j
+        self.strides = np.array([radix[j + 1:].prod() for j in range(len(radix))],
+                                dtype=np.int64)
+        self.digits = (np.arange(dim)[:, None] // self.strides) % radix
 
     def _w_data(self, gamma):
         """Scalar omega-exponent and (alpha, beta) per active pair.
@@ -268,17 +269,13 @@ class CFRep:
         (perm tuple, omega-exponent tuple)."""
         base, ab = self._w_data(self.lattice.coords(k))
         base += self.cocycle_exponent(k)
-        perm, expo = [], []
-        for i in range(self.dim):
-            e = base
-            target = 0
-            for (al, be, d, m), stride in zip(ab, self.strides):
-                pos = (i // stride) % m
-                e += 2 * d * al * pos
-                target += ((pos + be) % m) * stride
-            perm.append(target)
-            expo.append(e % (4 * self.N))
-        return tuple(perm), tuple(expo)
+        mod = 4 * self.N
+        # reduced before entering int64, so no sum below can overflow
+        shift, phase = np.array([(be % m, 2 * d * al % mod) for al, be, d, m in ab],
+                                dtype=np.int64).reshape(-1, 2).T
+        perm = ((self.digits + shift) % self.radix) @ self.strides
+        expo = (base + self.digits @ phase) % mod
+        return tuple(perm.tolist()), tuple(expo.tolist())
 
     def monomial_image(self, k) -> MonomialMatrix:
         """mu(Z^k) = omega^(w(k)) mu([Z^k])."""
@@ -355,10 +352,9 @@ class CFRep:
 
 
 def build_rep(T: Triangulation, N: int, weights: WeightSystem,
-              sign_choices: SignReversalClass | None = None,
               algebra: CFAlgebra | None = None) -> CFRep:
     """Construct the representation with mu(Z_i^2N) = x_i, mu(H_v) = -omega^4."""
     if algebra is not None and (algebra.T.glue != T.glue or algebra.N != N):
         raise ValueError("algebra does not match the triangulation and N")
     alg = algebra if algebra is not None else CFAlgebra(T, N)
-    return CFRep(alg, weights, sign_choices=sign_choices)
+    return CFRep(alg, weights)

@@ -33,7 +33,7 @@ N-free Exact/FloatArithmetic give (float | exact):
                       pattern, each dimension from a rank at rank_tol; the
                       pattern is searched once | (candidate, None, dimension)
                       per candidate
-    inv, sub, matmul, identity(M, c) = c Id, stack, spans(B, C) (span of B
+    inv, sub, identity(M, c) = c Id, stack, spans(B, C) (span of B
     contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
     over terms (c, MonomialMatrix P)
 
@@ -45,7 +45,7 @@ the rank cut is the dense one, and eigenvalues may move in the last bits.
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
 
-Exact matrix products (matmul, image) call the field's fused `dot` and
+Exact matrix products (image) call the field's fused `dot` and
 Gauss-Jordan elimination calls its fused `row_update`; omega_log reads the
 field's root-of-unity table through `CycloScalar.root_log`.  The element
 format belongs to module cyclotomic: nothing here reads a numerator or a
@@ -93,11 +93,6 @@ class ExactArithmetic:
 
     def sub(self, A, B):
         return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-    def matmul(self, A, B):
-        cols = list(zip(*B))
-        dot = A[0][0].field.dot
-        return [[dot(row, col) for col in cols] for row in A]
 
     def identity(self, M, c):
         zero = M[0][0].field.zero()
@@ -250,10 +245,8 @@ class FloatArithmetic:
     def sub(self, A, B):
         return np.asarray(A) - np.asarray(B)
 
-    def matmul(self, A, B):
-        return np.asarray(A) @ B
-
-    image = matmul
+    def image(self, M, basis):
+        return np.asarray(M) @ basis
 
     def identity(self, M, c):
         return c * np.eye(len(M), dtype=complex)

@@ -215,21 +215,6 @@ class Triangulation:
     def is_separating(self, e: int) -> bool:
         return len(self.dual_components(removed_edge=e)) > 1
 
-    def side_edges(self, e_sep: int) -> tuple[set[int], set[int]]:
-        """Interior edges of the two pieces cut off by a separating edge."""
-        comps = self.dual_components(removed_edge=e_sep)
-        if len(comps) != 2:
-            from .errors import NotSeparating
-            raise NotSeparating(f"edge {e_sep} does not separate the dual graph")
-        sides = []
-        for comp in comps:
-            interior = set()
-            for e, (i, j) in enumerate(self.edge_slots):
-                if e != e_sep and i // 3 in comp and j // 3 in comp:
-                    interior.add(e)
-            sides.append(interior)
-        return sides[0], sides[1]
-
     # ---- serialization ----
 
     def to_json(self) -> str:

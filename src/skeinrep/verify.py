@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cfalgebra import BalancedLattice, CFAlgebra, SignReversalClass
+from .cfalgebra import CFAlgebra, SignReversalClass
 from .errors import SamplerExhausted, SkeinrepError
 from .kernels import (eigen_analysis, matrix_kernel, sample_generic_weights,
                       total_kernel)
@@ -105,14 +105,13 @@ def algebra_checks(N, rng):
     """Exact symbolic identities for the quantum torus."""
     algs = {name: CFAlgebra(standard_library(name), N)
             for name in ("torus1", "sphere2", "genus2_sep")}
-    lats = {name: BalancedLattice(alg) for name, alg in algs.items()}
     checks = []
 
     ok = True
     for name in ("torus1", "genus2_sep"):
         alg = algs[name]
         for _ in range(100):
-            k, l = balanced_exponent(lats[name], rng), balanced_exponent(lats[name], rng)
+            k, l = balanced_exponent(alg.lattice, rng), balanced_exponent(alg.lattice, rng)
             rhs = alg.weyl([a + b for a, b in zip(k, l)]).scale(
                 alg.omega(alg.pairing(k, l)))
             ok = ok and alg.weyl(k) * alg.weyl(l) == rhs
@@ -125,11 +124,11 @@ def algebra_checks(N, rng):
                         "H_v = w^(2-u) * fan product, all library triangulations"))
 
     ok = True
-    for name, alg in algs.items():
+    for alg in algs.values():
         for v in range(alg.T.num_vertices):
             H = alg.central_H(v)
             for _ in range(50):
-                m = alg.monomial(balanced_exponent(lats[name], rng))
+                m = alg.monomial(balanced_exponent(alg.lattice, rng))
                 ok = ok and (H * m - m * H).is_zero()
     checks.append(Check("central-element-commutes", ok,
                         "50 random balanced monomials at every vertex of "
@@ -186,10 +185,9 @@ def subdivision_checks(N, rng):
                             "(Q_v0 - 1)^N = Z^2N + Z^2N Z^2N, exact"))
 
     alg, alg2 = CFAlgebra(T, N), CFAlgebra(T2, N)
-    lat = BalancedLattice(alg)
 
     def rand_mono():
-        return alg.monomial(balanced_exponent(lat, rng),
+        return alg.monomial(balanced_exponent(alg.lattice, rng),
                             alg.omega(rng.randrange(4 * N)))
 
     ok = True
@@ -455,7 +453,7 @@ def signrev_checks(rep, eps, tol):
 def suite_signrev(N, rng, tol):
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, N)
-    basis = BalancedLattice(alg).basis
+    basis = alg.lattice.basis
     for _ in range(MAX_CLASS_DRAWS):
         eps = SignReversalClass(T, [rng.randint(0, 1) for _ in range(T.num_edges)])
         if any(eps.value(b) for b in basis):

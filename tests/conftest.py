@@ -35,8 +35,7 @@ def octa():
 
 def random_balanced_exponent(alg: CFAlgebra, rng: random.Random, bound: int = 2):
     """Random vector in the balanced lattice with small entries."""
-    from skeinrep.cfalgebra import BalancedLattice
-    lat = lattice_of(alg)
+    lat = alg.lattice
     while True:
         k = [0] * alg.n
         for b in lat.basis:
@@ -45,17 +44,6 @@ def random_balanced_exponent(alg: CFAlgebra, rng: random.Random, bound: int = 2)
                 k = [a + c * x for a, x in zip(k, b)]
         if any(k):
             return tuple(k)
-
-
-_lattices = {}
-
-
-def lattice_of(alg: CFAlgebra):
-    from skeinrep.cfalgebra import BalancedLattice
-    key = id(alg)
-    if key not in _lattices:
-        _lattices[key] = BalancedLattice(alg)
-    return _lattices[key]
 
 
 def random_balanced_monomial(alg: CFAlgebra, rng: random.Random, bound: int = 2):

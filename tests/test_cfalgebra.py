@@ -11,7 +11,7 @@ from skeinrep.errors import (IndexOutOfRange, Inadmissible, MixedAlgebra,
                              NotBalanced)
 from skeinrep.triangulation import octahedron, standard_library
 
-from conftest import lattice_of, random_balanced_monomial
+from conftest import random_balanced_monomial
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +196,7 @@ def test_is_balanced_examples(torus_alg):
 
 
 def test_torus_lattice(torus_alg):
-    lat = lattice_of(torus_alg)
+    lat = torus_alg.lattice
     assert lat.rank == 3
     # the stated basis spans the same lattice
     for v in [(1, 1, 0), (0, 1, 1), (2, 0, 0)]:
@@ -206,7 +206,7 @@ def test_torus_lattice(torus_alg):
 
 
 def test_sphere_lattice_index(sphere_alg):
-    lat = lattice_of(sphere_alg)
+    lat = sphere_alg.lattice
     assert lat.rank == 3
     # oracle: the parity map has rank 1 over GF(2) (both faces give the same
     # condition), so the lattice has index 2^1 in Z^3
@@ -217,12 +217,12 @@ def test_sphere_lattice_index(sphere_alg):
 
 
 def test_genus2_lattice(genus2_alg):
-    assert lattice_of(genus2_alg).rank == 9
+    assert genus2_alg.lattice.rank == 9
 
 
 def test_lattice_normal_form(torus_alg, genus2_alg, sphere_alg):
     for alg in (torus_alg, genus2_alg, sphere_alg):
-        lat = lattice_of(alg)
+        lat = alg.lattice
         # pairing in the normal basis is hyperbolic-by-radical
         for a, b, d in lat.pairs:
             assert d > 0

@@ -28,6 +28,14 @@ def test_info_file(tmp_path, capsys):
     assert report["sigma"] == [[0, 0, 0]] * 3
 
 
+@pytest.mark.parametrize("command", ["info", "kernels"])
+def test_name_and_triangulation_file_together_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "tri.json"
+    path.write_text(standard_library("sphere2").to_json())
+    assert_input_error(main([command, "--name", "torus1", "--triangulation", str(path)]),
+                       capsys)
+
+
 def test_info_malformed(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{this is not json")

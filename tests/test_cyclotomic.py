@@ -92,14 +92,6 @@ def test_serialization_roundtrip():
     assert CycloScalar.deserialize(field, a.serialize()) == a
 
 
-def test_field_extension_embedding():
-    small = CycloField(12)
-    big = CycloField(36)
-    a = small.root_pow(5) + small.from_rational(Fraction(1, 3))
-    b = big.embed(small, a)
-    assert abs(a.to_complex() - b.to_complex()) < 1e-12
-
-
 def test_omega_log():
     ctx = ExactScalars(3)
     for k in range(12):

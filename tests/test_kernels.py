@@ -5,12 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from skeinrep import kernels
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
-from skeinrep.errors import (NotDiagonalizable, NotMonomial, NotOneVertex,
-                             NotSeparating, SamplerExhausted)
+from skeinrep.errors import (NotDiagonalizable, NotOneVertex, NotSeparating,
+                             SamplerExhausted)
 from skeinrep.kernels import (Subspace, eigen_analysis, matrix_kernel,
                               offdiag_kernel, sample_generic_weights,
-                              tensor_split, total_kernel)
+                              total_kernel)
 from skeinrep.qtrace import sweep_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
@@ -117,47 +118,6 @@ def test_eigen_exact_candidates(torus_rep):
     assert sorted(m for _, m in out) == [1, 1, 1]
 
 
-# ---- tensor split ----
-
-def test_tensor_split_H(genus2_rep):
-    alg = genus2_rep.algebra
-    e = alg.T.designated_edge
-    H = alg.central_H(0)
-    f1, f2, m = tensor_split(alg, e, H)
-    assert m == 1
-    assert f1 == alg.one() and f2 == alg.one()
-
-
-def test_tensor_split_roundtrip(genus2_rep):
-    alg = genus2_rep.algebra
-    e = alg.T.designated_edge
-    rng = random.Random(3)
-    count = 0
-    while count < 100:
-        a = random_balanced_monomial(alg, rng, bound=2)
-        k, _ = a.monomial_data()
-        if k[e] % 2 != 0:
-            continue
-        count += 1
-        f1, f2, m = tensor_split(alg, e, a)
-        s1, s2 = alg.T.side_edges(e)
-        assert f1.support() <= s1 or f1.support() <= s2
-        assert f2.support() <= s2 or f2.support() <= s1
-        assert f1.support().isdisjoint(f2.support())
-        assert f1 * f2 * alg.central_H(0) ** m == a
-
-
-def test_tensor_split_errors(genus2_rep, torus_rep):
-    alg = genus2_rep.algebra
-    e = alg.T.designated_edge
-    with pytest.raises(NotMonomial):
-        tensor_split(alg, e, alg.one() + alg.central_H(0))
-    with pytest.raises(NotSeparating):
-        tensor_split(alg, 0, alg.one())
-    with pytest.raises(NotSeparating):
-        tensor_split(torus_rep.algebra, 0, torus_rep.algebra.one())
-
-
 def test_balanced_monomial_sep_exponent_even(genus2_rep):
     # parity: any balanced exponent vector is even on the separating edge
     alg = genus2_rep.algebra
@@ -195,11 +155,11 @@ def test_sampler_needs_one_vertex():
         sample_generic_weights(standard_library("sphere2"), 3, random.Random(0))
 
 
-def test_sampler_gives_up_when_every_draw_is_rejected():
+def test_sampler_gives_up_when_every_draw_is_rejected(monkeypatch):
+    monkeypatch.setattr(kernels, "TRACE_MARGIN", math.inf)
     start = time.monotonic()
     with pytest.raises(SamplerExhausted):
-        sample_generic_weights(standard_library("genus2_sep"), 3, random.Random(0),
-                               trace_margin=math.inf)
+        sample_generic_weights(standard_library("genus2_sep"), 3, random.Random(0))
     assert time.monotonic() - start < 1.0
 
 

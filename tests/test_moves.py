@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from skeinrep.cfalgebra import BalancedLattice, CFAlgebra
+from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.errors import (BadSquare, DegenerateCrossratio, DegenerateParam,
                              NotBalanced)
 from skeinrep.moves import (LocalizedElement, are_isomorphic, flip,
-                            flip_weights, make_combinatorial, phi, subdivide,
-                            subdivision_weights, theta)
+                            flip_weights, phi, subdivide, subdivision_weights,
+                            theta)
 from skeinrep.representation import WeightSystem
 from skeinrep.triangulation import build, standard_library
 
@@ -102,7 +102,7 @@ def test_phi_preserves_pairing():
         T2, rec = subdivide(T, 0)
         alg = CFAlgebra(T, 3)
         alg2 = CFAlgebra(T2, 3)
-        lat = BalancedLattice(alg)
+        lat = alg.lattice
         images = {}
         for k in lat.basis:
             images[tuple(k)] = phi(rec, alg.weyl(k), alg2).monomial_data()[0]
@@ -337,15 +337,3 @@ def test_theta_classical_specialization_matches_weight_table():
     for i in range(T1.num_edges):
         if i not in rec.square.values():
             assert W2.x[emap[i]] == x[i]
-
-
-# ---- make_combinatorial ----
-
-def test_make_combinatorial_library():
-    for name in ("torus1", "sphere2", "genus2_sep"):
-        T = standard_library(name)
-        T2, moves = make_combinatorial(T)
-        assert T2.is_combinatorial()
-        assert T2.genus == T.genus
-        if name == "sphere2":
-            assert moves == []

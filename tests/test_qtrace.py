@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,11 +36,6 @@ def test_chebyshev_small():
     assert chebyshev(0).coeffs == [2]
 
 
-def test_chebyshev_laurent_identity():
-    for N in (3, 5):
-        assert chebyshev(N).eval_laurent() == {N: 1, -N: 1}
-
-
 def test_chebyshev_odd_degrees():
     for N in (1, 3, 5, 7, 9):
         assert chebyshev(N).odd_degrees_only()
@@ -52,6 +48,9 @@ def test_chebyshev_trig():
         for theta in (0.3, 1.1, 2.4):
             val = chebyshev(N).eval_scalar(2 * math.cos(theta))
             assert abs(val - 2 * math.cos(N * theta)) < 1e-12
+    # exactly T_N(t + 1/t) = t^N + t^-N at t = 2
+    for N in range(10):
+        assert chebyshev(N).eval_scalar(Fraction(5, 2)) == 2**N + Fraction(1, 2**N)
 
 
 # ---- edge-parallel traces ----
@@ -191,23 +190,6 @@ def test_threaded_trace_built_once_per_algebra_and_loop(monkeypatch):
     assert len(calls) == 1
     threading_check(reps[0], LoopSpec.edge_parallel(T.designated_edge, 2))
     assert len(calls) == 2
-
-
-def test_threading_central_torus():
-    # T_N of the image of a central element is scalar: exact check
-    T = standard_library("torus1")
-    alg = CFAlgebra(T, 3)
-    one = alg.scalars.one()
-    rep = build_rep(T, 3, WeightSystem(T, 3, u=[one, one, alg.scalars.omega(1)]),
-                    algebra=alg)
-    H = rep.apply(alg.central_H(0))
-    TN = chebyshev(3).eval_matrix(H)
-    # T_3(-omega^4) on the diagonal
-    expected = chebyshev(3).eval_scalar(-alg.scalars.omega(4))
-    for i in range(3):
-        for j in range(3):
-            want = expected if i == j else alg.scalars.zero()
-            assert (TN[i][j] - want).is_zero()
 
 
 # ---- corner arcs ----

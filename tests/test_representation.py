@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
+from skeinrep.cfalgebra import BalancedLattice, CFAlgebra, SignReversalClass
 from skeinrep.errors import (Inadmissible, InconsistentCenter, NotBalanced,
                              ZeroWeight)
 from skeinrep.kernels import sample_generic_weights, total_kernel
@@ -12,7 +12,7 @@ from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
                              exact_torus_weights)
 
-from conftest import random_balanced_monomial
+from conftest import random_balanced_exponent, random_balanced_monomial
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +333,64 @@ def test_weight_independent_intertwiner():
     lat = rep1.lattice
     for k in lat.basis:
         assert rep1.intertwiner_part(k) == rep2.intertwiner_part(k)
+
+
+def test_representations_share_the_algebra_lattice(monkeypatch):
+    built = []
+    init = BalancedLattice.__init__
+
+    def counting_init(self, algebra):
+        built.append(algebra)
+        init(self, algebra)
+
+    monkeypatch.setattr(BalancedLattice, "__init__", counting_init)
+    alg = CFAlgebra(standard_library("torus1"), 3)
+    W = exact_torus_weights(alg)
+    reps = [build_rep(alg.T, 3, W, algebra=alg),
+            build_rep(alg.T, 3, WeightSystem(alg.T, 3, u=[complex(u) for u in W.u]),
+                      algebra=alg)]
+    assert built == [alg]
+    assert all(rep.lattice is alg.lattice for rep in reps)
+
+
+def reference_intertwiner_part(rep, k):
+    """A_k by a loop over every tensor index and lattice factor: the
+    reference for the index arithmetic of CFRep.intertwiner_part."""
+    strides, s = [], 1
+    for t in reversed(rep.active):
+        strides.insert(0, s)
+        s *= rep.orders[t]
+    base, ab = rep._w_data(rep.lattice.coords(k))
+    base += rep.cocycle_exponent(k)
+    perm, expo = [], []
+    for i in range(rep.dim):
+        e, target = base, 0
+        for (al, be, d, m), stride in zip(ab, strides):
+            pos = (i // stride) % m
+            e += 2 * d * al * pos
+            target += ((pos + be) % m) * stride
+        perm.append(target)
+        expo.append(e % (4 * rep.N))
+    return tuple(perm), tuple(expo)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", ["torus1", "sphere2", "genus2_sep"])
+def test_intertwiner_part_matches_index_loop(name, N):
+    T = standard_library(name)
+    alg = CFAlgebra(T, N)
+    if name == "genus2_sep":
+        W = sample_generic_weights(T, N, random.Random(N))
+    else:
+        W = {"torus1": exact_torus_weights, "sphere2": exact_sphere_weights}[name](alg)
+    rep = build_rep(T, N, W, algebra=alg)
+    rng = random.Random(N)
+    while True:
+        eps = SignReversalClass(T, [rng.randint(0, 1) for _ in range(T.num_edges)])
+        if any(eps.c) and eps.is_admissible():
+            break
+    ks = [tuple(b) for b in alg.lattice.basis]
+    ks += [random_balanced_exponent(alg, rng) for _ in range(20)]
+    for r in (rep, rep.precompose_sign_reversal(eps)):
+        for k in ks:
+            assert r.intertwiner_part(k) == reference_intertwiner_part(r, k)

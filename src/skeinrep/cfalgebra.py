@@ -39,6 +39,8 @@ class CFAlgebra:
                        for j, s in enumerate(row[:i]) if s]
         # LoopSpec -> (trace, T_N(trace)), filled by qtrace.threading_check
         self.threaded_traces = {}
+        # edge -> (trace of K1, trace of K2), filled by qtrace.sweep_check
+        self.pushoff_traces = {}
 
     @cached_property
     def lattice(self) -> "BalancedLattice":
@@ -180,11 +182,11 @@ class CFAlgebra:
     def _split_root(self, c):
         """Write c = q * omega^j with q a positive rational (unique since
         -1 = omega^(2N)); raise if impossible."""
-        for j in range(4 * self.N):
-            r = c * self.omega(-j)
-            if r.is_rational() and r.rational_value() > 0:
-                return r.rational_value(), j
-        raise ValueError("coefficient is not rational times a power of omega")
+        split = c.root_part()
+        step = self.scalars.omega_step
+        if split is None or split[1] % step:
+            raise ValueError("coefficient is not rational times a power of omega")
+        return split[0], split[1] // step
 
 
 class QTElement:

@@ -354,6 +354,15 @@ class CycloScalar:
         """k in [0, L) with self == zeta_L^k, or None."""
         return self.field._root_log.get(self.num) if self.den == 1 else None
 
+    def root_part(self) -> tuple[Fraction, int] | None:
+        """(q, k) with self = q zeta_L^k and q a positive rational, or None.
+        The integer vector of a root of unity is primitive (an integer
+        content d > 1 would make 1/d an algebraic integer), so in lowest
+        terms num is its content times the vector of zeta_L^k."""
+        g = math.gcd(*self.num)
+        k = self.field._root_log.get(tuple(c // g for c in self.num)) if g else None
+        return None if k is None else (Fraction(g, self.den), k)
+
     def inv(self) -> "CycloScalar":
         """Multiplicative inverse: zeta^-k for a root of unity zeta^k,
         otherwise den P / Norm(num), where P is the product of the other

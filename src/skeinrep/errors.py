@@ -73,6 +73,10 @@ class NotSeparating(SkeinrepError):
     """Edge does not separate the surface."""
 
 
+class NotCommuting(SkeinrepError):
+    """Elements that must commute do not."""
+
+
 class NotMonomial(SkeinrepError):
     """Element is not a single monomial."""
 

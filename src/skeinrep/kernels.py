@@ -4,11 +4,23 @@ A matrix's type picks how its kernel is computed: a list of exact rows by
 Gaussian elimination over the cyclotomic field (division is exact, so no
 tolerance enters), a numpy array by singular value thresholding at a
 relative tolerance.
+
+The kernel of a difference A - B of commuting matrices (the images of the
+two push-offs of a separating loop) is taken one eigenspace of A at a time
+(difference_kernel).  A float A splits into the diagonal blocks of its
+nonzero pattern, so each eigenspace V_lam has an orthonormal basis whose
+columns live on single blocks; B maps V_lam into itself, and
+ker(A - B) = sum over lam of V_lam ker((B - lam) V_lam).  Every vector
+found satisfies A v = lam v = B v, and the basis is checked against A - B
+before it is returned.  When A's eigenspaces do not fill the space, when
+that check fails, and always for exact matrices, the kernel of A - B is
+taken whole.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -60,6 +72,52 @@ class Subspace:
 def matrix_kernel(M, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Kernel of a matrix (numpy array or list of exact rows) as a Subspace."""
     return Subspace(len(M[0]), scalars.of(M).kernel(M, tol))
+
+
+# Eigenvalues of A closer than this join one eigenspace in difference_kernel
+# (the default clustering tolerance of eigen_analysis).
+DIFFERENCE_EIGEN_TOL = 1e-6
+
+
+def difference_kernel(A, B, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """ker(A - B) for commuting square A and B, from the eigenspaces of A.
+
+    The basis is accepted when |(A - B) K| <= 1e-7 max(|A - B|, 1) (max
+    entry norms); otherwise, or when A's eigenspaces do not fill the space,
+    or for exact matrices, this is matrix_kernel(A - B)."""
+    ctx = scalars.of(A)
+    diff = ctx.sub(A, B)
+    bases = ctx.eigenbases(A, DIFFERENCE_EIGEN_TOL, tol)
+    if bases is not None:
+        B_times = _row_gather(B)
+        K = np.hstack([V @ matrix_kernel(B_times(V) - lam * V, tol).basis
+                       for lam, V in bases])
+        if ctx.is_zero(_row_gather(diff)(K), 1e-7 * max(ctx.norm(diff), 1)):
+            return Subspace(len(diff), K)
+    return matrix_kernel(diff, tol)
+
+
+def _row_gather(M):
+    """X -> M X for a numpy M with few nonzeros per row: row i of M X sums
+    M[i, c] X[c] over the nonzero columns c of row i, one slot at a time,
+    so the product takes m n d operations for m nonzeros in the fullest row
+    (a push-off image has at most one per monomial term) where the dense
+    product takes n n d."""
+    n = len(M)
+    rows, cols = np.nonzero(M)
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    m = int(slot.max(initial=-1)) + 1
+    at = np.zeros((m, n), dtype=int)
+    coef = np.zeros((m, n), dtype=complex)
+    at[slot, rows] = cols
+    coef[slot, rows] = M[rows, cols]
+
+    def times(X):
+        out = np.zeros((n, X.shape[1]), dtype=complex)
+        for c, w in zip(at, coef):
+            out += w[:, None] * X[c]
+        return out
+    return times
 
 
 # ---- kernel operations ----
@@ -122,9 +180,8 @@ def sample_generic_weights(T: Triangulation, N: int, rng) -> WeightSystem:
     n = T.num_edges
     solve_a, solve_b = _solver_edges(T)
     if T.designated_edge is not None:
-        from .qtrace import LoopSpec, classical_trace, edge_parallel_trace
-        alg = CFAlgebra(T, N)
-        tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(T.designated_edge, 1))
+        from .qtrace import classical_trace
+        alg, tr = _separating_trace(T, N)
     for _ in range(MAX_SAMPLER_DRAWS):
         x = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
         others = 1
@@ -164,6 +221,17 @@ def sample_generic_weights(T: Triangulation, N: int, rng) -> WeightSystem:
                 continue
         return W
     raise SamplerExhausted(f"no acceptable weight system in {MAX_SAMPLER_DRAWS} draws")
+
+
+@functools.lru_cache(maxsize=8)
+def _separating_trace(T: Triangulation, N: int):
+    """(algebra, quantum trace of the designated edge's loop) for the
+    sampler's trace test; weight-independent, so built once per (T, N).
+    Triangulations hash by identity.  The cache is bounded so that a process
+    building many triangulations does not keep every algebra alive."""
+    from .qtrace import LoopSpec, edge_parallel_trace
+    alg = CFAlgebra(T, N)
+    return alg, edge_parallel_trace(alg, LoopSpec.edge_parallel(T.designated_edge, 1))
 
 
 def _solver_edges(T: Triangulation):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfalgebra import CFAlgebra, QTElement
-from .errors import BadState, NotOneVertex, NotScalar, NotSeparating
-from .kernels import DEFAULT_RANK_TOL, matrix_kernel, total_kernel
+from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
+from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
+                     NotSeparating)
+from .kernels import DEFAULT_RANK_TOL, difference_kernel, total_kernel
 from .representation import CFRep, WeightSystem
 
 
@@ -165,19 +166,31 @@ def corner_arc_factor(algebra: CFAlgebra, v: int, corner: int, state: str) -> QT
 def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Verify that the two push-offs of a separating edge loop agree on the
     total off-diagonal kernel and that the kernel of their difference is
-    exactly the total kernel."""
+    exactly the total kernel.
+
+    The push-offs are disjoint, so their traces commute; that is checked
+    exactly once per algebra and edge, when the traces are built and
+    cached, and it is what lets difference_kernel work one eigenspace of
+    rho[K1] at a time.  The total kernel stays the kernel of mu(Q_v), so the
+    two sides of the comparison are computed independently."""
     T = rep.T
     if T.num_vertices != 1:
         raise NotOneVertex("sweep check needs a one-vertex triangulation")
     if not T.is_separating(edge):
         raise NotSeparating(f"edge {edge} does not separate")
     alg, ctx = rep.algebra, rep.ctx
-    tr1 = edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, 1))
-    tr2 = edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, 2))
-    diff = ctx.sub(rep.apply(tr1), rep.apply(tr2))
+    if edge not in alg.pushoff_traces:
+        tr1, tr2 = (edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, side))
+                    for side in (1, 2))
+        if not commutator_is_zero(tr1, tr2):
+            raise NotCommuting(f"the push-offs of edge {edge} do not commute")
+        alg.pushoff_traces[edge] = (tr1, tr2)
+    tr1, tr2 = alg.pushoff_traces[edge]
+    A, B = rep.apply(tr1), rep.apply(tr2)
+    kd = difference_kernel(A, B, tol)
+    diff = ctx.sub(A, B)
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
-    kd = matrix_kernel(diff, tol)
     restriction_zero = ctx.is_zero(restriction, 1e-7 * max(ctx.norm(diff), 1))
     # restriction_zero puts F inside the kernel, so equal dimensions are equality
     equal = restriction_zero and kd.dim == F.dim

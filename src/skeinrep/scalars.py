@@ -21,7 +21,8 @@ N-free Exact/FloatArithmetic give (float | exact):
     is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
-    kernel(M, tol)    basis: SVD dropping s <= tol max(s_0, 1) | Gauss-Jordan
+    kernel(M, tol)    basis: SVD dropping s <= tol max(s_0, 1), of the QR
+                      factor R for a tall M | Gauss-Jordan
     rank(M, tol)      number of singular values s > tol max(s_0, 1), taken per
                       connected component of a square M's nonzero pattern,
                       s_0 the largest over all components | Gauss-Jordan
@@ -33,14 +34,20 @@ N-free Exact/FloatArithmetic give (float | exact):
                       pattern, each dimension from a rank at rank_tol; the
                       pattern is searched once | (candidate, None, dimension)
                       per candidate
+    eigenbases(M, tol, rank_tol)  [(lam, orthonormal basis of ker(M - lam
+                      Id))] per cluster as in eigenspaces, each column on one
+                      pattern block, or None if they do not fill the space |
+                      None
     inv, sub, identity(M, c) = c Id, stack, spans(B, C) (span of B
     contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
     over terms (c, MonomialMatrix P)
 
-Float rank and eigenspaces split a square matrix into the diagonal
-blocks its nonzero pattern permutes it to (rho of an edge-parallel loop at
-genus 2 has N^2 blocks of size N^2) and give the dense answer up to rounding:
-the rank cut is the dense one, and eigenvalues may move in the last bits.
+Float rank, eigenspaces and eigenbases split a square matrix into the
+diagonal blocks its nonzero pattern permutes it to (rho of an edge-parallel
+loop at genus 2 has N^2 blocks of size N^2) and give the dense answer up to
+rounding: the rank cut is the dense one, and eigenvalues may move in the last
+bits.  Eigenspace dimensions and bases come from one path, the null vectors
+of the shifted blocks under the rank cut.
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
@@ -92,7 +99,10 @@ class ExactArithmetic:
         return M
 
     def sub(self, A, B):
-        return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+        """A - B; entries are immutable, so where B is zero A's entry is
+        shared (representation images are mostly zero)."""
+        return [[a if _exact_zero(b) else a - b for a, b in zip(ra, rb)]
+                for ra, rb in zip(A, B)]
 
     def identity(self, M, c):
         zero = M[0][0].field.zero()
@@ -165,15 +175,21 @@ class ExactArithmetic:
         return [(lam, None, len(M) - self.rank(self.sub(M, self.identity(M, lam))))
                 for lam in candidates]
 
+    def eigenbases(self, M, tol, rank_tol):
+        """No eigenvalues without candidates: callers take the dense path."""
+        return None
+
 
 def _pattern_blocks(M):
     """A square array M as its diagonal blocks: the connected components of
-    its nonzero pattern (i ~ j when M[i, j] != 0), stacked as one
-    (count, size, size) array per block size.  Singular values and
-    eigenvalues of M are those of the blocks together.  A non-square M, or
-    one whose pattern is connected, comes back whole as [M]."""
+    its nonzero pattern (i ~ j when M[i, j] != 0), as one (indices, blocks)
+    pair per block size, indices a (count, size) array of the components'
+    index sets and blocks the (count, size, size) array M[indices[b]][:,
+    indices[b]].  Singular values and eigenvalues of M are those of the
+    blocks together.  A square M whose pattern is connected comes back as
+    one block; a non-square M comes back whole, with indices None."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return [M]
+        return [(None, M)]
     n = len(M)
     rows, cols = np.nonzero(M)
     # Union-find by min-label propagation with pointer jumping: each index
@@ -190,11 +206,11 @@ def _pattern_blocks(M):
     order = np.argsort(label, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     if len(comps) <= 1:
-        return [M]
+        return [(np.arange(n)[None], M[None])]
     by_size: dict[int, list] = {}
     for c in comps:
         by_size.setdefault(len(c), []).append(c)
-    return [M[idx[:, :, None], idx[:, None, :]]
+    return [(idx, M[idx[:, :, None], idx[:, None, :]])
             for idx in map(np.array, by_size.values())]
 
 
@@ -219,6 +235,23 @@ def _clusters(blocks, tol: float) -> list:
     return [(complex(z), int(m)) for z, m in groups]
 
 
+def _eigenbasis(n, pattern, lam, rank_tol):
+    """An orthonormal basis (n x d) of ker(M - lam Id), each column supported
+    on one pattern block: the right singular vectors of every shifted block
+    whose singular values are at most rank_tol times the largest over all
+    blocks (at least 1), the cut of _blocks_rank."""
+    svds = [(idx, np.linalg.svd(B - lam * np.eye(B.shape[-1])))
+            for idx, B in pattern]
+    cut = rank_tol * max(max(s.max(initial=0.0) for _, (_, s, _) in svds), 1.0)
+    parts = []
+    for idx, (_, s, vh) in svds:
+        b, k = np.nonzero(s <= cut)
+        V = np.zeros((n, len(b)), dtype=complex)
+        V[idx[b], np.arange(len(b))[:, None]] = vh[b, k].conj()
+        parts.append(V)
+    return np.hstack(parts)
+
+
 class FloatArithmetic:
     mode = "float"
 
@@ -236,10 +269,10 @@ class FloatArithmetic:
 
     def dense(self, dim, terms, zero):
         M = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim)
+        # perm is a permutation, so no entry is hit twice within one term
         for c, mm in terms:
-            cc = complex(c)
-            for i in range(dim):
-                M[mm.perm[i], i] += cc * mm.scale[i]
+            M[mm.perm, cols] += complex(c) * np.asarray(mm.scale, dtype=complex)
         return M
 
     def sub(self, A, B):
@@ -258,7 +291,12 @@ class FloatArithmetic:
         return basis.shape[1]
 
     def kernel(self, M, tol: float):
-        u, s, vh = np.linalg.svd(np.asarray(M))
+        """A tall M has the singular values and right singular vectors of its
+        QR factor R, which is square, so no rows x rows U is formed."""
+        M = np.asarray(M)
+        if M.shape[0] > M.shape[1]:
+            M = np.linalg.qr(M, mode="r")
+        u, s, vh = np.linalg.svd(M)
         r = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
         return vh.conj().T[:, r:]
 
@@ -267,7 +305,7 @@ class FloatArithmetic:
         once at the largest of them; the threshold floor treats O(1)-entry
         operators whose norm is already below tolerance as zero."""
         M = np.asarray(M)
-        return _blocks_rank(_pattern_blocks(M), tol) if M.size else 0
+        return _blocks_rank([B for _, B in _pattern_blocks(M)], tol) if M.size else 0
 
     def spans(self, B, C, tol: float) -> bool:
         return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
@@ -278,14 +316,26 @@ class FloatArithmetic:
         off = self.norm(M - s * np.eye(len(M)))
         return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
 
+    def _eigenbases(self, M, tol, rank_tol):
+        """(lam, multiplicity, basis of ker(M - lam Id)) per eigenvalue cluster
+        of the pattern blocks.  M - lam Id has M's pattern off the diagonal,
+        so the pattern is searched once and each shift is taken block by
+        block."""
+        M = np.asarray(M)
+        pattern = _pattern_blocks(M)
+        return [(lam, m, _eigenbasis(len(M), pattern, lam, rank_tol))
+                for lam, m in _clusters([B for _, B in pattern], tol)]
+
     def eigenspaces(self, M, tol, candidates, rank_tol):
-        """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster of
-        the pattern blocks.  M - lam Id has M's pattern off the diagonal, so
-        the pattern is searched once and each shift is taken block by block."""
-        blocks = _pattern_blocks(np.asarray(M))
-        return [(lam, m, len(M) - _blocks_rank(
-                    [B - lam * np.eye(B.shape[-1]) for B in blocks], rank_tol))
-                for lam, m in _clusters(blocks, tol)]
+        """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster."""
+        return [(lam, m, V.shape[1]) for lam, m, V in self._eigenbases(M, tol, rank_tol)]
+
+    def eigenbases(self, M, tol, rank_tol):
+        """[(lam, V)] with V an orthonormal basis of ker(M - lam Id), one per
+        eigenvalue cluster, each column supported on one pattern block; None
+        when the eigenspaces do not fill the space."""
+        bases = [(lam, V) for lam, _, V in self._eigenbases(M, tol, rank_tol)]
+        return bases if sum(V.shape[1] for _, V in bases) == len(M) else None
 
 
 class ExactScalars(ExactArithmetic):

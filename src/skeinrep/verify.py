@@ -382,14 +382,18 @@ def sweep_checks(rep, tol):
     fan = T.fans[0].edges
     K1, K2 = (rep.apply(edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, side)))
               for side in (1, 2))
-    G = rep.apply(segment_weyl(alg, fan_segment(T, edge, 1)))
+    seg, _ = segment_weyl(alg, fan_segment(T, edge, 1)).monomial_data()
+    G = rep.weyl_image(seg)
     Q = rep.apply(alg.offdiag_Q(0, start=(fan.index(edge) + 1) % len(fan)))
+    # G is monomial: G D puts row i of D, scaled by G.scale[i], at row G.perm[i]
+    GD = np.empty_like(Q)
+    GD[G.perm] = np.asarray(G.scale)[:, None] * (K1 - K2)
     return [Check("sweep-restriction-agrees", report["restriction_zero"],
                   "the two push-offs coincide on the total kernel"),
             Check("sweep-kernel-equality",
                   report["kernel_equals_total"] and report["kernel_dim"] == rep.N ** 3,
                   f"ker difference = total kernel, dim {report['kernel_dim']}"),
-            Check("sweep-offdiag-identity", bool(np.abs(G @ (K1 - K2) - Q).max() < 1e-7),
+            Check("sweep-offdiag-identity", bool(np.abs(GD - Q).max() < 1e-7),
                   "[Z^seg](rho K1 - rho K2) = mu(Q_v)")]
 
 

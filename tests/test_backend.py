@@ -13,7 +13,7 @@ from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.errors import NotDiagonalizable
 from skeinrep.kernels import eigen_analysis, sample_generic_weights, total_kernel
 from skeinrep.qtrace import LoopSpec, threading_check
-from skeinrep.representation import WeightSystem, build_rep
+from skeinrep.representation import MonomialMatrix, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
                              exact_torus_weights)
@@ -231,3 +231,46 @@ def test_commutant_matches_field_reference(library_reps, name):
 def test_commutant_of_reducible_generator_sets(library_reps, name, prefix, expected):
     cut = with_basis_prefix(library_reps[name], prefix)
     assert cut.commutant_dim() == field_commutant_dim(cut) == expected
+
+
+# ---- float kernel and dense matrices ----
+
+@pytest.mark.parametrize("rows,cols,rank", [(40, 12, 7), (30, 30, 11), (9, 20, 4),
+                                            (50, 6, 6), (25, 10, 0)])
+def test_kernel_of_tall_matrices_matches_full_svd(rows, cols, rank):
+    rng = np.random.default_rng(rows + cols + rank)
+    M = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    u, s, vh = np.linalg.svd(M)
+    r = int(np.sum(s > RANK_TOL * max(s[0], 1.0)))
+    want = vh.conj().T[:, r:]
+    got = FLOAT.kernel(M, RANK_TOL)
+    assert got.shape == want.shape == (cols, cols - rank)
+    assert np.abs(M @ got).max(initial=0.0) < 1e-9
+    assert FLOAT.spans(want, got, RANK_TOL) and FLOAT.spans(got, want, RANK_TOL)
+
+
+def dense_loop(dim, terms):
+    M = np.zeros((dim, dim), dtype=complex)
+    for c, mm in terms:
+        cc = complex(c)
+        for i in range(dim):
+            M[mm.perm[i], i] += cc * mm.scale[i]
+    return M
+
+
+def test_dense_matches_the_index_loop():
+    rng = np.random.default_rng(5)
+    dim = 12
+    perm_a, perm_b = rng.permutation(dim).tolist(), rng.permutation(dim).tolist()
+
+    def mono(perm):
+        return MonomialMatrix(dim, perm, list(random_complex(rng, 1, dim)[0]))
+
+    # two terms share a permutation, so their entries add
+    terms = [(1.5 - 2j, mono(perm_a)), (0.25j, mono(perm_b)), (-3 + 0j, mono(perm_a))]
+    got, want = FLOAT.dense(dim, terms, 0j), dense_loop(dim, terms)
+    # the same sums in the same order; numpy may round a complex product
+    # differently from Python (a fused multiply-add), by a few ulps
+    scale = sum(abs(c) * max(map(abs, mm.scale)) for c, mm in terms)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
+    assert np.array_equal(got != 0, want != 0)

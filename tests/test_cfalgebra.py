@@ -404,3 +404,36 @@ def test_specialize_classical(torus_alg):
     a = alg.monomial((2, 0, 0), alg.omega(-4)) + alg.one()
     val = alg.specialize_classical(a, [Fraction(2), Fraction(1), Fraction(1)])
     assert val == 5
+
+
+def split_root_loop(alg, c):
+    """The root-of-unity split by trial: c omega^-j for j = 0 .. 4N-1 until
+    the product is a positive rational."""
+    for j in range(4 * alg.N):
+        r = c * alg.omega(-j)
+        if r.is_rational() and r.rational_value() > 0:
+            return r.rational_value(), j
+    raise ValueError("coefficient is not rational times a power of omega")
+
+
+@pytest.mark.parametrize("alg", PRODUCT_ALGEBRAS, ids=["L12", "L36", "L20"])
+def test_split_root_matches_trial_loop(alg):
+    field = alg.scalars.field
+    rationals = [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-12, 5),
+                 Fraction(6), Fraction(-1, 4)]
+    for j in range(4 * alg.N):
+        for q in rationals:
+            c = alg.omega(j) * q
+            assert alg._split_root(c) == split_root_loop(alg, c)
+            assert alg._split_root(c) == (abs(q), (j + (2 * alg.N if q < 0 else 0))
+                                          % (4 * alg.N))
+    # not rational times a power of omega: a root of unity outside <omega>
+    # (L = 36 only), a sum of two roots, and zero
+    bad = [field.root_pow(k) * q for k in range(1, field.order)
+           if k % alg.scalars.omega_step for q in rationals[:2]]
+    bad += [alg.omega(0) + alg.omega(1), (alg.omega(1) + alg.omega(2)) * Fraction(2, 3),
+            field.zero()]
+    for c in bad:
+        for split in (alg._split_root, lambda c: split_root_loop(alg, c)):
+            with pytest.raises(ValueError):
+                split(c)

@@ -5,16 +5,17 @@ import time
 import numpy as np
 import pytest
 
-from skeinrep import kernels
+from skeinrep import kernels, qtrace
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
-from skeinrep.errors import (NotDiagonalizable, NotOneVertex, NotSeparating,
-                             SamplerExhausted)
-from skeinrep.kernels import (Subspace, eigen_analysis, matrix_kernel,
-                              offdiag_kernel, sample_generic_weights,
-                              total_kernel)
-from skeinrep.qtrace import sweep_check
+from skeinrep.errors import (NotCommuting, NotDiagonalizable, NotOneVertex,
+                             NotSeparating, SamplerExhausted)
+from skeinrep.kernels import (Subspace, difference_kernel, eigen_analysis,
+                              matrix_kernel, offdiag_kernel,
+                              sample_generic_weights, total_kernel)
+from skeinrep.qtrace import LoopSpec, edge_parallel_trace, sweep_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
+from skeinrep.verify import exact_genus2_weights
 
 from conftest import random_balanced_monomial
 
@@ -135,6 +136,96 @@ def test_sweep_kernel_equals_total(genus2_rep):
     assert sweep_check(genus2_rep, e)["kernel_equals_total"]
 
 
+def pushoff_images(rep):
+    e = rep.T.designated_edge
+    return [rep.apply(edge_parallel_trace(rep.algebra, LoopSpec.edge_parallel(e, side)))
+            for side in (1, 2)]
+
+
+@pytest.mark.parametrize("N,seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
+def test_difference_kernel_matches_dense_float(N, seed):
+    T = standard_library("genus2_sep")
+    rep = build_rep(T, N, sample_generic_weights(T, N, random.Random(seed)))
+    A, B = pushoff_images(rep)
+    K = difference_kernel(A, B, 1e-8)
+    assert K.dim == N ** 3
+    assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
+    assert np.abs((A - B) @ K.basis).max() < 1e-9
+
+
+def test_difference_kernel_matches_dense_exact():
+    T = standard_library("genus2_sep")
+    alg = CFAlgebra(T, 3)
+    rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
+    A, B = pushoff_images(rep)
+    K = difference_kernel(A, B)
+    assert K.dim == 27
+    assert K.equals(matrix_kernel(rep.ctx.sub(A, B)))
+
+
+@pytest.mark.parametrize("A,B,tol,dim,spectral_calls", [
+    # a Jordan block: A's eigenspaces do not fill the space, so no
+    # eigenspace is tried
+    (np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2, dtype=complex), 1e-9, 1, 0),
+    # eigenvalues 0 and 5e-7 cluster into one eigenspace and B's 0 and -6e-7
+    # pass its rank cut, but the basis fails the residual check
+    (np.diag([0, 5e-7]).astype(complex), np.diag([0, -6e-7]).astype(complex), 1e-6, 1, 1),
+])
+def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, B, tol, dim,
+                                                          spectral_calls):
+    calls = []
+
+    def recording_kernel(M, tol=kernels.DEFAULT_RANK_TOL):
+        calls.append(M)
+        return matrix_kernel(M, tol)
+
+    monkeypatch.setattr(kernels, "matrix_kernel", recording_kernel)
+    assert difference_kernel(A, B, tol).dim == dim
+    assert len(calls) == spectral_calls + 1
+    assert np.array_equal(calls[-1], A - B)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
+def test_row_gather_product_matches_matmul(density):
+    rng = np.random.default_rng(int(10 * density))
+    n, d = 30, 7
+    M = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < density)
+    M[3] = 0  # a row with no nonzeros
+    X = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    assert np.abs(kernels._row_gather(M)(X) - M @ X).max() < 1e-12
+
+
+def test_sweep_check_builds_and_checks_the_pushoff_traces_once(monkeypatch):
+    T = standard_library("genus2_sep")
+    alg = CFAlgebra(T, 3)
+    reps = [build_rep(T, 3, sample_generic_weights(T, 3, random.Random(s)), algebra=alg)
+            for s in (0, 1)]
+    built = []
+    original = qtrace.edge_parallel_trace
+
+    def counting_trace(algebra, loop):
+        built.append(loop)
+        return original(algebra, loop)
+
+    monkeypatch.setattr(qtrace, "edge_parallel_trace", counting_trace)
+    assert all(sweep_check(rep, T.designated_edge)["passed"] for rep in reps)
+    assert len(built) == 2
+
+
+def test_sweep_check_rejects_pushoffs_that_do_not_commute(monkeypatch):
+    T = standard_library("genus2_sep")
+    alg = CFAlgebra(T, 3)
+    rep = build_rep(T, 3, sample_generic_weights(T, 3, random.Random(0)), algebra=alg)
+    i, j = next((i, j) for i in range(alg.n) for j in range(alg.n)
+                if alg.sigma[i][j] % 3)
+    # Z_i^2 Z_j^2 = omega^(8 sigma_ij) Z_j^2 Z_i^2, and 8 sigma_ij != 0 mod 12
+    monkeypatch.setattr(qtrace, "edge_parallel_trace",
+                        lambda algebra, loop: algebra.gen(i if loop.side == 1 else j, 2))
+    with pytest.raises(NotCommuting):
+        sweep_check(rep, T.designated_edge)
+    assert alg.pushoff_traces == {}
+
+
 def test_kernel_equality_requires_separating(torus_rep):
     with pytest.raises(NotSeparating):
         sweep_check(torus_rep, 0)
@@ -148,6 +239,21 @@ def test_sampler_deterministic():
     W2 = sample_generic_weights(T, 3, random.Random(5))
     assert W1.u == W2.u
     assert W1.validate()["valid"]
+
+
+def test_sampler_builds_the_separating_trace_once_per_triangulation(monkeypatch):
+    T = standard_library("genus2_sep")
+    built = []
+    original = qtrace.edge_parallel_trace
+
+    def counting_trace(algebra, loop):
+        built.append(loop)
+        return original(algebra, loop)
+
+    monkeypatch.setattr(qtrace, "edge_parallel_trace", counting_trace)
+    for seed in range(3):
+        sample_generic_weights(T, 3, random.Random(seed))
+    assert len(built) == 1
 
 
 def test_sampler_needs_one_vertex():

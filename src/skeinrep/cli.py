@@ -127,6 +127,8 @@ def cmd_kernels(args) -> int:
             W = WeightSystem.from_json(T, fh.read())
         if W.N != N:
             raise ParseError(f"weights file has N={W.N} but --N is {N}")
+        if not W.has_roots():
+            raise ParseError("weights file has no u values, so no representation")
     elif T.num_vertices == 1:
         W = sample_generic_weights(T, N, random.Random(args.seed))
     else:

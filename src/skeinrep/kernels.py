@@ -74,25 +74,32 @@ def matrix_kernel(M, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     return Subspace(len(M[0]), scalars.of(M).kernel(M, tol))
 
 
-# Eigenvalues of A closer than this join one eigenspace in difference_kernel
-# (the default clustering tolerance of eigen_analysis).
-DIFFERENCE_EIGEN_TOL = 1e-6
+# Eigenvalues closer than this join one cluster: the clustering tolerance of
+# eigen_analysis and difference_kernel, and the residual bound of threading
+# checks.
+EIGEN_TOL = 1e-6
+
+
+def difference_residual_bound(diff) -> float:
+    """Largest entry of (A - B) X, for diff = A - B, at which X still counts
+    as lying in ker(A - B): 1e-7 max(|A - B|, 1) in max entry norms."""
+    return 1e-7 * max(scalars.of(diff).norm(diff), 1)
 
 
 def difference_kernel(A, B, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """ker(A - B) for commuting square A and B, from the eigenspaces of A.
 
-    The basis is accepted when |(A - B) K| <= 1e-7 max(|A - B|, 1) (max
-    entry norms); otherwise, or when A's eigenspaces do not fill the space,
-    or for exact matrices, this is matrix_kernel(A - B)."""
+    The basis is accepted when |(A - B) K| is within
+    difference_residual_bound; otherwise, or when A's eigenspaces do not
+    fill the space, or for exact matrices, this is matrix_kernel(A - B)."""
     ctx = scalars.of(A)
     diff = ctx.sub(A, B)
-    bases = ctx.eigenbases(A, DIFFERENCE_EIGEN_TOL, tol)
-    if bases is not None:
+    spaces = ctx.eigenspaces(A, EIGEN_TOL, tol)
+    if spaces is not None and sum(ctx.ncols(V) for _, _, V in spaces) == len(A):
         B_times = _row_gather(B)
         K = np.hstack([V @ matrix_kernel(B_times(V) - lam * V, tol).basis
-                       for lam, V in bases])
-        if ctx.is_zero(_row_gather(diff)(K), 1e-7 * max(ctx.norm(diff), 1)):
+                       for lam, _, V in spaces])
+        if ctx.is_zero(_row_gather(diff)(K), difference_residual_bound(diff)):
             return Subspace(len(diff), K)
     return matrix_kernel(diff, tol)
 
@@ -139,7 +146,7 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     return rep.total_kernels[tol]
 
 
-def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
+def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL, candidates=None):
     """Eigenvalues with multiplicities; verifies diagonalizability.
 
     Float mode clusters the eigenvalue cloud at the given tolerance and
@@ -147,19 +154,20 @@ def eigen_analysis(M, mode: str, tol: float = 1e-6, candidates=None):
     an explicit candidate list and computes exact eigenspace dimensions.
     """
     ctx = scalars.for_mode(mode)
-    n = len(M)
+    spaces = ctx.eigenspaces(M, tol, max(tol * 1e-3, 1e-12), candidates)
+    if spaces is None:
+        raise ValueError("exact eigen-analysis needs a candidate list")
     out = []
-    total = 0
-    for lam, alg_mult, geo in ctx.eigenspaces(M, tol, candidates,
-                                              max(tol * 1e-3, 1e-12)):
+    for lam, alg_mult, V in spaces:
+        geo = ctx.ncols(V)
         if alg_mult is not None and geo != alg_mult:
             raise NotDiagonalizable(
                 f"eigenvalue {lam}: geometric {geo} != algebraic {alg_mult}")
         if geo:
             out.append((lam, geo))
-            total += geo
-    if total != n:
-        raise NotDiagonalizable(f"eigenspaces span {total} of {n} dimensions")
+    total = sum(geo for _, geo in out)
+    if total != len(M):
+        raise NotDiagonalizable(f"eigenspaces span {total} of {len(M)} dimensions")
     return out
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
 from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
                      NotSeparating)
-from .kernels import DEFAULT_RANK_TOL, difference_kernel, total_kernel
+from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, difference_kernel,
+                      difference_residual_bound, total_kernel)
 from .representation import CFRep, WeightSystem
 
 
@@ -191,7 +192,7 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     diff = ctx.sub(A, B)
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
-    restriction_zero = ctx.is_zero(restriction, 1e-7 * max(ctx.norm(diff), 1))
+    restriction_zero = ctx.is_zero(restriction, difference_residual_bound(diff))
     # restriction_zero puts F inside the kernel, so equal dimensions are equality
     equal = restriction_zero and kd.dim == F.dim
     return {
@@ -218,7 +219,7 @@ def element_chebyshev(a: QTElement, N: int) -> QTElement:
     return out
 
 
-def threading_check(rep: CFRep, loop: LoopSpec, tol: float = 1e-6) -> dict:
+def threading_check(rep: CFRep, loop: LoopSpec, tol: float = EIGEN_TOL) -> dict:
     """T_N(rho([K])) must be scalar, equal to minus the classical trace.
 
     The trace of K and its T_N depend only on the algebra and the loop, so

@@ -21,33 +21,25 @@ N-free Exact/FloatArithmetic give (float | exact):
     is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
-    kernel(M, tol)    basis: SVD dropping s <= tol max(s_0, 1), of the QR
-                      factor R for a tall M | Gauss-Jordan
-    rank(M, tol)      number of singular values s > tol max(s_0, 1), taken per
-                      connected component of a square M's nonzero pattern,
-                      s_0 the largest over all components | Gauss-Jordan
+    kernel(M, tol)    basis: right singular vectors under the cut, of the
+                      QR factor R for a tall M | Gauss-Jordan
+    rank(M, tol)      singular values above the cut (values-only SVD) |
+                      Gauss-Jordan
     scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
                       max(tol, 1e-9 max(|c|, 1)) | exact equality
-    eigenspaces(M, tol, candidates, rank_tol)  (lam, multiplicity,
-                      dim ker(M - lam Id)) per cluster at tol of the
-                      eigenvalues of all connected components of M's nonzero
-                      pattern, each dimension from a rank at rank_tol; the
-                      pattern is searched once | (candidate, None, dimension)
-                      per candidate
-    eigenbases(M, tol, rank_tol)  [(lam, orthonormal basis of ker(M - lam
-                      Id))] per cluster as in eigenspaces, each column on one
-                      pattern block, or None if they do not fill the space |
-                      None
+    eigenspaces(M, tol, rank_tol, candidates=None)  [(lam, multiplicity,
+                      orthonormal basis of ker(M - lam Id) under the cut at
+                      rank_tol)] per cluster at tol of the eigenvalues |
+                      [(candidate, None, kernel basis)], None without
+                      candidates
     inv, sub, identity(M, c) = c Id, stack, spans(B, C) (span of B
     contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
     over terms (c, MonomialMatrix P)
 
-Float rank, eigenspaces and eigenbases split a square matrix into the
-diagonal blocks its nonzero pattern permutes it to (rho of an edge-parallel
-loop at genus 2 has N^2 blocks of size N^2) and give the dense answer up to
-rounding: the rank cut is the dense one, and eigenvalues may move in the last
-bits.  Eigenspace dimensions and bases come from one path, the null vectors
-of the shifted blocks under the rank cut.
+Every float rank decision is the one cut of _cut.  Float eigenspaces split a
+square matrix into the diagonal blocks of its nonzero pattern (rho of an
+edge-parallel loop at genus 2 has N^2 blocks of size N^2); each basis is the
+null vectors of the shifted blocks, cut over all blocks together.
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
@@ -168,16 +160,13 @@ class ExactArithmetic:
                  for i in range(len(M)) for j in range(len(M)))
         return s if ok else None
 
-    def eigenspaces(self, M, tol, candidates, rank_tol):
-        """(candidate, None, dim ker(M - candidate Id)) per candidate."""
+    def eigenspaces(self, M, tol, rank_tol, candidates=None):
+        """(candidate, None, basis of ker(M - candidate Id)) per candidate;
+        None without candidates, as exact eigenvalues are not computed."""
         if candidates is None:
-            raise ValueError("exact eigen-analysis needs a candidate list")
-        return [(lam, None, len(M) - self.rank(self.sub(M, self.identity(M, lam))))
+            return None
+        return [(lam, None, self.kernel(self.sub(M, self.identity(M, lam))))
                 for lam in candidates]
-
-    def eigenbases(self, M, tol, rank_tol):
-        """No eigenvalues without candidates: callers take the dense path."""
-        return None
 
 
 def _pattern_blocks(M):
@@ -185,11 +174,8 @@ def _pattern_blocks(M):
     its nonzero pattern (i ~ j when M[i, j] != 0), as one (indices, blocks)
     pair per block size, indices a (count, size) array of the components'
     index sets and blocks the (count, size, size) array M[indices[b]][:,
-    indices[b]].  Singular values and eigenvalues of M are those of the
-    blocks together.  A square M whose pattern is connected comes back as
-    one block; a non-square M comes back whole, with indices None."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return [(None, M)]
+    indices[b]].  Eigenvalues of M are those of the blocks together.  An M
+    whose pattern is connected comes back as one block."""
     n = len(M)
     rows, cols = np.nonzero(M)
     # Union-find by min-label propagation with pointer jumping: each index
@@ -214,11 +200,10 @@ def _pattern_blocks(M):
             for idx in map(np.array, by_size.values())]
 
 
-def _blocks_rank(blocks, tol: float) -> int:
-    """Number of singular values of the blocks together above tol times the
-    largest of them (at least 1)."""
-    s = np.concatenate([np.linalg.svd(B, compute_uv=False).ravel() for B in blocks])
-    return int(np.sum(s > tol * max(s.max(), 1.0)))
+def _cut(s, tol: float) -> float:
+    """Singular values s at most tol times the largest (at least 1, so an
+    O(1)-entry operator already below tolerance is zero) count as zero."""
+    return tol * max(np.max(s, initial=0.0), 1.0)
 
 
 def _clusters(blocks, tol: float) -> list:
@@ -238,11 +223,11 @@ def _clusters(blocks, tol: float) -> list:
 def _eigenbasis(n, pattern, lam, rank_tol):
     """An orthonormal basis (n x d) of ker(M - lam Id), each column supported
     on one pattern block: the right singular vectors of every shifted block
-    whose singular values are at most rank_tol times the largest over all
-    blocks (at least 1), the cut of _blocks_rank."""
+    whose singular values are under the cut at rank_tol, taken over all
+    blocks together as for the whole matrix."""
     svds = [(idx, np.linalg.svd(B - lam * np.eye(B.shape[-1])))
             for idx, B in pattern]
-    cut = rank_tol * max(max(s.max(initial=0.0) for _, (_, s, _) in svds), 1.0)
+    cut = _cut([s.max(initial=0.0) for _, (_, s, _) in svds], rank_tol)
     parts = []
     for idx, (_, s, vh) in svds:
         b, k = np.nonzero(s <= cut)
@@ -297,15 +282,12 @@ class FloatArithmetic:
         if M.shape[0] > M.shape[1]:
             M = np.linalg.qr(M, mode="r")
         u, s, vh = np.linalg.svd(M)
-        r = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-        return vh.conj().T[:, r:]
+        return vh.conj().T[:, int(np.sum(s > _cut(s, tol))):]
 
     def rank(self, M, tol: float) -> int:
-        """Numerical rank from the singular values of the pattern blocks, cut
-        once at the largest of them; the threshold floor treats O(1)-entry
-        operators whose norm is already below tolerance as zero."""
-        M = np.asarray(M)
-        return _blocks_rank([B for _, B in _pattern_blocks(M)], tol) if M.size else 0
+        """Number of singular values above the cut; values only, no U or V."""
+        s = np.linalg.svd(np.asarray(M), compute_uv=False)
+        return int(np.sum(s > _cut(s, tol)))
 
     def spans(self, B, C, tol: float) -> bool:
         return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
@@ -316,26 +298,15 @@ class FloatArithmetic:
         off = self.norm(M - s * np.eye(len(M)))
         return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
 
-    def _eigenbases(self, M, tol, rank_tol):
-        """(lam, multiplicity, basis of ker(M - lam Id)) per eigenvalue cluster
-        of the pattern blocks.  M - lam Id has M's pattern off the diagonal,
-        so the pattern is searched once and each shift is taken block by
-        block."""
+    def eigenspaces(self, M, tol, rank_tol, candidates=None):
+        """(lam, multiplicity, orthonormal basis of ker(M - lam Id)) per
+        eigenvalue cluster of the pattern blocks; candidates are not used.
+        M - lam Id has M's pattern off the diagonal, so the pattern is
+        searched once and each shift is taken block by block."""
         M = np.asarray(M)
         pattern = _pattern_blocks(M)
         return [(lam, m, _eigenbasis(len(M), pattern, lam, rank_tol))
                 for lam, m in _clusters([B for _, B in pattern], tol)]
-
-    def eigenspaces(self, M, tol, candidates, rank_tol):
-        """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster."""
-        return [(lam, m, V.shape[1]) for lam, m, V in self._eigenbases(M, tol, rank_tol)]
-
-    def eigenbases(self, M, tol, rank_tol):
-        """[(lam, V)] with V an orthonormal basis of ker(M - lam Id), one per
-        eigenvalue cluster, each column supported on one pattern block; None
-        when the eigenspaces do not fill the space."""
-        bases = [(lam, V) for lam, _, V in self._eigenbases(M, tol, rank_tol)]
-        return bases if sum(V.shape[1] for _, V in bases) == len(M) else None
 
 
 class ExactScalars(ExactArithmetic):
@@ -404,7 +375,10 @@ class FloatScalars(FloatArithmetic):
         return k
 
     def deserialize(self, data) -> complex:
-        return complex(*data)
+        z = complex(*data)
+        if not cmath.isfinite(z):
+            raise ValueError(f"weight {data} is not finite")
+        return z
 
     def json_fields(self) -> dict:
         return {}

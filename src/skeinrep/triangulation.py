@@ -47,6 +47,8 @@ class Triangulation:
 
     def __init__(self, num_faces: int, glue, name: str | None = None,
                  designated_edge: int | None = None):
+        if isinstance(num_faces, bool) or not isinstance(num_faces, int) or num_faces < 1:
+            raise ValueError(f"the face count must be a positive integer, got {num_faces!r}")
         n_slots = 3 * num_faces
         glue = tuple((int(f), int(s)) for f, s in glue)
         if len(glue) != n_slots:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .cfalgebra import CFAlgebra, SignReversalClass
 from .errors import SamplerExhausted, SkeinrepError
-from .kernels import (eigen_analysis, matrix_kernel, sample_generic_weights,
-                      total_kernel)
+from .kernels import (EIGEN_TOL, eigen_analysis, matrix_kernel,
+                      sample_generic_weights, total_kernel)
 from .moves import (LocalizedElement, are_isomorphic, flip, flip_weights, phi,
                     subdivide, subdivision_weights, theta)
 from .qtrace import (LoopSpec, chebyshev, classical_trace, edge_parallel_trace,
@@ -25,8 +25,6 @@ from .qtrace import (LoopSpec, chebyshev, classical_trace, edge_parallel_trace,
                      threading_check)
 from .representation import WeightSystem, build_rep
 from .triangulation import build, octahedron, standard_library
-
-EIGEN_TOL = 1e-6
 
 # Sign-reversal classes suite_signrev may draw before SamplerExhausted. On
 # genus2_sep 32 of the 512 classes vanish on the whole balanced lattice.

@@ -1,6 +1,6 @@
-"""The exact and float backends against each other, the block-structured
-float rank and eigenvalues against dense LAPACK, and the omega-exponent
-commutant count against field-arithmetic orbit propagation."""
+"""The exact and float backends against each other, float rank and the
+block-structured float eigenspaces against dense LAPACK, and the
+omega-exponent commutant count against field-arithmetic orbit propagation."""
 
 import copy
 import random
@@ -51,7 +51,7 @@ def test_exact_and_float_agree_on_roots_of_unity(name):
             assert abs(complex(s) - sf) < 1e-9
 
 
-# ---- block-structured float rank and eigenvalues ----
+# ---- float rank and block-structured eigenspaces ----
 
 FLOAT = scalars.FloatArithmetic()
 
@@ -113,12 +113,16 @@ def test_block_eigen_candidates_match_dense(seed):
     blocks = [diagonalizable(rng, rng.choice(spectrum, size=s)) for s in (1, 3, 3, 4, 6)]
     M = block_diagonal(blocks, rng)
     assert len(scalars._pattern_blocks(M)) == 4
-    got, want = FLOAT.eigenspaces(M, 1e-6, None, 1e-9), dense_clusters(M, 1e-6)
+    got, want = FLOAT.eigenspaces(M, 1e-6, 1e-9), dense_clusters(M, 1e-6)
     assert [m for _, m, _ in got] == [m for _, m in want]
-    assert [geo for _, _, geo in got] == [m for _, m in want]  # diagonalizable
-    # one pattern search gives the ranks of the shifts searched one by one
-    assert [geo for _, _, geo in got] == [
-        len(M) - FLOAT.rank(M - lam * np.eye(len(M)), 1e-9) for lam, _, _ in got]
+    assert [V.shape[1] for _, _, V in got] == [m for _, m in want]  # diagonalizable
+    # one pattern search gives the dense kernel dimension of every shift
+    assert [V.shape[1] for _, _, V in got] == [
+        len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9) for lam, _, _ in got]
+    # each basis is orthonormal and spans eigenvectors
+    for lam, _, V in got:
+        assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() < 1e-9
+        assert np.abs(M @ V - lam * V).max() < 1e-6
     assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
     assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
 
@@ -142,9 +146,18 @@ def test_block_eigen_analysis_rejects_a_jordan_block():
         eigen_analysis(M, "float")
 
 
+def test_exact_eigen_analysis_needs_candidates():
+    alg = CFAlgebra(standard_library("torus1"), 3)
+    rep = build_rep(alg.T, 3, exact_torus_weights(alg), algebra=alg)
+    M = rep.apply(alg.offdiag_Q(0))
+    assert rep.ctx.eigenspaces(M, 1e-6, 1e-9) is None
+    with pytest.raises(ValueError, match="candidate"):
+        eigen_analysis(M, "exact")
+
+
 def test_dense_fallbacks_give_the_dense_answer():
     def clusters(M):
-        return [(lam, m) for lam, m, _ in FLOAT.eigenspaces(M, 1e-6, None, 1e-9)]
+        return [(lam, m) for lam, m, _ in FLOAT.eigenspaces(M, 1e-6, 1e-9)]
 
     rng = np.random.default_rng(11)
     connected = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)

@@ -1,11 +1,12 @@
 import json
+import math
 import random
 
 import pytest
 
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cli import SUITES, main
-from skeinrep.errors import SamplerExhausted
+from skeinrep.errors import ParseError, SamplerExhausted
 from skeinrep.representation import WeightSystem
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_torus_weights, suite_signrev
@@ -66,6 +67,42 @@ def assert_input_error(rc, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("faces", [0, -1, "x", 2.5, True])
+def test_info_rejects_a_face_count_that_is_not_a_positive_int(tmp_path, capsys, faces):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"faces": faces, "glue": []}))
+    rc = main(["info", "--triangulation", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: ") and "face count must be a positive integer" in err
+
+
+@pytest.mark.parametrize("x", [-1, 1], ids=["x-valid", "x-invalid"])
+def test_kernels_rejects_weights_without_u(tmp_path, capsys, x):
+    T = standard_library("sphere2")
+    W = WeightSystem(T, 3, x=[complex(x)] * 3)
+    assert W.validate()["valid"] == (x == -1)
+    wpath = tmp_path / "w.json"
+    wpath.write_text(W.to_json())
+    assert_input_error(main(["kernels", "--name", "sphere2", "--weights", str(wpath)]),
+                       capsys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_rejects_non_finite_float_weights(tmp_path, capsys, bad):
+    T = standard_library("torus1")
+    W = exact_torus_weights(CFAlgebra(T, 3))
+    data = json.loads(WeightSystem(T, 3, u=[complex(ui) for ui in W.u]).to_json())
+    data["u"][1][0] = bad
+    text = json.dumps(data)
+    with pytest.raises(ParseError, match="not finite"):
+        WeightSystem.from_json(T, text)
+    wpath = tmp_path / "w.json"
+    wpath.write_text(text)
+    assert_input_error(main(["kernels", "--name", "torus1", "--weights", str(wpath)]),
+                       capsys)
 
 
 def test_kernels_weights_too_few_entries(tmp_path, capsys):

@@ -5,16 +5,14 @@ Gaussian elimination over the cyclotomic field (division is exact, so no
 tolerance enters), a numpy array by singular value thresholding at a
 relative tolerance.
 
-The kernel of a difference A - B of commuting matrices (the images of the
-two push-offs of a separating loop) is taken one eigenspace of A at a time
-(difference_kernel).  A float A splits into the diagonal blocks of its
-nonzero pattern, so each eigenspace V_lam has an orthonormal basis whose
-columns live on single blocks; B maps V_lam into itself, and
-ker(A - B) = sum over lam of V_lam ker((B - lam) V_lam).  Every vector
-found satisfies A v = lam v = B v, and the basis is checked against A - B
-before it is returned.  When A's eigenspaces do not fill the space, when
-that check fails, and always for exact matrices, the kernel of A - B is
-taken whole.
+The kernel of the difference D = A - B of commuting matrices (the images of
+the two push-offs of a separating loop) is taken from A and D, one
+eigenspace V_lam of A at a time (difference_kernel): (B - lam) V_lam =
+-D V_lam, so ker D = sum over lam of V_lam ker(D V_lam).  A float A splits
+into the diagonal blocks of its nonzero pattern, so each V_lam has an
+orthonormal basis of columns on single blocks.  The basis is checked
+against D; when that check fails, when A's eigenspaces do not fill the
+space, and always for exact matrices, ker D is taken whole.
 """
 
 from __future__ import annotations
@@ -86,20 +84,18 @@ def difference_residual_bound(diff) -> float:
     return 1e-7 * max(scalars.of(diff).norm(diff), 1)
 
 
-def difference_kernel(A, B, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """ker(A - B) for commuting square A and B, from the eigenspaces of A.
-
-    The basis is accepted when |(A - B) K| is within
+def difference_kernel(A, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """ker D for D = diff = A - B, with A and B commuting square matrices,
+    from the eigenspaces of A.  The basis K is accepted when |D K| is within
     difference_residual_bound; otherwise, or when A's eigenspaces do not
-    fill the space, or for exact matrices, this is matrix_kernel(A - B)."""
+    fill the space, or for exact matrices, this is matrix_kernel(D)."""
     ctx = scalars.of(A)
-    diff = ctx.sub(A, B)
     spaces = ctx.eigenspaces(A, EIGEN_TOL, tol)
     if spaces is not None and sum(ctx.ncols(V) for _, _, V in spaces) == len(A):
-        B_times = _row_gather(B)
-        K = np.hstack([V @ matrix_kernel(B_times(V) - lam * V, tol).basis
-                       for lam, _, V in spaces])
-        if ctx.is_zero(_row_gather(diff)(K), difference_residual_bound(diff)):
+        diff_times = _row_gather(diff)
+        K = np.hstack([V @ matrix_kernel(diff_times(V), tol).basis
+                       for _, _, V in spaces])
+        if ctx.is_zero(diff_times(K), difference_residual_bound(diff)):
             return Subspace(len(diff), K)
     return matrix_kernel(diff, tol)
 
@@ -108,8 +104,9 @@ def _row_gather(M):
     """X -> M X for a numpy M with few nonzeros per row: row i of M X sums
     M[i, c] X[c] over the nonzero columns c of row i, one slot at a time,
     so the product takes m n d operations for m nonzeros in the fullest row
-    (a push-off image has at most one per monomial term) where the dense
-    product takes n n d."""
+    where the dense product takes n n d.  The difference of two push-off
+    images has at most one nonzero per row for each monomial term of K1 and
+    of K2."""
     n = len(M)
     rows, cols = np.nonzero(M)
     slot = np.arange(len(rows)) - np.searchsorted(rows, rows)

@@ -164,32 +164,35 @@ def corner_arc_factor(algebra: CFAlgebra, v: int, corner: int, state: str) -> QT
 
 # ---- verification reports ----
 
+def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
+    """(Tr K1, Tr K2), the traces of an edge's two push-offs, built once per
+    algebra and edge; callers must not modify them.  The push-offs are
+    disjoint, so the traces commute (checked exactly here), which
+    difference_kernel relies on."""
+    if edge not in algebra.pushoff_traces:
+        tr1, tr2 = (edge_parallel_trace(algebra, LoopSpec.edge_parallel(edge, side))
+                    for side in (1, 2))
+        if not commutator_is_zero(tr1, tr2):
+            raise NotCommuting(f"the push-offs of edge {edge} do not commute")
+        algebra.pushoff_traces[edge] = (tr1, tr2)
+    return algebra.pushoff_traces[edge]
+
+
 def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Verify that the two push-offs of a separating edge loop agree on the
-    total off-diagonal kernel and that the kernel of their difference is
-    exactly the total kernel.
-
-    The push-offs are disjoint, so their traces commute; that is checked
-    exactly once per algebra and edge, when the traces are built and
-    cached, and it is what lets difference_kernel work one eigenspace of
-    rho[K1] at a time.  The total kernel stays the kernel of mu(Q_v), so the
-    two sides of the comparison are computed independently."""
+    total off-diagonal kernel and that the kernel of their difference
+    D = rho[K1] - rho[K2] is exactly the total kernel.  That stays the
+    kernel of mu(Q_v), so the two sides are computed independently."""
     T = rep.T
     if T.num_vertices != 1:
         raise NotOneVertex("sweep check needs a one-vertex triangulation")
     if not T.is_separating(edge):
         raise NotSeparating(f"edge {edge} does not separate")
-    alg, ctx = rep.algebra, rep.ctx
-    if edge not in alg.pushoff_traces:
-        tr1, tr2 = (edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, side))
-                    for side in (1, 2))
-        if not commutator_is_zero(tr1, tr2):
-            raise NotCommuting(f"the push-offs of edge {edge} do not commute")
-        alg.pushoff_traces[edge] = (tr1, tr2)
-    tr1, tr2 = alg.pushoff_traces[edge]
-    A, B = rep.apply(tr1), rep.apply(tr2)
-    kd = difference_kernel(A, B, tol)
-    diff = ctx.sub(A, B)
+    ctx = rep.ctx
+    tr1, tr2 = pushoff_pair(rep.algebra, edge)
+    A = rep.apply(tr1)
+    diff = ctx.sub(A, rep.apply(tr2))
+    kd = difference_kernel(A, diff, tol)
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
     restriction_zero = ctx.is_zero(restriction, difference_residual_bound(diff))

@@ -312,7 +312,7 @@ class FloatArithmetic:
 class ExactScalars(ExactArithmetic):
 
     def __init__(self, N: int, order: int | None = None):
-        if N < 3 or N % 2 == 0:
+        if isinstance(N, bool) or not isinstance(N, int) or N < 3 or N % 2 == 0:
             raise ValueError("N must be odd and >= 3")
         L = order if order is not None else 4 * N
         if L % (4 * N) != 0:
@@ -351,7 +351,7 @@ class ExactScalars(ExactArithmetic):
 class FloatScalars(FloatArithmetic):
 
     def __init__(self, N: int):
-        if N < 3 or N % 2 == 0:
+        if isinstance(N, bool) or not isinstance(N, int) or N < 3 or N % 2 == 0:
             raise ValueError("N must be odd and >= 3")
         self.N = N
 

@@ -15,6 +15,7 @@ vertex in the direction of the orientation steps from a slot to
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import NonInvolution, ParseError, RepeatedFaceEdge, UnknownName
@@ -50,7 +51,9 @@ class Triangulation:
         if isinstance(num_faces, bool) or not isinstance(num_faces, int) or num_faces < 1:
             raise ValueError(f"the face count must be a positive integer, got {num_faces!r}")
         n_slots = 3 * num_faces
-        glue = tuple((int(f), int(s)) for f, s in glue)
+        if any(isinstance(v, bool) for entry in glue for v in entry):
+            raise TypeError("glue entries must be integers, not booleans")
+        glue = tuple((operator.index(f), operator.index(s)) for f, s in glue)
         if len(glue) != n_slots:
             raise NonInvolution(f"expected {n_slots} glue entries, got {len(glue)}")
         self.num_faces = num_faces

@@ -12,8 +12,6 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .cfalgebra import CFAlgebra, SignReversalClass
 from .errors import SamplerExhausted, SkeinrepError
 from .kernels import (EIGEN_TOL, eigen_analysis, matrix_kernel,
@@ -21,8 +19,8 @@ from .kernels import (EIGEN_TOL, eigen_analysis, matrix_kernel,
 from .moves import (LocalizedElement, are_isomorphic, flip, flip_weights, phi,
                     subdivide, subdivision_weights, theta)
 from .qtrace import (LoopSpec, chebyshev, classical_trace, edge_parallel_trace,
-                     element_chebyshev, fan_segment, segment_weyl, sweep_check,
-                     threading_check)
+                     element_chebyshev, fan_segment, pushoff_pair, segment_weyl,
+                     sweep_check, threading_check)
 from .representation import WeightSystem, build_rep
 from .triangulation import build, octahedron, standard_library
 
@@ -373,25 +371,22 @@ def suite_genus2(N, rng, tol):
 # ---- sweep and threading ----
 
 def sweep_checks(rep, tol):
-    """The sweep identity for the separating loop of a genus-2 representation."""
+    """The sweep identity for the separating loop of a genus-2
+    representation.  [Z^seg](rho K1 - rho K2) = mu(Q_v) is checked as
+    mu([Z^seg](K1 - K2) - Q_v) = 0, since mu is multiplicative."""
     T, alg = rep.T, rep.algebra
     edge = T.designated_edge
     report = sweep_check(rep, edge, tol)
+    tr1, tr2 = pushoff_pair(alg, edge)
     fan = T.fans[0].edges
-    K1, K2 = (rep.apply(edge_parallel_trace(alg, LoopSpec.edge_parallel(edge, side)))
-              for side in (1, 2))
-    seg, _ = segment_weyl(alg, fan_segment(T, edge, 1)).monomial_data()
-    G = rep.weyl_image(seg)
-    Q = rep.apply(alg.offdiag_Q(0, start=(fan.index(edge) + 1) % len(fan)))
-    # G is monomial: G D puts row i of D, scaled by G.scale[i], at row G.perm[i]
-    GD = np.empty_like(Q)
-    GD[G.perm] = np.asarray(G.scale)[:, None] * (K1 - K2)
+    Q = alg.offdiag_Q(0, start=(fan.index(edge) + 1) % len(fan))
+    identity = segment_weyl(alg, fan_segment(T, edge, 1)) * (tr1 - tr2) - Q
     return [Check("sweep-restriction-agrees", report["restriction_zero"],
                   "the two push-offs coincide on the total kernel"),
             Check("sweep-kernel-equality",
                   report["kernel_equals_total"] and report["kernel_dim"] == rep.N ** 3,
                   f"ker difference = total kernel, dim {report['kernel_dim']}"),
-            Check("sweep-offdiag-identity", bool(np.abs(GD - Q).max() < 1e-7),
+            Check("sweep-offdiag-identity", rep.ctx.is_zero(rep.apply(identity), 1e-7),
                   "[Z^seg](rho K1 - rho K2) = mu(Q_v)")]
 
 
@@ -432,15 +427,15 @@ def threading_checks(N, rng):
 # ---- sign reversal ----
 
 def signrev_checks(rep, eps, tol):
-    """An admissible sign-reversal class eps against a float representation."""
-    alg = rep.algebra
-    Q = alg.offdiag_Q(0)
+    """An admissible sign-reversal class eps against a representation."""
+    alg, ctx = rep.algebra, rep.ctx
+    Q, H = alg.offdiag_Q(0), alg.central_H(0)
     rep2 = rep.precompose_sign_reversal(eps)
-    H1, H2 = rep.apply(alg.central_H(0)), rep2.apply(alg.central_H(0))
-    ok = (rep2.weights.x == rep.weights.x and np.abs(H1 - H2).max() < 1e-12
+    ok = (rep2.weights.x == rep.weights.x
+          and ctx.is_zero(ctx.sub(rep.apply(H), rep2.apply(H)), 1e-12)
           and total_kernel(rep, tol).equals(total_kernel(rep2, tol), tol))
-    k = next((b for b in rep.lattice.basis if eps.value(b)), None)
-    flips = k is not None and abs(rep2.cocycle(tuple(k)) + rep.cocycle(tuple(k))) < 1e-12
+    k = next((tuple(b) for b in rep.lattice.basis if eps.value(b)), None)
+    flips = k is not None and ctx.is_zero(rep2.cocycle(k) + rep.cocycle(k), 1e-12)
     return [Check("chebyshev-odd-degrees",
                   all(chebyshev(n).odd_degrees_only() for n in range(1, 12, 2)),
                   "T_N has only odd-degree terms for odd N"),

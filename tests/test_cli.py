@@ -79,6 +79,35 @@ def test_info_rejects_a_face_count_that_is_not_a_positive_int(tmp_path, capsys, 
     assert err.startswith("error: ") and "face count must be a positive integer" in err
 
 
+# torus1 has faces 0 and 1, so every face index truncates back to itself:
+# int() would load each of these files as torus1
+@pytest.mark.parametrize("bad_face", [lambda f: f + 0.9, str, bool],
+                         ids=["float", "string", "bool"])
+@pytest.mark.parametrize("command", ["info", "kernels"])
+def test_glue_entries_must_be_integers(tmp_path, capsys, command, bad_face):
+    data = json.loads(standard_library("torus1").to_json())
+    data["glue"] = [[bad_face(f), s] for f, s in data["glue"]]
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(data))
+    assert_input_error(main([command, "--triangulation", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_kernels_rejects_a_weights_file_whose_N_is_not_an_int(tmp_path, capsys, mode):
+    T = standard_library("torus1")
+    W = exact_torus_weights(CFAlgebra(T, 3))
+    if mode == "float":
+        W = WeightSystem(T, 3, u=[complex(ui) for ui in W.u])
+    data = json.loads(W.to_json())
+    data["N"] = 3.0
+    with pytest.raises(ParseError, match="N must be odd"):
+        WeightSystem.from_json(T, json.dumps(data))
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(data))
+    assert_input_error(main(["kernels", "--name", "torus1", "--weights", str(wpath)]),
+                       capsys)
+
+
 @pytest.mark.parametrize("x", [-1, 1], ids=["x-valid", "x-invalid"])
 def test_kernels_rejects_weights_without_u(tmp_path, capsys, x):
     T = standard_library("sphere2")

@@ -1,9 +1,12 @@
 import math
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skeinrep import kernels, qtrace
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
@@ -12,7 +15,7 @@ from skeinrep.errors import (NotCommuting, NotDiagonalizable, NotOneVertex,
 from skeinrep.kernels import (Subspace, difference_kernel, eigen_analysis,
                               matrix_kernel, offdiag_kernel,
                               sample_generic_weights, total_kernel)
-from skeinrep.qtrace import LoopSpec, edge_parallel_trace, sweep_check
+from skeinrep.qtrace import sweep_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_genus2_weights
@@ -137,9 +140,7 @@ def test_sweep_kernel_equals_total(genus2_rep):
 
 
 def pushoff_images(rep):
-    e = rep.T.designated_edge
-    return [rep.apply(edge_parallel_trace(rep.algebra, LoopSpec.edge_parallel(e, side)))
-            for side in (1, 2)]
+    return [rep.apply(tr) for tr in qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)]
 
 
 @pytest.mark.parametrize("N,seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
@@ -147,7 +148,7 @@ def test_difference_kernel_matches_dense_float(N, seed):
     T = standard_library("genus2_sep")
     rep = build_rep(T, N, sample_generic_weights(T, N, random.Random(seed)))
     A, B = pushoff_images(rep)
-    K = difference_kernel(A, B, 1e-8)
+    K = difference_kernel(A, A - B, 1e-8)
     assert K.dim == N ** 3
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
     assert np.abs((A - B) @ K.basis).max() < 1e-9
@@ -158,20 +159,22 @@ def test_difference_kernel_matches_dense_exact():
     alg = CFAlgebra(T, 3)
     rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
     A, B = pushoff_images(rep)
-    K = difference_kernel(A, B)
+    diff = rep.ctx.sub(A, B)
+    K = difference_kernel(A, diff)
     assert K.dim == 27
-    assert K.equals(matrix_kernel(rep.ctx.sub(A, B)))
+    assert K.equals(matrix_kernel(diff))
 
 
-@pytest.mark.parametrize("A,B,tol,dim,spectral_calls", [
+@pytest.mark.parametrize("A,diff,tol,dim,spectral_calls", [
     # a Jordan block: A's eigenspaces do not fill the space, so no
     # eigenspace is tried
-    (np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2, dtype=complex), 1e-9, 1, 0),
-    # eigenvalues 0 and 5e-7 cluster into one eigenspace and B's 0 and -6e-7
-    # pass its rank cut, but the basis fails the residual check
-    (np.diag([0, 5e-7]).astype(complex), np.diag([0, -6e-7]).astype(complex), 1e-6, 1, 1),
-])
-def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, B, tol, dim,
+    (np.array([[1, 1], [0, 1]], dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex),
+     1e-9, 1, 0),
+    # A = 0 is one eigenspace, and D's singular values 0 and 5e-7 both pass
+    # its rank cut at 1e-6, but the basis fails the residual check at 1e-7
+    (np.zeros((2, 2), dtype=complex), np.diag([0, 5e-7]).astype(complex), 1e-6, 2, 1),
+], ids=["jordan-block", "residual-check"])
+def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, tol, dim,
                                                           spectral_calls):
     calls = []
 
@@ -180,9 +183,41 @@ def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, B, tol
         return matrix_kernel(M, tol)
 
     monkeypatch.setattr(kernels, "matrix_kernel", recording_kernel)
-    assert difference_kernel(A, B, tol).dim == dim
+    assert difference_kernel(A, diff, tol).dim == dim
     assert len(calls) == spectral_calls + 1
-    assert np.array_equal(calls[-1], A - B)
+    assert np.array_equal(calls[-1], diff)
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@given(st.lists(st.integers(1, 4).flatmap(
+           lambda m: st.tuples(st.just(m), st.integers(0, m))), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
+    # A = S diag(lam_j Id) S^-1 and B = S diag(lam_j Id - U_j diag(0..0, d) U_j^H) S^-1
+    # commute, and A - B has kernel dimension sum_j (m_j - rank d_j)
+    rng = np.random.default_rng(seed)
+    n = sum(m for m, _ in blocks)
+    S = random_unitary(rng, n) @ np.diag(rng.uniform(0.5, 2, n)) @ random_unitary(rng, n)
+    lam = np.concatenate([np.full(m, j + 1j * (j % 2)) for j, (m, _) in enumerate(blocks)])
+    cut = np.zeros((n, n), dtype=complex)
+    at = 0
+    for m, r in blocks:
+        d = rng.uniform(0.5, 2, r) * np.exp(2j * np.pi * rng.random(r))
+        U = random_unitary(rng, m)
+        cut[at:at + m, at:at + m] = U @ np.diag(np.r_[np.zeros(m - r), d]) @ U.conj().T
+        at += m
+    S_inv = np.linalg.inv(S)
+    A = S @ np.diag(lam) @ S_inv
+    B = S @ (np.diag(lam) - cut) @ S_inv
+    with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
+        K = difference_kernel(A, A - B, 1e-8)
+    assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
+    assert K.dim == sum(m - r for m, r in blocks)
+    assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])

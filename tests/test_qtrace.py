@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skeinrep import qtrace
+from skeinrep import qtrace, verify
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating
 from skeinrep.kernels import sample_generic_weights
@@ -123,6 +123,14 @@ def test_sweep_identity_element_level(g2_rep):
     start = (pos[0] + 1) % len(fan)
     Q = g2_rep.apply(alg.offdiag_Q(0, start=start))
     assert np.abs(G @ (M1 - M2) - Q).max() < 1e-8
+
+
+def test_verify_sweep_and_signrev_checks_pass_on_an_exact_representation(g2_alg):
+    rep = build_rep(g2_alg.T, 3, verify.exact_genus2_weights(g2_alg), algebra=g2_alg)
+    eps = SignReversalClass(g2_alg.T, (1, 0, 1, 1, 0, 1, 0, 0, 1))
+    checks = verify.sweep_checks(rep, 1e-8) + verify.signrev_checks(rep, eps, 1e-8)
+    assert [c.name for c in checks if not c.passed] == []
+    assert len(checks) == 7
 
 
 def test_sweep_nonkernel_witness(g2_rep):

@@ -19,16 +19,29 @@ The field owns three fused loops:
 Roots of unity zeta^k are recognised by a table lookup, which gives their
 inverses and discrete logarithms directly.  A complex-double evaluation
 (zeta_L -> exp(2 pi i / L)) serves the floating backend and cross-checks.
+
+Each field also has one fixed prime p = 1 (mod L), p < 2^31, and an
+element z of order exactly L in F_p (`prime`, `reduce_mod_prime`).  Then z
+is a root of Phi_L mod p, so zeta_L -> z is a ring map from the elements
+whose denominators p does not divide onto F_p: a matrix over the field
+reduces to one over F_p, and every minor to the reduced minor.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 _RATIONAL = (int, Fraction)
+
+# Bound on the reduction prime: residues below 2^31 keep products of two
+# below 2^62, inside int64.
+PRIME_BOUND = 2 ** 31
 
 
 def _poly_divexact_int(num: list[int], den: list[int]) -> list[int]:
@@ -49,6 +62,11 @@ def _poly_divexact_int(num: list[int], den: list[int]) -> list[int]:
     if any(num):
         raise ArithmeticError("non-exact polynomial division")
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division; n < 2^31 needs at most 46,340 divisors."""
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +293,47 @@ class CycloField:
             p = self._product(fnum, bn)
             t, ad = fden * b.den, a.den
             out[j] = self._make([x * t - y * ad for x, y in zip(a.num, p)], ad * t)
+        return out
+
+    # -- reduction modulo a prime --
+
+    @cached_property
+    def prime(self) -> int:
+        """The largest prime p < 2^31 with p = 1 (mod L): F_p then holds the
+        L-th roots of unity."""
+        L = self.order
+        p = (PRIME_BOUND - 2) // L * L + 1
+        while not _is_prime(p):
+            p -= L
+        return p
+
+    @cached_property
+    def _prime_powers(self) -> list[int]:
+        """z^i mod p for i < phi(L): z = a^((p-1)/L) for the least a >= 2
+        whose z has order exactly L, that is z^(L/q) != 1 for each prime
+        q | L."""
+        L, p = self.order, self.prime
+        qs = [q for q in range(2, L + 1) if L % q == 0 and _is_prime(q)]
+        zs = (pow(a, (p - 1) // L, p) for a in itertools.count(2))
+        z = next(z for z in zs if all(pow(z, L // q, p) != 1 for q in qs))
+        return [pow(z, i, p) for i in range(self.degree)]
+
+    def reduce_mod_prime(self, rows):
+        """The matrix of rows (lists of elements of this field) under
+        zeta_L -> z modulo `prime`, as an int64 array with entries in
+        [0, p); None when a denominator is divisible by p, since such an
+        entry has no image."""
+        p, zs = self.prime, self._prime_powers
+        out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, a in enumerate(row):
+                if not any(a.num):
+                    continue
+                self._own(a)
+                if a.den % p == 0:
+                    return None
+                v = sum(c * w for c, w in zip(a.num, zs))
+                out[i, j] = v % p if a.den == 1 else v * pow(a.den, -1, p) % p
         return out
 
     def __repr__(self):

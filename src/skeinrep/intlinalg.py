@@ -1,13 +1,19 @@
 """Exact integer linear algebra helpers.
 
-Everything here works on plain lists of Python ints; sizes are tiny (at most
-a few dozen rows), so clarity beats vectorization.  `solve_mod` works on
-residues mod its modulus throughout, so no entry grows.
+The lattice helpers work on plain lists of Python ints: their sizes are tiny
+(at most a few dozen rows of the balanced lattice), so clarity beats
+vectorization.  `solve_mod` works on residues mod its modulus throughout, so
+no entry grows.  `rank_mod` is the one vectorized routine: it takes the rank
+of a representation-sized matrix (hundreds of rows) over F_p as int64 row
+reduction, with p < 2^31 so that a product of two residues stays below
+2^62.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def identity(n: int) -> list[list[int]]:
@@ -144,3 +150,29 @@ def solve_mod(A, b, modulus):
         if i < n:
             y[i] = c // g * pow(d // g, -1, modulus // g) % (modulus // g)
     return [sum(v * yj for v, yj in zip(row, y)) % modulus for row in V]
+
+
+def rank_mod(M, p: int) -> int:
+    """Rank over F_p of an int64 array with entries in [0, p), p < 2^31.
+
+    Row reduction to echelon form, one column at a time: the first row at or
+    below the current rank with a nonzero entry there becomes the pivot row,
+    scaled to pivot 1, and is subtracted from only those rows below it that
+    are nonzero in that column, on the columns from the pivot on.  Every
+    product is of two residues, so below 2^62.
+    """
+    M = np.array(M, dtype=np.int64)
+    rank = 0
+    for col in range(M.shape[1]):
+        nonzero = np.flatnonzero(M[rank:, col])
+        if not len(nonzero):
+            continue
+        piv = rank + nonzero[0]
+        M[[rank, piv]] = M[[piv, rank]]
+        pivot_row = M[rank, col:] * pow(int(M[rank, col]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(M[rank + 1:, col])
+        M[below, col:] = (M[below, col:] - M[below, col, None] * pivot_row) % p
+        rank += 1
+        if rank == M.shape[0]:
+            break
+    return rank

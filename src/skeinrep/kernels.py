@@ -13,6 +13,14 @@ into the diagonal blocks of its nonzero pattern, so each V_lam has an
 orthonormal basis of columns on single blocks.  The basis is checked
 against D; when that check fails, when A's eigenspaces do not fill the
 space, and always for exact matrices, ker D is taken whole.
+
+The sweep check (qtrace.sweep_check) needs only dim ker D, and for exact
+matrices it usually gets it from two bounds with no kernel of D at all: an
+exact D F = 0 for the total kernel F gives dim ker D >= dim F, and the rank
+of D modulo the field's prime p (the backend's rank_bound) is at most its
+rank over Q(zeta_L), so rank_p D >= n - dim F gives dim ker D <= dim F.  A
+prime at which D loses rank only fails to certify, and difference_kernel
+then runs.
 """
 
 from __future__ import annotations

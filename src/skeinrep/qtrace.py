@@ -180,9 +180,18 @@ def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
 
 def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Verify that the two push-offs of a separating edge loop agree on the
-    total off-diagonal kernel and that the kernel of their difference
-    D = rho[K1] - rho[K2] is exactly the total kernel.  That stays the
-    kernel of mu(Q_v), so the two sides are computed independently."""
+    total off-diagonal kernel F and that the kernel of their difference
+    D = rho[K1] - rho[K2] is exactly F.  F stays the kernel of mu(Q_v), so
+    the two sides are computed independently.
+
+    D F = 0 puts F inside ker D, so dim ker D >= dim F; equal dimensions are
+    then equality.  For exact matrices the upper bound comes from the rank
+    of D modulo the field's prime p (rank_bound): rank D >= rank_p D, so
+    rank_p D >= n - dim F gives dim ker D <= dim F, and ker D = F with no
+    elimination of D.  A prime at which D loses rank only fails this
+    certificate; then, and for float matrices, ker D is computed
+    (difference_kernel).  kernel_prime is the p that certified dim ker D,
+    or None when the kernel was computed."""
     T = rep.T
     if T.num_vertices != 1:
         raise NotOneVertex("sweep check needs a one-vertex triangulation")
@@ -192,16 +201,20 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     tr1, tr2 = pushoff_pair(rep.algebra, edge)
     A = rep.apply(tr1)
     diff = ctx.sub(A, rep.apply(tr2))
-    kd = difference_kernel(A, diff, tol)
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
     restriction_zero = ctx.is_zero(restriction, difference_residual_bound(diff))
-    # restriction_zero puts F inside the kernel, so equal dimensions are equality
-    equal = restriction_zero and kd.dim == F.dim
+    rank, prime = ctx.rank_bound(diff)
+    if prime is not None and restriction_zero and rank >= len(diff) - F.dim:
+        kernel_dim = F.dim
+    else:
+        kernel_dim, prime = difference_kernel(A, diff, tol).dim, None
+    equal = restriction_zero and kernel_dim == F.dim
     return {
         "restriction_norm": ctx.norm(restriction),
         "restriction_zero": restriction_zero,
-        "kernel_dim": kd.dim,
+        "kernel_dim": kernel_dim,
+        "kernel_prime": prime,
         "total_kernel_dim": F.dim,
         "kernel_equals_total": equal,
         "passed": equal,

@@ -25,6 +25,9 @@ N-free Exact/FloatArithmetic give (float | exact):
                       QR factor R for a tall M | Gauss-Jordan
     rank(M, tol)      singular values above the cut (values-only SVD) |
                       Gauss-Jordan
+    rank_bound(M)     (0, None) | (r, p): rank M >= r, r the rank of M
+                      reduced modulo the field's prime p (intlinalg.rank_mod),
+                      (0, None) if a denominator is divisible by p
     scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
                       max(tol, 1e-9 max(|c|, 1)) | exact equality
     eigenspaces(M, tol, rank_tol, candidates=None)  [(lam, multiplicity,
@@ -44,11 +47,12 @@ null vectors of the shifted blocks, cut over all blocks together.
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
 
-Exact matrix products (image) call the field's fused `dot` and
-Gauss-Jordan elimination calls its fused `row_update`; omega_log reads the
-field's root-of-unity table through `CycloScalar.root_log`.  The element
-format belongs to module cyclotomic: nothing here reads a numerator or a
-denominator.
+Exact matrix products (image) call the field's fused `dot` where a row and
+a column are both nonzero, Gauss-Jordan elimination calls its fused
+`row_update`, and rank_bound reduces the matrix with
+`CycloField.reduce_mod_prime`; omega_log reads the field's root-of-unity
+table through `CycloScalar.root_log`.  The element format belongs to module
+cyclotomic: nothing here reads a numerator or a denominator.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import intlinalg
 from .cyclotomic import CycloField, CycloScalar
 
 
@@ -105,8 +110,18 @@ class ExactArithmetic:
         return [row for M in mats for row in M]
 
     def image(self, M, basis):
-        dot = M[0][0].field.dot
-        return [[dot(row, col) for row in M] for col in basis]
+        """M B: each row's nonzero entries are gathered once, and each fused
+        dot runs over the places where the row and the column are both
+        nonzero (representation images and kernel bases are mostly zero)."""
+        field = M[0][0].field
+        dot, zero = field.dot, field.zero()
+        rows = [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in M]
+        out = []
+        for col in basis:
+            nonzero = [not v.is_zero() for v in col]
+            pairs = ([(a, col[j]) for j, a in row if nonzero[j]] for row in rows)
+            out.append([dot(*zip(*p)) if p else zero for p in pairs])
+        return out
 
     def ncols(self, basis) -> int:
         return len(basis)
@@ -149,6 +164,16 @@ class ExactArithmetic:
 
     def rank(self, M, tol: float = 0.0) -> int:
         return len(self._eliminate(M)[1])
+
+    def rank_bound(self, M):
+        """(r, p) with rank M >= r: r is the rank of M modulo the field's
+        prime p (see CycloField.reduce_mod_prime), as every minor maps to
+        the reduced minor; (0, None) when a denominator is divisible by p."""
+        field = M[0][0].field
+        reduced = field.reduce_mod_prime(M)
+        if reduced is None:
+            return 0, None
+        return intlinalg.rank_mod(reduced, field.prime), field.prime
 
     def spans(self, B, C, tol: float = 0.0) -> bool:
         """Kernel bases are independent, so B spans C iff B + C has rank |B|."""
@@ -291,6 +316,10 @@ class FloatArithmetic:
 
     def spans(self, B, C, tol: float) -> bool:
         return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
+
+    def rank_bound(self, M):
+        """(0, None): a float rank is a decision at a tolerance, not a bound."""
+        return 0, None
 
     def scalar_of(self, M, tol: float):
         M = np.asarray(M)

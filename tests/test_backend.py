@@ -1,15 +1,21 @@
 """The exact and float backends against each other, float rank and the
-block-structured float eigenspaces against dense LAPACK, and the
-omega-exponent commutant count against field-arithmetic orbit propagation."""
+block-structured float eigenspaces against dense LAPACK, the
+omega-exponent commutant count against field-arithmetic orbit propagation,
+the exact rank bound modulo a prime against elimination, and the sparse
+exact image against the dense dot loop."""
 
 import copy
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skeinrep import scalars
 from skeinrep.cfalgebra import CFAlgebra
+from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
 from skeinrep.kernels import eigen_analysis, sample_generic_weights, total_kernel
 from skeinrep.qtrace import LoopSpec, threading_check
@@ -287,3 +293,82 @@ def test_dense_matches_the_index_loop():
     scale = sum(abs(c) * max(map(abs, mm.scale)) for c, mm in terms)
     assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
     assert np.array_equal(got != 0, want != 0)
+
+
+# ---- exact rank bound modulo the field's prime ----
+
+EXACT = scalars.ExactArithmetic()
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """(field, M, r): an m x n matrix X Y over Q(zeta_L), L in {12, 20},
+    with X m x r and Y r x n, so rank M <= r."""
+    field = CycloField(draw(st.sampled_from((12, 20))))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    entry = st.one_of(st.lists(coeff, min_size=field.degree, max_size=field.degree)
+                      .map(field.from_coeffs), st.just(field.zero()))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    X = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    Y = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    M = [[field.dot(X[i], [Y[t][j] for t in range(r)]) for j in range(n)]
+         for i in range(m)]
+    return field, M, r
+
+
+@given(planted_rank_matrices())
+def test_rank_bound_is_never_above_the_rank(fMr):
+    field, M, r = fMr
+    bound, p = EXACT.rank_bound(M)
+    assert p == field.prime
+    assert bound <= EXACT.rank(M) <= r
+
+
+def test_a_bad_prime_only_lowers_the_bound():
+    field = CycloField(12)
+    p, one, zero = field.prime, field.one(), field.zero()
+    # p vanishes modulo p, and 1/p has no image there; both matrices have rank 2
+    vanishing = [[field.from_rational(p), zero], [zero, one]]
+    no_image = [[field.from_rational(Fraction(1, p)), zero], [zero, one]]
+    assert EXACT.rank(vanishing) == EXACT.rank(no_image) == 2
+    assert EXACT.rank_bound(vanishing) == (1, p)
+    assert EXACT.rank_bound(no_image) == (0, None)
+
+
+def test_float_rank_bound_is_trivial():
+    assert FLOAT.rank_bound(np.eye(3)) == (0, None)
+
+
+# ---- sparse exact image ----
+
+def dense_image(M, basis):
+    """M B with one fused dot over every entry of each row."""
+    dot = M[0][0].field.dot
+    return [[dot(row, col) for row in M] for col in basis]
+
+
+@pytest.mark.parametrize("case", ["sparse", "all-zero-matrix", "empty-basis"])
+def test_exact_image_matches_the_dense_dot_loop(case):
+    field = CycloField(12)
+    rng = random.Random(3)
+    zero = field.zero()
+
+    def entry(density):
+        if rng.random() >= density:
+            return zero
+        return field.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                  for _ in range(field.degree)])
+
+    M = [[entry(0.3) for _ in range(7)] for _ in range(6)]
+    M[2] = [zero] * 7  # a zero row
+    for row in M:
+        row[4] = zero  # a zero column
+    basis = [[entry(0.5) for _ in range(7)] for _ in range(4)] + [[zero] * 7]
+    if case == "all-zero-matrix":
+        M = [[zero] * 7 for _ in range(6)]
+    if case == "empty-basis":
+        basis = []
+    got = EXACT.image(M, basis)
+    assert got == dense_image(M, basis)
+    assert [len(col) for col in got] == [6] * len(basis)

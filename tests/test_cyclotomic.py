@@ -241,3 +241,43 @@ def test_products_and_inverses_agree_with_sympy(fab):
     assert (poly(a) * poly(b)).rem(phi) == poly(a * b)
     if not a.is_zero():
         assert poly(a).invert(phi) == poly(a.inv())
+
+
+# ---- reduction modulo the field's prime ----
+
+def is_prime(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("L", ORDERS)
+def test_field_prime_is_the_largest_below_2_31_holding_the_L_th_roots(L):
+    field = CycloField(L)
+    p = field.prime
+    assert p < 2 ** 31 and p % L == 1 and is_prime(p)
+    assert not any(is_prime(q) for q in range(p + L, 2 ** 31, L))
+    z = int(field.reduce_mod_prime([[field.root_pow(1)]])[0, 0])
+    assert [k for k in range(1, L + 1) if pow(z, k, p) == 1] == [L]
+
+
+def reduce_one(field, a):
+    return int(field.reduce_mod_prime([[a]])[0, 0])
+
+
+@given(field_elements(2))
+def test_reduction_mod_the_prime_is_a_ring_map(fab):
+    field, a, b = fab
+    p = field.prime
+    ra, rb = reduce_one(field, a), reduce_one(field, b)
+    assert reduce_one(field, a + b) == (ra + rb) % p
+    assert reduce_one(field, a * b) == ra * rb % p
+    assert reduce_one(field, field.one()) == 1
+    if not a.is_zero():
+        assert reduce_one(field, a.inv()) * ra % p == 1
+
+
+def test_reduction_of_an_entry_whose_denominator_the_prime_divides():
+    field = CycloField(12)
+    p, one = field.prime, field.one()
+    assert field.reduce_mod_prime([[one, field.from_rational(p)]]).tolist() == [[1, 0]]
+    assert field.reduce_mod_prime([[one, field.from_rational(Fraction(3, 2 * p))]]) is None
+    assert field.reduce_mod_prime([]).shape == (0, 0)

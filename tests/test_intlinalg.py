@@ -2,6 +2,9 @@ import itertools
 import random
 import time
 
+import numpy as np
+import pytest
+
 from skeinrep import intlinalg as il
 
 
@@ -73,3 +76,41 @@ def test_solve_mod_entries_stay_bounded():
     x = il.solve_mod(A, b, 12)
     assert time.perf_counter() - start < 0.5
     assert residues(A, x, 12) == b
+
+
+# ---- rank over F_p ----
+
+def rank_mod_reference(A, p):
+    """Gauss-Jordan elimination over F_p on Python ints."""
+    rows = [[a % p for a in row] for row in A]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [7, 2147483629])
+def test_rank_mod_matches_python_elimination(p):
+    # residues up to p - 1 < 2^31, so the large prime's products come close
+    # to 2^62 and an int64 overflow would show
+    rng = random.Random(p)
+    for _ in range(40):
+        m, n, r = rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 6)
+        X = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(r)]
+             for _ in range(m)]
+        Y = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        A = [[sum(X[i][t] * Y[t][j] for t in range(r)) % p for j in range(n)]
+             for i in range(m)]
+        M = np.array(A, dtype=np.int64).reshape(m, n)
+        before = M.copy()
+        assert il.rank_mod(M, p) == rank_mod_reference(A, p) <= r
+        assert np.array_equal(M, before)

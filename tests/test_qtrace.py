@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skeinrep import qtrace, verify
+from skeinrep import qtrace, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating
 from skeinrep.kernels import sample_generic_weights
@@ -103,10 +103,75 @@ def test_trace_rejects_an_edge_out_of_range(g2_alg, edge):
 
 # ---- sweep ----
 
-def test_sweep_check(g2_rep):
+def test_sweep_check(g2_rep, monkeypatch):
+    calls = []
+    original = qtrace.difference_kernel
+
+    def spy(A, diff, tol):
+        calls.append(len(A))
+        return original(A, diff, tol)
+
+    monkeypatch.setattr(qtrace, "difference_kernel", spy)
     report = sweep_check(g2_rep, g2_rep.T.designated_edge)
     assert report["passed"]
     assert report["kernel_dim"] == report["total_kernel_dim"] == 27
+    # a float kernel dimension is decided at a tolerance, never by a prime
+    assert report["kernel_prime"] is None and calls == [81]
+
+
+# sweep_check on exact_genus2_weights at N=3 when ker D was eliminated
+EXACT_SWEEP_REPORT = {"restriction_norm": 0.0, "restriction_zero": True,
+                      "kernel_dim": 27, "total_kernel_dim": 27,
+                      "kernel_equals_total": True, "passed": True}
+
+
+def exact_g2_rep(alg):
+    return build_rep(alg.T, 3, verify.exact_genus2_weights(alg), algebra=alg)
+
+
+def count_exact_kernels(monkeypatch) -> list:
+    """The matrices passed to ExactArithmetic.kernel from now on."""
+    calls = []
+    original = scalars.ExactArithmetic.kernel
+
+    def kernel(self, M, tol=0.0):
+        calls.append(M)
+        return original(self, M, tol)
+
+    monkeypatch.setattr(scalars.ExactArithmetic, "kernel", kernel)
+    return calls
+
+
+def test_exact_sweep_kernel_is_certified_by_the_field_prime(g2_alg, monkeypatch):
+    rep = exact_g2_rep(g2_alg)
+    calls = count_exact_kernels(monkeypatch)
+    report = sweep_check(rep, g2_alg.T.designated_edge)
+    assert report == dict(EXACT_SWEEP_REPORT, kernel_prime=rep.ctx.field.prime)
+    # one elimination, of the stacked mu(Q_v) for total_kernel; none of D
+    assert calls == [rep.ctx.stack([rep.apply(g2_alg.offdiag_Q(0))])]
+
+
+@pytest.mark.parametrize("plant", ["vanishes", "no-image"])
+def test_exact_sweep_falls_back_to_elimination_at_a_bad_prime(g2_alg, monkeypatch, plant):
+    # the bound is taken of p D or D / p: the rank of D, but p D is zero
+    # modulo p and D / p has no image there, so the bound falls short
+    rep = exact_g2_rep(g2_alg)
+    field = rep.ctx.field
+    p = field.prime
+    factor = field.from_rational(p if plant == "vanishes" else Fraction(1, p))
+    bounds = []
+    original = scalars.ExactArithmetic.rank_bound
+
+    def planted(self, M):
+        bounds.append(original(self, [[a * factor for a in row] for row in M]))
+        return bounds[-1]
+
+    monkeypatch.setattr(scalars.ExactArithmetic, "rank_bound", planted)
+    calls = count_exact_kernels(monkeypatch)
+    report = sweep_check(rep, g2_alg.T.designated_edge)
+    assert bounds == [(0, p if plant == "vanishes" else None)]
+    assert report == dict(EXACT_SWEEP_REPORT, kernel_prime=None)
+    assert len(calls) == 2  # total_kernel, then ker D by elimination
 
 
 def test_sweep_identity_element_level(g2_rep):

@@ -318,22 +318,18 @@ class CycloField:
         z = next(z for z in zs if all(pow(z, L // q, p) != 1 for q in qs))
         return [pow(z, i, p) for i in range(self.degree)]
 
-    def reduce_mod_prime(self, rows):
-        """The matrix of rows (lists of elements of this field) under
-        zeta_L -> z modulo `prime`, as an int64 array with entries in
-        [0, p); None when a denominator is divisible by p, since such an
-        entry has no image."""
+    def reduce_mod_prime(self, values):
+        """The elements of this field in values under zeta_L -> z modulo
+        `prime`, as an int64 vector with entries in [0, p); None when a
+        denominator is divisible by p, since such an element has no image."""
         p, zs = self.prime, self._prime_powers
-        out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, a in enumerate(row):
-                if not any(a.num):
-                    continue
-                self._own(a)
-                if a.den % p == 0:
-                    return None
-                v = sum(c * w for c, w in zip(a.num, zs))
-                out[i, j] = v % p if a.den == 1 else v * pow(a.den, -1, p) % p
+        out = np.zeros(len(values), dtype=np.int64)
+        for j, a in enumerate(values):
+            self._own(a)
+            if a.den % p == 0:
+                return None
+            v = sum(c * w for c, w in zip(a.num, zs))
+            out[j] = v % p if a.den == 1 else v * pow(a.den, -1, p) % p
         return out
 
     def __repr__(self):

@@ -5,17 +5,18 @@ Gaussian elimination over the cyclotomic field (division is exact, so no
 tolerance enters), a numpy array by singular value thresholding at a
 relative tolerance.
 
-The kernel of the difference D = A - B of commuting matrices (the images of
-the two push-offs of a separating loop) is taken from A and D, one
-eigenspace V_lam of A at a time (difference_kernel): (B - lam) V_lam =
--D V_lam, so ker D = sum over lam of V_lam ker(D V_lam).  A float A splits
-into the diagonal blocks of its nonzero pattern, so each V_lam has an
-orthonormal basis of columns on single blocks.  The basis is checked
-against D; when that check fails, when A's eigenspaces do not fill the
-space, and always for exact matrices, ker D is taken whole.
+The kernel of the difference D = A - B of commuting operators (the images
+of the two push-offs of a separating loop; D = rho(K1 - K2)) is taken from
+A and D, one eigenspace V_lam of A at a time (difference_kernel):
+(B - lam) V_lam = -D V_lam, so ker D = sum over lam of V_lam ker(D V_lam).
+A float A, made dense, splits into the diagonal blocks of its nonzero
+pattern, so each V_lam has an orthonormal basis of columns on single
+blocks.  The basis is checked against D; when that check fails, when A's
+eigenspaces do not fill the space, and always for exact operators, ker D is
+taken whole, of D made dense.
 
 The sweep check (qtrace.sweep_check) needs only dim ker D, and for exact
-matrices it usually gets it from two bounds with no kernel of D at all: an
+operators it usually gets it from two bounds with no kernel of D at all: an
 exact D F = 0 for the total kernel F gives dim ker D >= dim F, and the rank
 of D modulo the field's prime p (the backend's rank_bound) is at most its
 rank over Q(zeta_L), so rank_p D >= n - dim F gives dim ker D <= dim F.  A
@@ -69,9 +70,9 @@ class Subspace:
         equal dimensions and one inclusion suffice."""
         return self.dim == other.dim and self.contains(other, tol)
 
-    def is_invariant_under(self, M, tol: float = DEFAULT_RANK_TOL) -> bool:
-        """True iff M maps this subspace into itself."""
-        image = self._ctx.image(M, self.basis)
+    def is_invariant_under(self, op, tol: float = DEFAULT_RANK_TOL) -> bool:
+        """True iff the operator op maps this subspace into itself."""
+        image = self._ctx.image(op, self.basis)
         return self.contains(Subspace(self.ambient, image), tol)
 
 
@@ -87,49 +88,26 @@ EIGEN_TOL = 1e-6
 
 
 def difference_residual_bound(diff) -> float:
-    """Largest entry of (A - B) X, for diff = A - B, at which X still counts
-    as lying in ker(A - B): 1e-7 max(|A - B|, 1) in max entry norms."""
-    return 1e-7 * max(scalars.of(diff).norm(diff), 1)
+    """Largest entry of D X, for the operator D = diff = A - B, at which X
+    still counts as lying in ker D: 1e-7 max(|D|, 1), |D| the largest entry
+    of its scale vectors, as its terms share no entry."""
+    return 1e-7 * max(scalars.of(diff).norm([scale for _, scale in diff]), 1)
 
 
 def difference_kernel(A, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """ker D for D = diff = A - B, with A and B commuting square matrices,
-    from the eigenspaces of A.  The basis K is accepted when |D K| is within
+    """ker D for D = diff = A - B, with A and B commuting operators, from
+    the eigenspaces of A.  The basis K is accepted when |D K| is within
     difference_residual_bound; otherwise, or when A's eigenspaces do not
-    fill the space, or for exact matrices, this is matrix_kernel(D)."""
+    fill the space, or for exact operators, this is matrix_kernel(D)."""
     ctx = scalars.of(A)
-    spaces = ctx.eigenspaces(A, EIGEN_TOL, tol)
-    if spaces is not None and sum(ctx.ncols(V) for _, _, V in spaces) == len(A):
-        diff_times = _row_gather(diff)
-        K = np.hstack([V @ matrix_kernel(diff_times(V), tol).basis
+    n = len(A[0][0])
+    spaces = ctx.eigenspaces(ctx.dense(n, A), EIGEN_TOL, tol)
+    if spaces is not None and sum(ctx.ncols(V) for _, _, V in spaces) == n:
+        K = np.hstack([V @ matrix_kernel(ctx.image(diff, V), tol).basis
                        for _, _, V in spaces])
-        if ctx.is_zero(diff_times(K), difference_residual_bound(diff)):
-            return Subspace(len(diff), K)
-    return matrix_kernel(diff, tol)
-
-
-def _row_gather(M):
-    """X -> M X for a numpy M with few nonzeros per row: row i of M X sums
-    M[i, c] X[c] over the nonzero columns c of row i, one slot at a time,
-    so the product takes m n d operations for m nonzeros in the fullest row
-    where the dense product takes n n d.  The difference of two push-off
-    images has at most one nonzero per row for each monomial term of K1 and
-    of K2."""
-    n = len(M)
-    rows, cols = np.nonzero(M)
-    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    m = int(slot.max(initial=-1)) + 1
-    at = np.zeros((m, n), dtype=int)
-    coef = np.zeros((m, n), dtype=complex)
-    at[slot, rows] = cols
-    coef[slot, rows] = M[rows, cols]
-
-    def times(X):
-        out = np.zeros((n, X.shape[1]), dtype=complex)
-        for c, w in zip(at, coef):
-            out += w[:, None] * X[c]
-        return out
-    return times
+        if ctx.is_zero(ctx.image(diff, K), difference_residual_bound(diff)):
+            return Subspace(n, K)
+    return matrix_kernel(ctx.dense(n, diff), tol)
 
 
 # ---- kernel operations ----
@@ -151,29 +129,24 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     return rep.total_kernels[tol]
 
 
-def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL, candidates=None):
-    """Eigenvalues with multiplicities; verifies diagonalizability.
+def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL):
+    """Eigenvalues with multiplicities of a dense matrix; verifies
+    diagonalizability.
 
     Float mode clusters the eigenvalue cloud at the given tolerance and
-    checks that geometric multiplicities fill the space.  Exact mode needs
-    an explicit candidate list and computes exact eigenspace dimensions.
+    checks that each geometric multiplicity is the algebraic one, so that
+    the eigenspaces fill the space.  Exact eigenvalues are not computed; an
+    exact eigenspace is the kernel of mu(a - lam) for a known lam.
     """
     ctx = scalars.for_mode(mode)
-    spaces = ctx.eigenspaces(M, tol, max(tol * 1e-3, 1e-12), candidates)
+    spaces = ctx.eigenspaces(M, tol, max(tol * 1e-3, 1e-12))
     if spaces is None:
-        raise ValueError("exact eigen-analysis needs a candidate list")
-    out = []
+        raise ValueError("exact eigen-analysis is not available")
     for lam, alg_mult, V in spaces:
-        geo = ctx.ncols(V)
-        if alg_mult is not None and geo != alg_mult:
+        if ctx.ncols(V) != alg_mult:
             raise NotDiagonalizable(
-                f"eigenvalue {lam}: geometric {geo} != algebraic {alg_mult}")
-        if geo:
-            out.append((lam, geo))
-    total = sum(geo for _, geo in out)
-    if total != len(M):
-        raise NotDiagonalizable(f"eigenspaces span {total} of {len(M)} dimensions")
-    return out
+                f"eigenvalue {lam}: geometric {ctx.ncols(V)} != algebraic {alg_mult}")
+    return [(lam, alg_mult) for lam, alg_mult, _ in spaces]
 
 
 # ---- generic weight sampling ----

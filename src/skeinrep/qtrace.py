@@ -181,15 +181,17 @@ def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
 def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Verify that the two push-offs of a separating edge loop agree on the
     total off-diagonal kernel F and that the kernel of their difference
-    D = rho[K1] - rho[K2] is exactly F.  F stays the kernel of mu(Q_v), so
-    the two sides are computed independently.
+    D = rho[K1] - rho[K2] = rho(K1 - K2) is exactly F.  D and rho[K1] are
+    operators (CFRep.operator), and no dense matrix is formed unless ker D
+    is computed.  F stays the kernel of mu(Q_v), so the two sides are
+    computed independently.
 
     D F = 0 puts F inside ker D, so dim ker D >= dim F; equal dimensions are
-    then equality.  For exact matrices the upper bound comes from the rank
+    then equality.  For exact weights the upper bound comes from the rank
     of D modulo the field's prime p (rank_bound): rank D >= rank_p D, so
     rank_p D >= n - dim F gives dim ker D <= dim F, and ker D = F with no
     elimination of D.  A prime at which D loses rank only fails this
-    certificate; then, and for float matrices, ker D is computed
+    certificate; then, and for float weights, ker D is computed
     (difference_kernel).  kernel_prime is the p that certified dim ker D,
     or None when the kernel was computed."""
     T = rep.T
@@ -199,16 +201,15 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
         raise NotSeparating(f"edge {edge} does not separate")
     ctx = rep.ctx
     tr1, tr2 = pushoff_pair(rep.algebra, edge)
-    A = rep.apply(tr1)
-    diff = ctx.sub(A, rep.apply(tr2))
+    diff = rep.operator(tr1 - tr2)
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
     restriction_zero = ctx.is_zero(restriction, difference_residual_bound(diff))
     rank, prime = ctx.rank_bound(diff)
-    if prime is not None and restriction_zero and rank >= len(diff) - F.dim:
+    if prime is not None and restriction_zero and rank >= rep.dim - F.dim:
         kernel_dim = F.dim
     else:
-        kernel_dim, prime = difference_kernel(A, diff, tol).dim, None
+        kernel_dim, prime = difference_kernel(rep.operator(tr1), diff, tol).dim, None
     equal = restriction_zero and kernel_dim == F.dim
     return {
         "restriction_norm": ctx.norm(restriction),

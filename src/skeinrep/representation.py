@@ -53,6 +53,8 @@ class WeightSystem:
             raise ValueError("weights mix exact and float values")
         self.u = list(u) if u is not None else None
         self.x = [ui ** (2 * N) for ui in self.u] if u is not None else values
+        if not all(self.ctx.norm(xi) < math.inf for xi in self.x):
+            raise ValueError("a weight x_i = u_i^(2N) is not finite")
         if any(self.ctx.is_zero(v, 0.0) for v in values + self.x):
             raise ZeroWeight("a weight u_i or x_i is 0")
 
@@ -135,7 +137,7 @@ class MonomialMatrix:
 
     def to_dense(self, zero):
         """Dense matrix in the arithmetic of `zero` (numpy array for 0j)."""
-        return scalars.of(zero).dense(self.dim, [(1, self)], zero)
+        return scalars.of(zero).dense(self.dim, [(self.perm, self.scale)])
 
 
 class CFRep:
@@ -290,11 +292,16 @@ class CFRep:
         return MonomialMatrix(self.dim, list(perm),
                               [scales[(e + extra_exp) % mod] for e in expo])
 
+    def operator(self, a: QTElement) -> list:
+        """mu(a) as an operator (module scalars): each monomial image is a
+        translation of the index group Z_radix times a diagonal, and those
+        of one translation are summed in a.terms order."""
+        self.algebra.require_balanced(a)
+        return self.ctx.operator((c, self.monomial_image(k)) for k, c in a.terms.items())
+
     def apply(self, a: QTElement):
         """Dense matrix of mu(a); float mode returns a numpy array."""
-        self.algebra.require_balanced(a)
-        terms = ((c, self.monomial_image(k)) for k, c in a.terms.items())
-        return self.ctx.dense(self.dim, terms, self.ctx.zero())
+        return self.ctx.dense(self.dim, self.operator(a))
 
     def hv_scalar(self):
         """The common scalar of mu(H_v)."""

@@ -9,15 +9,27 @@ backends only decide how representation matrices and kernels are evaluated.
 This module alone chooses between the two arithmetics.  Values pick it by
 their type (`of`, `one_like`, `is_zero`, `serialize`; `one_like` and
 `is_zero` also take the Fraction points of holonomy): a complex or a numpy
-array is float, anything else is exact.  A mode string picks it only where the values are not at hand
+array is float, anything else is exact, and an operator goes by its first
+scale vector.  A mode string picks it only where the values are not at hand
 yet or a caller names the arithmetic it expects (`for_mode`, `backend`): the
 "mode" tag of a weights file and the mode argument of eigen_analysis.
 
 Contract.  A matrix is a numpy array (float) or a list of rows (exact); a
 subspace basis is an ambient x d array (float) or a list of d columns (exact).
-Callers pass the threshold they use as `tol`; exact methods ignore it.  The
-N-free Exact/FloatArithmetic give (float | exact):
+An operator is a square matrix as its translation terms: a list of (perm,
+scale), entries M[perm[i], i] = scale[i], no two terms sharing an entry (in
+a representation image each monomial is a translation of the index group
+times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
+dense, image and rank_bound take operators, operator makes them; kernel,
+rank, scalar_of and eigenspaces take dense matrices.  Callers pass the
+threshold they use as `tol`; exact methods ignore it.  The N-free
+Exact/FloatArithmetic give (float | exact):
 
+    operator(terms)   sum c P over terms (c, MonomialMatrix P), one term per
+                      permutation, all-zero terms dropped
+    rank_bound(op)    (0, None) | (r, p): rank op >= r, r the rank of op
+                      reduced modulo the field's prime p (intlinalg.rank_mod),
+                      (0, None) if a denominator is divisible by p
     is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
@@ -25,19 +37,13 @@ N-free Exact/FloatArithmetic give (float | exact):
                       QR factor R for a tall M | Gauss-Jordan
     rank(M, tol)      singular values above the cut (values-only SVD) |
                       Gauss-Jordan
-    rank_bound(M)     (0, None) | (r, p): rank M >= r, r the rank of M
-                      reduced modulo the field's prime p (intlinalg.rank_mod),
-                      (0, None) if a denominator is divisible by p
     scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
                       max(tol, 1e-9 max(|c|, 1)) | exact equality
-    eigenspaces(M, tol, rank_tol, candidates=None)  [(lam, multiplicity,
-                      orthonormal basis of ker(M - lam Id) under the cut at
-                      rank_tol)] per cluster at tol of the eigenvalues |
-                      [(candidate, None, kernel basis)], None without
-                      candidates
-    inv, sub, identity(M, c) = c Id, stack, spans(B, C) (span of B
-    contains C), image(M, B) = M B, ncols, dense(dim, terms, zero) = sum c P
-    over terms (c, MonomialMatrix P)
+    eigenspaces(M, tol, rank_tol)  [(lam, multiplicity, orthonormal basis
+                      of ker(M - lam Id) under the cut at rank_tol)] per
+                      cluster at tol of the eigenvalues | None
+    inv, stack, spans(B, C) (span of B contains C), image(op, B) = op B,
+    ncols, dense(dim, op) = the matrix of op
 
 Every float rank decision is the one cut of _cut.  Float eigenspaces split a
 square matrix into the diagonal blocks of its nonzero pattern (rho of an
@@ -47,12 +53,12 @@ null vectors of the shifted blocks, cut over all blocks together.
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
 
-Exact matrix products (image) call the field's fused `dot` where a row and
-a column are both nonzero, Gauss-Jordan elimination calls its fused
-`row_update`, and rank_bound reduces the matrix with
-`CycloField.reduce_mod_prime`; omega_log reads the field's root-of-unity
-table through `CycloScalar.root_log`.  The element format belongs to module
-cyclotomic: nothing here reads a numerator or a denominator.
+The exact image calls the field's fused `dot` once per entry, Gauss-Jordan
+elimination its fused `row_update`, and rank_bound reduces each scale
+vector with `CycloField.reduce_mod_prime`; omega_log reads the field's
+root-of-unity table through `CycloScalar.root_log`.  The element format
+belongs to module cyclotomic: nothing here reads a numerator or a
+denominator.
 """
 
 from __future__ import annotations
@@ -87,40 +93,39 @@ class ExactArithmetic:
     def inv(self, a):
         return a.inv()
 
-    def dense(self, dim, terms, zero):
-        M = [[zero] * dim for _ in range(dim)]
+    def operator(self, terms):
+        by_perm = {}
         for c, mm in terms:
-            for i in range(dim):
-                p = mm.perm[i]
-                M[p][i] = M[p][i] + c * mm.scale[i]
+            key = tuple(mm.perm)
+            by_perm[key] = [b + c * s for b, s
+                            in zip(by_perm.get(key, [0] * mm.dim), mm.scale)]
+        return [(list(perm), scale) for perm, scale in by_perm.items()
+                if not all(a.is_zero() for a in scale)]
+
+    def dense(self, dim, op):
+        # an empty operator takes the zero of these scalars (ExactScalars)
+        zero = op[0][1][0].field.zero() if op else self.zero()
+        M = [[zero] * dim for _ in range(dim)]
+        for perm, scale in op:
+            for i, (p, a) in enumerate(zip(perm, scale)):
+                M[p][i] = a
         return M
-
-    def sub(self, A, B):
-        """A - B; entries are immutable, so where B is zero A's entry is
-        shared (representation images are mostly zero)."""
-        return [[a if _exact_zero(b) else a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(A, B)]
-
-    def identity(self, M, c):
-        zero = M[0][0].field.zero()
-        c = zero + c
-        return [[c if i == j else zero for j in range(len(M))] for i in range(len(M))]
 
     def stack(self, mats):
         return [row for M in mats for row in M]
 
-    def image(self, M, basis):
-        """M B: each row's nonzero entries are gathered once, and each fused
-        dot runs over the places where the row and the column are both
-        nonzero (representation images and kernel bases are mostly zero)."""
-        field = M[0][0].field
-        dot, zero = field.dot, field.zero()
-        rows = [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in M]
+    def image(self, op, basis):
+        """op B: entry p of a column is one fused dot over the terms, at
+        i = perm^-1(p), where the column is nonzero (kernel bases are mostly
+        zero)."""
         out = []
         for col in basis:
-            nonzero = [not v.is_zero() for v in col]
-            pairs = ([(a, col[j]) for j, a in row if nonzero[j]] for row in rows)
-            out.append([dot(*zip(*p)) if p else zero for p in pairs])
+            field = col[0].field
+            pairs = [[] for _ in col]
+            for i in [i for i, v in enumerate(col) if not v.is_zero()]:
+                for perm, scale in op:
+                    pairs[perm[i]].append((scale[i], col[i]))
+            out.append([field.dot(*zip(*q)) if q else field.zero() for q in pairs])
         return out
 
     def ncols(self, basis) -> int:
@@ -165,14 +170,18 @@ class ExactArithmetic:
     def rank(self, M, tol: float = 0.0) -> int:
         return len(self._eliminate(M)[1])
 
-    def rank_bound(self, M):
-        """(r, p) with rank M >= r: r is the rank of M modulo the field's
+    def rank_bound(self, op):
+        """(r, p) with rank op >= r: r is the rank of op modulo the field's
         prime p (see CycloField.reduce_mod_prime), as every minor maps to
         the reduced minor; (0, None) when a denominator is divisible by p."""
-        field = M[0][0].field
-        reduced = field.reduce_mod_prime(M)
-        if reduced is None:
-            return 0, None
+        field = op[0][1][0].field
+        n = len(op[0][0])
+        reduced = np.zeros((n, n), dtype=np.int64)
+        for perm, scale in op:
+            values = field.reduce_mod_prime(scale)
+            if values is None:
+                return 0, None
+            reduced[perm, np.arange(n)] = values
         return intlinalg.rank_mod(reduced, field.prime), field.prime
 
     def spans(self, B, C, tol: float = 0.0) -> bool:
@@ -185,13 +194,9 @@ class ExactArithmetic:
                  for i in range(len(M)) for j in range(len(M)))
         return s if ok else None
 
-    def eigenspaces(self, M, tol, rank_tol, candidates=None):
-        """(candidate, None, basis of ker(M - candidate Id)) per candidate;
-        None without candidates, as exact eigenvalues are not computed."""
-        if candidates is None:
-            return None
-        return [(lam, None, self.kernel(self.sub(M, self.identity(M, lam))))
-                for lam in candidates]
+    def eigenspaces(self, M, tol, rank_tol):
+        """None: exact eigenvalues are not computed."""
+        return None
 
 
 def _pattern_blocks(M):
@@ -277,22 +282,30 @@ class FloatArithmetic:
     def inv(self, a):
         return 1 / a
 
-    def dense(self, dim, terms, zero):
+    def operator(self, terms):
+        by_perm = {}
+        for c, mm in terms:
+            key = tuple(mm.perm)
+            by_perm[key] = (by_perm.get(key, 0)
+                            + complex(c) * np.asarray(mm.scale, dtype=complex))
+        return [(np.array(perm), scale) for perm, scale in by_perm.items()
+                if scale.any()]
+
+    def dense(self, dim, op):
         M = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim)
-        # perm is a permutation, so no entry is hit twice within one term
-        for c, mm in terms:
-            M[mm.perm, cols] += complex(c) * np.asarray(mm.scale, dtype=complex)
+        # distinct terms share no entry
+        for perm, scale in op:
+            M[perm, cols] += scale
         return M
 
-    def sub(self, A, B):
-        return np.asarray(A) - np.asarray(B)
-
-    def image(self, M, basis):
-        return np.asarray(M) @ basis
-
-    def identity(self, M, c):
-        return c * np.eye(len(M), dtype=complex)
+    def image(self, op, basis):
+        """op X: row j gains scale[i] X[i] from each term, i = perm^-1(j)."""
+        out = np.zeros(basis.shape, dtype=complex)
+        for perm, scale in op:
+            inv = np.argsort(perm)
+            out += scale[inv, None] * basis[inv]
+        return out
 
     def stack(self, mats):
         return np.vstack([np.asarray(M) for M in mats])
@@ -317,7 +330,7 @@ class FloatArithmetic:
     def spans(self, B, C, tol: float) -> bool:
         return self.rank(np.hstack([B, C]), tol) == self.rank(B, tol)
 
-    def rank_bound(self, M):
+    def rank_bound(self, op):
         """(0, None): a float rank is a decision at a tolerance, not a bound."""
         return 0, None
 
@@ -327,11 +340,11 @@ class FloatArithmetic:
         off = self.norm(M - s * np.eye(len(M)))
         return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
 
-    def eigenspaces(self, M, tol, rank_tol, candidates=None):
+    def eigenspaces(self, M, tol, rank_tol):
         """(lam, multiplicity, orthonormal basis of ker(M - lam Id)) per
-        eigenvalue cluster of the pattern blocks; candidates are not used.
-        M - lam Id has M's pattern off the diagonal, so the pattern is
-        searched once and each shift is taken block by block."""
+        eigenvalue cluster of the pattern blocks.  M - lam Id has M's
+        pattern off the diagonal, so the pattern is searched once and each
+        shift is taken block by block."""
         M = np.asarray(M)
         pattern = _pattern_blocks(M)
         return [(lam, m, _eigenbasis(len(M), pattern, lam, rank_tol))
@@ -404,6 +417,10 @@ class FloatScalars(FloatArithmetic):
         return k
 
     def deserialize(self, data) -> complex:
+        """A weight [re, im] of two finite JSON numbers."""
+        if not (isinstance(data, list) and len(data) == 2
+                and all(type(v) in (int, float) for v in data)):
+            raise ValueError(f"weight {data!r} is not two numbers [re, im]")
         z = complex(*data)
         if not cmath.isfinite(z):
             raise ValueError(f"weight {data} is not finite")
@@ -430,10 +447,13 @@ def backend(mode: str, N: int, order: int | None = None):
 
 
 def of(x, N: int | None = None):
-    """The arithmetic of a scalar, a matrix or a basis, picked by its type:
-    float for a complex or a numpy array, exact otherwise (a CycloScalar or
-    a list of rows or columns).  Given N, the scalars of that arithmetic;
-    exact ones live in the field of a CycloScalar x, Q(zeta_4N) otherwise."""
+    """The arithmetic of a scalar, a matrix, a basis or an operator (by its
+    first scale vector), picked by its type: float for a complex or a numpy
+    array, exact otherwise (a CycloScalar or a list of rows or columns).
+    Given N, the scalars of that arithmetic; exact ones live in the field of
+    a CycloScalar x, Q(zeta_4N) otherwise."""
+    if isinstance(x, list) and x and isinstance(x[0], tuple):
+        x = x[0][1]
     if isinstance(x, (complex, np.ndarray)):
         return _ARITHMETIC["float"] if N is None else FloatScalars(N)
     if N is None:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -49,3 +50,22 @@ def random_balanced_exponent(alg: CFAlgebra, rng: random.Random, bound: int = 2)
 def random_balanced_monomial(alg: CFAlgebra, rng: random.Random, bound: int = 2):
     k = random_balanced_exponent(alg, rng, bound)
     return alg.monomial(k, alg.omega(rng.randrange(4 * alg.N)))
+
+
+def diagonals(M):
+    """A matrix (numpy array or list of exact rows) as an operator: its n
+    cyclic diagonals, term s holding M[(i + s) % n, i] at column i.  A
+    rectangular M is first padded with zeros to n = max(rows, cols), which
+    leaves its rank unchanged."""
+    if isinstance(M, np.ndarray):
+        n = max(M.shape)
+        P = np.zeros((n, n), dtype=complex)
+        P[:M.shape[0], :M.shape[1]] = M
+        cols = np.arange(n)
+        return [((cols + s) % n, P[(cols + s) % n, cols]) for s in range(n)]
+    n = max(len(M), len(M[0]))
+    zero = M[0][0].field.zero()
+    P = [list(row) + [zero] * (n - len(row)) for row in M]
+    P += [[zero] * n for _ in range(n - len(M))]
+    return [([(i + s) % n for i in range(n)], [P[(i + s) % n][i] for i in range(n)])
+            for s in range(n)]

@@ -195,7 +195,7 @@ def test_criterion_10_corner_arc_invariance():
         ok = ok and 0 < F.dim < rep.dim
         for corner in range(len(T.fans[v])):
             for state in ("++", "--", "+-"):
-                A = rep.apply(corner_arc_factor(alg, v, corner, state))
+                A = rep.operator(corner_arc_factor(alg, v, corner, state))
                 ok = ok and F.is_invariant_under(A)
     report(10, ok, "corner-arc operators preserve every off-diagonal kernel "
                    "of a combinatorial triangulation, exact rank checks")

@@ -5,6 +5,8 @@ the exact rank bound modulo a prime against elimination, and the sparse
 exact image against the dense dot loop."""
 
 import copy
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skeinrep import scalars
+from skeinrep import intlinalg, scalars
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
@@ -23,6 +25,8 @@ from skeinrep.representation import MonomialMatrix, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
                              exact_torus_weights)
+
+from conftest import diagonals, random_balanced_monomial
 
 RANK_TOL = 1e-8
 
@@ -152,12 +156,12 @@ def test_block_eigen_analysis_rejects_a_jordan_block():
         eigen_analysis(M, "float")
 
 
-def test_exact_eigen_analysis_needs_candidates():
+def test_exact_eigen_analysis_is_not_available():
     alg = CFAlgebra(standard_library("torus1"), 3)
     rep = build_rep(alg.T, 3, exact_torus_weights(alg), algebra=alg)
     M = rep.apply(alg.offdiag_Q(0))
     assert rep.ctx.eigenspaces(M, 1e-6, 1e-9) is None
-    with pytest.raises(ValueError, match="candidate"):
+    with pytest.raises(ValueError, match="not available"):
         eigen_analysis(M, "exact")
 
 
@@ -287,7 +291,7 @@ def test_dense_matches_the_index_loop():
 
     # two terms share a permutation, so their entries add
     terms = [(1.5 - 2j, mono(perm_a)), (0.25j, mono(perm_b)), (-3 + 0j, mono(perm_a))]
-    got, want = FLOAT.dense(dim, terms, 0j), dense_loop(dim, terms)
+    got, want = FLOAT.dense(dim, FLOAT.operator(terms)), dense_loop(dim, terms)
     # the same sums in the same order; numpy may round a complex product
     # differently from Python (a fused multiply-add), by a few ulps
     scale = sum(abs(c) * max(map(abs, mm.scale)) for c, mm in terms)
@@ -320,7 +324,7 @@ def planted_rank_matrices(draw):
 @given(planted_rank_matrices())
 def test_rank_bound_is_never_above_the_rank(fMr):
     field, M, r = fMr
-    bound, p = EXACT.rank_bound(M)
+    bound, p = EXACT.rank_bound(diagonals(M))
     assert p == field.prime
     assert bound <= EXACT.rank(M) <= r
 
@@ -332,12 +336,12 @@ def test_a_bad_prime_only_lowers_the_bound():
     vanishing = [[field.from_rational(p), zero], [zero, one]]
     no_image = [[field.from_rational(Fraction(1, p)), zero], [zero, one]]
     assert EXACT.rank(vanishing) == EXACT.rank(no_image) == 2
-    assert EXACT.rank_bound(vanishing) == (1, p)
-    assert EXACT.rank_bound(no_image) == (0, None)
+    assert EXACT.rank_bound(diagonals(vanishing)) == (1, p)
+    assert EXACT.rank_bound(diagonals(no_image)) == (0, None)
 
 
 def test_float_rank_bound_is_trivial():
-    assert FLOAT.rank_bound(np.eye(3)) == (0, None)
+    assert FLOAT.rank_bound(diagonals(np.eye(3))) == (0, None)
 
 
 # ---- sparse exact image ----
@@ -369,6 +373,81 @@ def test_exact_image_matches_the_dense_dot_loop(case):
         M = [[zero] * 7 for _ in range(6)]
     if case == "empty-basis":
         basis = []
-    got = EXACT.image(M, basis)
-    assert got == dense_image(M, basis)
-    assert [len(col) for col in got] == [6] * len(basis)
+    # the operator of M is M padded with a zero row to 7 x 7
+    got = EXACT.image(diagonals(M), basis)
+    assert got == dense_image(M + [[zero] * 7], basis)
+    assert [len(col) for col in got] == [7] * len(basis)
+
+
+# ---- operators: representation images as translation terms ----
+
+@functools.lru_cache(maxsize=None)
+def contract_rep(name, mode):
+    T = standard_library(name)
+    alg = CFAlgebra(T, 3)
+    W = exact_weights(name, alg)
+    if mode == "float":
+        W = WeightSystem(T, 3, u=[complex(ui) for ui in W.u])
+    return build_rep(T, 3, W, algebra=alg)
+
+
+def accumulated(rep, a):
+    """mu(a) by the per-term accumulation loop that builds a dense matrix
+    monomial by monomial, in a.terms order: the reference for operators."""
+    n, terms = rep.dim, [(c, rep.monomial_image(k)) for k, c in a.terms.items()]
+    if rep.ctx.mode == "float":
+        M = np.zeros((n, n), dtype=complex)
+        for c, mm in terms:
+            M[mm.perm, np.arange(n)] += complex(c) * np.asarray(mm.scale, dtype=complex)
+        return M
+    M = [[rep.ctx.zero()] * n for _ in range(n)]
+    for c, mm in terms:
+        for i in range(n):
+            M[mm.perm[i]][i] = M[mm.perm[i]][i] + c * mm.scale[i]
+    return M
+
+
+def random_element(alg, rng):
+    """Three random balanced monomials with small rational coefficients, and
+    the first again times the central Z_i^(2N), so two terms share a
+    permutation."""
+    ms = [random_balanced_monomial(alg, rng).scale(alg.scalars.from_rational(
+        Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))) for _ in range(3)]
+    return ms[0] + ms[1] + ms[2] + ms[0] * alg.gen(rng.randrange(alg.n), 2 * alg.N)
+
+
+def random_columns(ctx, n, rng):
+    if ctx.mode == "float":
+        return random_complex(np.random.default_rng(rng.randrange(2 ** 32)), n, 3)
+    zero = ctx.zero()
+    return [[ctx.omega(rng.randrange(12)) * rng.randint(1, 3) if rng.random() < 0.3 else zero
+             for _ in range(n)] for _ in range(3)]
+
+
+@given(st.sampled_from(["torus1", "sphere2", "genus2_sep"]),
+       st.sampled_from(["exact", "float"]), st.integers(0, 2 ** 32 - 1))
+def test_operator_contract(name, mode, seed):
+    rep = contract_rep(name, mode)
+    ctx, n, rng = rep.ctx, rep.dim, random.Random(seed)
+    a, b = random_element(rep.algebra, rng), random_element(rep.algebra, rng)
+    op = rep.operator(a)
+    # distinct permutations share no entry
+    for (p, _), (q, _) in itertools.combinations(op, 2):
+        assert not any(x == y for x, y in zip(p, q))
+    M = ctx.dense(n, op)
+    want = accumulated(rep, a)
+    X = random_columns(ctx, n, rng)
+    diff = ctx.dense(n, rep.operator(a - b))
+    if mode == "float":
+        assert np.array_equal(M, want)
+        assert np.abs(ctx.image(op, X) - M @ X).max() <= 1e-12 * max(np.abs(M).max(), 1)
+        assert ctx.rank_bound(op) == (0, None)
+        assert np.abs(diff - (M - accumulated(rep, b))).max() <= 1e-12 * max(
+            np.abs(M).max(), 1)
+        return
+    assert M == want
+    assert ctx.image(op, X) == dense_image(M, X)
+    p = ctx.field.prime
+    reduced = np.array([ctx.field.reduce_mod_prime(row) for row in M])
+    assert ctx.rank_bound(op) == (intlinalg.rank_mod(reduced, p), p)
+    assert diff == [[x - y for x, y in zip(r, s)] for r, s in zip(M, accumulated(rep, b))]

@@ -119,14 +119,21 @@ def test_kernels_rejects_weights_without_u(tmp_path, capsys, x):
                        capsys)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_kernels_rejects_non_finite_float_weights(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad,match", [
+    ([math.nan, 0.0], "not finite"), ([math.inf, 0.0], "not finite"),
+    ([-math.inf, 0.0], "not finite"), (["1+2j"], "not two numbers"),
+    ([True, 0], "not two numbers"), ([1], "not two numbers"),
+    # finite, but x = u^(2N) overflows
+    ([1e300, 0], "not finite"),
+], ids=["nan", "inf", "-inf", "string", "boolean", "one-number", "x-overflows"])
+def test_kernels_rejects_non_finite_float_weights(tmp_path, capsys, bad, match):
     T = standard_library("torus1")
     W = exact_torus_weights(CFAlgebra(T, 3))
     data = json.loads(WeightSystem(T, 3, u=[complex(ui) for ui in W.u]).to_json())
-    data["u"][1][0] = bad
+    assert data["u"][1] == [1.0, 0.0]
+    data["u"][1] = bad
     text = json.dumps(data)
-    with pytest.raises(ParseError, match="not finite"):
+    with pytest.raises(ParseError, match=match):
         WeightSystem.from_json(T, text)
     wpath = tmp_path / "w.json"
     wpath.write_text(text)

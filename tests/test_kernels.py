@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skeinrep import kernels, qtrace
+from skeinrep import kernels, qtrace, scalars
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import (NotCommuting, NotDiagonalizable, NotOneVertex,
                              NotSeparating, SamplerExhausted)
@@ -20,7 +20,7 @@ from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_genus2_weights
 
-from conftest import random_balanced_monomial
+from conftest import diagonals, random_balanced_monomial
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_kernel_not_invariant_under_whole_algebra(genus2_rep):
     rep = genus2_rep
     F = offdiag_kernel(rep, 0)
     moved = [j for j in range(rep.algebra.n)
-             if not F.is_invariant_under(rep.apply(rep.algebra.gen(j, 2)))]
+             if not F.is_invariant_under(rep.operator(rep.algebra.gen(j, 2)))]
     assert moved
 
 
@@ -115,11 +115,12 @@ def test_eigen_rejects_nilpotent():
 def test_eigen_exact_candidates(torus_rep):
     rep = torus_rep
     alg = rep.algebra
-    M = rep.apply(alg.gen(0, 2))
-    # mu(Z_0^2)^N = x_0 = 1, so eigenvalues are cube roots of unity
+    # mu(Z_0^2)^N = x_0 = 1, so eigenvalues are cube roots of unity, and the
+    # eigenspace at lam is ker mu(Z_0^2 - lam)
     cands = [alg.scalars.omega(4 * k) for k in range(3)]
-    out = eigen_analysis(M, "exact", candidates=cands)
-    assert sorted(m for _, m in out) == [1, 1, 1]
+    dims = [matrix_kernel(rep.apply(alg.gen(0, 2) - alg.one().scale(lam))).dim
+            for lam in cands]
+    assert sorted(dims) == [1, 1, 1]
 
 
 def test_balanced_monomial_sep_exponent_even(genus2_rep):
@@ -139,16 +140,17 @@ def test_sweep_kernel_equals_total(genus2_rep):
     assert sweep_check(genus2_rep, e)["kernel_equals_total"]
 
 
-def pushoff_images(rep):
-    return [rep.apply(tr) for tr in qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)]
+def pushoff_traces(rep):
+    return qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)
 
 
 @pytest.mark.parametrize("N,seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
 def test_difference_kernel_matches_dense_float(N, seed):
     T = standard_library("genus2_sep")
     rep = build_rep(T, N, sample_generic_weights(T, N, random.Random(seed)))
-    A, B = pushoff_images(rep)
-    K = difference_kernel(A, A - B, 1e-8)
+    tr1, tr2 = pushoff_traces(rep)
+    A, B = rep.apply(tr1), rep.apply(tr2)
+    K = difference_kernel(rep.operator(tr1), rep.operator(tr1 - tr2), 1e-8)
     assert K.dim == N ** 3
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
     assert np.abs((A - B) @ K.basis).max() < 1e-9
@@ -158,9 +160,10 @@ def test_difference_kernel_matches_dense_exact():
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, 3)
     rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
-    A, B = pushoff_images(rep)
-    diff = rep.ctx.sub(A, B)
-    K = difference_kernel(A, diff)
+    tr1, tr2 = pushoff_traces(rep)
+    K = difference_kernel(rep.operator(tr1), rep.operator(tr1 - tr2))
+    diff = [[a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(rep.apply(tr1), rep.apply(tr2))]
     assert K.dim == 27
     assert K.equals(matrix_kernel(diff))
 
@@ -183,7 +186,7 @@ def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, 
         return matrix_kernel(M, tol)
 
     monkeypatch.setattr(kernels, "matrix_kernel", recording_kernel)
-    assert difference_kernel(A, diff, tol).dim == dim
+    assert difference_kernel(diagonals(A), diagonals(diff), tol).dim == dim
     assert len(calls) == spectral_calls + 1
     assert np.array_equal(calls[-1], diff)
 
@@ -214,20 +217,20 @@ def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
     A = S @ np.diag(lam) @ S_inv
     B = S @ (np.diag(lam) - cut) @ S_inv
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = difference_kernel(A, A - B, 1e-8)
+        K = difference_kernel(diagonals(A), diagonals(A - B), 1e-8)
     assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
     assert K.dim == sum(m - r for m, r in blocks)
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.1, 1.0])
-def test_row_gather_product_matches_matmul(density):
+def test_float_image_matches_matmul(density):
     rng = np.random.default_rng(int(10 * density))
     n, d = 30, 7
     M = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < density)
     M[3] = 0  # a row with no nonzeros
     X = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-    assert np.abs(kernels._row_gather(M)(X) - M @ X).max() < 1e-12
+    assert np.abs(scalars.FloatArithmetic().image(diagonals(M), X) - M @ X).max() < 1e-12
 
 
 def test_sweep_check_builds_and_checks_the_pushoff_traces_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from skeinrep import qtrace, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating
-from skeinrep.kernels import sample_generic_weights
+from skeinrep.kernels import sample_generic_weights, total_kernel
 from skeinrep.qtrace import (LoopSpec, chebyshev, corner_arc_factor,
                              edge_parallel_trace, fan_segment, segment_weyl,
                              sweep_check, threading_check)
@@ -108,7 +108,7 @@ def test_sweep_check(g2_rep, monkeypatch):
     original = qtrace.difference_kernel
 
     def spy(A, diff, tol):
-        calls.append(len(A))
+        calls.append(len(A[0][0]))
         return original(A, diff, tol)
 
     monkeypatch.setattr(qtrace, "difference_kernel", spy)
@@ -162,8 +162,9 @@ def test_exact_sweep_falls_back_to_elimination_at_a_bad_prime(g2_alg, monkeypatc
     bounds = []
     original = scalars.ExactArithmetic.rank_bound
 
-    def planted(self, M):
-        bounds.append(original(self, [[a * factor for a in row] for row in M]))
+    def planted(self, op):
+        bounds.append(original(self, [(perm, [a * factor for a in scale])
+                                      for perm, scale in op]))
         return bounds[-1]
 
     monkeypatch.setattr(scalars.ExactArithmetic, "rank_bound", planted)
@@ -172,6 +173,22 @@ def test_exact_sweep_falls_back_to_elimination_at_a_bad_prime(g2_alg, monkeypatc
     assert bounds == [(0, p if plant == "vanishes" else None)]
     assert report == dict(EXACT_SWEEP_REPORT, kernel_prime=None)
     assert len(calls) == 2  # total_kernel, then ker D by elimination
+
+
+def test_certified_exact_sweep_forms_no_dense_matrix(g2_alg, monkeypatch):
+    rep = exact_g2_rep(g2_alg)
+    total_kernel(rep)
+    calls = []
+    original = scalars.ExactArithmetic.dense
+
+    def dense(self, *args):
+        calls.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(scalars.ExactArithmetic, "dense", dense)
+    report = sweep_check(rep, g2_alg.T.designated_edge)
+    assert report["kernel_prime"] == rep.ctx.field.prime
+    assert calls == []
 
 
 def test_sweep_identity_element_level(g2_rep):

@@ -493,6 +493,12 @@ class CycloScalar:
 
     @staticmethod
     def deserialize(field: CycloField, data) -> "CycloScalar":
+        """The inverse of serialize: one [numerator, denominator] pair of
+        ints (a bool is not one), the denominator nonzero, per power of zeta."""
+        for pair in data if isinstance(data, list) else [data]:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) is int for v in pair) and pair[1]):
+                raise ValueError(f"coefficient {pair!r} is not a pair [int, nonzero int]")
         return field.from_coeffs(Fraction(n, d) for n, d in data)
 
     def __repr__(self):

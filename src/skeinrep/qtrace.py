@@ -247,7 +247,7 @@ def threading_check(rep: CFRep, loop: LoopSpec, tol: float = EIGEN_TOL) -> dict:
         a = edge_parallel_trace(alg, loop)
         alg.threaded_traces[loop] = (a, element_chebyshev(a, alg.N))
     a, threaded = alg.threaded_traces[loop]
-    scalar = ctx.scalar_of(rep.apply(threaded), tol)
+    scalar = ctx.scalar_of(rep.operator(threaded), tol)
     if scalar is None:
         raise NotScalar("T_N image is not a scalar matrix")
     tau = classical_trace(alg, a, rep.weights)

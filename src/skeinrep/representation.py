@@ -109,37 +109,6 @@ class WeightSystem:
             raise ParseError(f"bad weights file: {exc}") from exc
 
 
-class MonomialMatrix:
-    """Generalized permutation matrix: M e_i = scale[i] e[perm[i]]."""
-
-    __slots__ = ("dim", "perm", "scale")
-
-    def __init__(self, dim, perm, scale):
-        self.dim = dim
-        self.perm = perm
-        self.scale = scale
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        perm = [self.perm[other.perm[i]] for i in range(self.dim)]
-        scale = [other.scale[i] * self.scale[other.perm[i]] for i in range(self.dim)]
-        return MonomialMatrix(self.dim, perm, scale)
-
-    def scaled(self, c) -> "MonomialMatrix":
-        return MonomialMatrix(self.dim, self.perm, [s * c for s in self.scale])
-
-    def is_scalar(self):
-        if any(self.perm[i] != i for i in range(self.dim)):
-            return None
-        s0 = self.scale[0]
-        if all(scalars.is_zero(s - s0, 1e-9) for s in self.scale[1:]):
-            return s0
-        return None
-
-    def to_dense(self, zero):
-        """Dense matrix in the arithmetic of `zero` (numpy array for 0j)."""
-        return scalars.of(zero).dense(self.dim, [(self.perm, self.scale)])
-
-
 class CFRep:
     """Concrete irreducible representation of the balanced algebra."""
 
@@ -262,8 +231,8 @@ class CFRep:
             e = (e + 2 * self.N) % (4 * self.N)
         return e
 
-    def weyl_image(self, k) -> MonomialMatrix:
-        """mu([Z^k])."""
+    def weyl_image(self, k) -> tuple:
+        """mu([Z^k]) as one term (perm, scale)."""
         return self._image(k, 0)
 
     def intertwiner_part(self, k):
@@ -279,18 +248,18 @@ class CFRep:
         expo = (base + self.digits @ phase) % mod
         return tuple(perm.tolist()), tuple(expo.tolist())
 
-    def monomial_image(self, k) -> MonomialMatrix:
-        """mu(Z^k) = omega^(w(k)) mu([Z^k])."""
+    def monomial_image(self, k) -> tuple:
+        """mu(Z^k) = omega^(w(k)) mu([Z^k]) as one term (perm, scale)."""
         return self._image(k, self.algebra.weyl_weight(k))
 
-    def _image(self, k, extra_exp) -> MonomialMatrix:
-        """omega^extra_exp u^k A_k."""
+    def _image(self, k, extra_exp) -> tuple:
+        """omega^extra_exp u^k A_k as one translation term (perm, scale) of
+        lists, e_i -> scale[i] e[perm[i]]; ctx.operator sums such terms."""
         perm, expo = self.intertwiner_part(k)
         uk = self._u_power(k)
         mod = 4 * self.N
         scales = [uk * self.ctx.omega(j) for j in range(mod)]
-        return MonomialMatrix(self.dim, list(perm),
-                              [scales[(e + extra_exp) % mod] for e in expo])
+        return list(perm), [scales[(e + extra_exp) % mod] for e in expo]
 
     def operator(self, a: QTElement) -> list:
         """mu(a) as an operator (module scalars): each monomial image is a

@@ -20,12 +20,14 @@ An operator is a square matrix as its translation terms: a list of (perm,
 scale), entries M[perm[i], i] = scale[i], no two terms sharing an entry (in
 a representation image each monomial is a translation of the index group
 times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
-dense, image and rank_bound take operators, operator makes them; kernel,
-rank, scalar_of and eigenspaces take dense matrices.  Callers pass the
-threshold they use as `tol`; exact methods ignore it.  The N-free
-Exact/FloatArithmetic give (float | exact):
+dense, image, rank_bound and scalar_of take operators, operator makes them
+(dense and scalar_of also take [term] for a term (perm, scale) of lists, as
+CFRep.monomial_image gives); only kernel, rank, spans and eigenspaces take
+dense matrices.  An operator is zero when is_zero holds for its scale
+vectors.  Callers pass the threshold they use as `tol`; exact methods
+ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
 
-    operator(terms)   sum c P over terms (c, MonomialMatrix P), one term per
+    operator(terms)   sum c P over pairs (c, P = (perm, scale)), one term per
                       permutation, all-zero terms dropped
     rank_bound(op)    (0, None) | (r, p): rank op >= r, r the rank of op
                       reduced modulo the field's prime p (intlinalg.rank_mod),
@@ -37,8 +39,10 @@ Exact/FloatArithmetic give (float | exact):
                       QR factor R for a tall M | Gauss-Jordan
     rank(M, tol)      singular values above the cut (values-only SVD) |
                       Gauss-Jordan
-    scalar_of(M, tol) c if M = c Id, else None: off-scalar norm at most
-                      max(tol, 1e-9 max(|c|, 1)) | exact equality
+    scalar_of(op, tol) c if op = c Id, else None: c is the mean of the
+                      identity term's scale (0 without one), the off-scalar
+                      norm, |scale - c| there and |scale| on the other terms,
+                      at most max(tol, 1e-9 max(|c|, 1)) | exact equality
     eigenspaces(M, tol, rank_tol)  [(lam, multiplicity, orthonormal basis
                       of ker(M - lam Id) under the cut at rank_tol)] per
                       cluster at tol of the eigenvalues | None
@@ -76,6 +80,12 @@ def _exact_zero(v) -> bool:
     return v.is_zero() if isinstance(v, CycloScalar) else v == 0
 
 
+def _identity_scale(op):
+    """The scale of op's identity term, or None: the whole diagonal of an
+    image, as no other translation fixes an index."""
+    return next((s for p, s in op if np.array_equal(p, np.arange(len(p)))), None)
+
+
 class ExactArithmetic:
     mode = "exact"
 
@@ -95,10 +105,10 @@ class ExactArithmetic:
 
     def operator(self, terms):
         by_perm = {}
-        for c, mm in terms:
-            key = tuple(mm.perm)
+        for c, (perm, scale) in terms:
+            key = tuple(perm)
             by_perm[key] = [b + c * s for b, s
-                            in zip(by_perm.get(key, [0] * mm.dim), mm.scale)]
+                            in zip(by_perm.get(key, [0] * len(scale)), scale)]
         return [(list(perm), scale) for perm, scale in by_perm.items()
                 if not all(a.is_zero() for a in scale)]
 
@@ -188,11 +198,13 @@ class ExactArithmetic:
         """Kernel bases are independent, so B spans C iff B + C has rank |B|."""
         return self.rank(list(B) + list(C)) == len(B)
 
-    def scalar_of(self, M, tol: float = 0.0):
-        s = M[0][0]
-        ok = all((M[i][j] - s if i == j else M[i][j]).is_zero()
-                 for i in range(len(M)) for j in range(len(M)))
-        return s if ok else None
+    def scalar_of(self, op, tol: float = 0.0):
+        """Every term is nonzero, so another beside the identity's is not
+        scalar; no term at all is the zero of these scalars (ExactScalars)."""
+        diag = _identity_scale(op)
+        if diag is None or len(op) > 1:
+            return None if op else self.zero()
+        return diag[0] if all((v - diag[0]).is_zero() for v in diag) else None
 
     def eigenspaces(self, M, tol, rank_tol):
         """None: exact eigenvalues are not computed."""
@@ -284,10 +296,10 @@ class FloatArithmetic:
 
     def operator(self, terms):
         by_perm = {}
-        for c, mm in terms:
-            key = tuple(mm.perm)
+        for c, (perm, scale) in terms:
+            key = tuple(perm)
             by_perm[key] = (by_perm.get(key, 0)
-                            + complex(c) * np.asarray(mm.scale, dtype=complex))
+                            + complex(c) * np.asarray(scale, dtype=complex))
         return [(np.array(perm), scale) for perm, scale in by_perm.items()
                 if scale.any()]
 
@@ -334,11 +346,12 @@ class FloatArithmetic:
         """(0, None): a float rank is a decision at a tolerance, not a bound."""
         return 0, None
 
-    def scalar_of(self, M, tol: float):
-        M = np.asarray(M)
-        s = complex(np.trace(M) / len(M))
-        off = self.norm(M - s * np.eye(len(M)))
-        return s if off <= max(tol, 1e-9 * max(abs(s), 1)) else None
+    def scalar_of(self, op, tol: float):
+        diag = _identity_scale(op)
+        c = complex(np.mean(diag)) if diag is not None else 0j
+        off = max((self.norm(np.asarray(s) - c if s is diag else s) for _, s in op),
+                  default=0.0)
+        return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
 
     def eigenspaces(self, M, tol, rank_tol):
         """(lam, multiplicity, orthonormal basis of ker(M - lam Id)) per
@@ -357,8 +370,8 @@ class ExactScalars(ExactArithmetic):
         if isinstance(N, bool) or not isinstance(N, int) or N < 3 or N % 2 == 0:
             raise ValueError("N must be odd and >= 3")
         L = order if order is not None else 4 * N
-        if L % (4 * N) != 0:
-            raise ValueError("field order must be a multiple of 4N")
+        if isinstance(L, bool) or not isinstance(L, int) or L <= 0 or L % (4 * N):
+            raise ValueError(f"field order {L!r} is not a positive int multiple of 4N")
         self.N = N
         self.field = CycloField(L)
         # omega = zeta_L^omega_step

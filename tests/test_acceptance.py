@@ -24,6 +24,13 @@ RANK_TOL = 1e-8
 EIGEN_TOL = 1e-6
 
 
+def compose(a, b):
+    """The term of the product of two terms (perm, scale): b sends e_i to
+    t_i e_(q(i)), which a sends to t_i s_(q(i)) e_(p(q(i)))."""
+    (p, s), (q, t) = a, b
+    return [p[j] for j in q], [ti * s[j] for ti, j in zip(t, q)]
+
+
 def report(number, passed, text):
     status = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {number:>2} {status}: {text}")
@@ -141,12 +148,12 @@ def test_criterion_7_representation_contract():
         lat = rep.lattice
         for k in lat.basis:
             for l in lat.basis:
-                A, B = rep.weyl_image(k), rep.weyl_image(l)
+                perm, scale = compose(rep.weyl_image(k), rep.weyl_image(l))
                 kl = tuple(a + b for a, b in zip(k, l))
-                R = rep.weyl_image(kl).scaled(rep.ctx.omega(alg.pairing(k, l)))
-                P = A * B
-                ok = ok and P.perm == R.perm and \
-                    all((a - b).is_zero() for a, b in zip(P.scale, R.scale))
+                want_perm, want_scale = rep.weyl_image(kl)
+                w = rep.ctx.omega(alg.pairing(k, l))
+                ok = ok and perm == want_perm and \
+                    all((a - b * w).is_zero() for a, b in zip(scale, want_scale))
         for i in range(alg.n):
             M = rep.apply(alg.gen(i, 6))
             ok = ok and all((M[a][b] - (rep.weights.x[i] if a == b

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skeinrep import intlinalg, scalars
+from skeinrep import intlinalg, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
 from skeinrep.kernels import eigen_analysis, sample_generic_weights, total_kernel
 from skeinrep.qtrace import LoopSpec, threading_check
-from skeinrep.representation import MonomialMatrix, WeightSystem, build_rep
+from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
                              exact_torus_weights)
@@ -204,11 +204,11 @@ def field_commutant_dim(rep, tol=1e-8):
         while stack:
             pos = stack.pop()
             i, j = divmod(pos, D)
-            for g in gens:
-                npos = g.perm[i] * D + g.perm[j]
-                sj = g.scale[j]
+            for perm, scale in gens:
+                npos = perm[i] * D + perm[j]
+                sj = scale[j]
                 inv = 1.0 / sj if isinstance(sj, complex) else sj.inv()
-                val = phases[pos] * g.scale[i] * inv
+                val = phases[pos] * scale[i] * inv
                 if npos in phases:
                     diff = phases[npos] - val
                     if abs(diff) > tol if isinstance(diff, complex) else not diff.is_zero():
@@ -274,10 +274,10 @@ def test_kernel_of_tall_matrices_matches_full_svd(rows, cols, rank):
 
 def dense_loop(dim, terms):
     M = np.zeros((dim, dim), dtype=complex)
-    for c, mm in terms:
+    for c, (perm, scale) in terms:
         cc = complex(c)
         for i in range(dim):
-            M[mm.perm[i], i] += cc * mm.scale[i]
+            M[perm[i], i] += cc * scale[i]
     return M
 
 
@@ -287,14 +287,14 @@ def test_dense_matches_the_index_loop():
     perm_a, perm_b = rng.permutation(dim).tolist(), rng.permutation(dim).tolist()
 
     def mono(perm):
-        return MonomialMatrix(dim, perm, list(random_complex(rng, 1, dim)[0]))
+        return perm, list(random_complex(rng, 1, dim)[0])
 
     # two terms share a permutation, so their entries add
     terms = [(1.5 - 2j, mono(perm_a)), (0.25j, mono(perm_b)), (-3 + 0j, mono(perm_a))]
     got, want = FLOAT.dense(dim, FLOAT.operator(terms)), dense_loop(dim, terms)
     # the same sums in the same order; numpy may round a complex product
     # differently from Python (a fused multiply-add), by a few ulps
-    scale = sum(abs(c) * max(map(abs, mm.scale)) for c, mm in terms)
+    scale = sum(abs(c) * max(map(abs, s)) for c, (_, s) in terms)
     assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
     assert np.array_equal(got != 0, want != 0)
 
@@ -382,13 +382,18 @@ def test_exact_image_matches_the_dense_dot_loop(case):
 # ---- operators: representation images as translation terms ----
 
 @functools.lru_cache(maxsize=None)
+def contract_weights(name):
+    """The algebra at N=3 and its exact weights."""
+    alg = CFAlgebra(standard_library(name), 3)
+    return alg, exact_weights(name, alg)
+
+
+@functools.lru_cache(maxsize=None)
 def contract_rep(name, mode):
-    T = standard_library(name)
-    alg = CFAlgebra(T, 3)
-    W = exact_weights(name, alg)
+    alg, W = contract_weights(name)
     if mode == "float":
-        W = WeightSystem(T, 3, u=[complex(ui) for ui in W.u])
-    return build_rep(T, 3, W, algebra=alg)
+        W = WeightSystem(alg.T, 3, u=[complex(ui) for ui in W.u])
+    return build_rep(alg.T, 3, W, algebra=alg)
 
 
 def accumulated(rep, a):
@@ -397,13 +402,13 @@ def accumulated(rep, a):
     n, terms = rep.dim, [(c, rep.monomial_image(k)) for k, c in a.terms.items()]
     if rep.ctx.mode == "float":
         M = np.zeros((n, n), dtype=complex)
-        for c, mm in terms:
-            M[mm.perm, np.arange(n)] += complex(c) * np.asarray(mm.scale, dtype=complex)
+        for c, (perm, scale) in terms:
+            M[perm, np.arange(n)] += complex(c) * np.asarray(scale, dtype=complex)
         return M
     M = [[rep.ctx.zero()] * n for _ in range(n)]
-    for c, mm in terms:
+    for c, (perm, scale) in terms:
         for i in range(n):
-            M[mm.perm[i]][i] = M[mm.perm[i]][i] + c * mm.scale[i]
+            M[perm[i]][i] = M[perm[i]][i] + c * scale[i]
     return M
 
 
@@ -424,6 +429,68 @@ def random_columns(ctx, n, rng):
              for _ in range(n)] for _ in range(3)]
 
 
+def dense_scalar_of(ctx, M, tol):
+    """The dense scalar test, kept as the reference for scalar_of of an
+    operator: c = trace / n, and the largest entry of M - c Id."""
+    if ctx.mode == "float":
+        c = complex(np.trace(M) / len(M))
+        off = np.abs(M - c * np.eye(len(M))).max()
+        return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
+    c = M[0][0]
+    ok = all((M[i][j] - c if i == j else M[i][j]).is_zero()
+             for i in range(len(M)) for j in range(len(M)))
+    return c if ok else None
+
+
+def dense_is_zero(ctx, M, tol):
+    """The dense zero test, kept as the reference: every entry of M."""
+    if ctx.mode == "float":
+        return np.abs(M).max() <= tol
+    return all(v.is_zero() for row in M for v in row)
+
+
+def assert_decisions_match_dense(rep, a, tol):
+    """scalar_of of mu(a) as an operator, and the zero test of its scale
+    vectors, decide as the dense tests of rep.apply(a) do; returns the
+    reference scalar."""
+    ctx, op, M = rep.ctx, rep.operator(a), rep.apply(a)
+    got, want = ctx.scalar_of(op, tol), dense_scalar_of(ctx, M, tol)
+    assert (got is None) == (want is None)
+    if ctx.mode == "float" and want is not None:
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1)
+    elif want is not None:
+        assert got == want
+    assert verify.image_is_zero(rep, a, tol) == dense_is_zero(ctx, M, tol)
+    return want
+
+
+def assert_operator_decisions(name, rep, a, rng):
+    """Scalar and zero decisions on a random element, central elements, the
+    zero element, an element whose terms cancel in the representation, and
+    a central element plus 1e-10 or 1e-8 times a monomial (float: a scalar
+    under every tol, and one only under tol = 1e-6 unless m is central)."""
+    alg, (_, W) = rep.algebra, contract_weights(name)
+    i, m = rng.randrange(alg.n), random_balanced_monomial(alg, rng)
+    # mu(m Z_i^(2N)) = x_i mu(m), and both images share one permutation
+    cancel = m * alg.gen(i, 2 * alg.N) - m.scale(W.x[i])
+    tiny = [alg.scalars.from_rational(Fraction(1, 10 ** e)) for e in (10, 8)]
+    assert rep.operator(alg.zero()) == []
+    k = tuple(2 * alg.N * (j == i) for j in range(alg.n))
+    assert rep.ctx.scalar_of([rep.monomial_image(k)], 1e-9) == \
+        rep.ctx.scalar_of(rep.operator(alg.gen(i, 2 * alg.N)), 1e-9)
+    assert rep.ctx.mode == "float" or rep.operator(cancel) == []
+    for tol in (1e-12, 1e-9, 1e-6):
+        assert_decisions_match_dense(rep, a, tol)
+        central = [alg.central_H(v) for v in range(alg.T.num_vertices)] + \
+            [alg.gen(i, 2 * alg.N)]
+        assert all(assert_decisions_match_dense(rep, c, tol) is not None
+                   for c in central)
+        assert assert_decisions_match_dense(rep, alg.zero(), tol) == 0
+        assert assert_decisions_match_dense(rep, cancel, tol) is not None
+        for t in tiny:
+            assert_decisions_match_dense(rep, alg.central_H(0) + m.scale(t), tol)
+
+
 @given(st.sampled_from(["torus1", "sphere2", "genus2_sep"]),
        st.sampled_from(["exact", "float"]), st.integers(0, 2 ** 32 - 1))
 def test_operator_contract(name, mode, seed):
@@ -438,6 +505,7 @@ def test_operator_contract(name, mode, seed):
     want = accumulated(rep, a)
     X = random_columns(ctx, n, rng)
     diff = ctx.dense(n, rep.operator(a - b))
+    assert_operator_decisions(name, rep, a, rng)
     if mode == "float":
         assert np.array_equal(M, want)
         assert np.abs(ctx.image(op, X) - M @ X).max() <= 1e-12 * max(np.abs(M).max(), 1)

@@ -141,6 +141,33 @@ def test_kernels_rejects_non_finite_float_weights(tmp_path, capsys, bad, match):
                        capsys)
 
 
+@pytest.mark.parametrize("key,bad,match", [
+    ("u", [True, 1], "not a pair"), ("u", [1, True], "not a pair"),
+    ("u", [1.0, 1], "not a pair"), ("u", ["1", 1], "not a pair"),
+    ("u", [1], "not a pair"), ("u", [1, 0], "not a pair"),
+    ("field_order", 12.0, "not a positive int"), ("field_order", "12", "not a positive int"),
+    ("field_order", True, "not a positive int"), ("field_order", 0, "not a positive int"),
+    ("field_order", 18, "not a positive int"),
+], ids=["bool-numerator", "bool-denominator", "float", "string", "one-number",
+        "zero-denominator", "order-float", "order-string", "order-bool", "order-zero",
+        "order-not-a-multiple"])
+def test_kernels_rejects_malformed_exact_weights(tmp_path, capsys, key, bad, match):
+    T = standard_library("torus1")
+    data = json.loads(exact_torus_weights(CFAlgebra(T, 3)).to_json())
+    assert data["u"][0][0] == [1, 1] and data["field_order"] == 12
+    if key == "u":
+        data["u"][0][0] = bad
+    else:
+        data["field_order"] = bad
+    text = json.dumps(data)
+    with pytest.raises(ParseError, match=match):
+        WeightSystem.from_json(T, text)
+    wpath = tmp_path / "w.json"
+    wpath.write_text(text)
+    assert_input_error(main(["kernels", "--name", "torus1", "--weights", str(wpath)]),
+                       capsys)
+
+
 def test_kernels_weights_too_few_entries(tmp_path, capsys):
     wpath = torus_weights_file(tmp_path, entries=2)
     assert_input_error(main(["kernels", "--name", "torus1", "--weights", wpath]), capsys)

@@ -191,6 +191,38 @@ def test_certified_exact_sweep_forms_no_dense_matrix(g2_alg, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_threading_and_signrev_checks_form_no_dense_matrix(g2_alg, g2_rep, mode,
+                                                          monkeypatch):
+    """Their scalar tests read operators: the only dense images are the
+    ones total_kernel takes its kernel of."""
+    T = g2_alg.T
+    rep = g2_rep if mode == "float" else build_rep(
+        T, 3, verify.exact_genus2_weights(g2_alg), algebra=g2_alg)
+    calls, in_kernel = [], []
+    for cls in (scalars.FloatArithmetic, scalars.ExactArithmetic):
+        def dense(self, *args, original=cls.dense):
+            if not in_kernel:
+                calls.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "dense", dense)
+
+    def total_kernel(*args, original=verify.total_kernel):
+        in_kernel.append(True)
+        try:
+            return original(*args)
+        finally:
+            in_kernel.pop()
+
+    monkeypatch.setattr(verify, "total_kernel", total_kernel)
+    for side in (1, 2):
+        assert threading_check(rep, LoopSpec.edge_parallel(T.designated_edge, side))["passed"]
+    eps = SignReversalClass(T, (1, 0, 1, 1, 0, 1, 0, 0, 1))
+    assert all(c.passed for c in verify.signrev_checks(rep, eps, 1e-8))
+    assert calls == []
+
+
 def test_sweep_identity_element_level(g2_rep):
     # mu([Z^seg]) (rho[K1] - rho[K2]) equals mu(Q_v) started at the segment
     alg, T = g2_rep.algebra, g2_rep.T

@@ -3,9 +3,10 @@
 Subdividing a face adds a trivalent vertex and three edges; the induced map
 Phi sends Weyl monomials to Weyl monomials by completing the exponent vector
 on the new edges.  A diagonal exchange replaces the diagonal of a square
-whose four sides are distinct edges; the induced map Theta lands in a
-localized algebra whose denominators are the commuting family
-(1 + omega^(4j) Z_d^2) on the flipped edge.
+whose four sides are distinct edges; the induced map Theta lands in the
+algebra localized at the central element c = 1 + Z_d^(2N) of the flipped
+edge d, the product of the N factors (1 + omega^(4j) Z_d^2) that its
+formulas divide by.
 
 Edge indices are re-derived after every move; a MoveRecord carries the
 old-to-new edge map, the square or face labels, and enough data to transport
@@ -217,72 +218,43 @@ def flip(T: Triangulation, edge: int) -> tuple[Triangulation, MoveRecord]:
 
 
 class LocalizedElement:
-    """num with a left multiset of commuting denominators (1 + w^(4j) Z_d^2).
+    """c^-power . num, localized at the central c = 1 + Z_d^(2N).
 
-    Represents (prod_j (1 + omega^(4j) Z_d^2))^-1 . num on the algebra of the
-    pre-flip triangulation; equality is decided by cross multiplication.
+    At odd N, omega^4 is a primitive N-th root of unity, so the factors
+    (1 + omega^(4j) Z_d^2), j < N, multiply to c; c commutes with every
+    generator and acts as the scalar 1 + x_d in a representation.  Sums
+    bring both sides to the larger power; equality cross-multiplies by c
+    powers, which is exact across localizations because each c is central.
     """
 
     def __init__(self, algebra: CFAlgebra, d_edge: int, num: QTElement,
-                 denom: tuple = ()):
+                 power: int = 0):
         self.algebra = algebra
         self.d_edge = d_edge
         self.num = num
-        self.denom = tuple(sorted(j % (2 * algebra.N) for j in denom))
+        self.power = power
 
-    def _factor(self, j: int) -> QTElement:
+    def _c(self, power: int) -> QTElement:
         alg = self.algebra
-        return alg.one() + alg.gen(self.d_edge, 2).scale(alg.omega(4 * j))
-
-    def _expand(self, denom) -> QTElement:
-        out = self.algebra.one()
-        for j in denom:
-            out = out * self._factor(j)
-        return out
-
-    def _shift_of(self, k) -> int:
-        """Conjugation shift: Z^k (1+w^4j Z_d^2) Z^-k = 1 + w^(4(j+s)) Z_d^2."""
-        alg = self.algebra
-        d = [0] * alg.n
-        d[self.d_edge] = 1
-        return alg.pairing(k, d)
+        return (alg.one() + alg.gen(self.d_edge, 2 * alg.N)) ** power
 
     def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
         self._check(other)
-        common = _multiset_union(self.denom, other.denom)
-        n1 = self._expand(_multiset_diff(common, self.denom)) * self.num
-        n2 = self._expand(_multiset_diff(common, other.denom)) * other.num
-        return LocalizedElement(self.algebra, self.d_edge, n1 + n2, common)
+        p = max(self.power, other.power)
+        num = self._c(p - self.power) * self.num + self._c(p - other.power) * other.num
+        return LocalizedElement(self.algebra, self.d_edge, num, p)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "LocalizedElement":
         return LocalizedElement(self.algebra, self.d_edge, self.num.scale(c),
-                                self.denom)
+                                self.power)
 
     def __mul__(self, other: "LocalizedElement") -> "LocalizedElement":
         self._check(other)
-        # (D1^-1 n1)(D2^-1 n2): pull D2 left through each monomial of n1
-        pieces = []
-        for k, c in self.num.terms.items():
-            s = self._shift_of(k)
-            denom_k = tuple((j + s) for j in other.denom)
-            pieces.append((denom_k, self.algebra.monomial(k, c)))
-        if not pieces:
-            return LocalizedElement(self.algebra, self.d_edge,
-                                    self.algebra.zero(), self.denom)
-        common: tuple = ()
-        for denom_k, _ in pieces:
-            common = _multiset_union(common, tuple(sorted(j % (2 * self.algebra.N)
-                                                          for j in denom_k)))
-        total = self.algebra.zero()
-        for denom_k, mono in pieces:
-            canon = tuple(sorted(j % (2 * self.algebra.N) for j in denom_k))
-            total = total + self._expand(_multiset_diff(common, canon)) * mono
-        num = total * other.num
-        return LocalizedElement(self.algebra, self.d_edge, num,
-                                tuple(sorted(self.denom + common)))
+        return LocalizedElement(self.algebra, self.d_edge, self.num * other.num,
+                                self.power + other.power)
 
     def _check(self, other):
         if self.algebra is not other.algebra or self.d_edge != other.d_edge:
@@ -293,33 +265,15 @@ class LocalizedElement:
             other = LocalizedElement(self.algebra, self.d_edge, other)
         if not isinstance(other, LocalizedElement):
             return NotImplemented
-        return (self._expand(other.denom) * self.num
-                == self._expand(self.denom) * other.num)
+        return other._c(other.power) * self.num == self._c(self.power) * other.num
 
     def __repr__(self):
-        return f"Localized(denom={self.denom}, num={self.num!r})"
+        return f"Localized(power={self.power}, num={self.num!r})"
 
 
-def _multiset_union(a, b):
-    """Pointwise-max union of sorted multisets."""
-    from collections import Counter
-    ca, cb = Counter(a), Counter(b)
-    out = []
-    for j in set(ca) | set(cb):
-        out.extend([j] * max(ca[j], cb[j]))
-    return tuple(sorted(out))
-
-
-def _multiset_diff(a, b):
-    from collections import Counter
-    c = Counter(a)
-    c.subtract(Counter(b))
-    out = []
-    for j, m in c.items():
-        if m < 0:
-            raise ValueError("not a sub-multiset")
-        out.extend([j] * m)
-    return tuple(sorted(out))
+def _factor(algebra: CFAlgebra, d_edge: int, j: int) -> QTElement:
+    """1 + omega^(4j) Z_d^2."""
+    return algebra.one() + algebra.gen(d_edge, 2).scale(algebra.omega(4 * j))
 
 
 def _structured_power(algebra: CFAlgebra, d_edge: int, n_factors: int,
@@ -327,19 +281,15 @@ def _structured_power(algebra: CFAlgebra, d_edge: int, n_factors: int,
     """((1 + w^4 Z_d^2)^a m)^k as a localized element, a in {0, 1}."""
     if n_factors == 0:
         return LocalizedElement(algebra, d_edge, mono ** k)
-    km, _ = mono.monomial_data()
-    d = [0] * algebra.n
-    d[d_edge] = 1
-    s = algebra.pairing(km, d)
     if k >= 0:
-        num = algebra.one()
-        for i in range(k):
-            num = num * (algebra.one()
-                         + algebra.gen(d_edge, 2).scale(algebra.omega(4 * (1 + s * i))))
-        return LocalizedElement(algebra, d_edge, num * mono ** k)
-    kk = -k
-    denom = tuple(1 + s * i - kk * s for i in range(kk))
-    return LocalizedElement(algebra, d_edge, mono ** (-kk), denom)
+        return LocalizedElement(algebra, d_edge,
+                                (_factor(algebra, d_edge, 1) * mono) ** k)
+    # ((1 + w^4 Z_d^2) m)^-1 = c^-1 m^-1 prod_{j != 1} (1 + w^4j Z_d^2)
+    inv = mono ** -1
+    for j in range(algebra.N):
+        if j != 1:
+            inv = inv * _factor(algebra, d_edge, j)
+    return LocalizedElement(algebra, d_edge, inv ** -k, -k)
 
 
 def theta(record: MoveRecord, a, target: CFAlgebra) -> LocalizedElement:
@@ -359,14 +309,13 @@ def theta(record: MoveRecord, a, target: CFAlgebra) -> LocalizedElement:
         raise MixedAlgebra("target algebra must live on the pre-flip triangulation")
     d_old = record.square[1]
     if isinstance(a, LocalizedElement):
+        if a.algebra.T is not record.after or a.d_edge != record.edge_map[d_old]:
+            raise MixedAlgebra("element must be localized at the flipped diagonal")
+        # Theta(1 + Z'_d^(2N)) = 1 + Z_d^(-2N) = Z_d^(-2N) c
         out = theta(record, a.num, target)
-        for j in a.denom:
-            # Theta(1 + w^4j Z'_d^2) = 1 + w^4j Z_d^-2 = w^4j Z_d^-2 (1 + w^-4j Z_d^2)
-            inv = LocalizedElement(
-                target, d_old,
-                target.gen(d_old, 2).scale(target.omega(-4 * j)), (-j,))
-            out = inv * out
-        return out
+        return LocalizedElement(target, d_old,
+                                target.gen(d_old, 2 * target.N * a.power) * out.num,
+                                out.power + a.power)
     src = a.algebra
     if src.T is not record.after:
         raise MixedAlgebra("element must live on the flipped triangulation")

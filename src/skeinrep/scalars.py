@@ -9,10 +9,11 @@ backends only decide how representation matrices and kernels are evaluated.
 This module alone chooses between the two arithmetics.  Values pick it by
 their type (`of`, `one_like`, `is_zero`, `serialize`; `one_like` and
 `is_zero` also take the Fraction points of holonomy): a complex or a numpy
-array is float, anything else is exact, and an operator goes by its first
-scale vector.  A mode string picks it only where the values are not at hand
-yet or a caller names the arithmetic it expects (`for_mode`, `backend`): the
-"mode" tag of a weights file and the mode argument of eigen_analysis.
+array is float, anything else is exact, and an operator goes by the first
+entry of its first scale vector.  A mode string picks it only where the
+values are not at hand yet or a caller names the arithmetic it expects
+(`for_mode`, `backend`): the "mode" tag of a weights file and the mode
+argument of eigen_analysis.
 
 Contract.  A matrix is a numpy array (float) or a list of rows (exact); a
 subspace basis is an ambient x d array (float) or a list of d columns (exact).
@@ -460,13 +461,14 @@ def backend(mode: str, N: int, order: int | None = None):
 
 
 def of(x, N: int | None = None):
-    """The arithmetic of a scalar, a matrix, a basis or an operator (by its
-    first scale vector), picked by its type: float for a complex or a numpy
-    array, exact otherwise (a CycloScalar or a list of rows or columns).
-    Given N, the scalars of that arithmetic; exact ones live in the field of
-    a CycloScalar x, Q(zeta_4N) otherwise."""
+    """The arithmetic of a scalar, a matrix, a basis or an operator (by the
+    first entry of its first scale vector, so a [term] of lists reads as
+    its representation's), picked by its type: float for a complex or a
+    numpy array, exact otherwise (a CycloScalar or a list of rows or
+    columns).  Given N, the scalars of that arithmetic; exact ones live in
+    the field of a CycloScalar x, Q(zeta_4N) otherwise."""
     if isinstance(x, list) and x and isinstance(x[0], tuple):
-        x = x[0][1]
+        x = x[0][1][0]
     if isinstance(x, (complex, np.ndarray)):
         return _ARITHMETIC["float"] if N is None else FloatScalars(N)
     if N is None:

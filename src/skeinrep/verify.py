@@ -401,12 +401,11 @@ def threading_checks(N, rng):
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, N)
     checks = []
-    if N == 3:
-        rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
-        ok = all(threading_check(rep, LoopSpec.edge_parallel(T.designated_edge, side))["passed"]
-                 for side in (1, 2))
-        checks.append(Check("threading-exact", ok,
-                            "T_N(rho[K]) = -trace * Id exactly, both push-offs"))
+    rep = build_rep(T, N, exact_genus2_weights(alg), algebra=alg)
+    ok = all(threading_check(rep, LoopSpec.edge_parallel(T.designated_edge, side))["passed"]
+             for side in (1, 2))
+    checks.append(Check("threading-exact", ok,
+                        "T_N(rho[K]) = -trace * Id exactly, both push-offs"))
     ok = True
     worst = 0.0
     for _ in range(20):

@@ -491,6 +491,16 @@ def assert_operator_decisions(name, rep, a, rng):
             assert_decisions_match_dense(rep, alg.central_H(0) + m.scale(t), tol)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_of_reads_a_term_as_its_representation(mode):
+    # a [term] of lists, as monomial_image gives, goes by its first scale entry
+    rep = contract_rep("torus1", mode)
+    term = rep.monomial_image(rep.lattice.basis[0])
+    assert scalars.of([term]) is scalars.of(rep.ctx.operator([(rep.ctx.one(), term)]))
+    assert scalars.of([term]).mode == mode
+    assert type(scalars.of([term], 3)) is type(rep.ctx)
+
+
 @given(st.sampled_from(["torus1", "sphere2", "genus2_sep"]),
        st.sampled_from(["exact", "float"]), st.integers(0, 2 ** 32 - 1))
 def test_operator_contract(name, mode, seed):

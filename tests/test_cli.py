@@ -272,6 +272,14 @@ def test_verify_suite_passes(suite, seed, tmp_path, capsys):
     assert [c["name"] for c in checks] == REPORT_CHECKS[suite]
 
 
+def test_threading_suite_is_exact_beyond_N3(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "threading", "--N", "5", "--seed", "0",
+                 "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == REPORT_CHECKS["threading"]
+
+
 def test_signrev_class_draws_are_bounded():
     class Zeros(random.Random):
         def randint(self, a, b):

@@ -1,30 +1,56 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from skeinrep.cfalgebra import CFAlgebra
+from skeinrep.cfalgebra import CFAlgebra, commutator_is_zero
 from skeinrep.errors import (BadSquare, DegenerateCrossratio, DegenerateParam,
-                             NotBalanced)
+                             MixedAlgebra, NotBalanced)
 from skeinrep.moves import (LocalizedElement, are_isomorphic, flip,
                             flip_weights, phi, subdivide, subdivision_weights,
                             theta)
-from skeinrep.representation import WeightSystem
+from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import build, standard_library
+from skeinrep.verify import exact_genus2_weights
 
 from conftest import random_balanced_monomial
 
 
 # the smallest triangulation carrying a flip square: the subdivided sphere
-@pytest.fixture(scope="module")
-def flip_setup():
+@functools.lru_cache(maxsize=None)
+def flip_at(N):
     T0 = standard_library("sphere2")
     T1, rec_sub = subdivide(T0, 0)
     edge = rec_sub.edge_map[rec_sub.side_edges[0]]
     T2, rec = flip(T1, edge)
-    alg1 = CFAlgebra(T1, 3)
-    alg2 = CFAlgebra(T2, 3)
+    alg1 = CFAlgebra(T1, N)
+    alg2 = CFAlgebra(T2, N)
     return T1, T2, rec, alg1, alg2
+
+
+@pytest.fixture(scope="module")
+def flip_setup():
+    return flip_at(3)
+
+
+def factor(alg, d, j):
+    """1 + omega^(4j) Z_d^2, one of the N factors of c = 1 + Z_d^(2N)."""
+    return alg.one() + alg.gen(d, 2).scale(alg.omega(4 * j))
+
+
+def factor_inverse(alg, d, j):
+    """c^-1 times the other N - 1 factors."""
+    num = alg.one()
+    for i in range(alg.N):
+        if i != j:
+            num = num * factor(alg, d, i)
+    return LocalizedElement(alg, d, num, 1)
+
+
+def one_localized_at(alg, d):
+    """(1 + Z_d^2)^-1 (1 + Z_d^2), localized at d."""
+    return factor_inverse(alg, d, 0) * LocalizedElement(alg, d, factor(alg, d, 0))
 
 
 # ---- subdivision combinatorics ----
@@ -202,8 +228,67 @@ def test_theta_coordinate_change_formulas(flip_setup):
                 LocalizedElement(alg1, d_old, alg1.gen(e, 2))
 
 
-def test_theta_homomorphism(flip_setup):
+# ---- localization at the central c = 1 + Z_d^(2N) ----
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_factors_multiply_to_a_central_element(N):
+    _, _, rec, alg1, _ = flip_at(N)
+    d = rec.square[1]
+    c = alg1.one() + alg1.gen(d, 2 * N)
+    prod = alg1.one()
+    for j in range(N):
+        prod = prod * factor(alg1, d, j)
+    assert prod == c
+    assert all(commutator_is_zero(c, alg1.gen(i)) for i in range(alg1.n))
+    for j in range(N):
+        f = LocalizedElement(alg1, d, factor(alg1, d, j))
+        assert f * factor_inverse(alg1, d, j) == alg1.one()
+        assert factor_inverse(alg1, d, j) * f == alg1.one()
+
+
+def test_central_element_acts_as_the_shear_factor():
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    W = exact_genus2_weights(alg)
+    rep = build_rep(alg.T, 3, W, algebra=alg)
+    for d in range(alg.n):
+        c = alg.one() + alg.gen(d, 2 * alg.N)
+        assert rep.ctx.scalar_of(rep.operator(c)) == alg.scalars.one() + W.x[d]
+
+
+def test_localized_equality_reads_the_edge():
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    assert factor_inverse(alg, 0, 0) != factor_inverse(alg, 1, 0)
+    assert one_localized_at(alg, 0) == one_localized_at(alg, 1) == alg.one()
+    with pytest.raises(MixedAlgebra):
+        one_localized_at(alg, 0) + one_localized_at(alg, 1)
+
+
+def test_theta_reads_where_its_input_is_localized(flip_setup):
     T1, T2, rec, alg1, alg2 = flip_setup
+    d_new = rec.edge_map[rec.square[1]]
+    e_new = next(e for e in range(T2.num_edges) if e != d_new)
+    assert theta(rec, one_localized_at(alg2, d_new), alg1) == alg1.one()
+    with pytest.raises(MixedAlgebra):
+        theta(rec, one_localized_at(alg2, e_new), alg1)
+    with pytest.raises(MixedAlgebra):
+        theta(rec, LocalizedElement(alg1, rec.square[1], alg1.one()), alg1)
+
+
+def test_theta_homomorphism_on_localized_elements(flip_setup):
+    T1, T2, rec, alg1, alg2 = flip_setup
+    d_new = rec.edge_map[rec.square[1]]
+    rng = random.Random(4)
+    for _ in range(10):
+        a = factor_inverse(alg2, d_new, rng.randrange(3)) * LocalizedElement(
+            alg2, d_new, random_balanced_monomial(alg2, rng, bound=1))
+        b = factor_inverse(alg2, d_new, rng.randrange(3))
+        assert theta(rec, a * b, alg1) == theta(rec, a, alg1) * theta(rec, b, alg1)
+        assert theta(rec, a + b, alg1) == theta(rec, a, alg1) + theta(rec, b, alg1)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_theta_homomorphism(N):
+    T1, T2, rec, alg1, alg2 = flip_at(N)
     rng = random.Random(3)
 
     def TH(el):
@@ -222,10 +307,11 @@ def test_theta_sends_H_to_H(flip_setup):
         assert got == LocalizedElement(alg1, rec.square[1], alg1.central_H(v))
 
 
-def test_theta_double_flip_acts_as_identity(flip_setup):
-    T1, T2, rec1, alg1, alg2 = flip_setup
+@pytest.mark.parametrize("N", [3, 5])
+def test_theta_double_flip_acts_as_identity(N):
+    T1, T2, rec1, alg1, alg2 = flip_at(N)
     T3, rec2 = flip(T2, rec1.edge_map[rec1.edge])
-    alg3 = CFAlgebra(T3, 3)
+    alg3 = CFAlgebra(T3, N)
     for i in range(T3.num_edges):
         a = alg3.gen(i, 2)
         back = theta(rec1, theta(rec2, a, alg2), alg1)

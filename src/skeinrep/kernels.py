@@ -5,15 +5,28 @@ Gaussian elimination over the cyclotomic field (division is exact, so no
 tolerance enters), a numpy array by singular value thresholding at a
 relative tolerance.
 
-The kernel of the difference D = A - B of commuting operators (the images
-of the two push-offs of a separating loop; D = rho(K1 - K2)) is taken from
-A and D, one eigenspace V_lam of A at a time (difference_kernel):
-(B - lam) V_lam = -D V_lam, so ker D = sum over lam of V_lam ker(D V_lam).
-A float A, made dense, splits into the diagonal blocks of its nonzero
-pattern, so each V_lam has an orthonormal basis of columns on single
-blocks.  The basis is checked against D; when that check fails, when A's
-eigenspaces do not fill the space, and always for exact operators, ker D is
-taken whole, of D made dense.
+The kernel of an operator X, when a diagonalizable A preserves it, is taken
+one eigenspace V_lam of A at a time (eigenspace_kernel): ker X is the sum
+over lam of ker X meet V_lam = V_lam ker(X V_lam), so only thin
+n x dim V_lam matrices are reduced.  A float A, made dense, splits into the
+diagonal blocks of its nonzero pattern, so each V_lam has an orthonormal
+basis of columns on single blocks.  The basis is checked against X; when
+that check fails, when A's eigenspaces do not fill the space, and always
+for exact operators, the kernel is taken of a dense matrix.  Two kernels are
+taken this way, with A = rho[K1], the image of the first push-off of a
+separating loop:
+
+- ker D, for the difference D = rho[K1] - rho[K2] = rho(K1 - K2) of the
+  commuting images of the two push-offs (difference_kernel): D commutes
+  with A, so A preserves ker D.
+- F = ker mu(Q_v), the total kernel of a float representation of a
+  one-vertex triangulation with a designated separating edge
+  (total_kernel).  That A preserves F is the paper's invariance: F carries
+  the skein representation, and every quantum trace acts on it.  The
+  residual check shows only that the basis lies in F; were F not
+  A-invariant, the basis would fall short of dim F = N^3, which the
+  genus2-kernel-dim check would then fail.  The tests compare it with the
+  dense kernel of mu(Q_v) at N <= 5.
 
 The sweep check (qtrace.sweep_check) needs only dim ker D, and for exact
 operators it usually gets it from two bounds with no kernel of D at all: an
@@ -82,32 +95,39 @@ def matrix_kernel(M, tol: float = DEFAULT_RANK_TOL) -> Subspace:
 
 
 # Eigenvalues closer than this join one cluster: the clustering tolerance of
-# eigen_analysis and difference_kernel, and the residual bound of threading
+# eigen_analysis and eigenspace_kernel, and the residual bound of threading
 # checks.
 EIGEN_TOL = 1e-6
 
 
-def difference_residual_bound(diff) -> float:
-    """Largest entry of D X, for the operator D = diff = A - B, at which X
-    still counts as lying in ker D: 1e-7 max(|D|, 1), |D| the largest entry
-    of its scale vectors, as its terms share no entry."""
-    return 1e-7 * max(scalars.of(diff).norm([scale for _, scale in diff]), 1)
+def residual_bound(op) -> float:
+    """Largest entry of op X at which X still counts as lying in ker op:
+    1e-7 max(|op|, 1), |op| the largest entry of its scale vectors, as its
+    terms share no entry."""
+    return 1e-7 * max(scalars.of(op).norm([scale for _, scale in op]), 1)
 
 
-def difference_kernel(A, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """ker D for D = diff = A - B, with A and B commuting operators, from
-    the eigenspaces of A.  The basis K is accepted when |D K| is within
-    difference_residual_bound; otherwise, or when A's eigenspaces do not
-    fill the space, or for exact operators, this is matrix_kernel(D)."""
+def eigenspace_kernel(A, op, tol: float) -> Subspace:
+    """ker op for an operator op whose kernel the operator A preserves, from
+    the eigenspaces of A: the basis K of the V_lam ker(op V_lam) together is
+    accepted when |op K| is within residual_bound(op); otherwise, or when
+    A's eigenspaces do not fill the space, or for exact operators, this is
+    matrix_kernel of op made dense."""
     ctx = scalars.of(A)
     n = len(A[0][0])
     spaces = ctx.eigenspaces(ctx.dense(n, A), EIGEN_TOL, tol)
     if spaces is not None and sum(ctx.ncols(V) for _, _, V in spaces) == n:
-        K = np.hstack([V @ matrix_kernel(ctx.image(diff, V), tol).basis
+        K = np.hstack([V @ matrix_kernel(ctx.image(op, V), tol).basis
                        for _, _, V in spaces])
-        if ctx.is_zero(ctx.image(diff, K), difference_residual_bound(diff)):
+        if ctx.is_zero(ctx.image(op, K), residual_bound(op)):
             return Subspace(n, K)
-    return matrix_kernel(ctx.dense(n, diff), tol)
+    return matrix_kernel(ctx.dense(n, op), tol)
+
+
+def difference_kernel(A, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """ker D for D = diff = A - B, with A and B commuting operators, so that
+    A preserves ker D: eigenspace_kernel(A, D)."""
+    return eigenspace_kernel(A, diff, tol)
 
 
 # ---- kernel operations ----
@@ -120,12 +140,30 @@ def offdiag_kernel(rep: CFRep, v: int, start: int = 0,
 
 
 def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Intersection of the off-diagonal kernels over all vertices, computed
+    """Intersection F of the off-diagonal kernels over all vertices, computed
     once per representation and tolerance; callers share the returned
-    Subspace and must not modify its basis."""
+    Subspace and must not modify its basis.
+
+    For a float representation of a one-vertex triangulation with a
+    designated separating edge, F = ker mu(Q_v) is taken one eigenspace of
+    rho[K1] at a time (eigenspace_kernel).  Certified: |mu(Q_v) F| is within
+    residual_bound, so F lies in the kernel.  That it is the whole kernel
+    rests on rho[K1] preserving ker mu(Q_v) (module docstring); a shortfall
+    would show as dim F < N^3.  When the basis is not accepted this is the
+    kernel of the dense mu(Q_v), and every other representation takes the
+    kernel of its stacked dense mu(Q_v); exact eigenvalues are not computed,
+    so an exact rho[K1] is never built."""
     if tol not in rep.total_kernels:
-        mats = [rep.apply(rep.algebra.offdiag_Q(v)) for v in range(rep.T.num_vertices)]
-        rep.total_kernels[tol] = matrix_kernel(rep.ctx.stack(mats), tol)
+        T, alg = rep.T, rep.algebra
+        if (rep.weights.mode == "float" and T.num_vertices == 1
+                and T.designated_edge is not None):
+            from .qtrace import pushoff_pair
+            A = rep.operator(pushoff_pair(alg, T.designated_edge)[0])
+            F = eigenspace_kernel(A, rep.operator(alg.offdiag_Q(0)), tol)
+        else:
+            F = matrix_kernel(rep.ctx.stack([rep.apply(alg.offdiag_Q(v))
+                                             for v in range(T.num_vertices)]), tol)
+        rep.total_kernels[tol] = F
     return rep.total_kernels[tol]
 
 
@@ -138,15 +176,14 @@ def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL):
     the eigenspaces fill the space.  Exact eigenvalues are not computed; an
     exact eigenspace is the kernel of mu(a - lam) for a known lam.
     """
-    ctx = scalars.for_mode(mode)
-    spaces = ctx.eigenspaces(M, tol, max(tol * 1e-3, 1e-12))
-    if spaces is None:
+    counts = scalars.for_mode(mode).multiplicities(M, tol, max(tol * 1e-3, 1e-12))
+    if counts is None:
         raise ValueError("exact eigen-analysis is not available")
-    for lam, alg_mult, V in spaces:
-        if ctx.ncols(V) != alg_mult:
+    for lam, alg_mult, geo_mult in counts:
+        if geo_mult != alg_mult:
             raise NotDiagonalizable(
-                f"eigenvalue {lam}: geometric {ctx.ncols(V)} != algebraic {alg_mult}")
-    return [(lam, alg_mult) for lam, alg_mult, _ in spaces]
+                f"eigenvalue {lam}: geometric {geo_mult} != algebraic {alg_mult}")
+    return [(lam, alg_mult) for lam, alg_mult, _ in counts]
 
 
 # ---- generic weight sampling ----

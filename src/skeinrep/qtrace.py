@@ -14,7 +14,7 @@ from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
 from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
                      NotSeparating)
 from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, difference_kernel,
-                      difference_residual_bound, total_kernel)
+                      residual_bound, total_kernel)
 from .representation import CFRep, WeightSystem
 
 
@@ -204,7 +204,7 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     diff = rep.operator(tr1 - tr2)
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
-    restriction_zero = ctx.is_zero(restriction, difference_residual_bound(diff))
+    restriction_zero = ctx.is_zero(restriction, residual_bound(diff))
     rank, prime = ctx.rank_bound(diff)
     if prime is not None and restriction_zero and rank >= rep.dim - F.dim:
         kernel_dim = F.dim

@@ -22,11 +22,12 @@ scale), entries M[perm[i], i] = scale[i], no two terms sharing an entry (in
 a representation image each monomial is a translation of the index group
 times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
 dense, image, rank_bound and scalar_of take operators, operator makes them
-(dense and scalar_of also take [term] for a term (perm, scale) of lists, as
-CFRep.monomial_image gives); only kernel, rank, spans and eigenspaces take
-dense matrices.  An operator is zero when is_zero holds for its scale
-vectors.  Callers pass the threshold they use as `tol`; exact methods
-ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
+(dense, image and scalar_of also take [term] for a term (perm, scale) of
+lists, as CFRep.monomial_image gives); only kernel, rank, spans,
+eigenspaces and multiplicities take dense matrices.  An operator is zero
+when is_zero holds for its scale vectors.  Callers pass the threshold they
+use as `tol`; exact methods ignore it.  The N-free Exact/FloatArithmetic
+give (float | exact):
 
     operator(terms)   sum c P over pairs (c, P = (perm, scale)), one term per
                       permutation, all-zero terms dropped
@@ -47,6 +48,8 @@ ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
     eigenspaces(M, tol, rank_tol)  [(lam, multiplicity, orthonormal basis
                       of ker(M - lam Id) under the cut at rank_tol)] per
                       cluster at tol of the eigenvalues | None
+    multiplicities(M, tol, rank_tol)  eigenspaces with each basis replaced
+                      by its column count, from singular values only | None
     inv, stack, spans(B, C) (span of B contains C), image(op, B) = op B,
     ncols, dense(dim, op) = the matrix of op
 
@@ -211,6 +214,8 @@ class ExactArithmetic:
         """None: exact eigenvalues are not computed."""
         return None
 
+    multiplicities = eigenspaces
+
 
 def _pattern_blocks(M):
     """A square array M as its diagonal blocks: the connected components of
@@ -263,13 +268,17 @@ def _clusters(blocks, tol: float) -> list:
     return [(complex(z), int(m)) for z, m in groups]
 
 
+def _shifted(pattern, lam):
+    """M - lam Id as its pattern blocks: (indices, shifted blocks) pairs."""
+    return [(idx, B - lam * np.eye(B.shape[-1])) for idx, B in pattern]
+
+
 def _eigenbasis(n, pattern, lam, rank_tol):
     """An orthonormal basis (n x d) of ker(M - lam Id), each column supported
     on one pattern block: the right singular vectors of every shifted block
     whose singular values are under the cut at rank_tol, taken over all
     blocks together as for the whole matrix."""
-    svds = [(idx, np.linalg.svd(B - lam * np.eye(B.shape[-1])))
-            for idx, B in pattern]
+    svds = [(idx, np.linalg.svd(B)) for idx, B in _shifted(pattern, lam)]
     cut = _cut([s.max(initial=0.0) for _, (_, s, _) in svds], rank_tol)
     parts = []
     for idx, (_, s, vh) in svds:
@@ -317,7 +326,7 @@ class FloatArithmetic:
         out = np.zeros(basis.shape, dtype=complex)
         for perm, scale in op:
             inv = np.argsort(perm)
-            out += scale[inv, None] * basis[inv]
+            out += np.asarray(scale)[inv, None] * basis[inv]
         return out
 
     def stack(self, mats):
@@ -363,6 +372,18 @@ class FloatArithmetic:
         pattern = _pattern_blocks(M)
         return [(lam, m, _eigenbasis(len(M), pattern, lam, rank_tol))
                 for lam, m in _clusters([B for _, B in pattern], tol)]
+
+    def multiplicities(self, M, tol, rank_tol):
+        """(lam, multiplicity, dim ker(M - lam Id)) per cluster, as the
+        column counts of eigenspaces' bases: the same clusters and cut, from
+        values-only SVDs of the shifted blocks."""
+        pattern = _pattern_blocks(np.asarray(M))
+        out = []
+        for lam, m in _clusters([B for _, B in pattern], tol):
+            s = [np.linalg.svd(B, compute_uv=False) for _, B in _shifted(pattern, lam)]
+            cut = _cut([v.max(initial=0.0) for v in s], rank_tol)
+            out.append((lam, m, sum(int(np.sum(v <= cut)) for v in s)))
+        return out
 
 
 class ExactScalars(ExactArithmetic):

@@ -156,11 +156,26 @@ def test_block_eigen_analysis_rejects_a_jordan_block():
         eigen_analysis(M, "float")
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_multiplicities_are_the_eigenspace_dimensions(seed):
+    # values-only counts against the column counts of eigenspaces' bases,
+    # with a Jordan block whose geometric multiplicity falls short
+    rng = np.random.default_rng(seed)
+    jordan = np.array([[2, 1], [0, 2]], dtype=complex)
+    blocks = [jordan, diagonalizable(rng, [2, -1, 1j]), np.diag([3, 3, 4]).astype(complex),
+              diagonalizable(rng, rng.choice([1.0, 2j], size=4))]
+    M = block_diagonal(blocks, rng)
+    got = FLOAT.multiplicities(M, 1e-6, 1e-9)
+    assert got == [(lam, m, V.shape[1]) for lam, m, V in FLOAT.eigenspaces(M, 1e-6, 1e-9)]
+    assert any(geo < m for _, m, geo in got)
+
+
 def test_exact_eigen_analysis_is_not_available():
     alg = CFAlgebra(standard_library("torus1"), 3)
     rep = build_rep(alg.T, 3, exact_torus_weights(alg), algebra=alg)
     M = rep.apply(alg.offdiag_Q(0))
     assert rep.ctx.eigenspaces(M, 1e-6, 1e-9) is None
+    assert rep.ctx.multiplicities(M, 1e-6, 1e-9) is None
     with pytest.raises(ValueError, match="not available"):
         eigen_analysis(M, "exact")
 
@@ -499,6 +514,17 @@ def test_of_reads_a_term_as_its_representation(mode):
     assert scalars.of([term]) is scalars.of(rep.ctx.operator([(rep.ctx.one(), term)]))
     assert scalars.of([term]).mode == mode
     assert type(scalars.of([term], 3)) is type(rep.ctx)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_image_reads_a_term_as_its_representation(mode):
+    # a [term] of lists maps a basis as the operator of that one term
+    rep = contract_rep("torus1", mode)
+    term = rep.monomial_image(rep.lattice.basis[0])
+    X = random_columns(rep.ctx, rep.dim, random.Random(5))
+    got = rep.ctx.image([term], X)
+    want = rep.ctx.image(rep.ctx.operator([(rep.ctx.one(), term)]), X)
+    assert np.array_equal(got, want) if mode == "float" else got == want
 
 
 @given(st.sampled_from(["torus1", "sphere2", "genus2_sep"]),

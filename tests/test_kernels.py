@@ -82,6 +82,85 @@ def test_total_kernel_computed_once_per_rep_and_tol(genus2_rep):
     assert total_kernel(genus2_rep) is F
 
 
+SIGN_CLASS = (1, 0, 1, 1, 0, 1, 0, 0, 1)
+
+
+def float_genus2_rep(N, seed):
+    T = standard_library("genus2_sep")
+    return build_rep(T, N, sample_generic_weights(T, N, random.Random(seed)))
+
+
+@pytest.mark.parametrize("N,seed", [(3, 0), (3, 1), (3, 2), (5, 0), (5, 1)])
+def test_total_kernel_matches_the_dense_offdiag_kernel(N, seed):
+    rep = float_genus2_rep(N, seed)
+    for r in (rep, rep.precompose_sign_reversal(SignReversalClass(rep.T, SIGN_CLASS))):
+        F = total_kernel(r, 1e-8)
+        assert F.dim == N ** 3
+        assert F.equals(offdiag_kernel(r, 0, tol=1e-8), 1e-8)
+
+
+def record_float_kernels(monkeypatch) -> list:
+    """The shapes of the matrices passed to FloatArithmetic.kernel from now on."""
+    shapes = []
+    original = scalars.FloatArithmetic.kernel
+
+    def kernel(self, M, tol):
+        shapes.append(np.shape(M))
+        return original(self, M, tol)
+
+    monkeypatch.setattr(scalars.FloatArithmetic, "kernel", kernel)
+    return shapes
+
+
+def test_float_genus2_total_kernel_takes_no_square_kernel(monkeypatch):
+    # one thin n x dim V_lam kernel per eigenspace of rho[K1], none of the
+    # n x n mu(Q_v)
+    rep = float_genus2_rep(3, 4)
+    shapes = record_float_kernels(monkeypatch)
+    assert total_kernel(rep, 1e-8).dim == 27
+    assert shapes and all(shape[0] == 81 and shape[1] < 81 for shape in shapes)
+
+
+def drop_last_cluster(spaces):
+    return spaces[:-1]
+
+
+def perturb_bases(spaces):
+    rng = np.random.default_rng(0)
+    return [(lam, m, V + 1e-5 * rng.normal(size=V.shape)) for lam, m, V in spaces]
+
+
+@pytest.mark.parametrize("plant,thin_kernels", [(drop_last_cluster, 0), (perturb_bases, 3)],
+                         ids=["eigenspaces-do-not-fill", "residual-check"])
+def test_total_kernel_falls_back_to_the_dense_kernel(monkeypatch, plant, thin_kernels):
+    # with an eigenspace missing, or with eigenbases 1e-5 off, so that the
+    # thin kernels (cut at 1e-3) keep vectors that mu(Q_v) moves by far more
+    # than the residual bound, F is the dense kernel of mu(Q_v)
+    rep = float_genus2_rep(3, 5)
+    original = scalars.FloatArithmetic.eigenspaces
+    monkeypatch.setattr(scalars.FloatArithmetic, "eigenspaces",
+                        lambda self, *args: plant(original(self, *args)))
+    shapes = record_float_kernels(monkeypatch)
+    F = total_kernel(rep, 1e-3)
+    assert shapes == [(81, 27)] * thin_kernels + [(81, 81)]
+    assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-3), 1e-3)
+
+
+def test_exact_total_kernel_makes_one_dense_matrix():
+    # exact eigenvalues are not computed, so only mu(Q_v) is built, and
+    # dense, once
+    T = standard_library("genus2_sep")
+    alg = CFAlgebra(T, 3)
+    rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
+    with mock.patch.object(scalars.ExactArithmetic, "dense", autospec=True,
+                           side_effect=scalars.ExactArithmetic.dense) as dense, \
+            mock.patch.object(type(rep), "operator", autospec=True,
+                              side_effect=type(rep).operator) as operator:
+        assert total_kernel(rep).dim == 27
+    assert dense.call_count == 1
+    assert [call.args[1] for call in operator.call_args_list] == [alg.offdiag_Q(0)]
+
+
 def test_kernel_start_independent(genus2_rep):
     base = offdiag_kernel(genus2_rep, 0, start=0)
     for start in (3, 7, 11, 17):

@@ -10,11 +10,14 @@ one eigenspace V_lam of A at a time (eigenspace_kernel): ker X is the sum
 over lam of ker X meet V_lam = V_lam ker(X V_lam), so only thin
 n x dim V_lam matrices are reduced.  A float A, made dense, splits into the
 diagonal blocks of its nonzero pattern, so each V_lam has an orthonormal
-basis of columns on single blocks.  The basis is checked against X; when
-that check fails, when A's eigenspaces do not fill the space, and always
-for exact operators, the kernel is taken of a dense matrix.  Two kernels are
-taken this way, with A = rho[K1], the image of the first push-off of a
-separating loop:
+basis of columns on single blocks, kept in block form (scalars.BlockBasis:
+each column's entries on its block alone), which X maps with one scatter
+per translation term.  The basis is checked against X; when that check
+fails, when A's eigenspaces do not fill the space, and always for exact
+operators, the kernel is taken of a dense matrix.  Two kernels are taken
+this way, with A = rho[K1], the image of the first push-off of a separating
+loop, whose one spectrum per representation, edge and tolerance both share
+(pushoff_eigenspaces, kept in CFRep.spectra):
 
 - ker D, for the difference D = rho[K1] - rho[K2] = rho(K1 - K2) of the
   commuting images of the two push-offs (difference_kernel): D commutes
@@ -107,27 +110,41 @@ def residual_bound(op) -> float:
     return 1e-7 * max(scalars.of(op).norm([scale for _, scale in op]), 1)
 
 
-def eigenspace_kernel(A, op, tol: float) -> Subspace:
-    """ker op for an operator op whose kernel the operator A preserves, from
-    the eigenspaces of A: the basis K of the V_lam ker(op V_lam) together is
-    accepted when |op K| is within residual_bound(op); otherwise, or when
-    A's eigenspaces do not fill the space, or for exact operators, this is
-    matrix_kernel of op made dense."""
-    ctx = scalars.of(A)
-    n = len(A[0][0])
-    spaces = ctx.eigenspaces(ctx.dense(n, A), EIGEN_TOL, tol)
-    if spaces is not None and sum(ctx.ncols(V) for _, _, V in spaces) == n:
-        K = np.hstack([V @ matrix_kernel(ctx.image(op, V), tol).basis
+def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
+    """ker op for an operator op whose kernel a diagonalizable A preserves,
+    from spaces, the eigenspaces of A in block form (pushoff_eigenspaces), or
+    None: the basis K of the V_lam ker(op V_lam) together is accepted when
+    |op K| is within residual_bound(op); otherwise, or when the eigenspaces
+    do not fill the space, or when there are none (exact operators), this
+    is matrix_kernel of op made dense."""
+    ctx = scalars.of(op)
+    n = len(op[0][0])
+    if spaces is not None and sum(V.ncols for _, _, V in spaces) == n:
+        K = np.hstack([V.dense() @ matrix_kernel(V.image(op), tol).basis
                        for _, _, V in spaces])
         if ctx.is_zero(ctx.image(op, K), residual_bound(op)):
             return Subspace(n, K)
     return matrix_kernel(ctx.dense(n, op), tol)
 
 
-def difference_kernel(A, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def difference_kernel(spaces, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """ker D for D = diff = A - B, with A and B commuting operators, so that
-    A preserves ker D: eigenspace_kernel(A, D)."""
-    return eigenspace_kernel(A, diff, tol)
+    A preserves ker D: eigenspace_kernel with spaces the eigenspaces of A."""
+    return eigenspace_kernel(spaces, diff, tol)
+
+
+def pushoff_eigenspaces(rep: CFRep, edge: int, tol: float):
+    """The eigenspaces of rho[K1], the image of the first push-off of edge,
+    in block form (FloatArithmetic.eigenspaces at EIGEN_TOL, cut at tol;
+    None for exact weights), computed once per representation, edge and tol
+    and kept in rep.spectra: F (total_kernel) and ker D (qtrace.sweep_check)
+    share them.  Callers must not modify them."""
+    if (edge, tol) not in rep.spectra:
+        from .qtrace import pushoff_pair
+        A = rep.operator(pushoff_pair(rep.algebra, edge)[0])
+        rep.spectra[edge, tol] = rep.ctx.eigenspaces(rep.ctx.dense(rep.dim, A),
+                                                     EIGEN_TOL, tol)
+    return rep.spectra[edge, tol]
 
 
 # ---- kernel operations ----
@@ -146,7 +163,9 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
 
     For a float representation of a one-vertex triangulation with a
     designated separating edge, F = ker mu(Q_v) is taken one eigenspace of
-    rho[K1] at a time (eigenspace_kernel).  Certified: |mu(Q_v) F| is within
+    rho[K1] at a time (eigenspace_kernel), from the spectrum of rho[K1] kept
+    on the representation in block form (pushoff_eigenspaces), which the
+    sweep check's ker D shares.  Certified: |mu(Q_v) F| is within
     residual_bound, so F lies in the kernel.  That it is the whole kernel
     rests on rho[K1] preserving ker mu(Q_v) (module docstring); a shortfall
     would show as dim F < N^3.  When the basis is not accepted this is the
@@ -157,9 +176,8 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
         T, alg = rep.T, rep.algebra
         if (rep.weights.mode == "float" and T.num_vertices == 1
                 and T.designated_edge is not None):
-            from .qtrace import pushoff_pair
-            A = rep.operator(pushoff_pair(alg, T.designated_edge)[0])
-            F = eigenspace_kernel(A, rep.operator(alg.offdiag_Q(0)), tol)
+            F = eigenspace_kernel(pushoff_eigenspaces(rep, T.designated_edge, tol),
+                                  rep.operator(alg.offdiag_Q(0)), tol)
         else:
             F = matrix_kernel(rep.ctx.stack([rep.apply(alg.offdiag_Q(v))
                                              for v in range(T.num_vertices)]), tol)

@@ -14,7 +14,7 @@ from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
 from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
                      NotSeparating)
 from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, difference_kernel,
-                      residual_bound, total_kernel)
+                      pushoff_eigenspaces, residual_bound, total_kernel)
 from .representation import CFRep, WeightSystem
 
 
@@ -181,10 +181,12 @@ def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
 def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Verify that the two push-offs of a separating edge loop agree on the
     total off-diagonal kernel F and that the kernel of their difference
-    D = rho[K1] - rho[K2] = rho(K1 - K2) is exactly F.  D and rho[K1] are
-    operators (CFRep.operator), and no dense matrix is formed unless ker D
-    is computed.  F stays the kernel of mu(Q_v), so the two sides are
-    computed independently.
+    D = rho[K1] - rho[K2] = rho(K1 - K2) is exactly F.  D is an operator
+    (CFRep.operator), and no dense matrix is formed unless ker D is
+    computed; ker D takes the eigenspaces of rho[K1] that total_kernel kept
+    on the representation (kernels.pushoff_eigenspaces).  F stays the kernel
+    of mu(Q_v), so the two sides are kernels of different operators, though
+    taken in one eigenbasis.
 
     D F = 0 puts F inside ker D, so dim ker D >= dim F; equal dimensions are
     then equality.  For exact weights the upper bound comes from the rank
@@ -209,7 +211,8 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     if prime is not None and restriction_zero and rank >= rep.dim - F.dim:
         kernel_dim = F.dim
     else:
-        kernel_dim, prime = difference_kernel(rep.operator(tr1), diff, tol).dim, None
+        spaces = pushoff_eigenspaces(rep, edge, tol)
+        kernel_dim, prime = difference_kernel(spaces, diff, tol).dim, None
     equal = restriction_zero and kernel_dim == F.dim
     return {
         "restriction_norm": ctx.norm(restriction),

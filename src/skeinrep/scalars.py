@@ -46,8 +46,9 @@ give (float | exact):
                       norm, |scale - c| there and |scale| on the other terms,
                       at most max(tol, 1e-9 max(|c|, 1)) | exact equality
     eigenspaces(M, tol, rank_tol)  [(lam, multiplicity, orthonormal basis
-                      of ker(M - lam Id) under the cut at rank_tol)] per
-                      cluster at tol of the eigenvalues | None
+                      of ker(M - lam Id) under the cut at rank_tol, in block
+                      form: a BlockBasis)] per cluster at tol of the
+                      eigenvalues | None
     multiplicities(M, tol, rank_tol)  eigenspaces with each basis replaced
                       by its column count, from singular values only | None
     inv, stack, spans(B, C) (span of B contains C), image(op, B) = op B,
@@ -56,7 +57,10 @@ give (float | exact):
 Every float rank decision is the one cut of _cut.  Float eigenspaces split a
 square matrix into the diagonal blocks of its nonzero pattern (rho of an
 edge-parallel loop at genus 2 has N^2 blocks of size N^2); each basis is the
-null vectors of the shifted blocks, cut over all blocks together.
+null vectors of the shifted blocks, cut over all blocks together, and is
+kept in block form (BlockBasis): each column's entries on its one block,
+N^5 entries per eigenvalue of that rho against N^7 dense, mapped by an
+operator with one scatter of those entries per term.
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
@@ -73,6 +77,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,20 +278,50 @@ def _shifted(pattern, lam):
     return [(idx, B - lam * np.eye(B.shape[-1])) for idx, B in pattern]
 
 
+class BlockBasis(NamedTuple):
+    """An n x ncols basis whose every column lives on one pattern block, in
+    block form: entry e is local[e] at (rows[e], cols[e]), and no two
+    entries share a place.  A basis of ker(M - lam Id) has size x d entries
+    for blocks of one size, against n x d dense."""
+
+    n: int
+    ncols: int
+    rows: np.ndarray
+    cols: np.ndarray
+    local: np.ndarray
+
+    def dense(self):
+        V = np.zeros((self.n, self.ncols), dtype=complex)
+        V[self.rows, self.cols] = self.local
+        return V
+
+    def image(self, op):
+        """op V, dense: one scatter per term, e_i -> scale[i] e[perm[i]], of
+        the entries alone.  A permutation keeps a column's rows distinct, so
+        no two entries of one scatter meet."""
+        out = np.zeros((self.n, self.ncols), dtype=complex)
+        for perm, scale in op:
+            rows = self.rows
+            out[np.asarray(perm)[rows], self.cols] += np.asarray(scale)[rows] * self.local
+        return out
+
+
 def _eigenbasis(n, pattern, lam, rank_tol):
-    """An orthonormal basis (n x d) of ker(M - lam Id), each column supported
-    on one pattern block: the right singular vectors of every shifted block
-    whose singular values are under the cut at rank_tol, taken over all
-    blocks together as for the whole matrix."""
+    """An orthonormal basis of ker(M - lam Id) in block form (BlockBasis),
+    each column supported on one pattern block: the right singular vectors
+    of every shifted block whose singular values are under the cut at
+    rank_tol, taken over all blocks together as for the whole matrix."""
     svds = [(idx, np.linalg.svd(B)) for idx, B in _shifted(pattern, lam)]
     cut = _cut([s.max(initial=0.0) for _, (_, s, _) in svds], rank_tol)
-    parts = []
+    rows, cols, local, d = [], [], [], 0
     for idx, (_, s, vh) in svds:
         b, k = np.nonzero(s <= cut)
-        V = np.zeros((n, len(b)), dtype=complex)
-        V[idx[b], np.arange(len(b))[:, None]] = vh[b, k].conj()
-        parts.append(V)
-    return np.hstack(parts)
+        rows.append(idx[b])
+        cols.append(np.broadcast_to(np.arange(d, d + len(b))[:, None], idx[b].shape))
+        local.append(vh[b, k].conj())
+        d += len(b)
+    return BlockBasis(n, d, *(np.concatenate([a.ravel() for a in parts])
+                              for parts in (rows, cols, local)))
 
 
 class FloatArithmetic:
@@ -364,10 +399,10 @@ class FloatArithmetic:
         return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
 
     def eigenspaces(self, M, tol, rank_tol):
-        """(lam, multiplicity, orthonormal basis of ker(M - lam Id)) per
-        eigenvalue cluster of the pattern blocks.  M - lam Id has M's
-        pattern off the diagonal, so the pattern is searched once and each
-        shift is taken block by block."""
+        """(lam, multiplicity, orthonormal basis of ker(M - lam Id) in block
+        form, a BlockBasis) per eigenvalue cluster of the pattern blocks.
+        M - lam Id has M's pattern off the diagonal, so the pattern is
+        searched once and each shift is taken block by block."""
         M = np.asarray(M)
         pattern = _pattern_blocks(M)
         return [(lam, m, _eigenbasis(len(M), pattern, lam, rank_tol))

@@ -334,22 +334,24 @@ def sphere_checks(N):
 
 
 def genus2_dimension_checks(reps, tol):
-    N = reps[0].N
-    return [Check("genus2-rep-dim", all(rep.dim == N ** 4 for rep in reps),
-                  f"dim E = {N ** 4}, {len(reps)} samples"),
-            Check("genus2-kernel-dim",
-                  all(total_kernel(rep, tol).dim == N ** 3 for rep in reps),
+    """dim E = N^4 and dim F = N^3 on every representation of reps, an
+    iterable read once."""
+    dims = [(rep.N, rep.dim, total_kernel(rep, tol).dim) for rep in reps]
+    N = dims[0][0]
+    return [Check("genus2-rep-dim", all(d == N ** 4 for _, d, _ in dims),
+                  f"dim E = {N ** 4}, {len(dims)} samples"),
+            Check("genus2-kernel-dim", all(f == N ** 3 for _, _, f in dims),
                   f"dim F = {N ** 3}")]
 
 
 def genus2_eigen_check(reps, tol):
     """rho[K1] has N eigenvalues of multiplicity dim E / N solving
-    T_N(x) = -trace, on every representation."""
-    T, alg, N = reps[0].T, reps[0].algebra, reps[0].N
-    tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(T.designated_edge, 1))
-    TN = chebyshev(N)
+    T_N(x) = -trace, on every representation of reps, an iterable read
+    once."""
     ok = True
     for rep in reps:
+        alg, N, TN = rep.algebra, rep.N, chebyshev(rep.N)
+        tr = pushoff_pair(alg, rep.T.designated_edge)[0]
         tau = classical_trace(alg, tr, rep.weights)
         try:
             eig = eigen_analysis(rep.apply(tr), "float", tol=tol)
@@ -365,9 +367,14 @@ def genus2_eigen_check(reps, tol):
 def suite_genus2(N, rng, tol):
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, N)
-    reps = [build_rep(T, N, sample_generic_weights(T, N, rng), algebra=alg)
-            for _ in range(20)]
-    return genus2_dimension_checks(reps, tol) + [genus2_eigen_check(reps, EIGEN_TOL)]
+    weights = [sample_generic_weights(T, N, rng) for _ in range(20)]
+
+    def reps():
+        # each check builds the representations anew and drops each in turn,
+        # so that one total kernel F (N^4 x N^3) is alive at a time
+        return (build_rep(T, N, W, algebra=alg) for W in weights)
+
+    return genus2_dimension_checks(reps(), tol) + [genus2_eigen_check(reps(), EIGEN_TOL)]
 
 
 # ---- sweep and threading ----

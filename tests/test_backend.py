@@ -19,8 +19,9 @@ from skeinrep import intlinalg, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
-from skeinrep.kernels import eigen_analysis, sample_generic_weights, total_kernel
-from skeinrep.qtrace import LoopSpec, threading_check
+from skeinrep.kernels import (eigen_analysis, pushoff_eigenspaces, sample_generic_weights,
+                              total_kernel)
+from skeinrep.qtrace import LoopSpec, pushoff_pair, threading_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
@@ -116,6 +117,17 @@ def test_block_rank_matches_dense(seed):
         assert FLOAT.rank(M, tol) == dense_rank(M, tol) == 12
 
 
+def assert_block_form(V, M):
+    """Every column of the BlockBasis V lies on one pattern block of M, with
+    each row once."""
+    block = np.zeros(len(M), dtype=int)
+    for b, idx in enumerate(i for indices, _ in scalars._pattern_blocks(M) for i in indices):
+        block[idx] = b
+    for j in range(V.ncols):
+        rows = V.rows[V.cols == j]
+        assert len(set(block[rows])) == 1 and len(set(rows)) == len(rows)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_block_eigen_candidates_match_dense(seed):
     rng = np.random.default_rng(seed)
@@ -125,14 +137,16 @@ def test_block_eigen_candidates_match_dense(seed):
     assert len(scalars._pattern_blocks(M)) == 4
     got, want = FLOAT.eigenspaces(M, 1e-6, 1e-9), dense_clusters(M, 1e-6)
     assert [m for _, m, _ in got] == [m for _, m in want]
-    assert [V.shape[1] for _, _, V in got] == [m for _, m in want]  # diagonalizable
+    assert [V.ncols for _, _, V in got] == [m for _, m in want]  # diagonalizable
     # one pattern search gives the dense kernel dimension of every shift
-    assert [V.shape[1] for _, _, V in got] == [
+    assert [V.ncols for _, _, V in got] == [
         len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9) for lam, _, _ in got]
     # each basis is orthonormal and spans eigenvectors
     for lam, _, V in got:
-        assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() < 1e-9
-        assert np.abs(M @ V - lam * V).max() < 1e-6
+        D = V.dense()
+        assert np.abs(D.conj().T @ D - np.eye(V.ncols)).max() < 1e-9
+        assert np.abs(M @ D - lam * D).max() < 1e-6
+        assert_block_form(V, M)
     assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
     assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
 
@@ -166,8 +180,38 @@ def test_multiplicities_are_the_eigenspace_dimensions(seed):
               diagonalizable(rng, rng.choice([1.0, 2j], size=4))]
     M = block_diagonal(blocks, rng)
     got = FLOAT.multiplicities(M, 1e-6, 1e-9)
-    assert got == [(lam, m, V.shape[1]) for lam, m, V in FLOAT.eigenspaces(M, 1e-6, 1e-9)]
+    assert got == [(lam, m, V.ncols) for lam, m, V in FLOAT.eigenspaces(M, 1e-6, 1e-9)]
     assert any(geo < m for _, m, geo in got)
+
+
+def float_genus2_operators():
+    """The eigenspaces of rho[K1] of a float genus-2 representation at N=3,
+    with mu(Q_v) and D = rho[K1] - rho[K2]."""
+    T = standard_library("genus2_sep")
+    rep = build_rep(T, 3, sample_generic_weights(T, 3, random.Random(0)))
+    tr1, tr2 = pushoff_pair(rep.algebra, T.designated_edge)
+    spaces = pushoff_eigenspaces(rep, T.designated_edge, 1e-8)
+    return spaces, [rep.operator(rep.algebra.offdiag_Q(0)), rep.operator(tr1 - tr2)]
+
+
+def block_diagonal_operators():
+    """The eigenspaces of a matrix with blocks of four sizes, with the
+    cyclic diagonals of a dense and of a sparse random matrix."""
+    rng = np.random.default_rng(5)
+    spectrum = [1.0, 2j, -1.5 + 0.5j]
+    M = block_diagonal([diagonalizable(rng, rng.choice(spectrum, size=s))
+                        for s in (1, 3, 3, 4, 6)], rng)
+    X = random_complex(rng, len(M), len(M))
+    return FLOAT.eigenspaces(M, 1e-6, 1e-9), [diagonals(X), diagonals(X * (abs(X) > 1.5))]
+
+
+@pytest.mark.parametrize("case", [float_genus2_operators, block_diagonal_operators])
+def test_block_image_matches_the_dense_image(case):
+    spaces, ops = case()
+    for op in ops:
+        bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
+        for _, _, V in spaces:
+            assert np.abs(V.image(op) - FLOAT.image(op, V.dense())).max() <= bound
 
 
 def test_exact_eigen_analysis_is_not_available():

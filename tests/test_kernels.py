@@ -121,13 +121,55 @@ def test_float_genus2_total_kernel_takes_no_square_kernel(monkeypatch):
     assert shapes and all(shape[0] == 81 and shape[1] < 81 for shape in shapes)
 
 
+def record_eigenspaces(monkeypatch) -> list:
+    """The matrices passed to FloatArithmetic.eigenspaces from now on."""
+    calls = []
+    original = scalars.FloatArithmetic.eigenspaces
+
+    def eigenspaces(self, M, *args):
+        calls.append(M)
+        return original(self, M, *args)
+
+    monkeypatch.setattr(scalars.FloatArithmetic, "eigenspaces", eigenspaces)
+    return calls
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_total_kernel_and_sweep_check_share_one_spectrum(monkeypatch, N):
+    rep = float_genus2_rep(N, 6)
+    calls = record_eigenspaces(monkeypatch)
+    assert total_kernel(rep, 1e-8).dim == N ** 3
+    assert sweep_check(rep, rep.T.designated_edge, 1e-8)["passed"]
+    assert len(calls) == 1
+    # kept in block form: N eigenspaces of dim N^3, each with N^2 x N^3
+    # entries on the N^2 blocks of size N^2, no dense n x N^3 basis
+    spaces = rep.spectra[rep.T.designated_edge, 1e-8]
+    assert [(m, V.ncols, V.local.shape) for _, m, V in spaces] == \
+        [(N ** 3, N ** 3, (N ** 5,))] * N
+
+
+def test_sign_reversed_copy_builds_its_own_spectrum(monkeypatch):
+    # a sign reversal changes rho[K1], so the copy's F comes from its own
+    # eigenspaces, which leave no dense fallback to take
+    rep = float_genus2_rep(3, 7)
+    total_kernel(rep, 1e-8)
+    flipped = rep.precompose_sign_reversal(SignReversalClass(rep.T, SIGN_CLASS))
+    calls = record_eigenspaces(monkeypatch)
+    shapes = record_float_kernels(monkeypatch)
+    F = total_kernel(flipped, 1e-8)
+    assert len(calls) == 1 and (81, 81) not in shapes
+    assert flipped.spectra is not rep.spectra
+    assert F.dim == 27 and F.equals(offdiag_kernel(flipped, 0, tol=1e-8), 1e-8)
+
+
 def drop_last_cluster(spaces):
     return spaces[:-1]
 
 
 def perturb_bases(spaces):
     rng = np.random.default_rng(0)
-    return [(lam, m, V + 1e-5 * rng.normal(size=V.shape)) for lam, m, V in spaces]
+    return [(lam, m, V._replace(local=V.local + 1e-5 * rng.normal(size=V.local.shape)))
+            for lam, m, V in spaces]
 
 
 @pytest.mark.parametrize("plant,thin_kernels", [(drop_last_cluster, 0), (perturb_bases, 3)],
@@ -229,7 +271,8 @@ def test_difference_kernel_matches_dense_float(N, seed):
     rep = build_rep(T, N, sample_generic_weights(T, N, random.Random(seed)))
     tr1, tr2 = pushoff_traces(rep)
     A, B = rep.apply(tr1), rep.apply(tr2)
-    K = difference_kernel(rep.operator(tr1), rep.operator(tr1 - tr2), 1e-8)
+    spaces = kernels.pushoff_eigenspaces(rep, T.designated_edge, 1e-8)
+    K = difference_kernel(spaces, rep.operator(tr1 - tr2), 1e-8)
     assert K.dim == N ** 3
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
     assert np.abs((A - B) @ K.basis).max() < 1e-9
@@ -240,11 +283,17 @@ def test_difference_kernel_matches_dense_exact():
     alg = CFAlgebra(T, 3)
     rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
     tr1, tr2 = pushoff_traces(rep)
-    K = difference_kernel(rep.operator(tr1), rep.operator(tr1 - tr2))
+    spaces = kernels.pushoff_eigenspaces(rep, T.designated_edge, kernels.DEFAULT_RANK_TOL)
+    assert spaces is None  # exact eigenvalues are not computed
+    K = difference_kernel(spaces, rep.operator(tr1 - tr2))
     diff = [[a - b for a, b in zip(ra, rb)]
             for ra, rb in zip(rep.apply(tr1), rep.apply(tr2))]
     assert K.dim == 27
     assert K.equals(matrix_kernel(diff))
+
+
+def float_eigenspaces(A, tol):
+    return scalars.FloatArithmetic().eigenspaces(A, kernels.EIGEN_TOL, tol)
 
 
 @pytest.mark.parametrize("A,diff,tol,dim,spectral_calls", [
@@ -265,7 +314,7 @@ def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, 
         return matrix_kernel(M, tol)
 
     monkeypatch.setattr(kernels, "matrix_kernel", recording_kernel)
-    assert difference_kernel(diagonals(A), diagonals(diff), tol).dim == dim
+    assert difference_kernel(float_eigenspaces(A, tol), diagonals(diff), tol).dim == dim
     assert len(calls) == spectral_calls + 1
     assert np.array_equal(calls[-1], diff)
 
@@ -296,7 +345,7 @@ def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
     A = S @ np.diag(lam) @ S_inv
     B = S @ (np.diag(lam) - cut) @ S_inv
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = difference_kernel(diagonals(A), diagonals(A - B), 1e-8)
+        K = difference_kernel(float_eigenspaces(A, 1e-8), diagonals(A - B), 1e-8)
     assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
     assert K.dim == sum(m - r for m, r in blocks)
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)

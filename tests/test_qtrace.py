@@ -107,9 +107,11 @@ def test_sweep_check(g2_rep, monkeypatch):
     calls = []
     original = qtrace.difference_kernel
 
-    def spy(A, diff, tol):
-        calls.append(len(A[0][0]))
-        return original(A, diff, tol)
+    def spy(spaces, diff, tol):
+        calls.append(sum(V.ncols for _, _, V in spaces))
+        # the eigenspaces of rho[K1] kept on the representation
+        assert spaces is g2_rep.spectra[g2_rep.T.designated_edge, tol]
+        return original(spaces, diff, tol)
 
     monkeypatch.setattr(qtrace, "difference_kernel", spy)
     report = sweep_check(g2_rep, g2_rep.T.designated_edge)

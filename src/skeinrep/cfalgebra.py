@@ -41,6 +41,8 @@ class CFAlgebra:
         self.threaded_traces = {}
         # edge -> (trace of K1, trace of K2), filled by qtrace.sweep_check
         self.pushoff_traces = {}
+        # edge -> the traces of its pants family, filled by qtrace.pants_family
+        self.pants_families = {}
 
     @cached_property
     def lattice(self) -> "BalancedLattice":

@@ -5,31 +5,39 @@ Gaussian elimination over the cyclotomic field (division is exact, so no
 tolerance enters), a numpy array by singular value thresholding at a
 relative tolerance.
 
-The kernel of an operator X, when a diagonalizable A preserves it, is taken
-one eigenspace V_lam of A at a time (eigenspace_kernel): ker X is the sum
-over lam of ker X meet V_lam = V_lam ker(X V_lam), so only thin
-n x dim V_lam matrices are reduced.  A float A, made dense, splits into the
-diagonal blocks of its nonzero pattern, so each V_lam has an orthonormal
-basis of columns on single blocks, kept in block form (scalars.BlockBasis:
-each column's entries on its block alone), which X maps with one scatter
-per translation term.  The basis is checked against X; when that check
-fails, when A's eigenspaces do not fill the space, and always for exact
-operators, the kernel is taken of a dense matrix.  Two kernels are taken
-this way, with A = rho[K1], the image of the first push-off of a separating
-loop, whose one spectrum per representation, edge and tolerance both share
-(pushoff_eigenspaces, kept in CFRep.spectra):
+Two float kernels of a genus-2 representation are taken one joint
+eigenspace of a commuting family at a time (eigenspace_kernel).  The
+family (qtrace.pants_family) is chosen once per algebra from the
+edge-parallel loops of the other edges: a loop is kept when its trace
+commutes exactly with both push-offs K1 and K2 of the separating edge and
+with every loop kept before it, and its image's translations enlarge the
+subgroup that those of the kept loops generate; rho[K1] comes last.  On
+genus2_sep this is (1,1), (5,1), K1, a pants decomposition.  Its joint
+eigenspaces (pants_spaces, kept in CFRep.spectra, so that F and ker D
+share them) are built nested, from the operators' translation terms alone
+(scalars.JointSpaces): each loop's translations join the components of the
+index group into cosets of a larger subgroup, and each joint space splits
+by the loop's m x m restriction on each coset.  With the whole family there
+are N^3 joint spaces U of dimension N, each meeting F in one dimension.
 
+- F = ker mu(Q_v), the total kernel (total_kernel), is the sum of the
+  U ker(mu(Q_v) U): N^3 kernels of thin n x N matrices.  F splits so
+  because every quantum trace of a curve in S - V acts on F, the space
+  that carries the skein representation: each family operator preserves
+  F, so F is the sum of its meets with the joint eigenspaces.  The
+  certificate |mu(Q_v) F| <= residual_bound puts F inside the kernel; were
+  F not invariant under the family, the basis would fall short of
+  dim F = N^3, which the genus2-kernel-dim check would then fail.  The
+  tests compare F with the dense kernel of mu(Q_v) at N <= 5.
 - ker D, for the difference D = rho[K1] - rho[K2] = rho(K1 - K2) of the
-  commuting images of the two push-offs (difference_kernel): D commutes
-  with A, so A preserves ker D.
-- F = ker mu(Q_v), the total kernel of a float representation of a
-  one-vertex triangulation with a designated separating edge
-  (total_kernel).  That A preserves F is the paper's invariance: F carries
-  the skein representation, and every quantum trace acts on it.  The
-  residual check shows only that the basis lies in F; were F not
-  A-invariant, the basis would fall short of dim F = N^3, which the
-  genus2-kernel-dim check would then fail.  The tests compare it with the
-  dense kernel of mu(Q_v) at N <= 5.
+  push-offs (difference_kernel): D commutes with the family, so it maps
+  each U into itself, and ker D is the sum of the U ker(U^H D U), N x N
+  restrictions.  The certificate adds that invariance, |D U - U (U^H D U)|
+  <= residual_bound(D) on every U, to the residual of each kernel.
+
+A certificate that fails, spaces that do not fill the space, and exact
+operators, whose eigenvalues are not computed, take the kernel of the
+dense operator instead.
 
 The sweep check (qtrace.sweep_check) needs only dim ker D, and for exact
 operators it usually gets it from two bounds with no kernel of D at all: an
@@ -98,7 +106,7 @@ def matrix_kernel(M, tol: float = DEFAULT_RANK_TOL) -> Subspace:
 
 
 # Eigenvalues closer than this join one cluster: the clustering tolerance of
-# eigen_analysis and eigenspace_kernel, and the residual bound of threading
+# eigen_analysis and pants_spaces, and the residual bound of threading
 # checks.
 EIGEN_TOL = 1e-6
 
@@ -110,40 +118,56 @@ def residual_bound(op) -> float:
     return 1e-7 * max(scalars.of(op).norm([scale for _, scale in op]), 1)
 
 
-def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
-    """ker op for an operator op whose kernel a diagonalizable A preserves,
-    from spaces, the eigenspaces of A in block form (pushoff_eigenspaces), or
-    None: the basis K of the V_lam ker(op V_lam) together is accepted when
-    |op K| is within residual_bound(op); otherwise, or when the eigenspaces
-    do not fill the space, or when there are none (exact operators), this
-    is matrix_kernel of op made dense."""
-    ctx = scalars.of(op)
-    n = len(op[0][0])
-    if spaces is not None and sum(V.ncols for _, _, V in spaces) == n:
-        K = np.hstack([V.dense() @ matrix_kernel(V.image(op), tol).basis
-                       for _, _, V in spaces])
-        if ctx.is_zero(ctx.image(op, K), residual_bound(op)):
-            return Subspace(n, K)
-    return matrix_kernel(ctx.dense(n, op), tol)
+def eigenspace_kernel(spaces, op, tol: float, restrict: bool) -> Subspace:
+    """ker op for an operator op whose kernel the operators of spaces
+    preserve, from spaces, their joint eigenspaces U in block form
+    (pants_spaces), or None: ker op is the sum of its meets U ker(X_U) with
+    the U, taken a chunk of spaces at a time (JointSpaces.chunks), op
+    applied to all spaces of a chunk in one scatter per term.  X_U is the
+    thin n x dim op U, or, with restrict, for an op that maps every U into
+    itself, the dim x dim U^H op U.  The basis is accepted when every
+    |X_U ker(X_U)| and, with restrict, every |op U - U (U^H op U)| is
+    within residual_bound(op).  When it is not, when the spaces do not fill
+    the space, or when there are none (exact operators), this is
+    matrix_kernel of op made dense."""
+    if spaces is not None and spaces.count * spaces.dim == spaces.n:
+        norm = scalars.of(op).norm
+        bases, residual = [], 0.0
+        for js in spaces.chunks():
+            X = spaces.image(op, js)
+            if restrict:
+                X, off = spaces.restriction(X, js)
+                residual = max(residual, off)
+            for j in range(X.shape[-1]):
+                bases.append(matrix_kernel(X[..., j], tol).basis)
+                residual = max(residual, norm(X[..., j] @ bases[-1]))
+        if residual <= residual_bound(op):
+            return Subspace(spaces.n, spaces.span(bases))
+    return matrix_kernel(scalars.of(op).dense(len(op[0][0]), op), tol)
 
 
 def difference_kernel(spaces, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """ker D for D = diff = A - B, with A and B commuting operators, so that
-    A preserves ker D: eigenspace_kernel with spaces the eigenspaces of A."""
-    return eigenspace_kernel(spaces, diff, tol)
+    """ker D for D = diff = A - B, with A and B commuting with the operators
+    of spaces, their joint eigenspaces (pants_spaces), or None: D then
+    preserves each joint space, and this is eigenspace_kernel with
+    restrict."""
+    return eigenspace_kernel(spaces, diff, tol, restrict=True)
 
 
-def pushoff_eigenspaces(rep: CFRep, edge: int, tol: float):
-    """The eigenspaces of rho[K1], the image of the first push-off of edge,
-    in block form (FloatArithmetic.eigenspaces at EIGEN_TOL, cut at tol;
-    None for exact weights), computed once per representation, edge and tol
-    and kept in rep.spectra: F (total_kernel) and ker D (qtrace.sweep_check)
-    share them.  Callers must not modify them."""
+def pants_spaces(rep: CFRep, edge: int, tol: float):
+    """The joint eigenspaces of the pants family of edge (qtrace.pants_family)
+    on a float representation, in block form (FloatArithmetic.joint_spaces
+    at EIGEN_TOL, cut at tol), computed once per representation, edge and
+    tol and kept in rep.spectra: F (total_kernel) and ker D
+    (qtrace.sweep_check) share them.  None for exact weights, whose
+    eigenvalues are not computed, so no family is built for them.  Callers
+    must not modify them."""
+    if rep.weights.mode != "float":
+        return None
     if (edge, tol) not in rep.spectra:
-        from .qtrace import pushoff_pair
-        A = rep.operator(pushoff_pair(rep.algebra, edge)[0])
-        rep.spectra[edge, tol] = rep.ctx.eigenspaces(rep.ctx.dense(rep.dim, A),
-                                                     EIGEN_TOL, tol)
+        from .qtrace import pants_family
+        ops = [rep.operator(a) for a in pants_family(rep, edge)]
+        rep.spectra[edge, tol] = rep.ctx.joint_spaces(ops, EIGEN_TOL, tol)
     return rep.spectra[edge, tol]
 
 
@@ -162,22 +186,22 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     Subspace and must not modify its basis.
 
     For a float representation of a one-vertex triangulation with a
-    designated separating edge, F = ker mu(Q_v) is taken one eigenspace of
-    rho[K1] at a time (eigenspace_kernel), from the spectrum of rho[K1] kept
-    on the representation in block form (pushoff_eigenspaces), which the
-    sweep check's ker D shares.  Certified: |mu(Q_v) F| is within
-    residual_bound, so F lies in the kernel.  That it is the whole kernel
-    rests on rho[K1] preserving ker mu(Q_v) (module docstring); a shortfall
-    would show as dim F < N^3.  When the basis is not accepted this is the
-    kernel of the dense mu(Q_v), and every other representation takes the
-    kernel of its stacked dense mu(Q_v); exact eigenvalues are not computed,
-    so an exact rho[K1] is never built."""
+    designated separating edge, F = ker mu(Q_v) is the sum of the
+    U ker(mu(Q_v) U) over the joint eigenspaces U of the edge's pants
+    family (module docstring), kept on the representation in block form
+    (pants_spaces), which the sweep check's ker D shares; no dense matrix
+    is made.  Certified: |mu(Q_v) F| is within residual_bound, so F lies in
+    the kernel.  That it is the whole kernel rests on each family loop
+    preserving F; a shortfall would show as dim F < N^3.  When the basis is
+    not accepted this is the kernel of the dense mu(Q_v), and every other
+    representation takes the kernel of its stacked dense mu(Q_v); exact
+    eigenvalues are not computed, so no family is built for exact weights."""
     if tol not in rep.total_kernels:
         T, alg = rep.T, rep.algebra
         if (rep.weights.mode == "float" and T.num_vertices == 1
                 and T.designated_edge is not None):
-            F = eigenspace_kernel(pushoff_eigenspaces(rep, T.designated_edge, tol),
-                                  rep.operator(alg.offdiag_Q(0)), tol)
+            F = eigenspace_kernel(pants_spaces(rep, T.designated_edge, tol),
+                                  rep.operator(alg.offdiag_Q(0)), tol, restrict=False)
         else:
             F = matrix_kernel(rep.ctx.stack([rep.apply(alg.offdiag_Q(v))
                                              for v in range(T.num_vertices)]), tol)

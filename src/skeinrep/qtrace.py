@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import scalars
 from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
 from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
                      NotSeparating)
 from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, difference_kernel,
-                      pushoff_eigenspaces, residual_bound, total_kernel)
+                      pants_spaces, residual_bound, total_kernel)
 from .representation import CFRep, WeightSystem
 
 
@@ -178,15 +181,47 @@ def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
     return algebra.pushoff_traces[edge]
 
 
+def pants_family(rep: CFRep, edge: int) -> list[QTElement]:
+    """The traces of a commuting family of loops in S - V whose joint
+    eigenspaces split F and ker D (kernels.pants_spaces), chosen once per
+    algebra and edge from rep's translations and kept on the algebra;
+    callers must not modify them.  The edge-parallel loops of the other
+    edges are scanned, (edge, side) in order, and a loop is kept when its
+    trace commutes exactly with both push-offs of edge and with every loop
+    kept so far, and the translations of its image enlarge the subgroup
+    that those of the kept loops generate.  Tr K1 comes last.  On
+    genus2_sep (edge 4) the loops that commute with both push-offs are
+    (1,1), (3,2), (5,1) and (6,1); (3,2) adds no translation to (1,1) nor
+    (6,1) to (5,1), so the family is (1,1), (5,1), K1."""
+    alg = rep.algebra
+    if edge not in alg.pants_families:
+        tr1, tr2 = pushoff_pair(alg, edge)
+        kept, perms, order = [], [], 1
+        for e in range(alg.n):
+            for side in (1, 2):
+                if e == edge:
+                    continue
+                tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(e, side))
+                if not all(commutator_is_zero(tr, b) for b in (tr1, tr2, *kept)):
+                    continue
+                more = perms + [perm for perm, _ in rep.operator(tr)]
+                size = int(np.sum(scalars.components(rep.dim, more) == 0))
+                if size > order:
+                    kept, perms, order = kept + [tr], more, size
+        alg.pants_families[edge] = kept + [tr1]
+    return alg.pants_families[edge]
+
+
 def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     """Verify that the two push-offs of a separating edge loop agree on the
     total off-diagonal kernel F and that the kernel of their difference
     D = rho[K1] - rho[K2] = rho(K1 - K2) is exactly F.  D is an operator
-    (CFRep.operator), and no dense matrix is formed unless ker D is
-    computed; ker D takes the eigenspaces of rho[K1] that total_kernel kept
-    on the representation (kernels.pushoff_eigenspaces).  F stays the kernel
-    of mu(Q_v), so the two sides are kernels of different operators, though
-    taken in one eigenbasis.
+    (CFRep.operator), and no dense matrix is formed: ker D is taken in the
+    joint eigenspaces of the pants family (pants_family) that total_kernel
+    kept on the representation (kernels.pants_spaces), as the sum of the
+    kernels of D's N x N restrictions to them.  F stays the kernel of
+    mu(Q_v), so the two sides are kernels of different operators, though
+    taken in the same joint spaces.
 
     D F = 0 puts F inside ker D, so dim ker D >= dim F; equal dimensions are
     then equality.  For exact weights the upper bound comes from the rank
@@ -207,15 +242,17 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     F = total_kernel(rep, tol)
     restriction = ctx.image(diff, F.basis)
     restriction_zero = ctx.is_zero(restriction, residual_bound(diff))
+    restriction_norm = ctx.norm(restriction)
+    del restriction  # as large as F; not kept while ker D is taken
     rank, prime = ctx.rank_bound(diff)
     if prime is not None and restriction_zero and rank >= rep.dim - F.dim:
         kernel_dim = F.dim
     else:
-        spaces = pushoff_eigenspaces(rep, edge, tol)
+        spaces = pants_spaces(rep, edge, tol)
         kernel_dim, prime = difference_kernel(spaces, diff, tol).dim, None
     equal = restriction_zero and kernel_dim == F.dim
     return {
-        "restriction_norm": ctx.norm(restriction),
+        "restriction_norm": restriction_norm,
         "restriction_zero": restriction_zero,
         "kernel_dim": kernel_dim,
         "kernel_prime": prime,

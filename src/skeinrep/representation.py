@@ -127,7 +127,7 @@ class CFRep:
         self.ctx = weights.ctx
         self.lattice = algebra.lattice
         self.total_kernels = {}  # tol -> Subspace, filled by kernels.total_kernel
-        self.spectra = {}  # (edge, tol) -> eigenspaces, kernels.pushoff_eigenspaces
+        self.spectra = {}  # (edge, tol) -> joint eigenspaces, kernels.pants_spaces
         self._setup_factors()
         self._solve_character()
 
@@ -325,7 +325,7 @@ class CFRep:
         rep.__dict__.update(self.__dict__)
         rep.sign = combined if any(combined.c) else None
         rep.total_kernels = {}
-        rep.spectra = {}  # rho[K1] changes with the sign
+        rep.spectra = {}  # the family's images change with the sign
         return rep
 
 

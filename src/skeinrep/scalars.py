@@ -23,8 +23,8 @@ a representation image each monomial is a translation of the index group
 times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
 dense, image, rank_bound and scalar_of take operators, operator makes them
 (dense, image and scalar_of also take [term] for a term (perm, scale) of
-lists, as CFRep.monomial_image gives); only kernel, rank, spans,
-eigenspaces and multiplicities take dense matrices.  An operator is zero
+lists, as CFRep.monomial_image gives); only kernel, rank, spans and
+multiplicities take dense matrices.  An operator is zero
 when is_zero holds for its scale vectors.  Callers pass the threshold they
 use as `tol`; exact methods ignore it.  The N-free Exact/FloatArithmetic
 give (float | exact):
@@ -45,22 +45,35 @@ give (float | exact):
                       identity term's scale (0 without one), the off-scalar
                       norm, |scale - c| there and |scale| on the other terms,
                       at most max(tol, 1e-9 max(|c|, 1)) | exact equality
-    eigenspaces(M, tol, rank_tol)  [(lam, multiplicity, orthonormal basis
-                      of ker(M - lam Id) under the cut at rank_tol, in block
-                      form: a BlockBasis)] per cluster at tol of the
-                      eigenvalues | None
-    multiplicities(M, tol, rank_tol)  eigenspaces with each basis replaced
-                      by its column count, from singular values only | None
+    multiplicities(M, tol, rank_tol)  [(lam, multiplicity, dim ker(M - lam
+                      Id) under the cut at rank_tol)] per cluster at tol of
+                      the eigenvalues, from singular values only | None
     inv, stack, spans(B, C) (span of B contains C), image(op, B) = op B,
     ncols, dense(dim, op) = the matrix of op
 
-Every float rank decision is the one cut of _cut.  Float eigenspaces split a
-square matrix into the diagonal blocks of its nonzero pattern (rho of an
-edge-parallel loop at genus 2 has N^2 blocks of size N^2); each basis is the
-null vectors of the shifted blocks, cut over all blocks together, and is
-kept in block form (BlockBasis): each column's entries on its one block,
-N^5 entries per eigenvalue of that rho against N^7 dense, mapped by an
-operator with one scatter of those entries per term.
+FloatArithmetic alone adds joint_spaces(ops, tol, rank_tol): the joint
+eigenspaces of commuting operators whose terms translate the index group,
+in block form (JointSpaces), or None.
+
+Every float rank decision is the one cut of _cut.  multiplicities splits a
+square matrix into the diagonal blocks of its nonzero pattern and counts
+each kernel dimension over all blocks together.  Joint eigenspaces come
+from the operators' terms alone, with no dense matrix.  The translations
+of the operators taken so far split the indices into components, the
+cosets of the subgroup they generate, all of one size s; every joint
+space meets every component in m orthonormal columns, kept as an s x m
+block (JointSpaces: comps and local).  The next operator's translations
+join the components into the cosets of a larger subgroup, and its m x m
+restrictions to each space on each joined component, clustered and cut as
+one batch, split every space.  A split is kept when every null space has
+one dimension and each space fills the joined components; otherwise the
+spaces stay those of the level before, and None comes back when the first
+operator already fails.  For the pants family of genus2_sep there are
+N^3 spaces of dimension N, each with one column of N^3 entries on each of
+N cosets: N^7 entries in all, against N^8 for dense bases.  An operator
+maps a chunk of spaces (CHUNK) by one scatter of the block entries per
+term (JointSpaces.image), for kernels taken one joint space at a time
+(kernels.eigenspace_kernel).
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
@@ -215,11 +228,33 @@ class ExactArithmetic:
             return None if op else self.zero()
         return diag[0] if all((v - diag[0]).is_zero() for v in diag) else None
 
-    def eigenspaces(self, M, tol, rank_tol):
+    def multiplicities(self, M, tol, rank_tol):
         """None: exact eigenvalues are not computed."""
         return None
 
-    multiplicities = eigenspaces
+
+def _labels(n, rows, cols):
+    """The components of the graph on range(n) with edges rows[k] ~ cols[k],
+    as each index's label: the least index of its component.  Union-find by
+    min-label propagation with pointer jumping."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def components(n, perms):
+    """The components of i ~ perm[i] over the permutations perms of
+    range(n), as each index's label (the least index of its component).  For
+    translations of an index group they are the cosets of the subgroup the
+    translations generate."""
+    rows = np.tile(np.arange(n), len(perms))
+    return _labels(n, rows, np.concatenate([np.asarray(p) for p in perms]) if perms else rows)
 
 
 def _pattern_blocks(M):
@@ -230,18 +265,7 @@ def _pattern_blocks(M):
     indices[b]].  Eigenvalues of M are those of the blocks together.  An M
     whose pattern is connected comes back as one block."""
     n = len(M)
-    rows, cols = np.nonzero(M)
-    # Union-find by min-label propagation with pointer jumping: each index
-    # ends labelled by the least index of its component.
-    label = np.arange(n)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        np.minimum.at(new, cols, label[rows])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
+    label = _labels(n, *np.nonzero(M))
     order = np.argsort(label, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     if len(comps) <= 1:
@@ -260,17 +284,22 @@ def _cut(s, tol: float) -> float:
 
 
 def _clusters(blocks, tol: float) -> list:
-    """The blocks' eigenvalues together, clustered: sorted eigenvalues closer
-    than tol to the first of a cluster join it."""
+    """The blocks' eigenvalues together, clustered: each joins the first
+    cluster whose representative lies closer than tol, whatever the order of
+    the values between them, and otherwise starts a cluster of its own.  The
+    values are taken, and the clusters come out, in the order of their real
+    and then imaginary parts rounded to 8 decimals; a cluster's
+    representative is its first value in that order."""
     vals = np.concatenate([np.linalg.eigvals(B).ravel() for B in blocks])
-    order = np.lexsort((vals.imag.round(8), vals.real.round(8)))
-    groups: list[list] = []
-    for z in vals[order]:
-        if groups and abs(z - groups[-1][0]) < tol:
-            groups[-1][1] += 1
-        else:
-            groups.append([z, 1])
-    return [(complex(z), int(m)) for z, m in groups]
+    vals = vals[np.lexsort((vals.imag.round(8), vals.real.round(8)))]
+    free = np.ones(len(vals), dtype=bool)
+    out = []
+    while free.any():
+        z = vals[np.argmax(free)]
+        near = free & (abs(vals - z) < tol)
+        out.append((complex(z), int(near.sum())))
+        free &= ~near
+    return out
 
 
 def _shifted(pattern, lam):
@@ -278,50 +307,142 @@ def _shifted(pattern, lam):
     return [(idx, B - lam * np.eye(B.shape[-1])) for idx, B in pattern]
 
 
-class BlockBasis(NamedTuple):
-    """An n x ncols basis whose every column lives on one pattern block, in
-    block form: entry e is local[e] at (rows[e], cols[e]), and no two
-    entries share a place.  A basis of ker(M - lam Id) has size x d entries
-    for blocks of one size, against n x d dense."""
+# Complex entries (2 MB) that one step of a blocked product forms: the
+# dense bases of a chunk of joint spaces (JointSpaces.chunks), the gathered
+# blocks of JointSpaces.span, the columns of FloatArithmetic.image.  So no
+# second array of a whole basis's size is formed.
+CHUNK = 1 << 17
 
-    n: int
-    ncols: int
-    rows: np.ndarray
-    cols: np.ndarray
+
+class JointSpaces(NamedTuple):
+    """The joint eigenspaces of commuting operators, in block form.  The
+    operators' translations split the indices into components (comps, one
+    row of s indices per component: the cosets of the subgroup that the
+    translations generate), and space j meets component c in the m
+    orthonormal columns local[c, :, :, j], an s x m block on the indices
+    comps[c].  So all J spaces have dimension C m, and a space's basis has
+    n m entries against n C m dense.  The spaces are the last axis, so that
+    a scatter moves the entries of a chunk of spaces together."""
+
+    comps: np.ndarray
     local: np.ndarray
 
-    def dense(self):
-        V = np.zeros((self.n, self.ncols), dtype=complex)
-        V[self.rows, self.cols] = self.local
-        return V
+    @property
+    def n(self) -> int:
+        return self.comps.size
 
-    def image(self, op):
-        """op V, dense: one scatter per term, e_i -> scale[i] e[perm[i]], of
-        the entries alone.  A permutation keeps a column's rows distinct, so
-        no two entries of one scatter meet."""
-        out = np.zeros((self.n, self.ncols), dtype=complex)
+    @property
+    def count(self) -> int:
+        return self.local.shape[-1]
+
+    @property
+    def dim(self) -> int:
+        C, _, m, _ = self.local.shape
+        return C * m
+
+    def chunks(self) -> list:
+        """Slices of the spaces, each with at most CHUNK entries of dense
+        basis together (at least one space)."""
+        step = max(1, CHUNK // (self.n * self.dim))
+        return [slice(j, j + step) for j in range(0, self.count, step)]
+
+    def image(self, op, js):
+        """op U for the spaces U of the slice js, as one (n, dim, spaces)
+        array: one scatter per term of the block entries alone, e_i ->
+        scale[i] e[perm[i]], each to its flat place row * dim + column.  A
+        permutation keeps a column's rows distinct, so no two entries of one
+        scatter meet."""
+        C, s, m, _ = self.local.shape
+        entries = self.local[..., js].reshape(C * s * m, -1)
+        cols = np.arange(C * m).reshape(C, 1, m)
+        out = np.zeros((self.n * C * m, entries.shape[1]), dtype=complex)
         for perm, scale in op:
-            rows = self.rows
-            out[np.asarray(perm)[rows], self.cols] += np.asarray(scale)[rows] * self.local
-        return out
+            places = (np.asarray(perm)[self.comps][..., None] * (C * m) + cols).ravel()
+            out[places] += np.repeat(np.asarray(scale)[self.comps], m)[:, None] * entries
+        return out.reshape(self.n, C * m, -1)
 
+    def restriction(self, X, js):
+        """(R, residual) for X = op U over the spaces U of the slice js, as
+        image gives it: R the (dim, dim, spaces) array of the U^H op U, and
+        residual max |op U - U (U^H op U)|, which is 0 when op maps each U
+        into itself.  U itself is never formed: the products read the
+        blocks."""
+        C, _, m, _ = self.local.shape
+        local, X = self.local[..., js], X[self.comps]
+        R = np.einsum("camj,caej->cmej", local.conj(), X)
+        residual = np.abs(X - np.einsum("camj,cmej->caej", local, R)).max(initial=0.0)
+        return R.reshape(C * m, C * m, -1), residual
 
-def _eigenbasis(n, pattern, lam, rank_tol):
-    """An orthonormal basis of ker(M - lam Id) in block form (BlockBasis),
-    each column supported on one pattern block: the right singular vectors
-    of every shifted block whose singular values are under the cut at
-    rank_tol, taken over all blocks together as for the whole matrix."""
-    svds = [(idx, np.linalg.svd(B)) for idx, B in _shifted(pattern, lam)]
-    cut = _cut([s.max(initial=0.0) for _, (_, s, _) in svds], rank_tol)
-    rows, cols, local, d = [], [], [], 0
-    for idx, (_, s, vh) in svds:
-        b, k = np.nonzero(s <= cut)
-        rows.append(idx[b])
-        cols.append(np.broadcast_to(np.arange(d, d + len(b))[:, None], idx[b].shape))
-        local.append(vh[b, k].conj())
-        d += len(b)
-    return BlockBasis(n, d, *(np.concatenate([a.ravel() for a in parts])
-                              for parts in (rows, cols, local)))
+    def span(self, bases):
+        """The n x k array of the U_j W_j over all spaces U_j in order, for
+        bases the list of the dim x k_j arrays W_j, written CHUNK gathered
+        block entries at a time."""
+        C, _, m, _ = self.local.shape
+        W = np.concatenate(bases, axis=1).reshape(C, m, -1)
+        owner = np.repeat(np.arange(self.count), [w.shape[1] for w in bases])
+        K = np.empty((self.n, W.shape[-1]), dtype=complex)
+        step = max(1, CHUNK // (self.n * m))
+        for at in range(0, W.shape[-1], step):
+            cols = slice(at, at + step)
+            K[self.comps, cols] = np.einsum("camk,cmk->cak", self.local[..., owner[cols]],
+                                            W[..., cols])
+        return K
+
+    def refine(self, op, tol: float, rank_tol: float):
+        """The spaces split by op, an operator whose terms translate the
+        index group and which commutes with the operators of these spaces,
+        so that it preserves each of them; None when they do not split
+        uniformly.
+
+        op's translations join the components r at a time into cosets of
+        the larger subgroup.  On space j and a joined component, op
+        restricts to an M x M matrix R, M = r m, in the orthonormal basis of
+        the r blocks of local; R is summed term by term from the inner
+        products of those blocks with their images, so no dense s x s block
+        of op is formed.  The eigenvalues of all R together are clustered
+        at tol, and space j splits into the null spaces of R - lam, cut at
+        rank_tol over all R together, as spaces (j, lam) in that order.  The
+        split is uniform when every null space has one dimension m' and
+        each R's fill C^M."""
+        C, s, m, J = self.local.shape
+        comp_of = np.empty(self.n, dtype=np.int64)
+        comp_of[self.comps] = np.arange(C)[:, None]
+        pos = np.empty(self.n, dtype=np.int64)
+        pos[self.comps] = np.arange(s)
+        images = [np.asarray(perm)[self.comps] for perm, _ in op]
+        targets = [comp_of[image[:, 0]] for image in images]
+        label = components(C, targets)
+        _, sizes = np.unique(label, return_counts=True)
+        r = sizes[0]
+        if np.any(sizes != r):
+            return None
+        groups = np.argsort(label, kind="stable").reshape(len(sizes), r)
+        new_of, slot = np.empty(C, dtype=np.int64), np.empty(C, dtype=np.int64)
+        new_of[groups] = np.arange(len(groups))[:, None]
+        slot[groups] = np.arange(r)
+        # R[new component, target slot, source slot, space] is an m x m block
+        R = np.zeros((len(groups), r, r, J, m, m), dtype=complex)
+        for image, target, (_, scale) in zip(images, targets, op):
+            moved = self.local[target[:, None], pos[image]]
+            scaled = np.asarray(scale)[self.comps][..., None, None] * self.local
+            R[new_of, slot[target], slot] += np.einsum("casj,catj->cjst", moved.conj(), scaled)
+        M = r * m
+        R = R.transpose(3, 0, 1, 4, 2, 5).reshape(-1, M, M)
+        null = []
+        for lam, _ in _clusters([R], tol):
+            _, sv, vh = np.linalg.svd(R - lam * np.eye(M))
+            counts = np.sum(sv <= _cut(sv.ravel(), rank_tol), axis=1)
+            null.append((counts, vh))
+        d = null[0][0][0]
+        if any(np.any(counts != d) for counts, _ in null) or len(null) * d != M:
+            return None
+        blocks = self.local[groups]
+        local = np.empty((len(groups), r, s, d, J, len(null)), dtype=complex)
+        for i, (_, vh) in enumerate(null):
+            v = vh[:, M - d:].conj().swapaxes(1, 2).reshape(J, len(groups), r, m, d)
+            np.einsum("cqasj,jcqsd->cqadj", blocks, v, out=local[..., i])
+        return JointSpaces(self.comps[groups].reshape(len(groups), r * s),
+                           local.reshape(len(groups), r * s, d, J * len(null)))
 
 
 class FloatArithmetic:
@@ -357,11 +478,17 @@ class FloatArithmetic:
         return M
 
     def image(self, op, basis):
-        """op X: row j gains scale[i] X[i] from each term, i = perm^-1(j)."""
+        """op X: row j gains scale[i] X[i] from each term, i = perm^-1(j),
+        CHUNK entries of X at a time, so that no other array of X's shape
+        is formed."""
+        basis = np.asarray(basis)
         out = np.zeros(basis.shape, dtype=complex)
-        for perm, scale in op:
-            inv = np.argsort(perm)
-            out += np.asarray(scale)[inv, None] * basis[inv]
+        terms = [(np.argsort(perm), np.asarray(scale)) for perm, scale in op]
+        step = max(1, CHUNK // max(len(basis), 1))
+        for at in range(0, basis.shape[1], step):
+            cols = slice(at, at + step)
+            for inv, scale in terms:
+                out[:, cols] += scale[inv, None] * basis[inv, cols]
         return out
 
     def stack(self, mats):
@@ -398,20 +525,27 @@ class FloatArithmetic:
                   default=0.0)
         return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
 
-    def eigenspaces(self, M, tol, rank_tol):
-        """(lam, multiplicity, orthonormal basis of ker(M - lam Id) in block
-        form, a BlockBasis) per eigenvalue cluster of the pattern blocks.
-        M - lam Id has M's pattern off the diagonal, so the pattern is
-        searched once and each shift is taken block by block."""
-        M = np.asarray(M)
-        pattern = _pattern_blocks(M)
-        return [(lam, m, _eigenbasis(len(M), pattern, lam, rank_tol))
-                for lam, m in _clusters([B for _, B in pattern], tol)]
+    def joint_spaces(self, ops, tol, rank_tol):
+        """The joint eigenspaces of the commuting operators ops in block form
+        (JointSpaces), refined by each operator in turn from the whole
+        space (JointSpaces.refine at tol and rank_tol): the last level that
+        splits uniformly, or None when the first does not."""
+        n = len(ops[0][0][0])
+        level = JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))
+        spaces = None
+        for op in ops:
+            level = level.refine(op, tol, rank_tol)
+            if level is None:
+                break
+            spaces = level
+        return spaces
 
     def multiplicities(self, M, tol, rank_tol):
-        """(lam, multiplicity, dim ker(M - lam Id)) per cluster, as the
-        column counts of eigenspaces' bases: the same clusters and cut, from
-        values-only SVDs of the shifted blocks."""
+        """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster of
+        the pattern blocks of a square array M: M - lam Id has M's pattern
+        off the diagonal, so the pattern is searched once, and each kernel
+        dimension is counted from values-only SVDs of the shifted blocks,
+        cut over all blocks together."""
         pattern = _pattern_blocks(np.asarray(M))
         out = []
         for lam, m in _clusters([B for _, B in pattern], tol):

@@ -69,3 +69,12 @@ def diagonals(M):
     P += [[zero] * n for _ in range(n - len(M))]
     return [([(i + s) % n for i in range(n)], [P[(i + s) % n][i] for i in range(n)])
             for s in range(n)]
+
+
+def dense_bases(spaces):
+    """The bases of joint spaces (scalars.JointSpaces) made dense: an
+    (n, dim, count) array, space j's basis in [:, :, j]."""
+    C, _, m, count = spaces.local.shape
+    U = np.zeros((spaces.n, C * m, count), dtype=complex)
+    U[spaces.comps[:, :, None], np.arange(C * m).reshape(C, 1, m)] = spaces.local
+    return U

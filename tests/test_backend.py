@@ -1,5 +1,5 @@
-"""The exact and float backends against each other, float rank and the
-block-structured float eigenspaces against dense LAPACK, the
+"""The exact and float backends against each other, float rank, the
+multiplicities and the block-form joint eigenspaces against dense LAPACK, the
 omega-exponent commutant count against field-arithmetic orbit propagation,
 the exact rank bound modulo a prime against elimination, and the sparse
 exact image against the dense dot loop."""
@@ -19,7 +19,7 @@ from skeinrep import intlinalg, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
-from skeinrep.kernels import (eigen_analysis, pushoff_eigenspaces, sample_generic_weights,
+from skeinrep.kernels import (eigen_analysis, pants_spaces, sample_generic_weights,
                               total_kernel)
 from skeinrep.qtrace import LoopSpec, pushoff_pair, threading_check
 from skeinrep.representation import WeightSystem, build_rep
@@ -27,7 +27,7 @@ from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
                              exact_torus_weights)
 
-from conftest import diagonals, random_balanced_monomial
+from conftest import dense_bases, diagonals, random_balanced_monomial
 
 RANK_TOL = 1e-8
 
@@ -117,38 +117,51 @@ def test_block_rank_matches_dense(seed):
         assert FLOAT.rank(M, tol) == dense_rank(M, tol) == 12
 
 
-def assert_block_form(V, M):
-    """Every column of the BlockBasis V lies on one pattern block of M, with
-    each row once."""
-    block = np.zeros(len(M), dtype=int)
-    for b, idx in enumerate(i for indices, _ in scalars._pattern_blocks(M) for i in indices):
-        block[idx] = b
-    for j in range(V.ncols):
-        rows = V.rows[V.cols == j]
-        assert len(set(block[rows])) == 1 and len(set(rows)) == len(rows)
+def on_cosets(blocks):
+    """The square blocks, all of one size k, on the cosets c + len(blocks) Z
+    of Z_n, n = k len(blocks): M[c + len(blocks) a, c + len(blocks) b] =
+    blocks[c][a, b]."""
+    step, k = len(blocks), len(blocks[0])
+    M = np.zeros((step * k, step * k), dtype=complex)
+    for c, B in enumerate(blocks):
+        M[c::step, c::step] = B
+    return M
+
+
+def nonzero_diagonals(M):
+    """M as an operator of its nonzero cyclic diagonals alone, so that its
+    translations are those of M's pattern."""
+    return [(perm, scale) for perm, scale in diagonals(M) if scale.any()]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_block_eigen_candidates_match_dense(seed):
+    # the joint spaces of one operator are its eigenspaces, in block form on
+    # the cosets of its translations: here 3 Z_18, with each coset block
+    # diagonalizable with every eigenvalue twice
     rng = np.random.default_rng(seed)
-    spectrum = [1.0, 2j, -1.5 + 0.5j]
-    blocks = [diagonalizable(rng, rng.choice(spectrum, size=s)) for s in (1, 3, 3, 4, 6)]
-    M = block_diagonal(blocks, rng)
-    assert len(scalars._pattern_blocks(M)) == 4
-    got, want = FLOAT.eigenspaces(M, 1e-6, 1e-9), dense_clusters(M, 1e-6)
-    assert [m for _, m, _ in got] == [m for _, m in want]
-    assert [V.ncols for _, _, V in got] == [m for _, m in want]  # diagonalizable
-    # one pattern search gives the dense kernel dimension of every shift
-    assert [V.ncols for _, _, V in got] == [
-        len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9) for lam, _, _ in got]
-    # each basis is orthonormal and spans eigenvectors
-    for lam, _, V in got:
-        D = V.dense()
-        assert np.abs(D.conj().T @ D - np.eye(V.ncols)).max() < 1e-9
+    spectrum = [1.0, 2j, -1.5 + 0.5j] * 2
+    M = on_cosets([diagonalizable(rng, rng.permutation(spectrum)) for _ in range(3)])
+    spaces = FLOAT.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9)
+    want = dense_clusters(M, 1e-6)
+    assert [m for _, m in want] == [6] * 3
+    assert [spaces.dim] * spaces.count == [m for _, m in want]  # diagonalizable
+    # one search of the cosets gives the dense kernel dimension of every shift
+    assert [spaces.dim] * spaces.count == [
+        len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9) for lam, _ in want]
+    # each basis is orthonormal, spans eigenvectors of the dense eigenvalue,
+    # and has every column on one coset
+    assert sorted(map(tuple, spaces.comps)) == [tuple(range(c, 18, 3)) for c in range(3)]
+    U = dense_bases(spaces)
+    for (lam, _), D in zip(want, np.moveaxis(U, -1, 0)):
+        assert np.abs(D.conj().T @ D - np.eye(spaces.dim)).max() < 1e-9
         assert np.abs(M @ D - lam * D).max() < 1e-6
-        assert_block_form(V, M)
-    assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
     assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
+    # blocks whose spectra differ split into eigenspaces of unequal
+    # dimensions, which no JointSpaces holds
+    blocks = [diagonalizable(rng, rng.choice(spectrum[:3], size=s)) for s in (1, 3, 3, 4, 6)]
+    uneven = block_diagonal(blocks, rng)
+    assert FLOAT.joint_spaces([diagonals(uneven)], 1e-6, 1e-9) is None
 
 
 def test_block_rank_cuts_at_the_global_largest_singular_value():
@@ -180,53 +193,63 @@ def test_multiplicities_are_the_eigenspace_dimensions(seed):
               diagonalizable(rng, rng.choice([1.0, 2j], size=4))]
     M = block_diagonal(blocks, rng)
     got = FLOAT.multiplicities(M, 1e-6, 1e-9)
-    assert got == [(lam, m, V.ncols) for lam, m, V in FLOAT.eigenspaces(M, 1e-6, 1e-9)]
+    want = dense_clusters(M, 1e-6)
+    assert [(m, geo) for _, m, geo in got] == [
+        (m, len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9)) for lam, m in want]
+    assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
     assert any(geo < m for _, m, geo in got)
 
 
 def float_genus2_operators():
-    """The eigenspaces of rho[K1] of a float genus-2 representation at N=3,
-    with mu(Q_v) and D = rho[K1] - rho[K2]."""
+    """The joint spaces of a float genus-2 representation at N=3, with
+    mu(Q_v) and D = rho[K1] - rho[K2]."""
     T = standard_library("genus2_sep")
     rep = build_rep(T, 3, sample_generic_weights(T, 3, random.Random(0)))
     tr1, tr2 = pushoff_pair(rep.algebra, T.designated_edge)
-    spaces = pushoff_eigenspaces(rep, T.designated_edge, 1e-8)
+    spaces = pants_spaces(rep, T.designated_edge, 1e-8)
     return spaces, [rep.operator(rep.algebra.offdiag_Q(0)), rep.operator(tr1 - tr2)]
 
 
 def block_diagonal_operators():
-    """The eigenspaces of a matrix with blocks of four sizes, with the
-    cyclic diagonals of a dense and of a sparse random matrix."""
+    """The joint spaces of an operator with blocks on the cosets of 3 Z_18,
+    with the cyclic diagonals of a dense and of a sparse random matrix."""
     rng = np.random.default_rng(5)
-    spectrum = [1.0, 2j, -1.5 + 0.5j]
-    M = block_diagonal([diagonalizable(rng, rng.choice(spectrum, size=s))
-                        for s in (1, 3, 3, 4, 6)], rng)
+    spectrum = [1.0, 2j, -1.5 + 0.5j] * 2
+    M = on_cosets([diagonalizable(rng, rng.permutation(spectrum)) for _ in range(3)])
     X = random_complex(rng, len(M), len(M))
-    return FLOAT.eigenspaces(M, 1e-6, 1e-9), [diagonals(X), diagonals(X * (abs(X) > 1.5))]
+    return (FLOAT.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9),
+            [diagonals(X), diagonals(X * (abs(X) > 1.5))])
 
 
 @pytest.mark.parametrize("case", [float_genus2_operators, block_diagonal_operators])
 def test_block_image_matches_the_dense_image(case):
     spaces, ops = case()
+    U = dense_bases(spaces)
     for op in ops:
         bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
-        for _, _, V in spaces:
-            assert np.abs(V.image(op) - FLOAT.image(op, V.dense())).max() <= bound
+        want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
+        for js in [slice(None)] + spaces.chunks():
+            assert np.abs(spaces.image(op, js) - want[..., js]).max() <= bound
 
 
 def test_exact_eigen_analysis_is_not_available():
     alg = CFAlgebra(standard_library("torus1"), 3)
     rep = build_rep(alg.T, 3, exact_torus_weights(alg), algebra=alg)
     M = rep.apply(alg.offdiag_Q(0))
-    assert rep.ctx.eigenspaces(M, 1e-6, 1e-9) is None
     assert rep.ctx.multiplicities(M, 1e-6, 1e-9) is None
     with pytest.raises(ValueError, match="not available"):
         eigen_analysis(M, "exact")
+    # nor joint eigenspaces, and no pants family is built for them
+    T = standard_library("genus2_sep")
+    alg2 = CFAlgebra(T, 3)
+    rep2 = build_rep(T, 3, exact_genus2_weights(alg2), algebra=alg2)
+    assert pants_spaces(rep2, T.designated_edge, 1e-9) is None
+    assert alg2.pants_families == {} and rep2.spectra == {}
 
 
 def test_dense_fallbacks_give_the_dense_answer():
     def clusters(M):
-        return [(lam, m) for lam, m, _ in FLOAT.eigenspaces(M, 1e-6, 1e-9)]
+        return [(lam, m) for lam, m, _ in FLOAT.multiplicities(M, 1e-6, 1e-9)]
 
     rng = np.random.default_rng(11)
     connected = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)

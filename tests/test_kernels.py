@@ -15,12 +15,12 @@ from skeinrep.errors import (NotCommuting, NotDiagonalizable, NotOneVertex,
 from skeinrep.kernels import (Subspace, difference_kernel, eigen_analysis,
                               matrix_kernel, offdiag_kernel,
                               sample_generic_weights, total_kernel)
-from skeinrep.qtrace import sweep_check
+from skeinrep.qtrace import LoopSpec, edge_parallel_trace, sweep_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_genus2_weights
 
-from conftest import diagonals, random_balanced_monomial
+from conftest import dense_bases, diagonals, random_balanced_monomial
 
 
 @pytest.fixture(scope="module")
@@ -113,48 +113,52 @@ def record_float_kernels(monkeypatch) -> list:
 
 
 def test_float_genus2_total_kernel_takes_no_square_kernel(monkeypatch):
-    # one thin n x dim V_lam kernel per eigenspace of rho[K1], none of the
-    # n x n mu(Q_v)
+    # one thin n x N kernel per joint space, none of the n x n mu(Q_v)
     rep = float_genus2_rep(3, 4)
     shapes = record_float_kernels(monkeypatch)
     assert total_kernel(rep, 1e-8).dim == 27
     assert shapes and all(shape[0] == 81 and shape[1] < 81 for shape in shapes)
+    assert shapes == [(81, 3)] * 27
 
 
-def record_eigenspaces(monkeypatch) -> list:
-    """The matrices passed to FloatArithmetic.eigenspaces from now on."""
+def record_joint_spaces(monkeypatch) -> list:
+    """The operator families passed to FloatArithmetic.joint_spaces from
+    now on."""
     calls = []
-    original = scalars.FloatArithmetic.eigenspaces
+    original = scalars.FloatArithmetic.joint_spaces
 
-    def eigenspaces(self, M, *args):
-        calls.append(M)
-        return original(self, M, *args)
+    def joint_spaces(self, ops, *args):
+        calls.append(ops)
+        return original(self, ops, *args)
 
-    monkeypatch.setattr(scalars.FloatArithmetic, "eigenspaces", eigenspaces)
+    monkeypatch.setattr(scalars.FloatArithmetic, "joint_spaces", joint_spaces)
     return calls
 
 
 @pytest.mark.parametrize("N", [3, 5])
 def test_total_kernel_and_sweep_check_share_one_spectrum(monkeypatch, N):
     rep = float_genus2_rep(N, 6)
-    calls = record_eigenspaces(monkeypatch)
+    calls = record_joint_spaces(monkeypatch)
+    dense = []
+    monkeypatch.setattr(scalars.FloatArithmetic, "dense",
+                        lambda self, *args: dense.append(args) or math.nan)
     assert total_kernel(rep, 1e-8).dim == N ** 3
     assert sweep_check(rep, rep.T.designated_edge, 1e-8)["passed"]
-    assert len(calls) == 1
-    # kept in block form: N eigenspaces of dim N^3, each with N^2 x N^3
-    # entries on the N^2 blocks of size N^2, no dense n x N^3 basis
+    assert len(calls) == 1 and dense == []
+    # kept in block form: N^3 joint spaces of dim N, each with one column of
+    # N^3 entries on each of the N cosets, no dense n x N basis
     spaces = rep.spectra[rep.T.designated_edge, 1e-8]
-    assert [(m, V.ncols, V.local.shape) for _, m, V in spaces] == \
-        [(N ** 3, N ** 3, (N ** 5,))] * N
+    assert (spaces.count, spaces.dim, spaces.local.shape) == \
+        (N ** 3, N, (N, N ** 3, 1, N ** 3))
 
 
 def test_sign_reversed_copy_builds_its_own_spectrum(monkeypatch):
     # a sign reversal changes rho[K1], so the copy's F comes from its own
-    # eigenspaces, which leave no dense fallback to take
+    # joint spaces, which leave no dense fallback to take
     rep = float_genus2_rep(3, 7)
     total_kernel(rep, 1e-8)
     flipped = rep.precompose_sign_reversal(SignReversalClass(rep.T, SIGN_CLASS))
-    calls = record_eigenspaces(monkeypatch)
+    calls = record_joint_spaces(monkeypatch)
     shapes = record_float_kernels(monkeypatch)
     F = total_kernel(flipped, 1e-8)
     assert len(calls) == 1 and (81, 81) not in shapes
@@ -162,29 +166,28 @@ def test_sign_reversed_copy_builds_its_own_spectrum(monkeypatch):
     assert F.dim == 27 and F.equals(offdiag_kernel(flipped, 0, tol=1e-8), 1e-8)
 
 
-def drop_last_cluster(spaces):
-    return spaces[:-1]
+def drop_last_space(spaces):
+    return spaces._replace(local=spaces.local[..., :-1])
 
 
 def perturb_bases(spaces):
     rng = np.random.default_rng(0)
-    return [(lam, m, V._replace(local=V.local + 1e-5 * rng.normal(size=V.local.shape)))
-            for lam, m, V in spaces]
+    return spaces._replace(local=spaces.local + 1e-5 * rng.normal(size=spaces.local.shape))
 
 
-@pytest.mark.parametrize("plant,thin_kernels", [(drop_last_cluster, 0), (perturb_bases, 3)],
+@pytest.mark.parametrize("plant,thin_kernels", [(drop_last_space, 0), (perturb_bases, 27)],
                          ids=["eigenspaces-do-not-fill", "residual-check"])
 def test_total_kernel_falls_back_to_the_dense_kernel(monkeypatch, plant, thin_kernels):
-    # with an eigenspace missing, or with eigenbases 1e-5 off, so that the
-    # thin kernels (cut at 1e-3) keep vectors that mu(Q_v) moves by far more
+    # with a joint space missing, or with bases 1e-5 off, so that the thin
+    # kernels (cut at 1e-3) keep vectors that mu(Q_v) moves by far more
     # than the residual bound, F is the dense kernel of mu(Q_v)
     rep = float_genus2_rep(3, 5)
-    original = scalars.FloatArithmetic.eigenspaces
-    monkeypatch.setattr(scalars.FloatArithmetic, "eigenspaces",
+    original = scalars.FloatArithmetic.joint_spaces
+    monkeypatch.setattr(scalars.FloatArithmetic, "joint_spaces",
                         lambda self, *args: plant(original(self, *args)))
     shapes = record_float_kernels(monkeypatch)
     F = total_kernel(rep, 1e-3)
-    assert shapes == [(81, 27)] * thin_kernels + [(81, 81)]
+    assert shapes == [(81, 3)] * thin_kernels + [(81, 81)]
     assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-3), 1e-3)
 
 
@@ -233,6 +236,13 @@ def test_eigen_rejects_nilpotent():
         eigen_analysis(M, "float")
 
 
+def test_eigen_clusters_join_values_closer_than_tol_whatever_sorts_between_them():
+    # a and c are 2e-12 apart, but their real parts round to different 8th
+    # decimals, and b, 1j away, sorts between them
+    a, b, c = 0.100000004999, 0.1000000049 + 1j, 0.100000005001
+    assert eigen_analysis(np.diag([a, b, c]), "float") == [(a, 2), (b, 1)]
+
+
 def test_eigen_exact_candidates(torus_rep):
     rep = torus_rep
     alg = rep.algebra
@@ -271,7 +281,7 @@ def test_difference_kernel_matches_dense_float(N, seed):
     rep = build_rep(T, N, sample_generic_weights(T, N, random.Random(seed)))
     tr1, tr2 = pushoff_traces(rep)
     A, B = rep.apply(tr1), rep.apply(tr2)
-    spaces = kernels.pushoff_eigenspaces(rep, T.designated_edge, 1e-8)
+    spaces = kernels.pants_spaces(rep, T.designated_edge, 1e-8)
     K = difference_kernel(spaces, rep.operator(tr1 - tr2), 1e-8)
     assert K.dim == N ** 3
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
@@ -283,8 +293,9 @@ def test_difference_kernel_matches_dense_exact():
     alg = CFAlgebra(T, 3)
     rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
     tr1, tr2 = pushoff_traces(rep)
-    spaces = kernels.pushoff_eigenspaces(rep, T.designated_edge, kernels.DEFAULT_RANK_TOL)
-    assert spaces is None  # exact eigenvalues are not computed
+    spaces = kernels.pants_spaces(rep, T.designated_edge, kernels.DEFAULT_RANK_TOL)
+    # exact eigenvalues are not computed, and no pants family is built
+    assert spaces is None and alg.pants_families == {}
     K = difference_kernel(spaces, rep.operator(tr1 - tr2))
     diff = [[a - b for a, b in zip(ra, rb)]
             for ra, rb in zip(rep.apply(tr1), rep.apply(tr2))]
@@ -293,18 +304,24 @@ def test_difference_kernel_matches_dense_exact():
 
 
 def float_eigenspaces(A, tol):
-    return scalars.FloatArithmetic().eigenspaces(A, kernels.EIGEN_TOL, tol)
+    """The eigenspaces of a dense A as the joint spaces of the family [A]."""
+    return scalars.FloatArithmetic().joint_spaces([diagonals(A)], kernels.EIGEN_TOL, tol)
 
 
 @pytest.mark.parametrize("A,diff,tol,dim,spectral_calls", [
-    # a Jordan block: A's eigenspaces do not fill the space, so no
-    # eigenspace is tried
+    # a Jordan block: A's eigenspaces do not fill the space, so there are
+    # no joint spaces to try
     (np.array([[1, 1], [0, 1]], dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex),
      1e-9, 1, 0),
     # A = 0 is one eigenspace, and D's singular values 0 and 5e-7 both pass
     # its rank cut at 1e-6, but the basis fails the residual check at 1e-7
     (np.zeros((2, 2), dtype=complex), np.diag([0, 5e-7]).astype(complex), 1e-6, 2, 1),
-], ids=["jordan-block", "residual-check"])
+    # A = diag(1, 2) has the eigenspaces of e_1 and e_2, and D moves e_2
+    # by 1e-3 e_1, out of its space: the 1 x 1 restrictions have their
+    # kernels, but the invariance residual 1e-3 fails the bound 1e-7
+    (np.diag([1, 2]).astype(complex), np.array([[0, 1e-3], [0, 0]], dtype=complex),
+     1e-9, 1, 2),
+], ids=["jordan-block", "residual-check", "invariance-check"])
 def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, tol, dim,
                                                           spectral_calls):
     calls = []
@@ -317,6 +334,67 @@ def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, 
     assert difference_kernel(float_eigenspaces(A, tol), diagonals(diff), tol).dim == dim
     assert len(calls) == spectral_calls + 1
     assert np.array_equal(calls[-1], diff)
+
+
+def loop_traces(alg, loops):
+    return [edge_parallel_trace(alg, LoopSpec.edge_parallel(e, side)) for e, side in loops]
+
+
+@pytest.mark.parametrize("N,seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
+def test_pants_family_splits_F_into_one_dimension_per_joint_space(N, seed):
+    rep = float_genus2_rep(N, seed)
+    e = rep.T.designated_edge
+    family = qtrace.pants_family(rep, e)
+    assert family == loop_traces(rep.algebra, [(1, 1), (5, 1), (e, 1)])
+    spaces = kernels.pants_spaces(rep, e, 1e-8)
+    assert (spaces.count, spaces.dim) == (N ** 3, N)
+    U = dense_bases(spaces)
+    # each basis is orthonormal, and together they fill C^n
+    assert np.abs(np.einsum("idj,iej->jde", U.conj(), U) - np.eye(N)).max() < 1e-9
+    assert scalars.FloatArithmetic().rank(U.reshape(rep.dim, -1), 1e-8) == rep.dim
+    # every family operator maps each space into itself
+    for a in family:
+        A = rep.apply(a)
+        AU = np.einsum("ik,kdj->idj", A, U)
+        restricted = np.einsum("idj,iej->jde", U.conj(), AU)
+        assert np.abs(AU - np.einsum("idj,jde->iej", U, restricted)).max() < 1e-9
+    # each space meets F in exactly one dimension: one principal angle 0
+    F = np.linalg.qr(total_kernel(rep, 1e-8).basis)[0]
+    cosines = np.linalg.svd(np.einsum("if,idj->jfd", F.conj(), U), compute_uv=False)
+    assert np.all(np.sum(cosines > 1 - 1e-8, axis=1) == 1)
+
+
+def test_a_loop_that_adds_no_translation_stops_the_split_at_the_uniform_level():
+    # (3,2) commutes with the family but adds no translation to (1,1): on
+    # each (1,1) space and coset it is a 1 x 1 scalar that varies from coset
+    # to coset, so its split is not uniform, and the spaces stay those of
+    # (1,1) alone, which still give F
+    rep = float_genus2_rep(3, 2)
+    alg, e = rep.algebra, rep.T.designated_edge
+    ops = [rep.operator(a) for a in loop_traces(alg, [(1, 1), (3, 2), (5, 1), (e, 1)])]
+    spaces = rep.ctx.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
+    first = rep.ctx.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
+    assert (spaces.count, spaces.dim) == (first.count, first.dim) == (3, 27)
+    assert np.array_equal(spaces.local, first.local)
+    F = kernels.eigenspace_kernel(spaces, rep.operator(alg.offdiag_Q(0)), 1e-8,
+                                  restrict=False)
+    assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-8), 1e-8)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_the_family_of_K1_alone_gives_the_eigenspaces_of_rho_K1(N):
+    # N eigenspaces of dim N^3, each with N columns on each of the N^2
+    # cosets of size N^2 of K1's translations, as the pattern blocks of the
+    # dense rho[K1] give
+    rep = float_genus2_rep(N, 3)
+    tr1, _ = qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)
+    spaces = rep.ctx.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
+    assert spaces.local.shape == (N ** 2, N ** 2, N, N)
+    A = rep.apply(tr1)
+    clusters = eigen_analysis(A, "float")
+    for (lam, m), V in zip(clusters, np.moveaxis(dense_bases(spaces), -1, 0)):
+        assert m == spaces.dim == N ** 3
+        assert np.abs(A @ V - lam * V).max() < 1e-9
 
 
 def random_unitary(rng, n):
@@ -344,9 +422,15 @@ def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
     S_inv = np.linalg.inv(S)
     A = S @ np.diag(lam) @ S_inv
     B = S @ (np.diag(lam) - cut) @ S_inv
+    spaces = float_eigenspaces(A, 1e-8)
+    # the eigenspaces of A are joint spaces when all have one dimension, and
+    # then leave no dense fallback to take
+    uniform = len({m for m, _ in blocks}) == 1
+    assert (spaces is not None) == uniform
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = difference_kernel(float_eigenspaces(A, 1e-8), diagonals(A - B), 1e-8)
-    assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
+        K = difference_kernel(spaces, diagonals(A - B), 1e-8)
+    # one per eigenspace, or the one dense fallback
+    assert mk.call_count == (len(blocks) if uniform else 1)
     assert K.dim == sum(m - r for m, r in blocks)
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
 
@@ -375,7 +459,10 @@ def test_sweep_check_builds_and_checks_the_pushoff_traces_once(monkeypatch):
 
     monkeypatch.setattr(qtrace, "edge_parallel_trace", counting_trace)
     assert all(sweep_check(rep, T.designated_edge)["passed"] for rep in reps)
-    assert len(built) == 2
+    # the two push-offs, then the 16 loops that the pants family scans, each
+    # once for both representations
+    assert built[:2] == [LoopSpec(T.designated_edge, side) for side in (1, 2)]
+    assert len(built) == 2 + 16 and len(set(built)) == len(built)
 
 
 def test_sweep_check_rejects_pushoffs_that_do_not_commute(monkeypatch):

@@ -108,8 +108,8 @@ def test_sweep_check(g2_rep, monkeypatch):
     original = qtrace.difference_kernel
 
     def spy(spaces, diff, tol):
-        calls.append(sum(V.ncols for _, _, V in spaces))
-        # the eigenspaces of rho[K1] kept on the representation
+        calls.append(spaces.count * spaces.dim)
+        # the joint spaces kept on the representation
         assert spaces is g2_rep.spectra[g2_rep.T.designated_edge, tol]
         return original(spaces, diff, tol)
 

@@ -15,25 +15,30 @@ subgroup that those of the kept loops generate; rho[K1] comes last.  On
 genus2_sep this is (1,1), (5,1), K1, a pants decomposition.  Its joint
 eigenspaces (pants_spaces, kept in CFRep.spectra, so that F and ker D
 share them) are built nested, from the operators' translation terms alone
-(scalars.JointSpaces): each loop's translations join the components of the
+(FloatArithmetic.joint_spaces, in block form: a list of scalars.JointSpaces,
+one per dimension): each loop's translations join the components of the
 index group into cosets of a larger subgroup, and each joint space splits
-by the loop's m x m restriction on each coset.  With the whole family there
-are N^3 joint spaces U of dimension N, each meeting F in one dimension.
+by the loop's restriction to it on each coset.  With the whole family there
+are N^3 joint spaces U of dimension N, each meeting F in one dimension; a
+family of one operator gives its eigenspaces, of whatever dimensions.
 
 - F = ker mu(Q_v), the total kernel (total_kernel), is the sum of the
   U ker(mu(Q_v) U): N^3 kernels of thin n x N matrices.  F splits so
   because every quantum trace of a curve in S - V acts on F, the space
   that carries the skein representation: each family operator preserves
   F, so F is the sum of its meets with the joint eigenspaces.  The
-  certificate |mu(Q_v) F| <= residual_bound puts F inside the kernel; were
-  F not invariant under the family, the basis would fall short of
-  dim F = N^3, which the genus2-kernel-dim check would then fail.  The
+  certificate |mu(Q_v) F| <= residual_bound, on the assembled basis F,
+  puts F inside the kernel; were F not invariant under the family, the
+  basis would fall short of dim F = N^3, which the genus2-kernel-dim check
+  would then fail.  The
   tests compare F with the dense kernel of mu(Q_v) at N <= 5.
 - ker D, for the difference D = rho[K1] - rho[K2] = rho(K1 - K2) of the
-  push-offs (difference_kernel): D commutes with the family, so it maps
-  each U into itself, and ker D is the sum of the U ker(U^H D U), N x N
-  restrictions.  The certificate adds that invariance, |D U - U (U^H D U)|
-  <= residual_bound(D) on every U, to the residual of each kernel.
+  push-offs (difference_kernel): the family's traces commute exactly with
+  K1 and K2 (qtrace.pants_family checks it in the algebra), so D maps each
+  U into itself, and ker D is the sum of the U ker(D U), again thin
+  n x N kernels, certified by |D K| <= residual_bound(D) for the
+  assembled basis K.  A shortfall would show as dim ker D < dim F in the
+  sweep check.
 
 A certificate that fails, spaces that do not fill the space, and exact
 operators, whose eigenvalues are not computed, take the kernel of the
@@ -118,48 +123,49 @@ def residual_bound(op) -> float:
     return 1e-7 * max(scalars.of(op).norm([scale for _, scale in op]), 1)
 
 
-def eigenspace_kernel(spaces, op, tol: float, restrict: bool) -> Subspace:
+def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
     """ker op for an operator op whose kernel the operators of spaces
     preserve, from spaces, their joint eigenspaces U in block form
-    (pants_spaces), or None: ker op is the sum of its meets U ker(X_U) with
-    the U, taken a chunk of spaces at a time (JointSpaces.chunks), op
-    applied to all spaces of a chunk in one scatter per term.  X_U is the
-    thin n x dim op U, or, with restrict, for an op that maps every U into
-    itself, the dim x dim U^H op U.  The basis is accepted when every
-    |X_U ker(X_U)| and, with restrict, every |op U - U (U^H op U)| is
-    within residual_bound(op).  When it is not, when the spaces do not fill
-    the space, or when there are none (exact operators), this is
-    matrix_kernel of op made dense."""
-    if spaces is not None and spaces.count * spaces.dim == spaces.n:
-        norm = scalars.of(op).norm
-        bases, residual = [], 0.0
-        for js in spaces.chunks():
-            X = spaces.image(op, js)
-            if restrict:
-                X, off = spaces.restriction(X, js)
-                residual = max(residual, off)
-            for j in range(X.shape[-1]):
-                bases.append(matrix_kernel(X[..., j], tol).basis)
-                residual = max(residual, norm(X[..., j] @ bases[-1]))
-        if residual <= residual_bound(op):
-            return Subspace(spaces.n, spaces.span(bases))
-    return matrix_kernel(scalars.of(op).dense(len(op[0][0]), op), tol)
+    (pants_spaces: a list of JointSpaces, one per dimension), or None: ker op
+    is the sum of its meets U ker(op U) with the U, thin n x dim kernels
+    taken a chunk of spaces at a time (JointSpaces.chunks), op applied to
+    all spaces of a chunk in one scatter per term.  The assembled basis K
+    is accepted when |op K| is within residual_bound(op).  When it is not,
+    when the spaces do not fill the space, or when there are none (exact
+    operators), this is matrix_kernel of op made dense."""
+    ctx = scalars.of(op)
+    n = len(op[0][0])
+    if spaces is not None and sum(U.count * U.dim for U in spaces) == n:
+        bases = []
+        for group in spaces:
+            images = (group.image(op, js) for js in group.chunks())
+            bases.append([matrix_kernel(X[..., j], tol).basis
+                          for X in images for j in range(X.shape[-1])])
+        widths = [sum(W.shape[1] for W in group_bases) for group_bases in bases]
+        K = np.empty((n, sum(widths)), dtype=complex)
+        for group, group_bases, at, width in zip(spaces, bases, np.cumsum([0] + widths), widths):
+            group.span(group_bases, K[:, at:at + width])
+        # op K a CHUNK of entries at a time, so that no second n x dim K array is formed
+        step = max(1, scalars.CHUNK // n)
+        if all(ctx.is_zero(ctx.image(op, K[:, at:at + step]), residual_bound(op))
+               for at in range(0, K.shape[1], step)):
+            return Subspace(n, K)
+    return matrix_kernel(ctx.dense(n, op), tol)
 
 
 def difference_kernel(spaces, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """ker D for D = diff = A - B, with A and B commuting with the operators
     of spaces, their joint eigenspaces (pants_spaces), or None: D then
-    preserves each joint space, and this is eigenspace_kernel with
-    restrict."""
-    return eigenspace_kernel(spaces, diff, tol, restrict=True)
+    preserves each joint space, and this is eigenspace_kernel."""
+    return eigenspace_kernel(spaces, diff, tol)
 
 
 def pants_spaces(rep: CFRep, edge: int, tol: float):
     """The joint eigenspaces of the pants family of edge (qtrace.pants_family)
     on a float representation, in block form (FloatArithmetic.joint_spaces
-    at EIGEN_TOL, cut at tol), computed once per representation, edge and
-    tol and kept in rep.spectra: F (total_kernel) and ker D
-    (qtrace.sweep_check) share them.  None for exact weights, whose
+    at EIGEN_TOL, cut at tol: a list of JointSpaces), computed once per
+    representation, edge and tol and kept in rep.spectra: F (total_kernel)
+    and ker D (qtrace.sweep_check) share them.  None for exact weights, whose
     eigenvalues are not computed, so no family is built for them.  Callers
     must not modify them."""
     if rep.weights.mode != "float":
@@ -190,18 +196,19 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     U ker(mu(Q_v) U) over the joint eigenspaces U of the edge's pants
     family (module docstring), kept on the representation in block form
     (pants_spaces), which the sweep check's ker D shares; no dense matrix
-    is made.  Certified: |mu(Q_v) F| is within residual_bound, so F lies in
-    the kernel.  That it is the whole kernel rests on each family loop
-    preserving F; a shortfall would show as dim F < N^3.  When the basis is
-    not accepted this is the kernel of the dense mu(Q_v), and every other
-    representation takes the kernel of its stacked dense mu(Q_v); exact
-    eigenvalues are not computed, so no family is built for exact weights."""
+    is made.  Certified: |mu(Q_v) F| for the assembled basis F is within
+    residual_bound, so F lies in the kernel.  That it is the whole kernel
+    rests on each family loop preserving F; a shortfall would show as
+    dim F < N^3.  When the basis is not accepted this is the kernel of the
+    dense mu(Q_v), and every other representation takes the kernel of its
+    stacked dense mu(Q_v); exact eigenvalues are not computed, so no family
+    is built for exact weights."""
     if tol not in rep.total_kernels:
         T, alg = rep.T, rep.algebra
         if (rep.weights.mode == "float" and T.num_vertices == 1
                 and T.designated_edge is not None):
             F = eigenspace_kernel(pants_spaces(rep, T.designated_edge, tol),
-                                  rep.operator(alg.offdiag_Q(0)), tol, restrict=False)
+                                  rep.operator(alg.offdiag_Q(0)), tol)
         else:
             F = matrix_kernel(rep.ctx.stack([rep.apply(alg.offdiag_Q(v))
                                              for v in range(T.num_vertices)]), tol)

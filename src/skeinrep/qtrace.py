@@ -184,15 +184,16 @@ def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
 def pants_family(rep: CFRep, edge: int) -> list[QTElement]:
     """The traces of a commuting family of loops in S - V whose joint
     eigenspaces split F and ker D (kernels.pants_spaces), chosen once per
-    algebra and edge from rep's translations and kept on the algebra;
-    callers must not modify them.  The edge-parallel loops of the other
-    edges are scanned, (edge, side) in order, and a loop is kept when its
-    trace commutes exactly with both push-offs of edge and with every loop
-    kept so far, and the translations of its image enlarge the subgroup
-    that those of the kept loops generate.  Tr K1 comes last.  On
-    genus2_sep (edge 4) the loops that commute with both push-offs are
-    (1,1), (3,2), (5,1) and (6,1); (3,2) adds no translation to (1,1) nor
-    (6,1) to (5,1), so the family is (1,1), (5,1), K1."""
+    algebra and edge and kept on the algebra; callers must not modify them.
+    The edge-parallel loops of the other edges are scanned, (edge, side) in
+    order, and a loop is kept when its trace commutes exactly with both
+    push-offs of edge and with every loop kept so far, and the translations
+    of its monomials' images (CFRep.intertwiner_part, which no weight
+    enters) enlarge the subgroup that those of the kept loops generate.
+    Tr K1 comes last.  On genus2_sep (edge 4) the loops that commute with
+    both push-offs are (1,1), (3,2), (5,1) and (6,1); (3,2) adds no
+    translation to (1,1) nor (6,1) to (5,1), so the family is (1,1), (5,1),
+    K1."""
     alg = rep.algebra
     if edge not in alg.pants_families:
         tr1, tr2 = pushoff_pair(alg, edge)
@@ -204,7 +205,7 @@ def pants_family(rep: CFRep, edge: int) -> list[QTElement]:
                 tr = edge_parallel_trace(alg, LoopSpec.edge_parallel(e, side))
                 if not all(commutator_is_zero(tr, b) for b in (tr1, tr2, *kept)):
                     continue
-                more = perms + [perm for perm, _ in rep.operator(tr)]
+                more = perms + list({rep.intertwiner_part(k)[0] for k in tr.terms})
                 size = int(np.sum(scalars.components(rep.dim, more) == 0))
                 if size > order:
                     kept, perms, order = kept + [tr], more, size
@@ -219,9 +220,9 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     (CFRep.operator), and no dense matrix is formed: ker D is taken in the
     joint eigenspaces of the pants family (pants_family) that total_kernel
     kept on the representation (kernels.pants_spaces), as the sum of the
-    kernels of D's N x N restrictions to them.  F stays the kernel of
-    mu(Q_v), so the two sides are kernels of different operators, though
-    taken in the same joint spaces.
+    U ker(D U) over them.  F stays the kernel of mu(Q_v), so the two sides
+    are kernels of different operators, though taken in the same joint
+    spaces.
 
     D F = 0 puts F inside ker D, so dim ker D >= dim F; equal dimensions are
     then equality.  For exact weights the upper bound comes from the rank

@@ -53,7 +53,7 @@ give (float | exact):
 
 FloatArithmetic alone adds joint_spaces(ops, tol, rank_tol): the joint
 eigenspaces of commuting operators whose terms translate the index group,
-in block form (JointSpaces), or None.
+in block form (a list of JointSpaces, one per dimension), or None.
 
 Every float rank decision is the one cut of _cut.  multiplicities splits a
 square matrix into the diagonal blocks of its nonzero pattern and counts
@@ -62,18 +62,19 @@ from the operators' terms alone, with no dense matrix.  The translations
 of the operators taken so far split the indices into components, the
 cosets of the subgroup they generate, all of one size s; every joint
 space meets every component in m orthonormal columns, kept as an s x m
-block (JointSpaces: comps and local).  The next operator's translations
-join the components into the cosets of a larger subgroup, and its m x m
-restrictions to each space on each joined component, clustered and cut as
-one batch, split every space.  A split is kept when every null space has
-one dimension and each space fills the joined components; otherwise the
-spaces stay those of the level before, and None comes back when the first
-operator already fails.  For the pants family of genus2_sep there are
-N^3 spaces of dimension N, each with one column of N^3 entries on each of
-N cosets: N^7 entries in all, against N^8 for dense bases.  An operator
-maps a chunk of spaces (CHUNK) by one scatter of the block entries per
-term (JointSpaces.image), for kernels taken one joint space at a time
-(kernels.eigenspace_kernel).
+block, m the same on every component (JointSpaces: comps and local; the
+spaces of one m together).  The next operator's translations join the
+components r at a time into the cosets of a larger subgroup, and its
+r m x r m restrictions to each space on each joined component, clustered
+and cut as one batch, split every space.  A split is kept when each new
+space meets every joined component in one number of columns and each
+space fills the joined components; otherwise the spaces stay those of the
+level before, and None comes back when the first operator already fails.
+For the pants family of genus2_sep there are N^3 spaces of dimension N,
+each with one column of N^3 entries on each of N cosets: N^7 entries in
+all, against N^8 for dense bases.  An operator maps a chunk of spaces
+(CHUNK) by one scatter of the block entries per term (JointSpaces.image),
+for kernels taken one joint space at a time (kernels.eigenspace_kernel).
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
@@ -315,14 +316,16 @@ CHUNK = 1 << 17
 
 
 class JointSpaces(NamedTuple):
-    """The joint eigenspaces of commuting operators, in block form.  The
-    operators' translations split the indices into components (comps, one
-    row of s indices per component: the cosets of the subgroup that the
-    translations generate), and space j meets component c in the m
-    orthonormal columns local[c, :, :, j], an s x m block on the indices
-    comps[c].  So all J spaces have dimension C m, and a space's basis has
-    n m entries against n C m dense.  The spaces are the last axis, so that
-    a scatter moves the entries of a chunk of spaces together."""
+    """Joint eigenspaces of commuting operators that all have one dimension,
+    in block form.  The operators' translations split the indices into
+    components (comps, one row of s indices per component: the cosets of
+    the subgroup that the translations generate), and space j meets
+    component c in the m orthonormal columns local[c, :, :, j], an s x m
+    block on the indices comps[c].  So all J spaces have dimension C m, and
+    a space's basis has n m entries against n C m dense.  The spaces are
+    the last axis, so that a scatter moves the entries of a chunk of spaces
+    together.  Spaces of other dimensions on the same components are other
+    JointSpaces (FloatArithmetic.joint_spaces)."""
 
     comps: np.ndarray
     local: np.ndarray
@@ -361,88 +364,95 @@ class JointSpaces(NamedTuple):
             out[places] += np.repeat(np.asarray(scale)[self.comps], m)[:, None] * entries
         return out.reshape(self.n, C * m, -1)
 
-    def restriction(self, X, js):
-        """(R, residual) for X = op U over the spaces U of the slice js, as
-        image gives it: R the (dim, dim, spaces) array of the U^H op U, and
-        residual max |op U - U (U^H op U)|, which is 0 when op maps each U
-        into itself.  U itself is never formed: the products read the
-        blocks."""
-        C, _, m, _ = self.local.shape
-        local, X = self.local[..., js], X[self.comps]
-        R = np.einsum("camj,caej->cmej", local.conj(), X)
-        residual = np.abs(X - np.einsum("camj,cmej->caej", local, R)).max(initial=0.0)
-        return R.reshape(C * m, C * m, -1), residual
-
-    def span(self, bases):
-        """The n x k array of the U_j W_j over all spaces U_j in order, for
-        bases the list of the dim x k_j arrays W_j, written CHUNK gathered
-        block entries at a time."""
+    def span(self, bases, out):
+        """Write the U_j W_j over all spaces U_j in order into the n x k
+        array out, for bases the list of the dim x k_j arrays W_j, CHUNK
+        gathered block entries at a time."""
         C, _, m, _ = self.local.shape
         W = np.concatenate(bases, axis=1).reshape(C, m, -1)
         owner = np.repeat(np.arange(self.count), [w.shape[1] for w in bases])
-        K = np.empty((self.n, W.shape[-1]), dtype=complex)
         step = max(1, CHUNK // (self.n * m))
         for at in range(0, W.shape[-1], step):
             cols = slice(at, at + step)
-            K[self.comps, cols] = np.einsum("camk,cmk->cak", self.local[..., owner[cols]],
-                                            W[..., cols])
-        return K
+            out[self.comps, cols] = np.einsum("camk,cmk->cak", self.local[..., owner[cols]],
+                                              W[..., cols])
 
-    def refine(self, op, tol: float, rank_tol: float):
-        """The spaces split by op, an operator whose terms translate the
-        index group and which commutes with the operators of these spaces,
-        so that it preserves each of them; None when they do not split
-        uniformly.
 
-        op's translations join the components r at a time into cosets of
-        the larger subgroup.  On space j and a joined component, op
-        restricts to an M x M matrix R, M = r m, in the orthonormal basis of
-        the r blocks of local; R is summed term by term from the inner
-        products of those blocks with their images, so no dense s x s block
-        of op is formed.  The eigenvalues of all R together are clustered
-        at tol, and space j splits into the null spaces of R - lam, cut at
-        rank_tol over all R together, as spaces (j, lam) in that order.  The
-        split is uniform when every null space has one dimension m' and
-        each R's fill C^M."""
-        C, s, m, J = self.local.shape
-        comp_of = np.empty(self.n, dtype=np.int64)
-        comp_of[self.comps] = np.arange(C)[:, None]
-        pos = np.empty(self.n, dtype=np.int64)
-        pos[self.comps] = np.arange(s)
-        images = [np.asarray(perm)[self.comps] for perm, _ in op]
-        targets = [comp_of[image[:, 0]] for image in images]
-        label = components(C, targets)
-        _, sizes = np.unique(label, return_counts=True)
-        r = sizes[0]
-        if np.any(sizes != r):
-            return None
-        groups = np.argsort(label, kind="stable").reshape(len(sizes), r)
-        new_of, slot = np.empty(C, dtype=np.int64), np.empty(C, dtype=np.int64)
-        new_of[groups] = np.arange(len(groups))[:, None]
-        slot[groups] = np.arange(r)
+def _refine(level, op, tol: float, rank_tol: float):
+    """The spaces of level, a list of JointSpaces on one set of components,
+    split by op, an operator whose terms translate the index group and
+    which commutes with the operators of these spaces, so that it preserves
+    each of them: again such a list, one JointSpaces per dimension in
+    increasing order, or None when the spaces do not split uniformly.
+
+    op's translations join the components r at a time into cosets of the
+    larger subgroup.  On space j and a joined component, op restricts to an
+    M x M matrix R, M = r m, in the orthonormal basis of the r blocks of
+    local; R is summed term by term from the inner products of those blocks
+    with their images, so no dense s x s block of op is formed.  The
+    eigenvalues of all R together are clustered at tol, and space j of
+    level[g] splits into the null spaces of R - lam, cut at rank_tol over
+    all R together, as spaces (g, j, lam) in that order, with the lam that
+    space j lacks left out.  The split is uniform when each null space of
+    one space and lam has one dimension on every joined component, and the
+    null spaces of each R fill C^M."""
+    comps = level[0].comps
+    C, s = comps.shape
+    comp_of = np.empty(comps.size, dtype=np.int64)
+    comp_of[comps] = np.arange(C)[:, None]
+    pos = np.empty(comps.size, dtype=np.int64)
+    pos[comps] = np.arange(s)
+    images = [np.asarray(perm)[comps] for perm, _ in op]
+    targets = [comp_of[image[:, 0]] for image in images]
+    label = components(C, targets)
+    _, sizes = np.unique(label, return_counts=True)
+    r = sizes[0]
+    if np.any(sizes != r):
+        return None
+    groups = np.argsort(label, kind="stable").reshape(len(sizes), r)
+    new_of, slot = np.empty(C, dtype=np.int64), np.empty(C, dtype=np.int64)
+    new_of[groups] = np.arange(len(groups))[:, None]
+    slot[groups] = np.arange(r)
+    Rs = []
+    for spaces in level:
+        _, _, m, J = spaces.local.shape
         # R[new component, target slot, source slot, space] is an m x m block
         R = np.zeros((len(groups), r, r, J, m, m), dtype=complex)
         for image, target, (_, scale) in zip(images, targets, op):
-            moved = self.local[target[:, None], pos[image]]
-            scaled = np.asarray(scale)[self.comps][..., None, None] * self.local
+            moved = spaces.local[target[:, None], pos[image]]
+            scaled = np.asarray(scale)[comps][..., None, None] * spaces.local
             R[new_of, slot[target], slot] += np.einsum("casj,catj->cjst", moved.conj(), scaled)
-        M = r * m
-        R = R.transpose(3, 0, 1, 4, 2, 5).reshape(-1, M, M)
-        null = []
-        for lam, _ in _clusters([R], tol):
-            _, sv, vh = np.linalg.svd(R - lam * np.eye(M))
-            counts = np.sum(sv <= _cut(sv.ravel(), rank_tol), axis=1)
-            null.append((counts, vh))
-        d = null[0][0][0]
-        if any(np.any(counts != d) for counts, _ in null) or len(null) * d != M:
+        Rs.append(R.transpose(3, 0, 1, 4, 2, 5).reshape(J, len(groups), r * m, r * m))
+    # null[i][g] = (dims (J, C'), vh) of R - lam_i for the spaces of level[g]
+    null = []
+    for lam, _ in _clusters(Rs, tol):
+        svds = [np.linalg.svd(R - lam * np.eye(R.shape[-1]))[1:] for R in Rs]
+        cut = _cut(np.concatenate([sv.ravel() for sv, _ in svds]), rank_tol)
+        null.append([(np.sum(sv <= cut, axis=-1), vh) for sv, vh in svds])
+    dims = []  # dims[g][j, i]: the dimension of space (j, lam_i) on each component
+    for g, R in enumerate(Rs):
+        d = np.stack([per[g][0] for per in null], axis=-1)
+        if np.any(d != d[:, :1]) or np.any(d[:, 0].sum(axis=-1) != R.shape[-1]):
             return None
-        blocks = self.local[groups]
-        local = np.empty((len(groups), r, s, d, J, len(null)), dtype=complex)
-        for i, (_, vh) in enumerate(null):
-            v = vh[:, M - d:].conj().swapaxes(1, 2).reshape(J, len(groups), r, m, d)
-            np.einsum("cqasj,jcqsd->cqadj", blocks, v, out=local[..., i])
-        return JointSpaces(self.comps[groups].reshape(len(groups), r * s),
-                           local.reshape(len(groups), r * s, d, J * len(null)))
+        dims.append(d[:, 0])
+    keys = [(g, j, i) for g, d in enumerate(dims) for j, i in zip(*np.nonzero(d))]
+    out = []
+    for d in sorted({dims[g][j, i] for g, j, i in keys}):
+        mine = [key for key in keys if dims[key[0]][key[1], key[2]] == d]
+        local = np.empty((len(groups), r, s, d, len(mine)), dtype=complex)
+        for g, spaces in enumerate(level):
+            m = spaces.local.shape[2]
+            blocks = spaces.local[groups]
+            for i, per in enumerate(null):
+                at = [k for k, (h, _, l) in enumerate(mine) if (h, l) == (g, i)]
+                js = [mine[k][1] for k in at]
+                if at:
+                    v = per[g][1][js][..., r * m - d:, :].conj().swapaxes(-1, -2)
+                    local[..., at] = np.einsum("cqasj,jcqsd->cqadj", blocks[..., js],
+                                               v.reshape(len(js), len(groups), r, m, d))
+        out.append(JointSpaces(comps[groups].reshape(len(groups), r * s),
+                               local.reshape(len(groups), r * s, d, len(mine))))
+    return out
 
 
 class FloatArithmetic:
@@ -526,15 +536,16 @@ class FloatArithmetic:
         return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
 
     def joint_spaces(self, ops, tol, rank_tol):
-        """The joint eigenspaces of the commuting operators ops in block form
-        (JointSpaces), refined by each operator in turn from the whole
-        space (JointSpaces.refine at tol and rank_tol): the last level that
-        splits uniformly, or None when the first does not."""
+        """The joint eigenspaces of the commuting operators ops in block form,
+        as a list of JointSpaces, one per dimension, refined by each
+        operator in turn from the whole space (_refine at tol and
+        rank_tol): the last level that splits uniformly, or None when the
+        first does not."""
         n = len(ops[0][0][0])
-        level = JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))
+        level = [JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))]
         spaces = None
         for op in ops:
-            level = level.refine(op, tol, rank_tol)
+            level = _refine(level, op, tol, rank_tol)
             if level is None:
                 break
             spaces = level

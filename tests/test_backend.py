@@ -9,18 +9,19 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skeinrep import intlinalg, scalars, verify
+from skeinrep import intlinalg, kernels, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
-from skeinrep.kernels import (eigen_analysis, pants_spaces, sample_generic_weights,
-                              total_kernel)
+from skeinrep.kernels import (difference_kernel, eigen_analysis, pants_spaces,
+                              sample_generic_weights, total_kernel)
 from skeinrep.qtrace import LoopSpec, pushoff_pair, threading_check
 from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
@@ -134,34 +135,85 @@ def nonzero_diagonals(M):
     return [(perm, scale) for perm, scale in diagonals(M) if scale.any()]
 
 
+def uneven_blocks(rng):
+    """Blocks of sizes 1, 3, 3, 4 and 6 with eigenvalues drawn from three,
+    permuted together: eigenspaces of unequal dimensions, and one coset, as
+    the translations of the 17 indices generate Z_17."""
+    spectrum = [1.0, 2j, -1.5 + 0.5j]
+    blocks = [diagonalizable(rng, rng.choice(spectrum, size=s)) for s in (1, 3, 3, 4, 6)]
+    M = block_diagonal(blocks, rng)
+    assert len(scalars._pattern_blocks(M)) == 4
+    return M, [tuple(range(len(M)))]
+
+
+def uneven_cosets(rng):
+    """Blocks on the cosets of 3 Z_18, each with the eigenvalues 1, 2j and
+    -1.5 + 0.5j three, two and one times: eigenspaces of dimensions 9, 6
+    and 3, each with columns on all three cosets."""
+    spectrum = [1.0] * 3 + [2j] * 2 + [-1.5 + 0.5j]
+    M = on_cosets([diagonalizable(rng, rng.permutation(spectrum)) for _ in range(3)])
+    return M, [tuple(range(c, 18, 3)) for c in range(3)]
+
+
+def eigenspaces(spaces, M):
+    """(lam, dimension, dense basis) of each of the joint spaces of the
+    family [M], lam read off the basis D as tr(D^H M D) / dimension, in the
+    order of dense_clusters."""
+    out = [(np.trace(D.conj().T @ M @ D) / U.dim, U.dim, D)
+           for U in spaces for D in np.moveaxis(dense_bases(U), -1, 0)]
+    return sorted(out, key=lambda t: (t[0].real.round(8), t[0].imag.round(8)))
+
+
+def assert_eigenspaces_match_dense(M, cosets):
+    """The joint spaces of the family [M] are its eigenspaces, one
+    JointSpaces per dimension, in block form on the cosets of its
+    translations."""
+    spaces = FLOAT.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9)
+    assert [U.dim for U in spaces] == sorted({U.dim for U in spaces})
+    got, want = eigenspaces(spaces, M), dense_clusters(M, 1e-6)
+    assert [m for _, m, _ in got] == [m for _, m in want]  # diagonalizable
+    # the clustered restrictions give the dense kernel dimension of every shift
+    assert [m for _, m, _ in got] == [
+        len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9) for lam, _, _ in got]
+    # each basis is orthonormal and spans eigenvectors, with its columns on
+    # single cosets
+    for lam, m, D in got:
+        assert np.abs(D.conj().T @ D - np.eye(m)).max() < 1e-9
+        assert np.abs(M @ D - lam * D).max() < 1e-6
+    assert all(sorted(tuple(sorted(c)) for c in U.comps) == cosets for U in spaces)
+    assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
+    assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_block_eigen_candidates_match_dense(seed):
-    # the joint spaces of one operator are its eigenspaces, in block form on
-    # the cosets of its translations: here 3 Z_18, with each coset block
-    # diagonalizable with every eigenvalue twice
-    rng = np.random.default_rng(seed)
-    spectrum = [1.0, 2j, -1.5 + 0.5j] * 2
-    M = on_cosets([diagonalizable(rng, rng.permutation(spectrum)) for _ in range(3)])
-    spaces = FLOAT.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9)
-    want = dense_clusters(M, 1e-6)
-    assert [m for _, m in want] == [6] * 3
-    assert [spaces.dim] * spaces.count == [m for _, m in want]  # diagonalizable
-    # one search of the cosets gives the dense kernel dimension of every shift
-    assert [spaces.dim] * spaces.count == [
-        len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9) for lam, _ in want]
-    # each basis is orthonormal, spans eigenvectors of the dense eigenvalue,
-    # and has every column on one coset
-    assert sorted(map(tuple, spaces.comps)) == [tuple(range(c, 18, 3)) for c in range(3)]
-    U = dense_bases(spaces)
-    for (lam, _), D in zip(want, np.moveaxis(U, -1, 0)):
-        assert np.abs(D.conj().T @ D - np.eye(spaces.dim)).max() < 1e-9
-        assert np.abs(M @ D - lam * D).max() < 1e-6
-    assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
-    # blocks whose spectra differ split into eigenspaces of unequal
-    # dimensions, which no JointSpaces holds
-    blocks = [diagonalizable(rng, rng.choice(spectrum[:3], size=s)) for s in (1, 3, 3, 4, 6)]
-    uneven = block_diagonal(blocks, rng)
-    assert FLOAT.joint_spaces([diagonals(uneven)], 1e-6, 1e-9) is None
+    assert_eigenspaces_match_dense(*uneven_blocks(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eigenspaces_of_unequal_dimensions_on_cosets_match_dense(seed):
+    assert_eigenspaces_match_dense(*uneven_cosets(np.random.default_rng(seed)))
+
+
+def test_a_split_that_is_not_uniform_stops_at_the_level_before():
+    # the identity, then blocks on the cosets of 3 Z_18 with the eigenvalues
+    # 1, 2j and -1.5 + 0.5j three, two and one times on two cosets but twice
+    # each on the third: the eigenspace of 1 would meet the cosets in 3, 3
+    # and 2 columns, which no JointSpaces holds, so the spaces stay the one
+    # of the identity, in which ker (M - 1) is still found
+    rng = np.random.default_rng(0)
+    uneven, even = [1.0] * 3 + [2j] * 2 + [-1.5 + 0.5j], [1.0, 2j, -1.5 + 0.5j] * 2
+    M = on_cosets([diagonalizable(rng, rng.permutation(s)) for s in (uneven, uneven, even)])
+    ops = [[(np.arange(18), np.ones(18, dtype=complex))], nonzero_diagonals(M)]
+    [first] = FLOAT.joint_spaces(ops[:1], 1e-6, 1e-9)
+    [spaces] = FLOAT.joint_spaces(ops, 1e-6, 1e-9)
+    assert (spaces.count, spaces.dim) == (first.count, first.dim) == (1, 18)
+    assert np.array_equal(spaces.local, first.local)
+    shifted = M - np.eye(18)
+    with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
+        K = difference_kernel([spaces], nonzero_diagonals(shifted), 1e-8)
+    assert mk.call_count == 1  # the one space, no dense fallback
+    assert K.dim == 8 and K.equals(kernels.matrix_kernel(shifted, 1e-8), 1e-8)
 
 
 def test_block_rank_cuts_at_the_global_largest_singular_value():
@@ -206,8 +258,8 @@ def float_genus2_operators():
     T = standard_library("genus2_sep")
     rep = build_rep(T, 3, sample_generic_weights(T, 3, random.Random(0)))
     tr1, tr2 = pushoff_pair(rep.algebra, T.designated_edge)
-    spaces = pants_spaces(rep, T.designated_edge, 1e-8)
-    return spaces, [rep.operator(rep.algebra.offdiag_Q(0)), rep.operator(tr1 - tr2)]
+    return (pants_spaces(rep, T.designated_edge, 1e-8),
+            [rep.operator(rep.algebra.offdiag_Q(0)), rep.operator(tr1 - tr2)])
 
 
 def block_diagonal_operators():
@@ -223,13 +275,14 @@ def block_diagonal_operators():
 
 @pytest.mark.parametrize("case", [float_genus2_operators, block_diagonal_operators])
 def test_block_image_matches_the_dense_image(case):
-    spaces, ops = case()
-    U = dense_bases(spaces)
-    for op in ops:
-        bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
-        want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
-        for js in [slice(None)] + spaces.chunks():
-            assert np.abs(spaces.image(op, js) - want[..., js]).max() <= bound
+    groups, ops = case()
+    for spaces in groups:
+        U = dense_bases(spaces)
+        for op in ops:
+            bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
+            want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
+            for js in [slice(None)] + spaces.chunks():
+                assert np.abs(spaces.image(op, js) - want[..., js]).max() <= bound
 
 
 def test_exact_eigen_analysis_is_not_available():

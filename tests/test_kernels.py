@@ -147,7 +147,7 @@ def test_total_kernel_and_sweep_check_share_one_spectrum(monkeypatch, N):
     assert len(calls) == 1 and dense == []
     # kept in block form: N^3 joint spaces of dim N, each with one column of
     # N^3 entries on each of the N cosets, no dense n x N basis
-    spaces = rep.spectra[rep.T.designated_edge, 1e-8]
+    [spaces] = rep.spectra[rep.T.designated_edge, 1e-8]
     assert (spaces.count, spaces.dim, spaces.local.shape) == \
         (N ** 3, N, (N, N ** 3, 1, N ** 3))
 
@@ -167,12 +167,12 @@ def test_sign_reversed_copy_builds_its_own_spectrum(monkeypatch):
 
 
 def drop_last_space(spaces):
-    return spaces._replace(local=spaces.local[..., :-1])
+    return spaces[:-1] + [spaces[-1]._replace(local=spaces[-1].local[..., :-1])]
 
 
 def perturb_bases(spaces):
     rng = np.random.default_rng(0)
-    return spaces._replace(local=spaces.local + 1e-5 * rng.normal(size=spaces.local.shape))
+    return [U._replace(local=U.local + 1e-5 * rng.normal(size=U.local.shape)) for U in spaces]
 
 
 @pytest.mark.parametrize("plant,thin_kernels", [(drop_last_space, 0), (perturb_bases, 27)],
@@ -316,12 +316,7 @@ def float_eigenspaces(A, tol):
     # A = 0 is one eigenspace, and D's singular values 0 and 5e-7 both pass
     # its rank cut at 1e-6, but the basis fails the residual check at 1e-7
     (np.zeros((2, 2), dtype=complex), np.diag([0, 5e-7]).astype(complex), 1e-6, 2, 1),
-    # A = diag(1, 2) has the eigenspaces of e_1 and e_2, and D moves e_2
-    # by 1e-3 e_1, out of its space: the 1 x 1 restrictions have their
-    # kernels, but the invariance residual 1e-3 fails the bound 1e-7
-    (np.diag([1, 2]).astype(complex), np.array([[0, 1e-3], [0, 0]], dtype=complex),
-     1e-9, 1, 2),
-], ids=["jordan-block", "residual-check", "invariance-check"])
+], ids=["jordan-block", "residual-check"])
 def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, tol, dim,
                                                           spectral_calls):
     calls = []
@@ -346,7 +341,7 @@ def test_pants_family_splits_F_into_one_dimension_per_joint_space(N, seed):
     e = rep.T.designated_edge
     family = qtrace.pants_family(rep, e)
     assert family == loop_traces(rep.algebra, [(1, 1), (5, 1), (e, 1)])
-    spaces = kernels.pants_spaces(rep, e, 1e-8)
+    [spaces] = kernels.pants_spaces(rep, e, 1e-8)
     assert (spaces.count, spaces.dim) == (N ** 3, N)
     U = dense_bases(spaces)
     # each basis is orthonormal, and together they fill C^n
@@ -364,20 +359,23 @@ def test_pants_family_splits_F_into_one_dimension_per_joint_space(N, seed):
     assert np.all(np.sum(cosines > 1 - 1e-8, axis=1) == 1)
 
 
-def test_a_loop_that_adds_no_translation_stops_the_split_at_the_uniform_level():
-    # (3,2) commutes with the family but adds no translation to (1,1): on
-    # each (1,1) space and coset it is a 1 x 1 scalar that varies from coset
-    # to coset, so its split is not uniform, and the spaces stay those of
-    # (1,1) alone, which still give F
+def test_a_loop_that_adds_no_translation_leaves_the_spaces_as_they_are():
+    # (3,2) commutes with the family but adds no translation to (1,1): it is
+    # a different scalar on each (1,1) space, so its level splits none of
+    # them, and the family goes on to the spaces of (1,1), (5,1), K1, which
+    # still give F
     rep = float_genus2_rep(3, 2)
     alg, e = rep.algebra, rep.T.designated_edge
     ops = [rep.operator(a) for a in loop_traces(alg, [(1, 1), (3, 2), (5, 1), (e, 1)])]
-    spaces = rep.ctx.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
-    first = rep.ctx.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
-    assert (spaces.count, spaces.dim) == (first.count, first.dim) == (3, 27)
-    assert np.array_equal(spaces.local, first.local)
-    F = kernels.eigenspace_kernel(spaces, rep.operator(alg.offdiag_Q(0)), 1e-8,
-                                  restrict=False)
+    [first] = rep.ctx.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
+    [second] = rep.ctx.joint_spaces(ops[:2], kernels.EIGEN_TOL, 1e-8)
+    assert (second.count, second.dim) == (first.count, first.dim) == (3, 27)
+    assert np.array_equal(second.local, first.local)
+    [spaces] = rep.ctx.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
+    [pants] = rep.ctx.joint_spaces(ops[:1] + ops[2:], kernels.EIGEN_TOL, 1e-8)
+    assert (spaces.count, spaces.dim) == (27, 3)
+    assert np.array_equal(spaces.local, pants.local)
+    F = kernels.eigenspace_kernel([spaces], rep.operator(alg.offdiag_Q(0)), 1e-8)
     assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-8), 1e-8)
 
 
@@ -388,7 +386,7 @@ def test_the_family_of_K1_alone_gives_the_eigenspaces_of_rho_K1(N):
     # dense rho[K1] give
     rep = float_genus2_rep(N, 3)
     tr1, _ = qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)
-    spaces = rep.ctx.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
+    [spaces] = rep.ctx.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
     assert spaces.local.shape == (N ** 2, N ** 2, N, N)
     A = rep.apply(tr1)
     clusters = eigen_analysis(A, "float")
@@ -422,15 +420,9 @@ def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
     S_inv = np.linalg.inv(S)
     A = S @ np.diag(lam) @ S_inv
     B = S @ (np.diag(lam) - cut) @ S_inv
-    spaces = float_eigenspaces(A, 1e-8)
-    # the eigenspaces of A are joint spaces when all have one dimension, and
-    # then leave no dense fallback to take
-    uniform = len({m for m, _ in blocks}) == 1
-    assert (spaces is not None) == uniform
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = difference_kernel(spaces, diagonals(A - B), 1e-8)
-    # one per eigenspace, or the one dense fallback
-    assert mk.call_count == (len(blocks) if uniform else 1)
+        K = difference_kernel(float_eigenspaces(A, 1e-8), diagonals(A - B), 1e-8)
+    assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
     assert K.dim == sum(m - r for m, r in blocks)
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
 

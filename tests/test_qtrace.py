@@ -108,7 +108,7 @@ def test_sweep_check(g2_rep, monkeypatch):
     original = qtrace.difference_kernel
 
     def spy(spaces, diff, tol):
-        calls.append(spaces.count * spaces.dim)
+        calls.append(sum(U.count * U.dim for U in spaces))
         # the joint spaces kept on the representation
         assert spaces is g2_rep.spectra[g2_rep.T.designated_edge, tol]
         return original(spaces, diff, tol)

@@ -140,9 +140,10 @@ def cmd_kernels(args) -> int:
         _emit(report, args.out)
         return 1
     rep = build_rep(T, N, W)
-    per_vertex = [offdiag_kernel(rep, v, tol=args.tol).dim
-                  for v in range(T.num_vertices)]
     F = total_kernel(rep, tol=args.tol)
+    # on one vertex F is ker mu(Q_v) itself
+    per_vertex = [F.dim] if T.num_vertices == 1 else [
+        offdiag_kernel(rep, v, tol=args.tol).dim for v in range(T.num_vertices)]
     g = T.genus
     bound = N ** (3 * (g - 1)) if g >= 2 else (N if g == 1 else 1)
     eigen = []

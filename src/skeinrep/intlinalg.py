@@ -26,10 +26,6 @@ def mat_mul(A, B):
             for i in range(n)]
 
 
-def mat_vec(A, v):
-    return [sum(A[i][t] * v[t] for t in range(len(v))) for i in range(len(A))]
-
-
 def transpose(A):
     return [list(row) for row in zip(*A)]
 

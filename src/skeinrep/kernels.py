@@ -15,8 +15,8 @@ subgroup that those of the kept loops generate; rho[K1] comes last.  On
 genus2_sep this is (1,1), (5,1), K1, a pants decomposition.  Its joint
 eigenspaces (pants_spaces, kept in CFRep.spectra, so that F and ker D
 share them) are built nested, from the operators' translation terms alone
-(FloatArithmetic.joint_spaces, in block form: a list of scalars.JointSpaces,
-one per dimension): each loop's translations join the components of the
+(scalars.joint_spaces, in block form: a list of scalars.JointSpaces, one
+per dimension): each loop's translations join the components of the
 index group into cosets of a larger subgroup, and each joint space splits
 by the loop's restriction to it on each coset.  With the whole family there
 are N^3 joint spaces U of dimension N, each meeting F in one dimension; a
@@ -30,12 +30,13 @@ family of one operator gives its eigenspaces, of whatever dimensions.
   certificate |mu(Q_v) F| <= residual_bound, on the assembled basis F,
   puts F inside the kernel; were F not invariant under the family, the
   basis would fall short of dim F = N^3, which the genus2-kernel-dim check
-  would then fail.  The
-  tests compare F with the dense kernel of mu(Q_v) at N <= 5.
+  would then fail.  The tests compare F with the dense kernel of mu(Q_v)
+  (offdiag_kernel) at N <= 5.  On one vertex F is ker mu(Q_v) itself, so
+  `skeinrep kernels` reports it as the vertex's kernel too.
 - ker D, for the difference D = rho[K1] - rho[K2] = rho(K1 - K2) of the
-  push-offs (difference_kernel): the family's traces commute exactly with
-  K1 and K2 (qtrace.pants_family checks it in the algebra), so D maps each
-  U into itself, and ker D is the sum of the U ker(D U), again thin
+  push-offs (eigenspace_kernel again): the family's traces commute exactly
+  with K1 and K2 (qtrace.pants_family checks it in the algebra), so D maps
+  each U into itself, and ker D is the sum of the U ker(D U), again thin
   n x N kernels, certified by |D K| <= residual_bound(D) for the
   assembled basis K.  A shortfall would show as dim ker D < dim F in the
   sweep check.
@@ -49,8 +50,8 @@ operators it usually gets it from two bounds with no kernel of D at all: an
 exact D F = 0 for the total kernel F gives dim ker D >= dim F, and the rank
 of D modulo the field's prime p (the backend's rank_bound) is at most its
 rank over Q(zeta_L), so rank_p D >= n - dim F gives dim ker D <= dim F.  A
-prime at which D loses rank only fails to certify, and difference_kernel
-then runs.
+prime at which D loses rank only fails to certify, and eigenspace_kernel
+then takes ker D.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
     if spaces is not None and sum(U.count * U.dim for U in spaces) == n:
         bases = []
         for group in spaces:
-            images = (group.image(op, js) for js in group.chunks())
             bases.append([matrix_kernel(X[..., j], tol).basis
-                          for X in images for j in range(X.shape[-1])])
+                          for X in group.images(op, group.chunks())
+                          for j in range(X.shape[-1])])
         widths = [sum(W.shape[1] for W in group_bases) for group_bases in bases]
         K = np.empty((n, sum(widths)), dtype=complex)
         for group, group_bases, at, width in zip(spaces, bases, np.cumsum([0] + widths), widths):
@@ -153,16 +154,9 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
     return matrix_kernel(ctx.dense(n, op), tol)
 
 
-def difference_kernel(spaces, diff, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """ker D for D = diff = A - B, with A and B commuting with the operators
-    of spaces, their joint eigenspaces (pants_spaces), or None: D then
-    preserves each joint space, and this is eigenspace_kernel."""
-    return eigenspace_kernel(spaces, diff, tol)
-
-
 def pants_spaces(rep: CFRep, edge: int, tol: float):
     """The joint eigenspaces of the pants family of edge (qtrace.pants_family)
-    on a float representation, in block form (FloatArithmetic.joint_spaces
+    on a float representation, in block form (scalars.joint_spaces
     at EIGEN_TOL, cut at tol: a list of JointSpaces), computed once per
     representation, edge and tol and kept in rep.spectra: F (total_kernel)
     and ker D (qtrace.sweep_check) share them.  None for exact weights, whose
@@ -173,7 +167,7 @@ def pants_spaces(rep: CFRep, edge: int, tol: float):
     if (edge, tol) not in rep.spectra:
         from .qtrace import pants_family
         ops = [rep.operator(a) for a in pants_family(rep, edge)]
-        rep.spectra[edge, tol] = rep.ctx.joint_spaces(ops, EIGEN_TOL, tol)
+        rep.spectra[edge, tol] = scalars.joint_spaces(ops, EIGEN_TOL, tol)
     return rep.spectra[edge, tol]
 
 
@@ -220,14 +214,16 @@ def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL):
     """Eigenvalues with multiplicities of a dense matrix; verifies
     diagonalizability.
 
-    Float mode clusters the eigenvalue cloud at the given tolerance and
-    checks that each geometric multiplicity is the algebraic one, so that
-    the eigenspaces fill the space.  Exact eigenvalues are not computed; an
-    exact eigenspace is the kernel of mu(a - lam) for a known lam.
+    Only mode "float" computes them: it clusters the eigenvalue cloud at the
+    given tolerance and checks that each geometric multiplicity is the
+    algebraic one, so that the eigenspaces fill the space
+    (scalars.multiplicities).  Exact eigenvalues are not computed, and any
+    other mode raises ValueError; an exact eigenspace is the kernel of
+    mu(a - lam) for a known lam.
     """
-    counts = scalars.for_mode(mode).multiplicities(M, tol, max(tol * 1e-3, 1e-12))
-    if counts is None:
-        raise ValueError("exact eigen-analysis is not available")
+    if mode != "float":
+        raise ValueError(f"{mode} eigen-analysis is not available")
+    counts = scalars.multiplicities(M, tol, max(tol * 1e-3, 1e-12))
     for lam, alg_mult, geo_mult in counts:
         if geo_mult != alg_mult:
             raise NotDiagonalizable(

@@ -16,7 +16,7 @@ from . import scalars
 from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
 from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
                      NotSeparating)
-from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, difference_kernel,
+from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, eigenspace_kernel,
                       pants_spaces, residual_bound, total_kernel)
 from .representation import CFRep, WeightSystem
 
@@ -170,8 +170,8 @@ def corner_arc_factor(algebra: CFAlgebra, v: int, corner: int, state: str) -> QT
 def pushoff_pair(algebra: CFAlgebra, edge: int) -> tuple[QTElement, QTElement]:
     """(Tr K1, Tr K2), the traces of an edge's two push-offs, built once per
     algebra and edge; callers must not modify them.  The push-offs are
-    disjoint, so the traces commute (checked exactly here), which
-    difference_kernel relies on."""
+    disjoint, so the traces commute (checked exactly here), which ker D
+    relies on (sweep_check)."""
     if edge not in algebra.pushoff_traces:
         tr1, tr2 = (edge_parallel_trace(algebra, LoopSpec.edge_parallel(edge, side))
                     for side in (1, 2))
@@ -230,7 +230,8 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     rank_p D >= n - dim F gives dim ker D <= dim F, and ker D = F with no
     elimination of D.  A prime at which D loses rank only fails this
     certificate; then, and for float weights, ker D is computed
-    (difference_kernel).  kernel_prime is the p that certified dim ker D,
+    (kernels.eigenspace_kernel, in the same joint spaces, or dense when
+    there are none).  kernel_prime is the p that certified dim ker D,
     or None when the kernel was computed."""
     T = rep.T
     if T.num_vertices != 1:
@@ -250,7 +251,7 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
         kernel_dim = F.dim
     else:
         spaces = pants_spaces(rep, edge, tol)
-        kernel_dim, prime = difference_kernel(spaces, diff, tol).dim, None
+        kernel_dim, prime = eigenspace_kernel(spaces, diff, tol).dim, None
     equal = restriction_zero and kernel_dim == F.dim
     return {
         "restriction_norm": restriction_norm,

@@ -11,9 +11,8 @@ their type (`of`, `one_like`, `is_zero`, `serialize`; `one_like` and
 `is_zero` also take the Fraction points of holonomy): a complex or a numpy
 array is float, anything else is exact, and an operator goes by the first
 entry of its first scale vector.  A mode string picks it only where the
-values are not at hand yet or a caller names the arithmetic it expects
-(`for_mode`, `backend`): the "mode" tag of a weights file and the mode
-argument of eigen_analysis.
+values are not at hand yet (`backend`, for the "mode" tag of a weights
+file).
 
 Contract.  A matrix is a numpy array (float) or a list of rows (exact); a
 subspace basis is an ambient x d array (float) or a list of d columns (exact).
@@ -23,11 +22,10 @@ a representation image each monomial is a translation of the index group
 times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
 dense, image, rank_bound and scalar_of take operators, operator makes them
 (dense, image and scalar_of also take [term] for a term (perm, scale) of
-lists, as CFRep.monomial_image gives); only kernel, rank, spans and
-multiplicities take dense matrices.  An operator is zero
-when is_zero holds for its scale vectors.  Callers pass the threshold they
-use as `tol`; exact methods ignore it.  The N-free Exact/FloatArithmetic
-give (float | exact):
+lists, as CFRep.monomial_image gives); only kernel, rank and spans take
+dense matrices.  An operator is zero when is_zero holds for its scale
+vectors.  Callers pass the threshold they use as `tol`; exact methods
+ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
 
     operator(terms)   sum c P over pairs (c, P = (perm, scale)), one term per
                       permutation, all-zero terms dropped
@@ -45,15 +43,20 @@ give (float | exact):
                       identity term's scale (0 without one), the off-scalar
                       norm, |scale - c| there and |scale| on the other terms,
                       at most max(tol, 1e-9 max(|c|, 1)) | exact equality
-    multiplicities(M, tol, rank_tol)  [(lam, multiplicity, dim ker(M - lam
-                      Id) under the cut at rank_tol)] per cluster at tol of
-                      the eigenvalues, from singular values only | None
     inv, stack, spans(B, C) (span of B contains C), image(op, B) = op B,
     ncols, dense(dim, op) = the matrix of op
 
-FloatArithmetic alone adds joint_spaces(ops, tol, rank_tol): the joint
-eigenspaces of commuting operators whose terms translate the index group,
-in block form (a list of JointSpaces, one per dimension), or None.
+Exact eigenvalues are not computed, so two float-only module functions
+stand outside the arithmetics:
+
+    multiplicities(M, tol, rank_tol)  [(lam, multiplicity, dim ker(M - lam
+                      Id) under the cut at rank_tol)] per cluster at tol of
+                      the eigenvalues of a dense array, from singular values
+                      only
+    joint_spaces(ops, tol, rank_tol)  the joint eigenspaces of commuting
+                      operators whose terms translate the index group, in
+                      block form (a list of JointSpaces, one per dimension),
+                      or None
 
 Every float rank decision is the one cut of _cut.  multiplicities splits a
 square matrix into the diagonal blocks of its nonzero pattern and counts
@@ -73,7 +76,7 @@ level before, and None comes back when the first operator already fails.
 For the pants family of genus2_sep there are N^3 spaces of dimension N,
 each with one column of N^3 entries on each of N cosets: N^7 entries in
 all, against N^8 for dense bases.  An operator maps a chunk of spaces
-(CHUNK) by one scatter of the block entries per term (JointSpaces.image),
+(CHUNK) by one scatter of the block entries per term (JointSpaces.images),
 for kernels taken one joint space at a time (kernels.eigenspace_kernel).
 
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
@@ -229,10 +232,6 @@ class ExactArithmetic:
             return None if op else self.zero()
         return diag[0] if all((v - diag[0]).is_zero() for v in diag) else None
 
-    def multiplicities(self, M, tol, rank_tol):
-        """None: exact eigenvalues are not computed."""
-        return None
-
 
 def _labels(n, rows, cols):
     """The components of the graph on range(n) with edges rows[k] ~ cols[k],
@@ -260,22 +259,20 @@ def components(n, perms):
 
 def _pattern_blocks(M):
     """A square array M as its diagonal blocks: the connected components of
-    its nonzero pattern (i ~ j when M[i, j] != 0), as one (indices, blocks)
-    pair per block size, indices a (count, size) array of the components'
-    index sets and blocks the (count, size, size) array M[indices[b]][:,
-    indices[b]].  Eigenvalues of M are those of the blocks together.  An M
+    its nonzero pattern (i ~ j when M[i, j] != 0), as one (count, size,
+    size) array of the blocks M[c][:, c] per block size, c a component's
+    index set.  Eigenvalues of M are those of the blocks together.  An M
     whose pattern is connected comes back as one block."""
     n = len(M)
     label = _labels(n, *np.nonzero(M))
     order = np.argsort(label, kind="stable")
     comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     if len(comps) <= 1:
-        return [(np.arange(n)[None], M[None])]
+        return [M[None]]
     by_size: dict[int, list] = {}
     for c in comps:
         by_size.setdefault(len(c), []).append(c)
-    return [(idx, M[idx[:, :, None], idx[:, None, :]])
-            for idx in map(np.array, by_size.values())]
+    return [M[idx[:, :, None], idx[:, None, :]] for idx in map(np.array, by_size.values())]
 
 
 def _cut(s, tol: float) -> float:
@@ -303,9 +300,19 @@ def _clusters(blocks, tol: float) -> list:
     return out
 
 
-def _shifted(pattern, lam):
-    """M - lam Id as its pattern blocks: (indices, shifted blocks) pairs."""
-    return [(idx, B - lam * np.eye(B.shape[-1])) for idx, B in pattern]
+def multiplicities(M, tol, rank_tol):
+    """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster of
+    the pattern blocks of a square float array M: M - lam Id has M's pattern
+    off the diagonal, so the pattern is searched once, and each kernel
+    dimension is counted from values-only SVDs of the shifted blocks, cut
+    over all blocks together."""
+    blocks = _pattern_blocks(np.asarray(M))
+    out = []
+    for lam, m in _clusters(blocks, tol):
+        s = [np.linalg.svd(B - lam * np.eye(B.shape[-1]), compute_uv=False) for B in blocks]
+        cut = _cut([v.max(initial=0.0) for v in s], rank_tol)
+        out.append((lam, m, sum(int(np.sum(v <= cut)) for v in s)))
+    return out
 
 
 # Complex entries (2 MB) that one step of a blocked product forms: the
@@ -325,7 +332,7 @@ class JointSpaces(NamedTuple):
     a space's basis has n m entries against n C m dense.  The spaces are
     the last axis, so that a scatter moves the entries of a chunk of spaces
     together.  Spaces of other dimensions on the same components are other
-    JointSpaces (FloatArithmetic.joint_spaces)."""
+    JointSpaces (joint_spaces)."""
 
     comps: np.ndarray
     local: np.ndarray
@@ -349,20 +356,23 @@ class JointSpaces(NamedTuple):
         step = max(1, CHUNK // (self.n * self.dim))
         return [slice(j, j + step) for j in range(0, self.count, step)]
 
-    def image(self, op, js):
-        """op U for the spaces U of the slice js, as one (n, dim, spaces)
-        array: one scatter per term of the block entries alone, e_i ->
-        scale[i] e[perm[i]], each to its flat place row * dim + column.  A
-        permutation keeps a column's rows distinct, so no two entries of one
-        scatter meet."""
+    def images(self, op, slices):
+        """op U for the spaces U of each slice of slices, as one (n, dim,
+        spaces) array per slice: one scatter per term of the block entries
+        alone, e_i -> scale[i] e[perm[i]], each to its flat place row * dim
+        + column, places and scales gathered once per term.  A permutation
+        keeps a column's rows distinct, so no two entries of one scatter
+        meet."""
         C, s, m, _ = self.local.shape
-        entries = self.local[..., js].reshape(C * s * m, -1)
         cols = np.arange(C * m).reshape(C, 1, m)
-        out = np.zeros((self.n * C * m, entries.shape[1]), dtype=complex)
-        for perm, scale in op:
-            places = (np.asarray(perm)[self.comps][..., None] * (C * m) + cols).ravel()
-            out[places] += np.repeat(np.asarray(scale)[self.comps], m)[:, None] * entries
-        return out.reshape(self.n, C * m, -1)
+        terms = [((np.asarray(perm)[self.comps][..., None] * (C * m) + cols).ravel(),
+                  np.repeat(np.asarray(scale)[self.comps], m)[:, None]) for perm, scale in op]
+        for js in slices:
+            entries = self.local[..., js].reshape(C * s * m, -1)
+            out = np.zeros((self.n * C * m, entries.shape[1]), dtype=complex)
+            for places, scale in terms:
+                out[places] += scale * entries
+            yield out.reshape(self.n, C * m, -1)
 
     def span(self, bases, out):
         """Write the U_j W_j over all spaces U_j in order into the n x k
@@ -455,6 +465,22 @@ def _refine(level, op, tol: float, rank_tol: float):
     return out
 
 
+def joint_spaces(ops, tol, rank_tol):
+    """The joint eigenspaces of the commuting float operators ops in block
+    form, as a list of JointSpaces, one per dimension, refined by each
+    operator in turn from the whole space (_refine at tol and rank_tol): the
+    last level that splits uniformly, or None when the first does not."""
+    n = len(ops[0][0][0])
+    level = [JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))]
+    spaces = None
+    for op in ops:
+        level = _refine(level, op, tol, rank_tol)
+        if level is None:
+            break
+        spaces = level
+    return spaces
+
+
 class FloatArithmetic:
     mode = "float"
 
@@ -534,36 +560,6 @@ class FloatArithmetic:
         off = max((self.norm(np.asarray(s) - c if s is diag else s) for _, s in op),
                   default=0.0)
         return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
-
-    def joint_spaces(self, ops, tol, rank_tol):
-        """The joint eigenspaces of the commuting operators ops in block form,
-        as a list of JointSpaces, one per dimension, refined by each
-        operator in turn from the whole space (_refine at tol and
-        rank_tol): the last level that splits uniformly, or None when the
-        first does not."""
-        n = len(ops[0][0][0])
-        level = [JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))]
-        spaces = None
-        for op in ops:
-            level = _refine(level, op, tol, rank_tol)
-            if level is None:
-                break
-            spaces = level
-        return spaces
-
-    def multiplicities(self, M, tol, rank_tol):
-        """(lam, multiplicity, dim ker(M - lam Id)) per eigenvalue cluster of
-        the pattern blocks of a square array M: M - lam Id has M's pattern
-        off the diagonal, so the pattern is searched once, and each kernel
-        dimension is counted from values-only SVDs of the shifted blocks,
-        cut over all blocks together."""
-        pattern = _pattern_blocks(np.asarray(M))
-        out = []
-        for lam, m in _clusters([B for _, B in pattern], tol):
-            s = [np.linalg.svd(B, compute_uv=False) for _, B in _shifted(pattern, lam)]
-            cut = _cut([v.max(initial=0.0) for v in s], rank_tol)
-            out.append((lam, m, sum(int(np.sum(v <= cut)) for v in s)))
-        return out
 
 
 class ExactScalars(ExactArithmetic):
@@ -648,16 +644,11 @@ class FloatScalars(FloatArithmetic):
 _ARITHMETIC = {"exact": ExactArithmetic(), "float": FloatArithmetic()}
 
 
-def for_mode(mode: str):
-    """The N-free arithmetic of a mode string ("exact" or "float")."""
+def backend(mode: str, N: int, order: int | None = None):
+    """Scalars of a mode ("exact" or "float"); exact ones live in
+    Q(zeta_order), Q(zeta_4N) by default."""
     if mode not in _ARITHMETIC:
         raise ValueError(f"unknown mode {mode!r}")
-    return _ARITHMETIC[mode]
-
-
-def backend(mode: str, N: int, order: int | None = None):
-    """Scalars of a mode; exact ones live in Q(zeta_order), Q(zeta_4N) by default."""
-    for_mode(mode)
     return FloatScalars(N) if mode == "float" else ExactScalars(N, order)
 
 

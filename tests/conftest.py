@@ -10,6 +10,7 @@ settings.register_profile("tier1", derandomize=True, deadline=None, max_examples
                           database=None)
 settings.load_profile("tier1")
 
+from skeinrep import scalars
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.triangulation import octahedron, standard_library
 
@@ -78,3 +79,16 @@ def dense_bases(spaces):
     U = np.zeros((spaces.n, C * m, count), dtype=complex)
     U[spaces.comps[:, :, None], np.arange(C * m).reshape(C, 1, m)] = spaces.local
     return U
+
+
+def record_float_kernels(monkeypatch) -> list:
+    """The shapes of the matrices passed to FloatArithmetic.kernel from now on."""
+    shapes = []
+    original = scalars.FloatArithmetic.kernel
+
+    def kernel(self, M, tol):
+        shapes.append(np.shape(M))
+        return original(self, M, tol)
+
+    monkeypatch.setattr(scalars.FloatArithmetic, "kernel", kernel)
+    return shapes

@@ -20,7 +20,7 @@ from skeinrep import intlinalg, kernels, scalars, verify
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
-from skeinrep.kernels import (difference_kernel, eigen_analysis, pants_spaces,
+from skeinrep.kernels import (eigen_analysis, eigenspace_kernel, pants_spaces,
                               sample_generic_weights, total_kernel)
 from skeinrep.qtrace import LoopSpec, pushoff_pair, threading_check
 from skeinrep.representation import WeightSystem, build_rep
@@ -168,7 +168,7 @@ def assert_eigenspaces_match_dense(M, cosets):
     """The joint spaces of the family [M] are its eigenspaces, one
     JointSpaces per dimension, in block form on the cosets of its
     translations."""
-    spaces = FLOAT.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9)
+    spaces = scalars.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9)
     assert [U.dim for U in spaces] == sorted({U.dim for U in spaces})
     got, want = eigenspaces(spaces, M), dense_clusters(M, 1e-6)
     assert [m for _, m, _ in got] == [m for _, m in want]  # diagonalizable
@@ -205,13 +205,13 @@ def test_a_split_that_is_not_uniform_stops_at_the_level_before():
     uneven, even = [1.0] * 3 + [2j] * 2 + [-1.5 + 0.5j], [1.0, 2j, -1.5 + 0.5j] * 2
     M = on_cosets([diagonalizable(rng, rng.permutation(s)) for s in (uneven, uneven, even)])
     ops = [[(np.arange(18), np.ones(18, dtype=complex))], nonzero_diagonals(M)]
-    [first] = FLOAT.joint_spaces(ops[:1], 1e-6, 1e-9)
-    [spaces] = FLOAT.joint_spaces(ops, 1e-6, 1e-9)
+    [first] = scalars.joint_spaces(ops[:1], 1e-6, 1e-9)
+    [spaces] = scalars.joint_spaces(ops, 1e-6, 1e-9)
     assert (spaces.count, spaces.dim) == (first.count, first.dim) == (1, 18)
     assert np.array_equal(spaces.local, first.local)
     shifted = M - np.eye(18)
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = difference_kernel([spaces], nonzero_diagonals(shifted), 1e-8)
+        K = eigenspace_kernel([spaces], nonzero_diagonals(shifted), 1e-8)
     assert mk.call_count == 1  # the one space, no dense fallback
     assert K.dim == 8 and K.equals(kernels.matrix_kernel(shifted, 1e-8), 1e-8)
 
@@ -244,7 +244,7 @@ def test_multiplicities_are_the_eigenspace_dimensions(seed):
     blocks = [jordan, diagonalizable(rng, [2, -1, 1j]), np.diag([3, 3, 4]).astype(complex),
               diagonalizable(rng, rng.choice([1.0, 2j], size=4))]
     M = block_diagonal(blocks, rng)
-    got = FLOAT.multiplicities(M, 1e-6, 1e-9)
+    got = scalars.multiplicities(M, 1e-6, 1e-9)
     want = dense_clusters(M, 1e-6)
     assert [(m, geo) for _, m, geo in got] == [
         (m, len(M) - dense_rank(M - lam * np.eye(len(M)), 1e-9)) for lam, m in want]
@@ -269,7 +269,7 @@ def block_diagonal_operators():
     spectrum = [1.0, 2j, -1.5 + 0.5j] * 2
     M = on_cosets([diagonalizable(rng, rng.permutation(spectrum)) for _ in range(3)])
     X = random_complex(rng, len(M), len(M))
-    return (FLOAT.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9),
+    return (scalars.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9),
             [diagonals(X), diagonals(X * (abs(X) > 1.5))])
 
 
@@ -281,17 +281,20 @@ def test_block_image_matches_the_dense_image(case):
         for op in ops:
             bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
             want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
-            for js in [slice(None)] + spaces.chunks():
-                assert np.abs(spaces.image(op, js) - want[..., js]).max() <= bound
+            slices = [slice(None)] + spaces.chunks()
+            for js, got in zip(slices, spaces.images(op, slices)):
+                assert np.abs(got - want[..., js]).max() <= bound
 
 
 def test_exact_eigen_analysis_is_not_available():
     alg = CFAlgebra(standard_library("torus1"), 3)
     rep = build_rep(alg.T, 3, exact_torus_weights(alg), algebra=alg)
     M = rep.apply(alg.offdiag_Q(0))
-    assert rep.ctx.multiplicities(M, 1e-6, 1e-9) is None
     with pytest.raises(ValueError, match="not available"):
         eigen_analysis(M, "exact")
+    # nor in any mode but "float" itself
+    with pytest.raises(ValueError):
+        eigen_analysis(np.eye(3, dtype=complex), "bogus")
     # nor joint eigenspaces, and no pants family is built for them
     T = standard_library("genus2_sep")
     alg2 = CFAlgebra(T, 3)
@@ -302,7 +305,7 @@ def test_exact_eigen_analysis_is_not_available():
 
 def test_dense_fallbacks_give_the_dense_answer():
     def clusters(M):
-        return [(lam, m) for lam, m, _ in FLOAT.multiplicities(M, 1e-6, 1e-9)]
+        return [(lam, m) for lam, m, _ in scalars.multiplicities(M, 1e-6, 1e-9)]
 
     rng = np.random.default_rng(11)
     connected = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)

@@ -11,6 +11,8 @@ from skeinrep.representation import WeightSystem
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_torus_weights, suite_signrev
 
+from conftest import record_float_kernels
+
 
 def test_info_name(capsys):
     assert main(["info", "--name", "torus1"]) == 0
@@ -202,13 +204,19 @@ def test_kernels_invalid_weights(tmp_path, capsys):
     assert not json.loads(out)["weights_valid"]
 
 
-def test_kernels_genus2_sampled(capsys):
-    rc = main(["kernels", "--name", "genus2_sep", "--N", "3", "--seed", "5"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    report = json.loads(out)
-    assert report["total_dim"] == 27 and report["dim"] == 81
-    assert [e["multiplicity"] for e in report["eigen"]] == [27, 27, 27]
+def test_kernels_genus2_sampled(capsys, monkeypatch):
+    shapes = record_float_kernels(monkeypatch)
+    for seed in ("5", "0"):
+        rc = main(["kernels", "--name", "genus2_sep", "--N", "3", "--seed", seed])
+        out = capsys.readouterr().out
+        assert rc == 0
+        report = json.loads(out)
+        assert report["total_dim"] == 27 and report["dim"] == 81
+        assert [e["multiplicity"] for e in report["eigen"]] == [27, 27, 27]
+        # on one vertex F is ker mu(Q_v), so its dimension is the vertex's
+        assert report["per_vertex_dims"] == [27]
+    # and no 81 x 81 kernel is taken, only thin ones in the joint spaces
+    assert shapes and all(shape[0] == 81 and shape[1] < 81 for shape in shapes)
 
 
 def test_verify_sphere_and_exit_codes(capsys):

@@ -13,7 +13,7 @@ def rand_matrix(rng, m, n, lo=-6, hi=6):
 
 
 def residues(A, x, mod):
-    return [v % mod for v in il.mat_vec(A, x)]
+    return [sum(a * b for a, b in zip(row, x)) % mod for row in A]
 
 
 def test_alternating_normal_form_random():

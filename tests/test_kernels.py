@@ -12,7 +12,7 @@ from skeinrep import kernels, qtrace, scalars
 from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.errors import (NotCommuting, NotDiagonalizable, NotOneVertex,
                              NotSeparating, SamplerExhausted)
-from skeinrep.kernels import (Subspace, difference_kernel, eigen_analysis,
+from skeinrep.kernels import (Subspace, eigen_analysis, eigenspace_kernel,
                               matrix_kernel, offdiag_kernel,
                               sample_generic_weights, total_kernel)
 from skeinrep.qtrace import LoopSpec, edge_parallel_trace, sweep_check
@@ -20,7 +20,8 @@ from skeinrep.representation import WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_genus2_weights
 
-from conftest import dense_bases, diagonals, random_balanced_monomial
+from conftest import (dense_bases, diagonals, random_balanced_monomial,
+                      record_float_kernels)
 
 
 @pytest.fixture(scope="module")
@@ -99,19 +100,6 @@ def test_total_kernel_matches_the_dense_offdiag_kernel(N, seed):
         assert F.equals(offdiag_kernel(r, 0, tol=1e-8), 1e-8)
 
 
-def record_float_kernels(monkeypatch) -> list:
-    """The shapes of the matrices passed to FloatArithmetic.kernel from now on."""
-    shapes = []
-    original = scalars.FloatArithmetic.kernel
-
-    def kernel(self, M, tol):
-        shapes.append(np.shape(M))
-        return original(self, M, tol)
-
-    monkeypatch.setattr(scalars.FloatArithmetic, "kernel", kernel)
-    return shapes
-
-
 def test_float_genus2_total_kernel_takes_no_square_kernel(monkeypatch):
     # one thin n x N kernel per joint space, none of the n x n mu(Q_v)
     rep = float_genus2_rep(3, 4)
@@ -122,16 +110,15 @@ def test_float_genus2_total_kernel_takes_no_square_kernel(monkeypatch):
 
 
 def record_joint_spaces(monkeypatch) -> list:
-    """The operator families passed to FloatArithmetic.joint_spaces from
-    now on."""
+    """The operator families passed to scalars.joint_spaces from now on."""
     calls = []
-    original = scalars.FloatArithmetic.joint_spaces
+    original = scalars.joint_spaces
 
-    def joint_spaces(self, ops, *args):
+    def joint_spaces(ops, *args):
         calls.append(ops)
-        return original(self, ops, *args)
+        return original(ops, *args)
 
-    monkeypatch.setattr(scalars.FloatArithmetic, "joint_spaces", joint_spaces)
+    monkeypatch.setattr(scalars, "joint_spaces", joint_spaces)
     return calls
 
 
@@ -182,9 +169,8 @@ def test_total_kernel_falls_back_to_the_dense_kernel(monkeypatch, plant, thin_ke
     # kernels (cut at 1e-3) keep vectors that mu(Q_v) moves by far more
     # than the residual bound, F is the dense kernel of mu(Q_v)
     rep = float_genus2_rep(3, 5)
-    original = scalars.FloatArithmetic.joint_spaces
-    monkeypatch.setattr(scalars.FloatArithmetic, "joint_spaces",
-                        lambda self, *args: plant(original(self, *args)))
+    original = scalars.joint_spaces
+    monkeypatch.setattr(scalars, "joint_spaces", lambda *args: plant(original(*args)))
     shapes = record_float_kernels(monkeypatch)
     F = total_kernel(rep, 1e-3)
     assert shapes == [(81, 3)] * thin_kernels + [(81, 81)]
@@ -282,7 +268,7 @@ def test_difference_kernel_matches_dense_float(N, seed):
     tr1, tr2 = pushoff_traces(rep)
     A, B = rep.apply(tr1), rep.apply(tr2)
     spaces = kernels.pants_spaces(rep, T.designated_edge, 1e-8)
-    K = difference_kernel(spaces, rep.operator(tr1 - tr2), 1e-8)
+    K = eigenspace_kernel(spaces, rep.operator(tr1 - tr2), 1e-8)
     assert K.dim == N ** 3
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
     assert np.abs((A - B) @ K.basis).max() < 1e-9
@@ -296,7 +282,7 @@ def test_difference_kernel_matches_dense_exact():
     spaces = kernels.pants_spaces(rep, T.designated_edge, kernels.DEFAULT_RANK_TOL)
     # exact eigenvalues are not computed, and no pants family is built
     assert spaces is None and alg.pants_families == {}
-    K = difference_kernel(spaces, rep.operator(tr1 - tr2))
+    K = eigenspace_kernel(spaces, rep.operator(tr1 - tr2), kernels.DEFAULT_RANK_TOL)
     diff = [[a - b for a, b in zip(ra, rb)]
             for ra, rb in zip(rep.apply(tr1), rep.apply(tr2))]
     assert K.dim == 27
@@ -305,7 +291,7 @@ def test_difference_kernel_matches_dense_exact():
 
 def float_eigenspaces(A, tol):
     """The eigenspaces of a dense A as the joint spaces of the family [A]."""
-    return scalars.FloatArithmetic().joint_spaces([diagonals(A)], kernels.EIGEN_TOL, tol)
+    return scalars.joint_spaces([diagonals(A)], kernels.EIGEN_TOL, tol)
 
 
 @pytest.mark.parametrize("A,diff,tol,dim,spectral_calls", [
@@ -326,7 +312,7 @@ def test_difference_kernel_falls_back_to_the_dense_kernel(monkeypatch, A, diff, 
         return matrix_kernel(M, tol)
 
     monkeypatch.setattr(kernels, "matrix_kernel", recording_kernel)
-    assert difference_kernel(float_eigenspaces(A, tol), diagonals(diff), tol).dim == dim
+    assert eigenspace_kernel(float_eigenspaces(A, tol), diagonals(diff), tol).dim == dim
     assert len(calls) == spectral_calls + 1
     assert np.array_equal(calls[-1], diff)
 
@@ -367,12 +353,12 @@ def test_a_loop_that_adds_no_translation_leaves_the_spaces_as_they_are():
     rep = float_genus2_rep(3, 2)
     alg, e = rep.algebra, rep.T.designated_edge
     ops = [rep.operator(a) for a in loop_traces(alg, [(1, 1), (3, 2), (5, 1), (e, 1)])]
-    [first] = rep.ctx.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
-    [second] = rep.ctx.joint_spaces(ops[:2], kernels.EIGEN_TOL, 1e-8)
+    [first] = scalars.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
+    [second] = scalars.joint_spaces(ops[:2], kernels.EIGEN_TOL, 1e-8)
     assert (second.count, second.dim) == (first.count, first.dim) == (3, 27)
     assert np.array_equal(second.local, first.local)
-    [spaces] = rep.ctx.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
-    [pants] = rep.ctx.joint_spaces(ops[:1] + ops[2:], kernels.EIGEN_TOL, 1e-8)
+    [spaces] = scalars.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
+    [pants] = scalars.joint_spaces(ops[:1] + ops[2:], kernels.EIGEN_TOL, 1e-8)
     assert (spaces.count, spaces.dim) == (27, 3)
     assert np.array_equal(spaces.local, pants.local)
     F = kernels.eigenspace_kernel([spaces], rep.operator(alg.offdiag_Q(0)), 1e-8)
@@ -386,7 +372,7 @@ def test_the_family_of_K1_alone_gives_the_eigenspaces_of_rho_K1(N):
     # dense rho[K1] give
     rep = float_genus2_rep(N, 3)
     tr1, _ = qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)
-    [spaces] = rep.ctx.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
+    [spaces] = scalars.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
     assert spaces.local.shape == (N ** 2, N ** 2, N, N)
     A = rep.apply(tr1)
     clusters = eigen_analysis(A, "float")
@@ -421,7 +407,7 @@ def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
     A = S @ np.diag(lam) @ S_inv
     B = S @ (np.diag(lam) - cut) @ S_inv
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = difference_kernel(float_eigenspaces(A, 1e-8), diagonals(A - B), 1e-8)
+        K = eigenspace_kernel(float_eigenspaces(A, 1e-8), diagonals(A - B), 1e-8)
     assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
     assert K.dim == sum(m - r for m, r in blocks)
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)

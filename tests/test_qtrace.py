@@ -105,7 +105,7 @@ def test_trace_rejects_an_edge_out_of_range(g2_alg, edge):
 
 def test_sweep_check(g2_rep, monkeypatch):
     calls = []
-    original = qtrace.difference_kernel
+    original = qtrace.eigenspace_kernel
 
     def spy(spaces, diff, tol):
         calls.append(sum(U.count * U.dim for U in spaces))
@@ -113,7 +113,7 @@ def test_sweep_check(g2_rep, monkeypatch):
         assert spaces is g2_rep.spectra[g2_rep.T.designated_edge, tol]
         return original(spaces, diff, tol)
 
-    monkeypatch.setattr(qtrace, "difference_kernel", spy)
+    monkeypatch.setattr(qtrace, "eigenspace_kernel", spy)
     report = sweep_check(g2_rep, g2_rep.T.designated_edge)
     assert report["passed"]
     assert report["kernel_dim"] == report["total_kernel_dim"] == 27

@@ -473,11 +473,6 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
-
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.field.order)
         out = 0j

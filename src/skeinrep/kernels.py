@@ -15,12 +15,15 @@ subgroup that those of the kept loops generate; rho[K1] comes last.  On
 genus2_sep this is (1,1), (5,1), K1, a pants decomposition.  Its joint
 eigenspaces (pants_spaces, kept in CFRep.spectra, so that F and ker D
 share them) are built nested, from the operators' translation terms alone
-(scalars.joint_spaces, in block form: a list of scalars.JointSpaces, one
-per dimension): each loop's translations join the components of the
-index group into cosets of a larger subgroup, and each joint space splits
-by the loop's restriction to it on each coset.  With the whole family there
-are N^3 joint spaces U of dimension N, each meeting F in one dimension; a
-family of one operator gives its eigenspaces, of whatever dimensions.
+(scalars.joint_spaces, in block form: one scalars.JointSpaces per
+level): each loop's translations join the components of the index group
+into cosets of a larger subgroup, and each joint space splits by the
+loop's restriction to it on each coset.  The levels are N spaces of
+dimension N^3, N^2 of dimension N^2 and N^3 of dimension N, each of the
+last meeting F in one dimension.  A split into spaces of unequal
+dimensions is refused, and the level before is kept (none at the first
+operator); a family of one operator gives its eigenspaces when they all
+have one dimension.
 
 - F = ker mu(Q_v), the total kernel (total_kernel), is the sum of the
   U ker(mu(Q_v) U): N^3 kernels of thin n x N matrices.  F splits so
@@ -127,25 +130,19 @@ def residual_bound(op) -> float:
 def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
     """ker op for an operator op whose kernel the operators of spaces
     preserve, from spaces, their joint eigenspaces U in block form
-    (pants_spaces: a list of JointSpaces, one per dimension), or None: ker op
-    is the sum of its meets U ker(op U) with the U, thin n x dim kernels
-    taken a chunk of spaces at a time (JointSpaces.chunks), op applied to
+    (pants_spaces: a JointSpaces), or None: ker op is the sum of its meets
+    U ker(op U) with the U, thin n x dim kernels taken a chunk of spaces at a time (JointSpaces.chunks), op applied to
     all spaces of a chunk in one scatter per term.  The assembled basis K
     is accepted when |op K| is within residual_bound(op).  When it is not,
     when the spaces do not fill the space, or when there are none (exact
     operators), this is matrix_kernel of op made dense."""
     ctx = scalars.of(op)
     n = len(op[0][0])
-    if spaces is not None and sum(U.count * U.dim for U in spaces) == n:
-        bases = []
-        for group in spaces:
-            bases.append([matrix_kernel(X[..., j], tol).basis
-                          for X in group.images(op, group.chunks())
-                          for j in range(X.shape[-1])])
-        widths = [sum(W.shape[1] for W in group_bases) for group_bases in bases]
-        K = np.empty((n, sum(widths)), dtype=complex)
-        for group, group_bases, at, width in zip(spaces, bases, np.cumsum([0] + widths), widths):
-            group.span(group_bases, K[:, at:at + width])
+    if spaces is not None and spaces.count * spaces.dim == n:
+        bases = [matrix_kernel(X[..., j], tol).basis
+                 for X in spaces.images(op, spaces.chunks()) for j in range(X.shape[-1])]
+        K = np.empty((n, sum(W.shape[1] for W in bases)), dtype=complex)
+        spaces.span(bases, K)
         # op K a CHUNK of entries at a time, so that no second n x dim K array is formed
         step = max(1, scalars.CHUNK // n)
         if all(ctx.is_zero(ctx.image(op, K[:, at:at + step]), residual_bound(op))
@@ -157,7 +154,7 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
 def pants_spaces(rep: CFRep, edge: int, tol: float):
     """The joint eigenspaces of the pants family of edge (qtrace.pants_family)
     on a float representation, in block form (scalars.joint_spaces
-    at EIGEN_TOL, cut at tol: a list of JointSpaces), computed once per
+    at EIGEN_TOL, cut at tol: a JointSpaces or None), computed once per
     representation, edge and tol and kept in rep.spectra: F (total_kernel)
     and ker D (qtrace.sweep_check) share them.  None for exact weights, whose
     eigenvalues are not computed, so no family is built for them.  Callers
@@ -185,22 +182,21 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     once per representation and tolerance; callers share the returned
     Subspace and must not modify its basis.
 
-    For a float representation of a one-vertex triangulation with a
-    designated separating edge, F = ker mu(Q_v) is the sum of the
-    U ker(mu(Q_v) U) over the joint eigenspaces U of the edge's pants
-    family (module docstring), kept on the representation in block form
-    (pants_spaces), which the sweep check's ker D shares; no dense matrix
-    is made.  Certified: |mu(Q_v) F| for the assembled basis F is within
-    residual_bound, so F lies in the kernel.  That it is the whole kernel
-    rests on each family loop preserving F; a shortfall would show as
-    dim F < N^3.  When the basis is not accepted this is the kernel of the
-    dense mu(Q_v), and every other representation takes the kernel of its
-    stacked dense mu(Q_v); exact eigenvalues are not computed, so no family
-    is built for exact weights."""
+    On a one-vertex triangulation with a designated separating edge,
+    F = ker mu(Q_v) is eigenspace_kernel of mu(Q_v) in the pants spaces
+    of the edge (pants_spaces), which the sweep check's ker D shares.  For
+    float weights it is the sum of the U ker(mu(Q_v) U) over the joint
+    eigenspaces U of the edge's pants family (module docstring), and no
+    dense matrix is made.  Certified: |mu(Q_v) F| for the assembled basis
+    F is within residual_bound, so F lies in the kernel.  That it is the
+    whole kernel rests on each family loop preserving F; a shortfall would
+    show as dim F < N^3.  When the basis is not accepted, and for exact
+    weights, which have no pants spaces, this is the kernel of the dense
+    mu(Q_v).  Every other representation takes the kernel of its stacked
+    dense mu(Q_v)."""
     if tol not in rep.total_kernels:
         T, alg = rep.T, rep.algebra
-        if (rep.weights.mode == "float" and T.num_vertices == 1
-                and T.designated_edge is not None):
+        if T.num_vertices == 1 and T.designated_edge is not None:
             F = eigenspace_kernel(pants_spaces(rep, T.designated_edge, tol),
                                   rep.operator(alg.offdiag_Q(0)), tol)
         else:
@@ -216,14 +212,14 @@ def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL):
 
     Only mode "float" computes them: it clusters the eigenvalue cloud at the
     given tolerance and checks that each geometric multiplicity is the
-    algebraic one, so that the eigenspaces fill the space
-    (scalars.multiplicities).  Exact eigenvalues are not computed, and any
+    algebraic one, each kernel dimension cut at DEFAULT_RANK_TOL, so that
+    the eigenspaces fill the space (scalars.multiplicities).  Exact eigenvalues are not computed, and any
     other mode raises ValueError; an exact eigenspace is the kernel of
     mu(a - lam) for a known lam.
     """
     if mode != "float":
         raise ValueError(f"{mode} eigen-analysis is not available")
-    counts = scalars.multiplicities(M, tol, max(tol * 1e-3, 1e-12))
+    counts = scalars.multiplicities(M, tol, DEFAULT_RANK_TOL)
     for lam, alg_mult, geo_mult in counts:
         if geo_mult != alg_mult:
             raise NotDiagonalizable(

@@ -55,8 +55,7 @@ stand outside the arithmetics:
                       only
     joint_spaces(ops, tol, rank_tol)  the joint eigenspaces of commuting
                       operators whose terms translate the index group, in
-                      block form (a list of JointSpaces, one per dimension),
-                      or None
+                      block form (one JointSpaces), or None
 
 Every float rank decision is the one cut of _cut.  multiplicities splits a
 square matrix into the diagonal blocks of its nonzero pattern and counts
@@ -65,14 +64,17 @@ from the operators' terms alone, with no dense matrix.  The translations
 of the operators taken so far split the indices into components, the
 cosets of the subgroup they generate, all of one size s; every joint
 space meets every component in m orthonormal columns, kept as an s x m
-block, m the same on every component (JointSpaces: comps and local; the
-spaces of one m together).  The next operator's translations join the
+block, one m for all spaces and components, so that each level is one
+JointSpaces (comps and local).  The next operator's translations join the
 components r at a time into the cosets of a larger subgroup, and its
 r m x r m restrictions to each space on each joined component, clustered
-and cut as one batch, split every space.  A split is kept when each new
-space meets every joined component in one number of columns and each
-space fills the joined components; otherwise the spaces stay those of the
-level before, and None comes back when the first operator already fails.
+and cut as one batch, split every space.  A split is kept when every new
+space meets every joined component in one and the same number of columns
+and the new spaces fill the joined components; otherwise, new spaces of
+unequal dimensions among them, the spaces stay those of the level before,
+and None comes back when the first operator already fails.  Every level
+of the pants family of genus2_sep is uniform, as each pants curve has N
+eigenvalues of equal multiplicity.
 For the pants family of genus2_sep there are N^3 spaces of dimension N,
 each with one column of N^3 entries on each of N cosets: N^7 entries in
 all, against N^8 for dense bases.  An operator maps a chunk of spaces
@@ -323,16 +325,15 @@ CHUNK = 1 << 17
 
 
 class JointSpaces(NamedTuple):
-    """Joint eigenspaces of commuting operators that all have one dimension,
-    in block form.  The operators' translations split the indices into
+    """Joint eigenspaces of commuting operators, all of one dimension, in
+    block form.  The operators' translations split the indices into
     components (comps, one row of s indices per component: the cosets of
     the subgroup that the translations generate), and space j meets
     component c in the m orthonormal columns local[c, :, :, j], an s x m
     block on the indices comps[c].  So all J spaces have dimension C m, and
     a space's basis has n m entries against n C m dense.  The spaces are
     the last axis, so that a scatter moves the entries of a chunk of spaces
-    together.  Spaces of other dimensions on the same components are other
-    JointSpaces (joint_spaces)."""
+    together."""
 
     comps: np.ndarray
     local: np.ndarray
@@ -388,26 +389,26 @@ class JointSpaces(NamedTuple):
                                               W[..., cols])
 
 
-def _refine(level, op, tol: float, rank_tol: float):
-    """The spaces of level, a list of JointSpaces on one set of components,
-    split by op, an operator whose terms translate the index group and
-    which commutes with the operators of these spaces, so that it preserves
-    each of them: again such a list, one JointSpaces per dimension in
-    increasing order, or None when the spaces do not split uniformly.
+def _refine(spaces, op, tol: float, rank_tol: float):
+    """The JointSpaces spaces split by op, an operator whose terms
+    translate the index group and which commutes with the operators of
+    spaces, so that it preserves each of them: again a JointSpaces, or None
+    when the split is not uniform.
 
     op's translations join the components r at a time into cosets of the
     larger subgroup.  On space j and a joined component, op restricts to an
     M x M matrix R, M = r m, in the orthonormal basis of the r blocks of
     local; R is summed term by term from the inner products of those blocks
     with their images, so no dense s x s block of op is formed.  The
-    eigenvalues of all R together are clustered at tol, and space j of
-    level[g] splits into the null spaces of R - lam, cut at rank_tol over
-    all R together, as spaces (g, j, lam) in that order, with the lam that
-    space j lacks left out.  The split is uniform when each null space of
-    one space and lam has one dimension on every joined component, and the
-    null spaces of each R fill C^M."""
-    comps = level[0].comps
+    eigenvalues of all R together are clustered at tol, and space j splits
+    into the null spaces of R - lam, cut at rank_tol over all R together,
+    as spaces (j, lam) in that order, with the lam that space j lacks left
+    out.  The split is uniform when the null spaces of each R fill C^M and
+    every new space meets every joined component in one and the same
+    number of columns."""
+    comps = spaces.comps
     C, s = comps.shape
+    _, _, m, J = spaces.local.shape
     comp_of = np.empty(comps.size, dtype=np.int64)
     comp_of[comps] = np.arange(C)[:, None]
     pos = np.empty(comps.size, dtype=np.int64)
@@ -423,55 +424,43 @@ def _refine(level, op, tol: float, rank_tol: float):
     new_of, slot = np.empty(C, dtype=np.int64), np.empty(C, dtype=np.int64)
     new_of[groups] = np.arange(len(groups))[:, None]
     slot[groups] = np.arange(r)
-    Rs = []
-    for spaces in level:
-        _, _, m, J = spaces.local.shape
-        # R[new component, target slot, source slot, space] is an m x m block
-        R = np.zeros((len(groups), r, r, J, m, m), dtype=complex)
-        for image, target, (_, scale) in zip(images, targets, op):
-            moved = spaces.local[target[:, None], pos[image]]
-            scaled = np.asarray(scale)[comps][..., None, None] * spaces.local
-            R[new_of, slot[target], slot] += np.einsum("casj,catj->cjst", moved.conj(), scaled)
-        Rs.append(R.transpose(3, 0, 1, 4, 2, 5).reshape(J, len(groups), r * m, r * m))
-    # null[i][g] = (dims (J, C'), vh) of R - lam_i for the spaces of level[g]
+    # R[new component, target slot, source slot, space] is an m x m block
+    R = np.zeros((len(groups), r, r, J, m, m), dtype=complex)
+    for image, target, (_, scale) in zip(images, targets, op):
+        moved = spaces.local[target[:, None], pos[image]]
+        scaled = np.asarray(scale)[comps][..., None, None] * spaces.local
+        R[new_of, slot[target], slot] += np.einsum("casj,catj->cjst", moved.conj(), scaled)
+    R = R.transpose(3, 0, 1, 4, 2, 5).reshape(J, len(groups), r * m, r * m)
+    # (dims (J, C'), vh) of R - lam per cluster lam
     null = []
-    for lam, _ in _clusters(Rs, tol):
-        svds = [np.linalg.svd(R - lam * np.eye(R.shape[-1]))[1:] for R in Rs]
-        cut = _cut(np.concatenate([sv.ravel() for sv, _ in svds]), rank_tol)
-        null.append([(np.sum(sv <= cut, axis=-1), vh) for sv, vh in svds])
-    dims = []  # dims[g][j, i]: the dimension of space (j, lam_i) on each component
-    for g, R in enumerate(Rs):
-        d = np.stack([per[g][0] for per in null], axis=-1)
-        if np.any(d != d[:, :1]) or np.any(d[:, 0].sum(axis=-1) != R.shape[-1]):
-            return None
-        dims.append(d[:, 0])
-    keys = [(g, j, i) for g, d in enumerate(dims) for j, i in zip(*np.nonzero(d))]
-    out = []
-    for d in sorted({dims[g][j, i] for g, j, i in keys}):
-        mine = [key for key in keys if dims[key[0]][key[1], key[2]] == d]
-        local = np.empty((len(groups), r, s, d, len(mine)), dtype=complex)
-        for g, spaces in enumerate(level):
-            m = spaces.local.shape[2]
-            blocks = spaces.local[groups]
-            for i, per in enumerate(null):
-                at = [k for k, (h, _, l) in enumerate(mine) if (h, l) == (g, i)]
-                js = [mine[k][1] for k in at]
-                if at:
-                    v = per[g][1][js][..., r * m - d:, :].conj().swapaxes(-1, -2)
-                    local[..., at] = np.einsum("cqasj,jcqsd->cqadj", blocks[..., js],
-                                               v.reshape(len(js), len(groups), r, m, d))
-        out.append(JointSpaces(comps[groups].reshape(len(groups), r * s),
-                               local.reshape(len(groups), r * s, d, len(mine))))
-    return out
+    for lam, _ in _clusters([R], tol):
+        sv, vh = np.linalg.svd(R - lam * np.eye(r * m))[1:]
+        null.append((np.sum(sv <= _cut(sv, rank_tol), axis=-1), vh))
+    d = np.stack([dims for dims, _ in null], axis=-1)  # d[j, c, i]: space (j, lam_i) on c
+    dims = d[:, 0]
+    k = dims.max()
+    if (np.any(d != d[:, :1]) or np.any(dims.sum(axis=-1) != r * m)
+            or np.any((dims != 0) & (dims != k))):
+        return None
+    js, lams = np.nonzero(dims)
+    blocks = spaces.local[groups]
+    local = np.empty((len(groups), r, s, k, len(js)), dtype=complex)
+    for i, (_, vh) in enumerate(null):
+        at = np.flatnonzero(lams == i)
+        v = vh[js[at]][..., r * m - k:, :].conj().swapaxes(-1, -2)
+        local[..., at] = np.einsum("cqasj,jcqsd->cqadj", blocks[..., js[at]],
+                                   v.reshape(at.size, len(groups), r, m, k))
+    return JointSpaces(comps[groups].reshape(len(groups), r * s),
+                       local.reshape(len(groups), r * s, k, len(js)))
 
 
 def joint_spaces(ops, tol, rank_tol):
     """The joint eigenspaces of the commuting float operators ops in block
-    form, as a list of JointSpaces, one per dimension, refined by each
-    operator in turn from the whole space (_refine at tol and rank_tol): the
-    last level that splits uniformly, or None when the first does not."""
+    form, a JointSpaces, refined by each operator in turn from the whole
+    space (_refine at tol and rank_tol): the last level that splits
+    uniformly, or None when the first does not."""
     n = len(ops[0][0][0])
-    level = [JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))]
+    level = JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))
     spaces = None
     for op in ops:
         level = _refine(level, op, tol, rank_tol)

@@ -159,18 +159,28 @@ def eigenspaces(spaces, M):
     """(lam, dimension, dense basis) of each of the joint spaces of the
     family [M], lam read off the basis D as tr(D^H M D) / dimension, in the
     order of dense_clusters."""
-    out = [(np.trace(D.conj().T @ M @ D) / U.dim, U.dim, D)
-           for U in spaces for D in np.moveaxis(dense_bases(U), -1, 0)]
+    out = [(np.trace(D.conj().T @ M @ D) / spaces.dim, spaces.dim, D)
+           for D in np.moveaxis(dense_bases(spaces), -1, 0)]
     return sorted(out, key=lambda t: (t[0].real.round(8), t[0].imag.round(8)))
 
 
 def assert_eigenspaces_match_dense(M, cosets):
-    """The joint spaces of the family [M] are its eigenspaces, one
-    JointSpaces per dimension, in block form on the cosets of its
-    translations."""
+    """The joint spaces of the family [M] are its eigenspaces in block
+    form on the cosets of its translations when they all have one
+    dimension.  Otherwise there are none, and eigenspace_kernel takes each
+    eigenspace as the dense kernel of M - lam."""
     spaces = scalars.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9)
-    assert [U.dim for U in spaces] == sorted({U.dim for U in spaces})
-    got, want = eigenspaces(spaces, M), dense_clusters(M, 1e-6)
+    want = dense_clusters(M, 1e-6)
+    assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
+    if len({m for _, m in want}) > 1:
+        assert spaces is None
+        for lam, m in want:
+            shifted = M - lam * np.eye(len(M))
+            K = eigenspace_kernel(spaces, nonzero_diagonals(shifted), 1e-9)
+            assert K.dim == m == len(M) - dense_rank(shifted, 1e-9)
+            assert K.equals(kernels.matrix_kernel(shifted, 1e-9), 1e-9)
+        return
+    got = eigenspaces(spaces, M)
     assert [m for _, m, _ in got] == [m for _, m in want]  # diagonalizable
     # the clustered restrictions give the dense kernel dimension of every shift
     assert [m for _, m, _ in got] == [
@@ -180,9 +190,8 @@ def assert_eigenspaces_match_dense(M, cosets):
     for lam, m, D in got:
         assert np.abs(D.conj().T @ D - np.eye(m)).max() < 1e-9
         assert np.abs(M @ D - lam * D).max() < 1e-6
-    assert all(sorted(tuple(sorted(c)) for c in U.comps) == cosets for U in spaces)
+    assert sorted(tuple(sorted(c)) for c in spaces.comps) == cosets
     assert all(abs(a - b) < 1e-9 for (a, _, _), (b, _) in zip(got, want))
-    assert sum(m for _, m in eigen_analysis(M, "float")) == len(M)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -195,25 +204,48 @@ def test_eigenspaces_of_unequal_dimensions_on_cosets_match_dense(seed):
     assert_eigenspaces_match_dense(*uneven_cosets(np.random.default_rng(seed)))
 
 
-def test_a_split_that_is_not_uniform_stops_at_the_level_before():
-    # the identity, then blocks on the cosets of 3 Z_18 with the eigenvalues
-    # 1, 2j and -1.5 + 0.5j three, two and one times on two cosets but twice
-    # each on the third: the eigenspace of 1 would meet the cosets in 3, 3
-    # and 2 columns, which no JointSpaces holds, so the spaces stay the one
-    # of the identity, in which ker (M - 1) is still found
-    rng = np.random.default_rng(0)
-    uneven, even = [1.0] * 3 + [2j] * 2 + [-1.5 + 0.5j], [1.0, 2j, -1.5 + 0.5j] * 2
-    M = on_cosets([diagonalizable(rng, rng.permutation(s)) for s in (uneven, uneven, even)])
+@pytest.mark.parametrize("seed", range(3))
+def test_eigenspaces_of_equal_dimensions_on_cosets_match_dense(seed):
+    rng = np.random.default_rng(seed)
+    spectrum = [1.0, 2j, -1.5 + 0.5j] * 2
+    M = on_cosets([diagonalizable(rng, rng.permutation(spectrum)) for _ in range(3)])
+    assert_eigenspaces_match_dense(M, [tuple(range(c, 18, 3)) for c in range(3)])
+
+
+def assert_the_level_before_is_kept(M, kernel_dim):
+    """The joint spaces of the identity and then M, whose split is refused,
+    are the one space of the identity, in which ker (M - 1) is still
+    found."""
     ops = [[(np.arange(18), np.ones(18, dtype=complex))], nonzero_diagonals(M)]
-    [first] = scalars.joint_spaces(ops[:1], 1e-6, 1e-9)
-    [spaces] = scalars.joint_spaces(ops, 1e-6, 1e-9)
+    first = scalars.joint_spaces(ops[:1], 1e-6, 1e-9)
+    spaces = scalars.joint_spaces(ops, 1e-6, 1e-9)
     assert (spaces.count, spaces.dim) == (first.count, first.dim) == (1, 18)
     assert np.array_equal(spaces.local, first.local)
     shifted = M - np.eye(18)
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
-        K = eigenspace_kernel([spaces], nonzero_diagonals(shifted), 1e-8)
+        K = eigenspace_kernel(spaces, nonzero_diagonals(shifted), 1e-8)
     assert mk.call_count == 1  # the one space, no dense fallback
-    assert K.dim == 8 and K.equals(kernels.matrix_kernel(shifted, 1e-8), 1e-8)
+    assert K.dim == kernel_dim and K.equals(kernels.matrix_kernel(shifted, 1e-8), 1e-8)
+
+
+def test_a_split_that_is_not_uniform_stops_at_the_level_before():
+    # blocks on the cosets of 3 Z_18 with the eigenvalues 1, 2j and
+    # -1.5 + 0.5j three, two and one times on two cosets but twice each on
+    # the third: the eigenspace of 1 would meet the cosets in 3, 3 and 2
+    # columns, which no JointSpaces holds
+    rng = np.random.default_rng(0)
+    uneven, even = [1.0] * 3 + [2j] * 2 + [-1.5 + 0.5j], [1.0, 2j, -1.5 + 0.5j] * 2
+    M = on_cosets([diagonalizable(rng, rng.permutation(s)) for s in (uneven, uneven, even)])
+    assert_the_level_before_is_kept(M, 8)
+
+
+def test_a_split_into_unequal_dimensions_stops_at_the_level_before():
+    # blocks on the cosets of 3 Z_18 whose eigenspaces meet every coset
+    # evenly, in 3, 2 and 1 columns: spaces of dimensions 9, 6 and 3, which
+    # one JointSpaces does not hold
+    M, _ = uneven_cosets(np.random.default_rng(0))
+    assert scalars.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9) is None
+    assert_the_level_before_is_kept(M, 9)
 
 
 def test_block_rank_cuts_at_the_global_largest_singular_value():
@@ -275,15 +307,14 @@ def block_diagonal_operators():
 
 @pytest.mark.parametrize("case", [float_genus2_operators, block_diagonal_operators])
 def test_block_image_matches_the_dense_image(case):
-    groups, ops = case()
-    for spaces in groups:
-        U = dense_bases(spaces)
-        for op in ops:
-            bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
-            want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
-            slices = [slice(None)] + spaces.chunks()
-            for js, got in zip(slices, spaces.images(op, slices)):
-                assert np.abs(got - want[..., js]).max() <= bound
+    spaces, ops = case()
+    U = dense_bases(spaces)
+    for op in ops:
+        bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
+        want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
+        slices = [slice(None)] + spaces.chunks()
+        for js, got in zip(slices, spaces.images(op, slices)):
+            assert np.abs(got - want[..., js]).max() <= bound
 
 
 def test_exact_eigen_analysis_is_not_available():

@@ -134,7 +134,7 @@ def test_total_kernel_and_sweep_check_share_one_spectrum(monkeypatch, N):
     assert len(calls) == 1 and dense == []
     # kept in block form: N^3 joint spaces of dim N, each with one column of
     # N^3 entries on each of the N cosets, no dense n x N basis
-    [spaces] = rep.spectra[rep.T.designated_edge, 1e-8]
+    spaces = rep.spectra[rep.T.designated_edge, 1e-8]
     assert (spaces.count, spaces.dim, spaces.local.shape) == \
         (N ** 3, N, (N, N ** 3, 1, N ** 3))
 
@@ -154,12 +154,12 @@ def test_sign_reversed_copy_builds_its_own_spectrum(monkeypatch):
 
 
 def drop_last_space(spaces):
-    return spaces[:-1] + [spaces[-1]._replace(local=spaces[-1].local[..., :-1])]
+    return spaces._replace(local=spaces.local[..., :-1])
 
 
 def perturb_bases(spaces):
     rng = np.random.default_rng(0)
-    return [U._replace(local=U.local + 1e-5 * rng.normal(size=U.local.shape)) for U in spaces]
+    return spaces._replace(local=spaces.local + 1e-5 * rng.normal(size=spaces.local.shape))
 
 
 @pytest.mark.parametrize("plant,thin_kernels", [(drop_last_space, 0), (perturb_bases, 27)],
@@ -327,7 +327,7 @@ def test_pants_family_splits_F_into_one_dimension_per_joint_space(N, seed):
     e = rep.T.designated_edge
     family = qtrace.pants_family(rep, e)
     assert family == loop_traces(rep.algebra, [(1, 1), (5, 1), (e, 1)])
-    [spaces] = kernels.pants_spaces(rep, e, 1e-8)
+    spaces = kernels.pants_spaces(rep, e, 1e-8)
     assert (spaces.count, spaces.dim) == (N ** 3, N)
     U = dense_bases(spaces)
     # each basis is orthonormal, and together they fill C^n
@@ -345,6 +345,18 @@ def test_pants_family_splits_F_into_one_dimension_per_joint_space(N, seed):
     assert np.all(np.sum(cosines > 1 - 1e-8, axis=1) == 1)
 
 
+@pytest.mark.parametrize("N", [3, 5])
+def test_each_pants_level_is_one_joint_spaces(N):
+    # refined one family operator at a time, each level is one JointSpaces:
+    # N spaces of dim N^3, then N^2 of dim N^2, then N^3 of dim N
+    rep = float_genus2_rep(N, 0)
+    ops = [rep.operator(a) for a in qtrace.pants_family(rep, rep.T.designated_edge)]
+    levels = [scalars.joint_spaces(ops[:k], kernels.EIGEN_TOL, 1e-8) for k in (1, 2, 3)]
+    assert all(isinstance(spaces, scalars.JointSpaces) for spaces in levels)
+    assert [(spaces.count, spaces.dim) for spaces in levels] == \
+        [(N, N ** 3), (N ** 2, N ** 2), (N ** 3, N)]
+
+
 def test_a_loop_that_adds_no_translation_leaves_the_spaces_as_they_are():
     # (3,2) commutes with the family but adds no translation to (1,1): it is
     # a different scalar on each (1,1) space, so its level splits none of
@@ -353,15 +365,15 @@ def test_a_loop_that_adds_no_translation_leaves_the_spaces_as_they_are():
     rep = float_genus2_rep(3, 2)
     alg, e = rep.algebra, rep.T.designated_edge
     ops = [rep.operator(a) for a in loop_traces(alg, [(1, 1), (3, 2), (5, 1), (e, 1)])]
-    [first] = scalars.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
-    [second] = scalars.joint_spaces(ops[:2], kernels.EIGEN_TOL, 1e-8)
+    first = scalars.joint_spaces(ops[:1], kernels.EIGEN_TOL, 1e-8)
+    second = scalars.joint_spaces(ops[:2], kernels.EIGEN_TOL, 1e-8)
     assert (second.count, second.dim) == (first.count, first.dim) == (3, 27)
     assert np.array_equal(second.local, first.local)
-    [spaces] = scalars.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
-    [pants] = scalars.joint_spaces(ops[:1] + ops[2:], kernels.EIGEN_TOL, 1e-8)
+    spaces = scalars.joint_spaces(ops, kernels.EIGEN_TOL, 1e-8)
+    pants = scalars.joint_spaces(ops[:1] + ops[2:], kernels.EIGEN_TOL, 1e-8)
     assert (spaces.count, spaces.dim) == (27, 3)
     assert np.array_equal(spaces.local, pants.local)
-    F = kernels.eigenspace_kernel([spaces], rep.operator(alg.offdiag_Q(0)), 1e-8)
+    F = kernels.eigenspace_kernel(spaces, rep.operator(alg.offdiag_Q(0)), 1e-8)
     assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-8), 1e-8)
 
 
@@ -372,7 +384,7 @@ def test_the_family_of_K1_alone_gives_the_eigenspaces_of_rho_K1(N):
     # dense rho[K1] give
     rep = float_genus2_rep(N, 3)
     tr1, _ = qtrace.pushoff_pair(rep.algebra, rep.T.designated_edge)
-    [spaces] = scalars.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
+    spaces = scalars.joint_spaces([rep.operator(tr1)], kernels.EIGEN_TOL, 1e-8)
     assert spaces.local.shape == (N ** 2, N ** 2, N, N)
     A = rep.apply(tr1)
     clusters = eigen_analysis(A, "float")
@@ -408,7 +420,9 @@ def test_difference_kernel_finds_a_planted_kernel(blocks, seed):
     B = S @ (np.diag(lam) - cut) @ S_inv
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
         K = eigenspace_kernel(float_eigenspaces(A, 1e-8), diagonals(A - B), 1e-8)
-    assert mk.call_count == len(blocks)  # one per eigenspace, no dense fallback
+    # one per eigenspace, no dense fallback, when the eigenspaces have one
+    # dimension; otherwise there are no joint spaces, and one dense kernel
+    assert mk.call_count == (len(blocks) if len({m for m, _ in blocks}) == 1 else 1)
     assert K.dim == sum(m - r for m, r in blocks)
     assert K.equals(matrix_kernel(A - B, 1e-8), 1e-8)
 

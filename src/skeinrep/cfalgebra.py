@@ -19,7 +19,7 @@ from operator import add, mul
 
 from . import intlinalg as il
 from .errors import (IndexOutOfRange, Inadmissible, MixedAlgebra, NotBalanced,
-                     OmegaIntegralityError)
+                     NotMonomial, OmegaIntegralityError)
 from .scalars import ExactScalars
 from .triangulation import Triangulation
 
@@ -259,7 +259,6 @@ class QTElement:
 
     def monomial_data(self):
         if not self.is_monomial():
-            from .errors import NotMonomial
             raise NotMonomial("element has several terms")
         return next(iter(self.terms.items()))
 

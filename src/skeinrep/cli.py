@@ -14,9 +14,8 @@ import sys
 
 from .cfalgebra import CFAlgebra
 from .errors import ParseError, SkeinrepError
-from .kernels import (eigen_analysis, offdiag_kernel, sample_generic_weights,
+from .kernels import (offdiag_kernel, pants_spaces, sample_generic_weights,
                       total_kernel)
-from .qtrace import LoopSpec, edge_parallel_trace
 from .representation import WeightSystem, build_rep
 from .triangulation import Triangulation, standard_library
 from .verify import SUITES
@@ -146,12 +145,10 @@ def cmd_kernels(args) -> int:
         offdiag_kernel(rep, v, tol=args.tol).dim for v in range(T.num_vertices)]
     g = T.genus
     bound = N ** (3 * (g - 1)) if g >= 2 else (N if g == 1 else 1)
-    eigen = []
-    if T.designated_edge is not None and rep.weights.mode == "float":
-        tr = edge_parallel_trace(rep.algebra,
-                                 LoopSpec.edge_parallel(T.designated_edge, 1))
-        for lam, mult in eigen_analysis(rep.apply(tr), "float"):
-            eigen.append({"value": [lam.real, lam.imag], "multiplicity": mult})
+    # rho[K1]'s spectrum from the pants spaces of F, if there are any
+    spaces = None if T.designated_edge is None else pants_spaces(rep, T.designated_edge, args.tol)
+    eigen = [{"value": [lam.real, lam.imag], "multiplicity": mult}
+             for lam, mult in (spaces.spectrum() if spaces is not None else [])]
     report = {
         "dim": rep.dim,
         "per_vertex_dims": per_vertex,

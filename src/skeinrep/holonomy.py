@@ -8,6 +8,7 @@ homogeneous coordinates throughout so degeneracies are detected exactly.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,7 +167,6 @@ def random_enhancement(T: Triangulation, seed: int) -> DevelopedTriangulation:
 
 def weights_from_development(D: DevelopedTriangulation, N: int) -> WeightSystem:
     """Float weight system with u_i a 2N-th root of the crossratio weight."""
-    import cmath
     u = []
     for e in range(D.T.num_edges):
         x = crossratio_weight(D, e)
@@ -185,7 +185,6 @@ def vertex_holonomy(W: WeightSystem, v: int, sqrt_choices=None) -> Mat2:
     if W.u is not None:
         z = [ui ** W.N for ui in W.u]   # (u^N)^2 = x
     else:
-        import cmath
         z = [cmath.sqrt(complex(xi)) for xi in W.x]
     if sqrt_choices is not None:
         z = [(-zi if s < 0 else zi) for zi, s in zip(z, sqrt_choices)]

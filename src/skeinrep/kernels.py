@@ -1,4 +1,4 @@
-"""Off-diagonal kernels, eigen-analysis and generic weight sampling.
+"""Off-diagonal kernels, the spectrum of rho[K1] and generic weight sampling.
 
 A matrix's type picks how its kernel is computed: a list of exact rows by
 Gaussian elimination over the cyclotomic field (division is exact, so no
@@ -21,9 +21,10 @@ into cosets of a larger subgroup, and each joint space splits by the
 loop's restriction to it on each coset.  The levels are N spaces of
 dimension N^3, N^2 of dimension N^2 and N^3 of dimension N, each of the
 last meeting F in one dimension.  A split into spaces of unequal
-dimensions is refused, and the level before is kept (none at the first
-operator); a family of one operator gives its eigenspaces when they all
-have one dimension.
+dimensions is refused, and then there are none; so spaces end with
+rho[K1]'s level, and their spectrum (JointSpaces.spectrum) is rho[K1]'s,
+with no dense rho[K1].  A family of one operator gives its eigenspaces
+when they all have one dimension.
 
 - F = ker mu(Q_v), the total kernel (total_kernel), is the sum of the
   U ker(mu(Q_v) U): N^3 kernels of thin n x N matrices.  F splits so
@@ -155,10 +156,11 @@ def pants_spaces(rep: CFRep, edge: int, tol: float):
     """The joint eigenspaces of the pants family of edge (qtrace.pants_family)
     on a float representation, in block form (scalars.joint_spaces
     at EIGEN_TOL, cut at tol: a JointSpaces or None), computed once per
-    representation, edge and tol and kept in rep.spectra: F (total_kernel)
-    and ker D (qtrace.sweep_check) share them.  None for exact weights, whose
-    eigenvalues are not computed, so no family is built for them.  Callers
-    must not modify them."""
+    representation, edge and tol and kept in rep.spectra: F (total_kernel),
+    ker D (qtrace.sweep_check) and rho[K1]'s spectrum share them.  None
+    when a level is refused, and for exact weights, whose eigenvalues are
+    not computed, so no family is built for them.  Callers must not modify
+    them."""
     if rep.weights.mode != "float":
         return None
     if (edge, tol) not in rep.spectra:
@@ -179,8 +181,8 @@ def offdiag_kernel(rep: CFRep, v: int, start: int = 0,
 
 def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Intersection F of the off-diagonal kernels over all vertices, computed
-    once per representation and tolerance; callers share the returned
-    Subspace and must not modify its basis.
+    once per representation and float tolerance (exact F has none); callers
+    share the returned Subspace and must not modify its basis.
 
     On a one-vertex triangulation with a designated separating edge,
     F = ker mu(Q_v) is eigenspace_kernel of mu(Q_v) in the pants spaces
@@ -194,7 +196,8 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     weights, which have no pants spaces, this is the kernel of the dense
     mu(Q_v).  Every other representation takes the kernel of its stacked
     dense mu(Q_v)."""
-    if tol not in rep.total_kernels:
+    key = tol if rep.weights.mode == "float" else None
+    if key not in rep.total_kernels:
         T, alg = rep.T, rep.algebra
         if T.num_vertices == 1 and T.designated_edge is not None:
             F = eigenspace_kernel(pants_spaces(rep, T.designated_edge, tol),
@@ -202,13 +205,14 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
         else:
             F = matrix_kernel(rep.ctx.stack([rep.apply(alg.offdiag_Q(v))
                                              for v in range(T.num_vertices)]), tol)
-        rep.total_kernels[tol] = F
-    return rep.total_kernels[tol]
+        rep.total_kernels[key] = F
+    return rep.total_kernels[key]
 
 
 def eigen_analysis(M, mode: str, tol: float = EIGEN_TOL):
     """Eigenvalues with multiplicities of a dense matrix; verifies
-    diagonalizability.
+    diagonalizability.  The dense reference kept for the benchmark and the
+    tests; no library code calls it.
 
     Only mode "float" computes them: it clusters the eigenvalue cloud at the
     given tolerance and checks that each geometric multiplicity is the

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import scalars
 from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
-from .errors import (BadState, NotCommuting, NotOneVertex, NotScalar,
-                     NotSeparating)
+from .errors import (BadState, IndexOutOfRange, NotCommuting, NotOneVertex,
+                     NotScalar, NotSeparating)
 from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, eigenspace_kernel,
                       pants_spaces, residual_bound, total_kernel)
 from .representation import CFRep, WeightSystem
@@ -152,7 +152,6 @@ def corner_arc_factor(algebra: CFAlgebra, v: int, corner: int, state: str) -> QT
     fan = algebra.T.fans[v]
     u = len(fan)
     if not 0 <= corner < u:
-        from .errors import IndexOutOfRange
         raise IndexOutOfRange(f"corner must lie in [0, {u})")
     i_edge = fan.edges[corner]
     k_prev = fan.star_boundary[(corner - 1) % u]

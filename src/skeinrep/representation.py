@@ -26,7 +26,7 @@ from . import intlinalg as il
 from . import scalars
 from .cfalgebra import CFAlgebra, QTElement, SignReversalClass
 from .errors import (DimensionMismatch, InconsistentCenter, NotScalar,
-                     ZeroWeight)
+                     ParseError, ZeroWeight)
 from .triangulation import Triangulation
 
 
@@ -96,7 +96,6 @@ class WeightSystem:
 
     @staticmethod
     def from_json(T: Triangulation, text: str) -> "WeightSystem":
-        from .errors import ParseError
         try:
             data = json.loads(text)
             N = data["N"]
@@ -126,7 +125,7 @@ class CFRep:
         self.sign = None  # SignReversalClass, set by precompose_sign_reversal
         self.ctx = weights.ctx
         self.lattice = algebra.lattice
-        self.total_kernels = {}  # tol -> Subspace, filled by kernels.total_kernel
+        self.total_kernels = {}  # tol (None if exact) -> Subspace, kernels.total_kernel
         self.spectra = {}  # (edge, tol) -> joint eigenspaces, kernels.pants_spaces
         self._setup_factors()
         self._solve_character()

@@ -68,11 +68,12 @@ block, one m for all spaces and components, so that each level is one
 JointSpaces (comps and local).  The next operator's translations join the
 components r at a time into the cosets of a larger subgroup, and its
 r m x r m restrictions to each space on each joined component, clustered
-and cut as one batch, split every space.  A split is kept when every new
-space meets every joined component in one and the same number of columns
-and the new spaces fill the joined components; otherwise, new spaces of
-unequal dimensions among them, the spaces stay those of the level before,
-and None comes back when the first operator already fails.  Every level
+and cut as one batch, split every space, each new space keeping its
+cluster's eigenvalue.  A split is kept when every new space meets every
+joined component in one and the same number of columns and the new spaces
+fill the joined components; otherwise, new spaces of unequal dimensions
+among them, there are no spaces (None).  So spaces end with the last
+operator's level, and their values are its spectrum.  Every level
 of the pants family of genus2_sep is uniform, as each pants curve has N
 eigenvalues of equal multiplicity.
 For the pants family of genus2_sep there are N^3 spaces of dimension N,
@@ -333,10 +334,12 @@ class JointSpaces(NamedTuple):
     block on the indices comps[c].  So all J spaces have dimension C m, and
     a space's basis has n m entries against n C m dense.  The spaces are
     the last axis, so that a scatter moves the entries of a chunk of spaces
-    together."""
+    together.  values[j] is the eigenvalue on space j of the operator that
+    split it last, a representative of _clusters (_refine)."""
 
     comps: np.ndarray
     local: np.ndarray
+    values: np.ndarray
 
     @property
     def n(self) -> int:
@@ -350,6 +353,13 @@ class JointSpaces(NamedTuple):
     def dim(self) -> int:
         C, _, m, _ = self.local.shape
         return C * m
+
+    def spectrum(self) -> list:
+        """[(lam, dim times the number of spaces with lam)] over the values,
+        in the order of _clusters."""
+        lams, counts = np.unique(self.values, return_counts=True)
+        order = np.lexsort((lams.imag.round(8), lams.real.round(8)))
+        return [(complex(lams[i]), int(counts[i]) * self.dim) for i in order]
 
     def chunks(self) -> list:
         """Slices of the spaces, each with at most CHUNK entries of dense
@@ -392,8 +402,8 @@ class JointSpaces(NamedTuple):
 def _refine(spaces, op, tol: float, rank_tol: float):
     """The JointSpaces spaces split by op, an operator whose terms
     translate the index group and which commutes with the operators of
-    spaces, so that it preserves each of them: again a JointSpaces, or None
-    when the split is not uniform.
+    spaces, so that it preserves each of them: again a JointSpaces (values
+    op's eigenvalues), or None when the split is not uniform.
 
     op's translations join the components r at a time into cosets of the
     larger subgroup.  On space j and a joined component, op restricts to an
@@ -432,8 +442,9 @@ def _refine(spaces, op, tol: float, rank_tol: float):
         R[new_of, slot[target], slot] += np.einsum("casj,catj->cjst", moved.conj(), scaled)
     R = R.transpose(3, 0, 1, 4, 2, 5).reshape(J, len(groups), r * m, r * m)
     # (dims (J, C'), vh) of R - lam per cluster lam
+    clusters = _clusters([R], tol)
     null = []
-    for lam, _ in _clusters([R], tol):
+    for lam, _ in clusters:
         sv, vh = np.linalg.svd(R - lam * np.eye(r * m))[1:]
         null.append((np.sum(sv <= _cut(sv, rank_tol), axis=-1), vh))
     d = np.stack([dims for dims, _ in null], axis=-1)  # d[j, c, i]: space (j, lam_i) on c
@@ -451,22 +462,22 @@ def _refine(spaces, op, tol: float, rank_tol: float):
         local[..., at] = np.einsum("cqasj,jcqsd->cqadj", blocks[..., js[at]],
                                    v.reshape(at.size, len(groups), r, m, k))
     return JointSpaces(comps[groups].reshape(len(groups), r * s),
-                       local.reshape(len(groups), r * s, k, len(js)))
+                       local.reshape(len(groups), r * s, k, len(js)),
+                       np.array([lam for lam, _ in clusters])[lams])
 
 
 def joint_spaces(ops, tol, rank_tol):
     """The joint eigenspaces of the commuting float operators ops in block
     form, a JointSpaces, refined by each operator in turn from the whole
-    space (_refine at tol and rank_tol): the last level that splits
-    uniformly, or None when the first does not."""
+    space (_refine at tol and rank_tol), or None when a level does not split
+    uniformly."""
     n = len(ops[0][0][0])
-    level = JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex))
-    spaces = None
+    spaces = JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex),
+                         np.ones(1, dtype=complex))
     for op in ops:
-        level = _refine(level, op, tol, rank_tol)
-        if level is None:
-            break
-        spaces = level
+        spaces = _refine(spaces, op, tol, rank_tol)
+        if spaces is None:
+            return None
     return spaces
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cfalgebra import CFAlgebra, SignReversalClass
-from .errors import SamplerExhausted, SkeinrepError
-from .kernels import (EIGEN_TOL, eigen_analysis, matrix_kernel,
+from .errors import SamplerExhausted
+from .kernels import (EIGEN_TOL, matrix_kernel, pants_spaces,
                       sample_generic_weights, total_kernel)
 from .moves import (LocalizedElement, are_isomorphic, flip, flip_weights, phi,
                     subdivide, subdivision_weights, theta)
@@ -333,48 +333,35 @@ def sphere_checks(N):
             Check("sphere-annihilates-offdiag", ok, "mu(Q_v) = 0 at all three vertices")]
 
 
-def genus2_dimension_checks(reps, tol):
-    """dim E = N^4 and dim F = N^3 on every representation of reps, an
-    iterable read once."""
-    dims = [(rep.N, rep.dim, total_kernel(rep, tol).dim) for rep in reps]
-    N = dims[0][0]
-    return [Check("genus2-rep-dim", all(d == N ** 4 for _, d, _ in dims),
-                  f"dim E = {N ** 4}, {len(dims)} samples"),
-            Check("genus2-kernel-dim", all(f == N ** 3 for _, _, f in dims),
-                  f"dim F = {N ** 3}")]
-
-
-def genus2_eigen_check(reps, tol):
-    """rho[K1] has N eigenvalues of multiplicity dim E / N solving
-    T_N(x) = -trace, on every representation of reps, an iterable read
-    once."""
-    ok = True
+def genus2_checks(reps, tol):
+    """dim E = N^4, dim F = N^3 and rho[K1] with N eigenvalues of multiplicity
+    dim E / N solving T_N(x) = -trace within EIGEN_TOL, on every
+    representation of reps, an iterable read once.  The spectrum is that of
+    the pants spaces F was taken in, which fill the space, so rho[K1] is
+    diagonalizable; with no spaces the eigen check fails."""
+    dims, eigen_ok = [], True
     for rep in reps:
-        alg, N, TN = rep.algebra, rep.N, chebyshev(rep.N)
-        tr = pushoff_pair(alg, rep.T.designated_edge)[0]
-        tau = classical_trace(alg, tr, rep.weights)
-        try:
-            eig = eigen_analysis(rep.apply(tr), "float", tol=tol)
-        except SkeinrepError:
-            ok = False
-            continue
-        ok = ok and sorted(m for _, m in eig) == [N ** 3] * N and \
-            all(abs(TN.eval_scalar(lam) + tau) < tol for lam, _ in eig)
-    return Check("genus2-eigen-structure", ok,
-                 f"{N} eigenvalues solving T_N(x) = -trace, multiplicity {N ** 3}")
+        alg, N, edge = rep.algebra, rep.N, rep.T.designated_edge
+        dims.append((rep.dim, total_kernel(rep, tol).dim))
+        spaces = pants_spaces(rep, edge, tol)
+        eig = [] if spaces is None else spaces.spectrum()
+        tau = classical_trace(alg, pushoff_pair(alg, edge)[0], rep.weights)
+        eigen_ok = eigen_ok and sorted(m for _, m in eig) == [N ** 3] * N and \
+            all(abs(chebyshev(N).eval_scalar(lam) + tau) < EIGEN_TOL for lam, _ in eig)
+        del rep, spaces  # so that one F (N^4 x N^3) is alive at a time
+    return [Check("genus2-rep-dim", all(d == N ** 4 for d, _ in dims),
+                  f"dim E = {N ** 4}, {len(dims)} samples"),
+            Check("genus2-kernel-dim", all(f == N ** 3 for _, f in dims),
+                  f"dim F = {N ** 3}"),
+            Check("genus2-eigen-structure", eigen_ok,
+                  f"{N} eigenvalues solving T_N(x) = -trace, multiplicity {N ** 3}")]
 
 
 def suite_genus2(N, rng, tol):
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, N)
     weights = [sample_generic_weights(T, N, rng) for _ in range(20)]
-
-    def reps():
-        # each check builds the representations anew and drops each in turn,
-        # so that one total kernel F (N^4 x N^3) is alive at a time
-        return (build_rep(T, N, W, algebra=alg) for W in weights)
-
-    return genus2_dimension_checks(reps(), tol) + [genus2_eigen_check(reps(), EIGEN_TOL)]
+    return genus2_checks((build_rep(T, N, W, algebra=alg) for W in weights), tol)
 
 
 # ---- sweep and threading ----

@@ -212,19 +212,19 @@ def test_eigenspaces_of_equal_dimensions_on_cosets_match_dense(seed):
     assert_eigenspaces_match_dense(M, [tuple(range(c, 18, 3)) for c in range(3)])
 
 
-def assert_the_level_before_is_kept(M, kernel_dim):
-    """The joint spaces of the identity and then M, whose split is refused,
-    are the one space of the identity, in which ker (M - 1) is still
-    found."""
+def assert_a_refused_split_leaves_no_spaces(M, kernel_dim):
+    """The identity splits off the one whole space, but the joint spaces of
+    the identity and then M, whose split is refused, are none, and
+    ker (M - 1) is found as the dense kernel."""
     ops = [[(np.arange(18), np.ones(18, dtype=complex))], nonzero_diagonals(M)]
     first = scalars.joint_spaces(ops[:1], 1e-6, 1e-9)
+    assert (first.count, first.dim) == (1, 18)
     spaces = scalars.joint_spaces(ops, 1e-6, 1e-9)
-    assert (spaces.count, spaces.dim) == (first.count, first.dim) == (1, 18)
-    assert np.array_equal(spaces.local, first.local)
+    assert spaces is None
     shifted = M - np.eye(18)
     with mock.patch.object(kernels, "matrix_kernel", wraps=kernels.matrix_kernel) as mk:
         K = eigenspace_kernel(spaces, nonzero_diagonals(shifted), 1e-8)
-    assert mk.call_count == 1  # the one space, no dense fallback
+    assert mk.call_count == 1  # the dense fallback, one kernel
     assert K.dim == kernel_dim and K.equals(kernels.matrix_kernel(shifted, 1e-8), 1e-8)
 
 
@@ -236,7 +236,7 @@ def test_a_split_that_is_not_uniform_stops_at_the_level_before():
     rng = np.random.default_rng(0)
     uneven, even = [1.0] * 3 + [2j] * 2 + [-1.5 + 0.5j], [1.0, 2j, -1.5 + 0.5j] * 2
     M = on_cosets([diagonalizable(rng, rng.permutation(s)) for s in (uneven, uneven, even)])
-    assert_the_level_before_is_kept(M, 8)
+    assert_a_refused_split_leaves_no_spaces(M, 8)
 
 
 def test_a_split_into_unequal_dimensions_stops_at_the_level_before():
@@ -245,7 +245,7 @@ def test_a_split_into_unequal_dimensions_stops_at_the_level_before():
     # one JointSpaces does not hold
     M, _ = uneven_cosets(np.random.default_rng(0))
     assert scalars.joint_spaces([nonzero_diagonals(M)], 1e-6, 1e-9) is None
-    assert_the_level_before_is_kept(M, 9)
+    assert_a_refused_split_leaves_no_spaces(M, 9)
 
 
 def test_block_rank_cuts_at_the_global_largest_singular_value():

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from skeinrep import scalars, verify
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.cli import SUITES, main
 from skeinrep.errors import ParseError, SamplerExhausted
-from skeinrep.representation import WeightSystem
+from skeinrep.kernels import (offdiag_kernel, pants_spaces, sample_generic_weights,
+                              total_kernel)
+from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_torus_weights, suite_signrev
 
@@ -217,6 +220,46 @@ def test_kernels_genus2_sampled(capsys, monkeypatch):
         assert report["per_vertex_dims"] == [27]
     # and no 81 x 81 kernel is taken, only thin ones in the joint spaces
     assert shapes and all(shape[0] == 81 and shape[1] < 81 for shape in shapes)
+
+
+def test_no_push_off_is_made_dense(monkeypatch, capsys):
+    # rho[K1]'s spectrum comes from the pants spaces F was taken in, so
+    # neither the genus-2 suite nor the kernels report makes a dense image
+    calls = []
+    original = CFRep.apply
+    monkeypatch.setattr(CFRep, "apply", lambda rep, a: calls.append(a) or original(rep, a))
+    assert all(c.passed for c in verify.suite_genus2(3, random.Random(0), 1e-8))
+    assert main(["kernels", "--name", "genus2_sep", "--N", "3", "--seed", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [e["multiplicity"] for e in report["eigen"]] == [27, 27, 27]
+    assert calls == []
+
+
+def test_a_family_refused_at_rho_K1s_level_has_no_spectrum(monkeypatch, capsys):
+    # at N=3 the level before rho[K1]'s has N^2 = 9 spaces; refusing their
+    # split leaves no pants spaces: F is then the dense kernel, the eigen
+    # check fails and the kernels report has no eigenvalues
+    refused = []
+    original = scalars._refine
+
+    def refine(spaces, *args):
+        if spaces.count == 9:
+            refused.append(spaces)
+            return None
+        return original(spaces, *args)
+
+    monkeypatch.setattr(scalars, "_refine", refine)
+    T = standard_library("genus2_sep")
+    rep = build_rep(T, 3, sample_generic_weights(T, 3, random.Random(0)))
+    assert pants_spaces(rep, T.designated_edge, 1e-8) is None and refused
+    F = total_kernel(rep, 1e-8)
+    assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-8), 1e-8)
+    assert [(c.name, c.passed) for c in verify.genus2_checks([rep], 1e-8)] == [
+        ("genus2-rep-dim", True), ("genus2-kernel-dim", True),
+        ("genus2-eigen-structure", False)]
+    assert main(["kernels", "--name", "genus2_sep", "--N", "3", "--seed", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["eigen"] == [] and report["total_dim"] == 27
 
 
 def test_verify_sphere_and_exit_codes(capsys):

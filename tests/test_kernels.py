@@ -192,6 +192,20 @@ def test_exact_total_kernel_makes_one_dense_matrix():
     assert [call.args[1] for call in operator.call_args_list] == [alg.offdiag_Q(0)]
 
 
+def test_exact_total_kernel_is_computed_once_for_every_tol():
+    # no tolerance enters exact elimination: a second tol, and the sweep
+    # check at it, share F and build no second dense mu(Q_v)
+    T = standard_library("genus2_sep")
+    alg = CFAlgebra(T, 3)
+    rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)
+    F = total_kernel(rep)
+    with mock.patch.object(scalars.ExactArithmetic, "dense", autospec=True,
+                           side_effect=scalars.ExactArithmetic.dense) as dense:
+        assert total_kernel(rep, 1e-3) is F
+        assert sweep_check(rep, T.designated_edge, 1e-8)["passed"]
+    assert dense.call_count == 0
+
+
 def test_kernel_start_independent(genus2_rep):
     base = offdiag_kernel(genus2_rep, 0, start=0)
     for start in (3, 7, 11, 17):
@@ -391,6 +405,19 @@ def test_the_family_of_K1_alone_gives_the_eigenspaces_of_rho_K1(N):
     for (lam, m), V in zip(clusters, np.moveaxis(dense_bases(spaces), -1, 0)):
         assert m == spaces.dim == N ** 3
         assert np.abs(A @ V - lam * V).max() < 1e-9
+
+
+@pytest.mark.parametrize("N,seed", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 0)])
+def test_the_pants_spectrum_is_the_dense_spectrum_of_rho_K1(N, seed):
+    # the eigenvalues kept on the last level of the pants spaces, against
+    # the dense eigen-analysis of rho[K1]: the same clusters in the same
+    # order, with the same multiplicities
+    rep = float_genus2_rep(N, seed)
+    edge = rep.T.designated_edge
+    got = kernels.pants_spaces(rep, edge, 1e-8).spectrum()
+    want = eigen_analysis(rep.apply(qtrace.pushoff_pair(rep.algebra, edge)[0]), "float")
+    assert [m for _, m in got] == [m for _, m in want] == [N ** 3] * N
+    assert all(abs(a - b) < 1e-12 for (a, _), (b, _) in zip(got, want))
 
 
 def random_unitary(rng, n):

@@ -102,7 +102,7 @@ def cmd_info(args) -> int:
         "faces": T.num_faces,
         "combinatorial": T.is_combinatorial(),
         "sigma": [list(r) for r in T.sigma_matrix()],
-        "fans": [list(f.edges) for f in T.vertex_fans()],
+        "fans": [list(f.edges) for f in T.fans],
         "balanced_rank": lat.rank,
         "balanced_index": lat.index_in_ZE,
     }
@@ -111,7 +111,7 @@ def cmd_info(args) -> int:
     print("sigma:")
     for row in T.sigma_matrix():
         print("  " + " ".join(f"{v:3d}" for v in row))
-    for fan in T.vertex_fans():
+    for fan in T.fans:
         print(f"fan v{fan.vertex}: {list(fan.edges)}")
     print(f"balanced lattice: rank {lat.rank}, index {lat.index_in_ZE} in Z^E")
     _emit(report, args.out)

@@ -470,9 +470,6 @@ class CycloScalar:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.field.order)
         out = 0j

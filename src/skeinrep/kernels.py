@@ -172,11 +172,9 @@ def pants_spaces(rep: CFRep, edge: int, tol: float):
 
 # ---- kernel operations ----
 
-def offdiag_kernel(rep: CFRep, v: int, start: int = 0,
-                   tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """ker mu(Q_v); independent of the start position."""
-    Q = rep.algebra.offdiag_Q(v, start=start)
-    return matrix_kernel(rep.apply(Q), tol)
+def offdiag_kernel(rep: CFRep, v: int, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """ker mu(Q_v), which does not depend on where Q_v starts in the fan."""
+    return matrix_kernel(rep.apply(rep.algebra.offdiag_Q(v)), tol)
 
 
 def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:

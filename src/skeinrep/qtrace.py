@@ -4,6 +4,10 @@ Only loops with a complete closed form are supported: loops parallel to an
 edge of a one-vertex triangulation (drawn on one side of it), and the
 corner-arc factors appearing in the star-neighborhood expansion.  The general
 state sum for links with crossings is out of scope.
+
+T_N has one evaluator, the three-term recurrence of ChebyshevPoly, for
+numbers and algebra elements alike: threading a loop's trace costs N - 1
+algebra products.
 """
 
 from __future__ import annotations
@@ -39,31 +43,24 @@ class LoopSpec:
 # ---- Chebyshev polynomials ----
 
 class ChebyshevPoly:
-    """Normalized first-kind Chebyshev polynomial: T_N(2 cos t) = 2 cos Nt."""
+    """Normalized first-kind Chebyshev polynomial: T_N(2 cos t) = 2 cos Nt.
+
+    eval_scalar runs T_(k+1) = T_k x - T_(k-1) from T_0 = 2 and T_1 = x,
+    with N - 1 products by x, in x's own ring: complex numbers, Fractions,
+    CycloScalars or QTElements (x ** 0 is the one of that ring).  T_k is
+    the left factor because a QTElement product holds a list per term of
+    its right factor, and x has fewer terms than T_k."""
 
     def __init__(self, N: int):
         if N < 0:
             raise ValueError("N must be nonnegative")
         self.N = N
-        a, b = [2], [0, 1]  # T_0, T_1
-        if N == 0:
-            self.coeffs = a
-            return
-        for _ in range(N - 1):
-            c = [0] + b  # x * T_n
-            for i, v in enumerate(a):
-                c[i] -= v
-            a, b = b, c
-        self.coeffs = b
-
-    def odd_degrees_only(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
 
     def eval_scalar(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        lo, hi = 2 * x ** 0, x
+        for _ in range(self.N - 1):
+            lo, hi = hi, hi * x - lo
+        return hi if self.N else lo
 
 
 def chebyshev(N: int) -> ChebyshevPoly:
@@ -266,15 +263,7 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
 def element_chebyshev(a: QTElement, N: int) -> QTElement:
     """T_N(a) inside the algebra (integer coefficients, so this commutes
     with any representation)."""
-    alg = a.algebra
-    poly = chebyshev(N).coeffs
-    out = alg.zero()
-    power = alg.one()
-    for c in poly:
-        if c:
-            out = out + power.scale(c)
-        power = power * a
-    return out
+    return chebyshev(N).eval_scalar(a)
 
 
 def threading_check(rep: CFRep, loop: LoopSpec, tol: float = EIGEN_TOL) -> dict:

@@ -151,9 +151,6 @@ class Triangulation:
             h[e] += 1
         return h
 
-    def vertex_fans(self) -> tuple[VertexFan, ...]:
-        return self.fans
-
     def sigma_matrix(self):
         """Antisymmetric matrix sigma_ij = a_ij - a_ji with a_ij the number of
         corners at which an end of e_j immediately succeeds an end of e_i."""

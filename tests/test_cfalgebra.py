@@ -411,7 +411,7 @@ def split_root_loop(alg, c):
     the product is a positive rational."""
     for j in range(4 * alg.N):
         r = c * alg.omega(-j)
-        if r.is_rational() and r.coeffs[0] > 0:
+        if not any(r.coeffs[1:]) and r.coeffs[0] > 0:
             return r.coeffs[0], j
     raise ValueError("coefficient is not rational times a power of omega")
 

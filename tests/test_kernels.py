@@ -154,7 +154,7 @@ def test_sign_reversed_copy_builds_its_own_spectrum(monkeypatch):
 
 
 def drop_last_space(spaces):
-    return spaces._replace(local=spaces.local[..., :-1])
+    return spaces._replace(local=spaces.local[..., :-1], values=spaces.values[:-1])
 
 
 def perturb_bases(spaces):
@@ -170,10 +170,18 @@ def test_total_kernel_falls_back_to_the_dense_kernel(monkeypatch, plant, thin_ke
     # than the residual bound, F is the dense kernel of mu(Q_v)
     rep = float_genus2_rep(3, 5)
     original = scalars.joint_spaces
-    monkeypatch.setattr(scalars, "joint_spaces", lambda *args: plant(original(*args)))
+    planted = []
+
+    def planted_spaces(*args):
+        planted.append(plant(original(*args)))
+        return planted[-1]
+
+    monkeypatch.setattr(scalars, "joint_spaces", planted_spaces)
     shapes = record_float_kernels(monkeypatch)
     F = total_kernel(rep, 1e-3)
     assert shapes == [(81, 3)] * thin_kernels + [(81, 81)]
+    assert planted and all(sum(mult for _, mult in spaces.spectrum()) == spaces.count * spaces.dim
+                           for spaces in planted)
     assert F.dim == 27 and F.equals(offdiag_kernel(rep, 0, tol=1e-3), 1e-3)
 
 
@@ -207,9 +215,10 @@ def test_exact_total_kernel_is_computed_once_for_every_tol():
 
 
 def test_kernel_start_independent(genus2_rep):
-    base = offdiag_kernel(genus2_rep, 0, start=0)
+    alg = genus2_rep.algebra
+    base = matrix_kernel(genus2_rep.apply(alg.offdiag_Q(0, start=0)))
     for start in (3, 7, 11, 17):
-        assert offdiag_kernel(genus2_rep, 0, start=start).equals(base)
+        assert matrix_kernel(genus2_rep.apply(alg.offdiag_Q(0, start=start))).equals(base)
 
 
 def test_kernel_not_invariant_under_whole_algebra(genus2_rep):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skeinrep import qtrace, scalars, verify
-from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
+from skeinrep.cfalgebra import CFAlgebra, QTElement, SignReversalClass
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating
 from skeinrep.kernels import sample_generic_weights, total_kernel
 from skeinrep.qtrace import (LoopSpec, chebyshev, corner_arc_factor,
@@ -29,17 +29,29 @@ def g2_rep(g2_alg):
 
 # ---- Chebyshev ----
 
+# T_0 ... T_5 by their coefficients, lowest degree first
+CHEBYSHEV_COEFFS = [[2], [0, 1], [-2, 0, 1], [0, -3, 0, 1], [2, 0, -4, 0, 1],
+                    [0, 5, 0, -5, 0, 1]]
+
+
+def power_sum(coeffs, x, zero=0):
+    return sum((c * x ** k for k, c in enumerate(coeffs) if c), zero)
+
+
 def test_chebyshev_small():
-    assert chebyshev(1).coeffs == [0, 1]
-    assert chebyshev(3).coeffs == [0, -3, 0, 1]
-    assert chebyshev(5).coeffs == [0, 5, 0, -5, 0, 1]
-    assert chebyshev(0).coeffs == [2]
+    for N, coeffs in enumerate(CHEBYSHEV_COEFFS):
+        for x in (-3, -1, 0, 1, 2, 7, Fraction(5, 2), Fraction(-4, 9)):
+            assert chebyshev(N).eval_scalar(x) == power_sum(coeffs, x)
+    with pytest.raises(ValueError):
+        chebyshev(-1)
 
 
 def test_chebyshev_odd_degrees():
-    for N in (1, 3, 5, 7, 9):
-        assert chebyshev(N).odd_degrees_only()
-    assert not chebyshev(4).odd_degrees_only()
+    def odd(n):
+        return all(chebyshev(n).eval_scalar(-x) == -chebyshev(n).eval_scalar(x)
+                   for x in range(n + 1))
+    assert all(odd(n) for n in range(1, 12, 2))
+    assert not odd(4)
 
 
 def test_chebyshev_trig():
@@ -314,6 +326,25 @@ def test_threaded_trace_built_once_per_algebra_and_loop(monkeypatch):
     assert len(calls) == 1
     threading_check(reps[0], LoopSpec.edge_parallel(T.designated_edge, 2))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_element_chebyshev_is_the_power_sum(N):
+    alg = CFAlgebra(standard_library("genus2_sep"), N)
+    for loop in (LoopSpec(4, 1), LoopSpec(4, 2), LoopSpec(0, 2)):
+        a = edge_parallel_trace(alg, loop)
+        assert qtrace.element_chebyshev(a, N) == power_sum(CHEBYSHEV_COEFFS[N], a, alg.zero())
+
+
+def test_element_chebyshev_makes_n_minus_one_products(monkeypatch):
+    alg = CFAlgebra(standard_library("genus2_sep"), 5)
+    a = edge_parallel_trace(alg, LoopSpec(0, 2))
+    calls = []
+    real = QTElement.__mul__
+    monkeypatch.setattr(QTElement, "__mul__",
+                        lambda self, other: calls.append(1) or real(self, other))
+    qtrace.element_chebyshev(a, 5)
+    assert len(calls) == 4
 
 
 # ---- corner arcs ----

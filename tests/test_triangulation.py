@@ -52,7 +52,7 @@ def test_non_involution_rejected():
 
 def test_torus1_fan():
     T = tri.standard_library("torus1")
-    fans = T.vertex_fans()
+    fans = T.fans
     assert len(fans) == 1
     fan = fans[0]
     assert len(fan) == 6 == 2 * T.num_edges
@@ -64,14 +64,14 @@ def test_torus1_fan():
 
 def test_sphere2_fans():
     T = tri.standard_library("sphere2")
-    fans = T.vertex_fans()
+    fans = T.fans
     assert sorted(len(f) for f in fans) == [2, 2, 2]
     assert sum(len(f) for f in fans) == 2 * T.num_edges
 
 
 def test_genus2_fan():
     T = tri.standard_library("genus2_sep")
-    fans = T.vertex_fans()
+    fans = T.fans
     assert len(fans) == 1
     assert len(fans[0]) == 18 == 2 * T.num_edges
 
@@ -79,7 +79,7 @@ def test_genus2_fan():
 def test_fan_covers_each_corner_once():
     for name in LIBRARY:
         T = tri.standard_library(name)
-        slots = [s for fan in T.vertex_fans() for s in fan.slots]
+        slots = [s for fan in T.fans for s in fan.slots]
         assert sorted(slots) == list(range(3 * T.num_faces))
 
 

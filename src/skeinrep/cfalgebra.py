@@ -9,13 +9,20 @@ generators ordered by edge index, so the product rule is
 The Weyl ordering [Z^k] = omega^(-sum_{i<j} k_i k_j sigma_ij) Z^k is invariant
 under permutation of the factors and satisfies [Z^k][Z^l] = omega^(k.sigma.l)
 [Z^(k+l)] on the balanced lattice.
+
+QTArray is the array form of an element, for long chains of products with
+one short factor (the Chebyshev recurrence of qtrace): integer numpy
+kernels in place of one Python loop per pair of terms.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
+
+import numpy as np
 
 from . import intlinalg as il
 from .errors import (IndexOutOfRange, Inadmissible, MixedAlgebra, NotBalanced,
@@ -97,6 +104,16 @@ class CFAlgebra:
         step = 2 * self.scalars.omega_step
         row = [step * x for x in row]
         return [(tuple(map(add, k, l)), sum(map(mul, row, l))) for l in ls]
+
+    @cached_property
+    def _array_tables(self):
+        """(S, R) for QTArray products: S the n x n matrix with k S l the
+        zeta_L-exponent of product_twist(k, l), and R the L x phi(L) table
+        of x^k modulo Phi_L."""
+        S = np.zeros((self.n, self.n), dtype=np.int64)
+        for i, j, s in self._lower:
+            S[i, j] = 2 * self.scalars.omega_step * s
+        return S, np.array(self.scalars.field._root_powers, dtype=np.int64)
 
     def weyl_weight(self, k) -> int:
         """w(k) with [Z^k] = omega^(-w(k)) Z^k."""
@@ -285,6 +302,175 @@ class QTElement:
 
 def commutator_is_zero(a: QTElement, b: QTElement) -> bool:
     return (a * b - b * a).is_zero()
+
+
+# An int64 array is used only where every value and partial sum is proven to
+# stay within this bound; otherwise the same code runs on Python ints.
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _top(values) -> int:
+    """max |value|, and at least 1."""
+    return int(np.abs(values).max(initial=1))
+
+
+def _exact(values, bound: int):
+    """values as int64 while bound holds every value and partial sum made
+    from them, else as an object array of Python ints."""
+    return values if values.dtype == object or bound <= _INT64_MAX else values.astype(object)
+
+
+class QTArray:
+    """An element in array form: exps, a (terms x n) array of exponents;
+    codes, one exact integer per term; nums, a (terms x phi(L)) array of
+    numerators over one denominator den.
+
+    A code is k . strides, a mixed radix over a box of exponents (box =
+    (lo, hi)), so it is linear, code(k + l) = code(k) + code(l), and one to
+    one on the box.  A product whose factors could reach outside the box is
+    refused.  Arrays are int64 where a bound proves that no value or partial
+    sum overflows, and object arrays of Python ints otherwise; nothing is
+    hashed and nothing is a float.
+
+    Only x ** 0, int * x, x * y and x - y are supported.  Zero terms are
+    dropped and the rest keep the order that QTElement gives them, so
+    unpack() is, term for term and in order, the QTElement that the same
+    operations on QTElements make."""
+
+    def __init__(self, algebra: CFAlgebra, box, strides, exps, codes, nums, den: int):
+        self.algebra = algebra
+        self.box, self.strides = box, strides
+        self.exps, self.codes, self.nums, self.den = exps, codes, nums, den
+
+    @classmethod
+    def pack(cls, a: QTElement, reach: int, *others: QTElement) -> "QTArray":
+        """a in array form, over the box that holds every sum of at most
+        reach exponents of a and others: reach times their range in each
+        coordinate, 0 included."""
+        alg = a.algebra
+        S, R = alg._array_tables
+        lo, hi = [0] * alg.n, [0] * alg.n
+        for k in [*a.terms, *(k for b in others for k in b.terms)]:
+            lo, hi = list(map(min, lo, k)), list(map(max, hi, k))
+        lo, hi = [reach * x for x in lo], [reach * x for x in hi]
+        strides, size = [], 1
+        for l, h in zip(lo, hi):
+            strides.append(size)
+            size *= h - l + 1
+        # |code| < size; a twist k S l and its columns S l are at most
+        # n |k| max(|S|, L) with |k| at most top
+        top = max(map(abs, lo + hi))
+        small = max(size, alg.n * top * max(_top(S), len(R))) <= _INT64_MAX
+        dtype = np.int64 if small else object
+        exps = np.array(list(a.terms), dtype=dtype).reshape(len(a.terms), alg.n)
+        den = math.lcm(*(c.den for c in a.terms.values()))
+        rows = [[x * (den // c.den) for x in c.num] for c in a.terms.values()]
+        nums = np.array(rows, dtype=object).reshape(len(rows), R.shape[1])
+        if _top(nums) <= _INT64_MAX:
+            nums = nums.astype(np.int64)
+        strides = np.array(strides, dtype=dtype)
+        return cls(alg, (tuple(lo), tuple(hi)), strides, exps, exps @ strides, nums, den)
+
+    def unpack(self) -> QTElement:
+        make = self.algebra.scalars.field._make
+        return QTElement(self.algebra, {tuple(k): make(c, self.den) for k, c in
+                                        zip(self.exps.tolist(), self.nums.tolist())})
+
+    def _like(self, exps, codes, nums, den: int) -> "QTArray":
+        """An array over the same box, its zero terms dropped."""
+        keep = (nums != 0).any(axis=1)
+        return QTArray(self.algebra, self.box, self.strides, exps[keep], codes[keep],
+                       nums[keep], den)
+
+    def _check(self, other: "QTArray"):
+        if other.algebra is not self.algebra or other.box != self.box:
+            raise MixedAlgebra("operands over different algebras or boxes")
+
+    def __pow__(self, n: int) -> "QTArray":
+        """x ** 0, the one."""
+        if n != 0:
+            raise ValueError("a QTArray has only the power 0")
+        zero = np.zeros((1, self.algebra.n), dtype=self.exps.dtype)
+        one = self.algebra._array_tables[1][:1]
+        return self._like(zero, zero[:, 0], one, 1)
+
+    def __rmul__(self, c: int) -> "QTArray":
+        if not isinstance(c, int):
+            return NotImplemented
+        return self._like(self.exps, self.codes,
+                          _exact(self.nums, abs(c) * _top(self.nums)) * c, self.den)
+
+    def __sub__(self, other: "QTArray") -> "QTArray":
+        """self - other, keys merged as QTElement.__add__ merges them: self's
+        in order, then other's new ones in order."""
+        self._check(other)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        bound = _top(self.nums) * sa + _top(other.nums) * sb
+        a, b = _exact(self.nums, bound) * sa, _exact(other.nums, bound) * sb
+        hit = np.zeros(len(other.codes), dtype=bool)
+        if len(self.codes):
+            order = np.argsort(self.codes)
+            at = np.searchsorted(self.codes, other.codes, sorter=order)
+            at = order[at.clip(max=len(order) - 1)]
+            hit = self.codes[at] == other.codes
+            a[at[hit]] -= b[hit]
+        new = ~hit
+        return self._like(np.concatenate([self.exps, other.exps[new]]),
+                          np.concatenate([self.codes, other.codes[new]]),
+                          np.concatenate([a, -b[new]]), den)
+
+    def __mul__(self, other: "QTArray") -> "QTArray":
+        """The product by QTElement.__mul__'s rule, other being the short
+        factor.  Output keys are numbered in order of first appearance over
+        the pairs (term i of self, term j of other), row by row.  For each j
+        and each b x^v of its numerator (other._right), self's numerators,
+        rolled by the twists s_ij + v in Z[x]/(x^L - 1) and times b, are
+        added to the rows of their keys: a j meets each key at most once.
+        The rows are reduced modulo Phi_L once, through the L x phi(L) table
+        of x^k."""
+        if not isinstance(other, QTArray):
+            return NotImplemented
+        self._check(other)
+        lo, hi = self.box
+        if len(self.codes) and len(other.codes) and (
+                np.any(self.exps.min(0) + other.exps.min(0) < lo)
+                or np.any(self.exps.max(0) + other.exps.max(0) > hi)):
+            raise ValueError("the product leaves the exponent box")
+        _, R = self.algebra._array_tables
+        L, d = R.shape
+        columns, shifts, norm = other._right
+        keys, first, slot = np.unique((self.codes[:, None] + other.codes).ravel(),
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        slot = rank[slot].reshape(len(self.codes), len(other.codes))
+        twists = ((self.exps @ columns) % L).astype(np.int64)
+        # |acc| <= top norm, and a reduced row is at most d top norm max|R|
+        nums = _exact(self.nums, d * _top(self.nums) * norm * _top(R))
+        acc = np.zeros((len(keys), L), dtype=nums.dtype)
+        powers = np.arange(d)
+        for j, v, b in shifts:
+            acc[slot[:, j, None], (twists[:, j, None] + v + powers) % L] += nums * b
+        i, j = np.divmod(first[order], len(other.codes))
+        return self._like(self.exps[i] + other.exps[j], keys[order], acc @ R,
+                          self.den * other.den)
+
+    @cached_property
+    def _right(self):
+        """This element as a right factor: the columns S l mod L, one per
+        term l; (j, v, b) for each b x^v of term j's numerator in
+        Z[x]/(x^L - 1), one (j, k, g) when the term is g zeta^k; and the sum
+        of |b|."""
+        S, R = self.algebra._array_tables
+        root_log = self.algebra.scalars.field._root_log
+        shifts = []
+        for j, row in enumerate(self.nums.tolist()):
+            g = math.gcd(*row)
+            k = root_log.get(tuple(c // g for c in row))
+            shifts += [(j, k, g)] if k is not None else [(j, v, b) for v, b in enumerate(row) if b]
+        return (S @ self.exps.T) % len(R), shifts, sum(abs(b) for _, _, b in shifts)
 
 
 class SignReversalClass:

@@ -12,9 +12,12 @@ The field owns three fused loops:
 
 - `dot`, which sums u_j v_j in one unreduced integer array and reduces once;
 - `row_update`, the elimination step a - f b that skips the zero entries of b;
-- `twisted_products`, the quantum-torus product: for each output key it sums
-  a b zeta^s unreduced in Z[x]/(x^L - 1) over one common denominator, shifts
-  cyclically when a or b is a root of unity, and reduces modulo Phi_L once.
+- `twisted_products`, the quantum-torus product of QTElements: for each
+  output key it sums a b zeta^s unreduced in Z[x]/(x^L - 1) over one common
+  denominator, shifts cyclically when a or b is a root of unity, and reduces
+  modulo Phi_L once.  The long products of the Chebyshev recurrence do the
+  same on integer arrays (cfalgebra.QTArray), reducing through the table of
+  x^k modulo Phi_L, k < L, that every field keeps (`_root_powers`).
 
 Roots of unity zeta^k are recognised by a table lookup, which gives their
 inverses and discrete logarithms directly.  A complex-double evaluation

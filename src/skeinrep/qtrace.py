@@ -7,7 +7,9 @@ state sum for links with crossings is out of scope.
 
 T_N has one evaluator, the three-term recurrence of ChebyshevPoly, for
 numbers and algebra elements alike: threading a loop's trace costs N - 1
-algebra products.
+algebra products.  element_chebyshev runs it on the trace's array form
+(cfalgebra.QTArray), whose products are integer numpy kernels, and gives
+term for term, in the same order, what the recurrence on QTElements gives.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars
-from .cfalgebra import CFAlgebra, QTElement, commutator_is_zero
+from .cfalgebra import CFAlgebra, QTArray, QTElement, commutator_is_zero
 from .errors import (BadState, IndexOutOfRange, NotCommuting, NotOneVertex,
                      NotScalar, NotSeparating)
 from .kernels import (DEFAULT_RANK_TOL, EIGEN_TOL, eigenspace_kernel,
@@ -47,9 +49,10 @@ class ChebyshevPoly:
 
     eval_scalar runs T_(k+1) = T_k x - T_(k-1) from T_0 = 2 and T_1 = x,
     with N - 1 products by x, in x's own ring: complex numbers, Fractions,
-    CycloScalars or QTElements (x ** 0 is the one of that ring).  T_k is
-    the left factor because a QTElement product holds a list per term of
-    its right factor, and x has fewer terms than T_k."""
+    CycloScalars, QTElements or QTArrays (x ** 0 is the one of that ring).
+    T_k is the left factor and x, which has fewer terms, the right one: a
+    QTArray product takes one numpy step per term of its right factor, and
+    a QTElement product holds a list per term of it."""
 
     def __init__(self, N: int):
         if N < 0:
@@ -262,8 +265,9 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
 
 def element_chebyshev(a: QTElement, N: int) -> QTElement:
     """T_N(a) inside the algebra (integer coefficients, so this commutes
-    with any representation)."""
-    return chebyshev(N).eval_scalar(a)
+    with any representation), by the recurrence on a's array form, whose box
+    holds the exponents of every product of N terms of a."""
+    return chebyshev(N).eval_scalar(QTArray.pack(a, max(N, 1))).unpack()
 
 
 def threading_check(rep: CFRep, loop: LoopSpec, tol: float = EIGEN_TOL) -> dict:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from skeinrep.cfalgebra import (CFAlgebra, QTElement, SignReversalClass,
+from skeinrep.cfalgebra import (CFAlgebra, QTArray, QTElement, SignReversalClass,
                                 commutator_is_zero)
 from skeinrep.errors import (IndexOutOfRange, Inadmissible, MixedAlgebra,
                              NotBalanced)
@@ -144,6 +144,87 @@ def test_product_drops_cancelled_monomials(data):
     assert m not in ab.terms
     assert_same_product(ab, reference_product(a, b))
     assert len(ab.terms) == 2
+
+
+# ---- the array form against QTElement ----
+
+
+def packed(a, b):
+    """a and b in array form over one box that holds their products."""
+    return QTArray.pack(a, 2, b), QTArray.pack(b, 2, a)
+
+
+def assert_same_arrays(a, b):
+    """The array product, difference, int multiple and one of a and b are
+    the QTElement ones, term for term and in order."""
+    A, B = packed(a, b)
+    alg = a.algebra
+    for got, want in (((A * B).unpack(), a * b), ((B * A).unpack(), b * a),
+                      ((A - B).unpack(), a - b), ((B - A).unpack(), b - a),
+                      ((3 * A).unpack(), a.scale(3)), ((0 * A).unpack(), alg.zero()),
+                      ((A ** 0).unpack(), alg.one()), (A.unpack(), a)):
+        assert_same_product(got, want)
+
+
+@given(algebra_and_elements(2))
+def test_array_form_matches_qtelement(ab):
+    _, a, b = ab
+    assert_same_arrays(a, b)
+    assert_same_arrays(a, a.algebra.zero())
+    assert_same_arrays(a, a)
+
+
+@given(st.data())
+def test_array_product_drops_cancelled_monomials(data):
+    alg = data.draw(st.sampled_from(PRODUCT_ALGEBRAS))
+    field = alg.scalars.field
+    k1, l1, k2 = (data.draw(exponents(alg)) for _ in range(3))
+    assume(k1 != k2)
+    l2 = tuple(x + y - z for x, y, z in zip(k1, l1, k2))
+    g, h = (data.draw(coefficients(field)) for _ in range(2))
+    assume(not (g.is_zero() or h.is_zero()))
+    t = alg.product_twist(k1, l1) - alg.product_twist(k2, l2)
+    a = alg.monomial(k1, g) - alg.monomial(k2, g * alg.omega(t))
+    b = alg.monomial(l1, h) + alg.monomial(l2, h)
+    A, B = packed(a, b)
+    assert len((A * B).codes) == 2
+    assert_same_arrays(a, b)
+    assert (A - A).unpack().is_zero() and not len((A - A).codes)
+
+
+def test_array_form_leaves_int64_for_python_ints():
+    """A coefficient of 2^40 or more, or an exponent box above 2^63, moves
+    the numerators or the exponents and codes to Python ints, with the same
+    results."""
+    alg = PRODUCT_ALGEBRAS[2]
+    rng = random.Random(7)
+    field = alg.scalars.field
+    general = field.from_coeffs([Fraction(rng.randint(-9, 9), 5) for _ in range(field.degree)])
+    small = random_balanced_monomial(alg, rng) + random_balanced_monomial(alg, rng)
+    b = alg.monomial(next(iter(small.terms)), general) + random_balanced_monomial(alg, rng)
+    big, b = (small + b).scale(2 ** 40 + 1), b.scale(2 ** 40)
+    A, B = packed(big, b)
+    assert A.nums.dtype != object and A.exps.dtype != object
+    assert (A * B).nums.dtype == object and (B * A).nums.dtype == object
+    assert_same_arrays(big, b)
+    wide = alg.monomial([2 ** 61] + [0] * (alg.n - 1)) + b
+    A, B = packed(wide, b)
+    assert A.exps.dtype == object and A.codes.dtype == object
+    assert A.nums.dtype != object
+    assert_same_arrays(wide, b)
+    assert_same_arrays(wide.scale(2 ** 40), b)
+
+
+def test_array_product_stays_in_its_box(genus2_alg):
+    rng = random.Random(3)
+    a = random_balanced_monomial(genus2_alg, rng) + random_balanced_monomial(genus2_alg, rng)
+    A = QTArray.pack(a, 1)
+    with pytest.raises(ValueError):
+        A * A
+    with pytest.raises(MixedAlgebra):
+        QTArray.pack(a, 2) - A
+    with pytest.raises(ValueError):
+        A ** 2
 
 
 def test_monomial_inverse(torus_alg):

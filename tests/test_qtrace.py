@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skeinrep import qtrace, scalars, verify
-from skeinrep.cfalgebra import CFAlgebra, QTElement, SignReversalClass
+from skeinrep.cfalgebra import CFAlgebra, QTArray, SignReversalClass
 from skeinrep.errors import BadState, NotOneVertex, NotSeparating
 from skeinrep.kernels import sample_generic_weights, total_kernel
 from skeinrep.qtrace import (LoopSpec, chebyshev, corner_arc_factor,
@@ -340,11 +340,67 @@ def test_element_chebyshev_makes_n_minus_one_products(monkeypatch):
     alg = CFAlgebra(standard_library("genus2_sep"), 5)
     a = edge_parallel_trace(alg, LoopSpec(0, 2))
     calls = []
-    real = QTElement.__mul__
-    monkeypatch.setattr(QTElement, "__mul__",
+    real = QTArray.__mul__
+    monkeypatch.setattr(QTArray, "__mul__",
                         lambda self, other: calls.append(1) or real(self, other))
     qtrace.element_chebyshev(a, 5)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_element_chebyshev_is_the_qtelement_recurrence(N):
+    """The array form gives T_N(a) as the recurrence on QTElements does,
+    term for term and in order, on all 36 edge-parallel loops."""
+    alg = CFAlgebra(standard_library("genus2_sep"), N)
+    for e in range(alg.n):
+        for side in (1, 2):
+            a = edge_parallel_trace(alg, LoopSpec(e, side))
+            got, want = qtrace.element_chebyshev(a, N), chebyshev(N).eval_scalar(a)
+            assert got == want and list(got.terms) == list(want.terms)
+
+
+def frobenius(a, power=None):
+    """Fr(a) = sum_k d_k^(N^2) [Z^(Nk)] for a = sum_k d_k [Z^k] (d_k^power
+    in place of d_k^(N^2) when power is given)."""
+    alg = a.algebra
+    out = alg.zero()
+    for k, c in a.terms.items():
+        d = c * alg.omega(alg.weyl_weight(k))
+        out = out + alg.weyl([alg.N * x for x in k]).scale(d ** (power or alg.N ** 2))
+    return out
+
+
+@pytest.mark.parametrize("N, edges", [(3, range(9)), (5, range(9)), (7, [4])])
+def test_element_chebyshev_is_the_frobenius_image(N, edges):
+    """T_N of an edge-parallel trace is its Frobenius image (the miraculous
+    cancellations of Bonahon-Wong), an oracle that shares no product with
+    the recurrence."""
+    alg = CFAlgebra(standard_library("genus2_sep"), N)
+    for e in edges:
+        for side in (1, 2):
+            a = edge_parallel_trace(alg, LoopSpec(e, side))
+            assert qtrace.element_chebyshev(a, N) == frobenius(a)
+    # a control: d_k in place of d_k^(N^2) is not T_N on loop (8, 1)
+    if N == 5:
+        a = edge_parallel_trace(alg, LoopSpec(8, 1))
+        assert qtrace.element_chebyshev(a, N) != frobenius(a, power=1)
+
+
+def test_element_chebyshev_of_low_degree_and_on_python_ints():
+    """T_0 = 2 and T_1 = a; a coefficient of 2^40 or an exponent box above
+    2^63 moves the array form to Python ints, with the same T_N."""
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    a = edge_parallel_trace(alg, LoopSpec(4, 1))
+    assert qtrace.element_chebyshev(a, 0) == alg.one().scale(2)
+    assert list(qtrace.element_chebyshev(a, 1).terms) == list(a.terms)
+    assert qtrace.element_chebyshev(a, 1) == a
+    wide = a + alg.monomial([0] * (alg.n - 1) + [2 ** 61])
+    for x in (a.scale(2 ** 40), wide, alg.zero()):
+        got, want = qtrace.element_chebyshev(x, 3), chebyshev(3).eval_scalar(x)
+        assert got == want and list(got.terms) == list(want.terms)
+    assert QTArray.pack(wide, 3).codes.dtype == object
+    big = QTArray.pack(a.scale(2 ** 40), 3)
+    assert big.nums.dtype != object and (big * big).nums.dtype == object
 
 
 # ---- corner arcs ----

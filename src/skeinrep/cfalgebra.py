@@ -304,22 +304,6 @@ def commutator_is_zero(a: QTElement, b: QTElement) -> bool:
     return (a * b - b * a).is_zero()
 
 
-# An int64 array is used only where every value and partial sum is proven to
-# stay within this bound; otherwise the same code runs on Python ints.
-_INT64_MAX = 2 ** 63 - 1
-
-
-def _top(values) -> int:
-    """max |value|, and at least 1."""
-    return int(np.abs(values).max(initial=1))
-
-
-def _exact(values, bound: int):
-    """values as int64 while bound holds every value and partial sum made
-    from them, else as an object array of Python ints."""
-    return values if values.dtype == object or bound <= _INT64_MAX else values.astype(object)
-
-
 class QTArray:
     """An element in array form: exps, a (terms x n) array of exponents;
     codes, one exact integer per term; nums, a (terms x phi(L)) array of
@@ -360,13 +344,13 @@ class QTArray:
         # |code| < size; a twist k S l and its columns S l are at most
         # n |k| max(|S|, L) with |k| at most top
         top = max(map(abs, lo + hi))
-        small = max(size, alg.n * top * max(_top(S), len(R))) <= _INT64_MAX
+        small = max(size, alg.n * top * max(il.top(S), len(R))) <= il.INT64_MAX
         dtype = np.int64 if small else object
         exps = np.array(list(a.terms), dtype=dtype).reshape(len(a.terms), alg.n)
         den = math.lcm(*(c.den for c in a.terms.values()))
         rows = [[x * (den // c.den) for x in c.num] for c in a.terms.values()]
         nums = np.array(rows, dtype=object).reshape(len(rows), R.shape[1])
-        if _top(nums) <= _INT64_MAX:
+        if il.top(nums) <= il.INT64_MAX:
             nums = nums.astype(np.int64)
         strides = np.array(strides, dtype=dtype)
         return cls(alg, (tuple(lo), tuple(hi)), strides, exps, exps @ strides, nums, den)
@@ -398,7 +382,7 @@ class QTArray:
         if not isinstance(c, int):
             return NotImplemented
         return self._like(self.exps, self.codes,
-                          _exact(self.nums, abs(c) * _top(self.nums)) * c, self.den)
+                          il.exact_ints(self.nums, abs(c) * il.top(self.nums)) * c, self.den)
 
     def __sub__(self, other: "QTArray") -> "QTArray":
         """self - other, keys merged as QTElement.__add__ merges them: self's
@@ -406,8 +390,8 @@ class QTArray:
         self._check(other)
         den = math.lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
-        bound = _top(self.nums) * sa + _top(other.nums) * sb
-        a, b = _exact(self.nums, bound) * sa, _exact(other.nums, bound) * sb
+        bound = il.top(self.nums) * sa + il.top(other.nums) * sb
+        a, b = il.exact_ints(self.nums, bound) * sa, il.exact_ints(other.nums, bound) * sb
         hit = np.zeros(len(other.codes), dtype=bool)
         if len(self.codes):
             order = np.argsort(self.codes)
@@ -448,7 +432,7 @@ class QTArray:
         slot = rank[slot].reshape(len(self.codes), len(other.codes))
         twists = ((self.exps @ columns) % L).astype(np.int64)
         # |acc| <= top norm, and a reduced row is at most d top norm max|R|
-        nums = _exact(self.nums, d * _top(self.nums) * norm * _top(R))
+        nums = il.exact_ints(self.nums, d * il.top(self.nums) * norm * il.top(R))
         acc = np.zeros((len(keys), L), dtype=nums.dtype)
         powers = np.arange(d)
         for j, v, b in shifts:

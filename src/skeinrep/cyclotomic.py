@@ -8,9 +8,8 @@ Products of the integer coefficient polynomials that quantum traces and
 representation matrices are made of have den = 1 and need no gcd at all.
 Phi_L is monic, so reduction modulo Phi_L stays in the integers.
 
-The field owns three fused loops:
+The field owns two fused loops:
 
-- `dot`, which sums u_j v_j in one unreduced integer array and reduces once;
 - `row_update`, the elimination step a - f b that skips the zero entries of b;
 - `twisted_products`, the quantum-torus product of QTElements: for each
   output key it sums a b zeta^s unreduced in Z[x]/(x^L - 1) over one common
@@ -19,15 +18,27 @@ The field owns three fused loops:
   same on integer arrays (cfalgebra.QTArray), reducing through the table of
   x^k modulo Phi_L, k < L, that every field keeps (`_root_powers`).
 
+Vectors of elements also have an array form (`pack`, `unpack`): an
+(entries x phi(L)) integer array of numerators over one denominator,
+int64 where a bound rules out overflow and Python ints otherwise
+(intlinalg.exact_ints).  `convolve` multiplies such arrays entry by entry
+without reducing, and `fold` reduces modulo Phi_L once, so that a sum of
+products is one reduction; the exact operators, images and kernels of
+module scalars run on it.
+
 Roots of unity zeta^k are recognised by a table lookup, which gives their
 inverses and discrete logarithms directly.  A complex-double evaluation
 (zeta_L -> exp(2 pi i / L)) serves the floating backend and cross-checks.
 
 Each field also has one fixed prime p = 1 (mod L), p < 2^31, and an
-element z of order exactly L in F_p (`prime`, `reduce_mod_prime`).  Then z
-is a root of Phi_L mod p, so zeta_L -> z is a ring map from the elements
-whose denominators p does not divide onto F_p: a matrix over the field
-reduces to one over F_p, and every minor to the reduced minor.
+element z of order exactly L in F_p (`prime`).  Then the z^u, u a unit mod
+L, are the phi(L) roots of Phi_L mod p, and each zeta_L -> z^u is a ring
+map from the elements whose denominators p does not divide onto F_p (the
+embeddings, `embed_mod_prime`): a matrix over the field reduces to one over
+F_p, and every minor to the reduced minor.  The phi x phi table of the
+z^(u i) is invertible mod p (a Vandermonde matrix of distinct roots), so
+the images of an element under all embeddings give its coefficients mod p
+back (`interpolate_mod_prime`).
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from . import intlinalg as il
 
 _RATIONAL = (int, Fraction)
 
@@ -64,6 +77,28 @@ def _poly_divexact_int(num: list[int], den: list[int]) -> list[int]:
                 num[i - dn + j] -= q * dj
     if any(num):
         raise ArithmeticError("non-exact polynomial division")
+    return out
+
+
+def convolve(a, b):
+    """The products of the integer polynomials a and b (same length d on
+    the last axis, the other axes broadcast), unreduced: (..., 2 d - 1).
+    Each entry sums at most d products, so is at most d max|a| max|b|."""
+    d = a.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (2 * d - 1,)
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for i in range(d):
+        out[..., i:i + d] += a[..., i, None] * b
+    return out
+
+
+def _mod_matmul(A, X, p: int):
+    """A X mod p for an int64 (m x d) residue array A and a (d, ...) one X,
+    adding one product of two residues (below 2^62) at a time."""
+    out = np.zeros((A.shape[0],) + X.shape[1:], dtype=np.int64)
+    column = (-1,) + (1,) * (X.ndim - 1)
+    for i in range(A.shape[1]):
+        out = (out + A[:, i].reshape(column) * X[i]) % p
     return out
 
 
@@ -116,6 +151,7 @@ class CycloField:
         self._root_powers = rows
         self._root_log = {row: k for k, row in enumerate(rows)}
         self._units = [k for k in range(1, order) if math.gcd(k, order) == 1]
+        self._zero = CycloScalar(self, (0,) * d, 1)
         self._ready = True
 
     def _fold(self, p: list[int]) -> list[int]:
@@ -168,7 +204,8 @@ class CycloField:
     # -- constructors --
 
     def zero(self) -> "CycloScalar":
-        return CycloScalar(self, (0,) * self.degree, 1)
+        """The field's one zero element, shared (elements are immutable)."""
+        return self._zero
 
     def one(self) -> "CycloScalar":
         return self.root_pow(0)
@@ -190,35 +227,6 @@ class CycloField:
         return self._make([c.numerator * (den // c.denominator) for c in v], den)
 
     # -- fused loops --
-
-    def dot(self, us, vs) -> "CycloScalar":
-        """sum_j u_j v_j, accumulated unreduced over one common denominator
-        and reduced modulo Phi_L once."""
-        d = self.degree
-        acc = [0] * (2 * d - 1)
-        den = 1
-        for u, v in zip(us, vs):
-            un, vn = u.num, v.num
-            if not (any(un) and any(vn)):
-                continue
-            if u.field is not self or v.field is not self:
-                raise ValueError("scalars from different fields")
-            t = u.den * v.den
-            scale = 1
-            if t != den:
-                common = math.lcm(den, t)
-                if common != den:
-                    s = common // den
-                    acc = [c * s for c in acc]
-                    den = common
-                scale = den // t
-            for i, a in enumerate(un):
-                if a:
-                    a *= scale
-                    for j, b in enumerate(vn, i):
-                        if b:
-                            acc[j] += a * b
-        return self._make(self._fold(acc), den)
 
     def twisted_products(self, left: dict, right: dict, layout) -> dict:
         """{m: sum of a b zeta^s} over every pair of a value a of left and a
@@ -311,29 +319,83 @@ class CycloField:
         return p
 
     @cached_property
-    def _prime_powers(self) -> list[int]:
-        """z^i mod p for i < phi(L): z = a^((p-1)/L) for the least a >= 2
-        whose z has order exactly L, that is z^(L/q) != 1 for each prime
-        q | L."""
-        L, p = self.order, self.prime
+    def _embeddings(self):
+        """(E, E^-1) mod p, int64 phi x phi: E[k, i] = z^(u_k i) over the
+        units u_0 = 1 < u_1 < ... of L, for z = a^((p-1)/L) with a >= 2 the
+        least whose z has order exactly L, that is z^(L/q) != 1 for each
+        prime q | L.  The z^u are distinct, so E is invertible."""
+        L, p, d = self.order, self.prime, self.degree
         qs = [q for q in range(2, L + 1) if L % q == 0 and _is_prime(q)]
         zs = (pow(a, (p - 1) // L, p) for a in itertools.count(2))
         z = next(z for z in zs if all(pow(z, L // q, p) != 1 for q in qs))
-        return [pow(z, i, p) for i in range(self.degree)]
+        E = np.array([[pow(z, u * i, p) for i in range(d)] for u in self._units], dtype=np.int64)
+        _, R = il.rref_mod(np.hstack([E, np.eye(d, dtype=np.int64)]), p)
+        return E, R[:, d:]
 
-    def reduce_mod_prime(self, values):
-        """The elements of this field in values under zeta_L -> z modulo
-        `prime`, as an int64 vector with entries in [0, p); None when a
-        denominator is divisible by p, since such an element has no image."""
-        p, zs = self.prime, self._prime_powers
-        out = np.zeros(len(values), dtype=np.int64)
-        for j, a in enumerate(values):
-            self._own(a)
-            if a.den % p == 0:
-                return None
-            v = sum(c * w for c, w in zip(a.num, zs))
-            out[j] = v % p if a.den == 1 else v * pow(a.den, -1, p) % p
-        return out
+    def embed_mod_prime(self, nums, den: int):
+        """The elements nums / den of an array form (pack: numerators on the
+        last axis) under every embedding zeta_L -> z^u mod `prime`: an int64
+        array of shape (phi, *entries), entries in [0, p), row k for the
+        unit u_k; None when p divides den, since such elements have no
+        image."""
+        p = self.prime
+        if den % p == 0:
+            return None
+        E, _ = self._embeddings
+        residues = np.moveaxis(nums % p, -1, 0).astype(np.int64)
+        return _mod_matmul(E, residues, p) * pow(den, -1, p) % p
+
+    def interpolate_mod_prime(self, images):
+        """The coefficients mod p, an int64 array of shape (*entries, phi),
+        of the elements whose images under the embeddings are the residues
+        images, of shape (phi, *entries): the inverse of embed_mod_prime."""
+        _, inverse = self._embeddings
+        return np.moveaxis(_mod_matmul(inverse, images, self.prime), 0, -1)
+
+    # -- array form --
+
+    def pack(self, vectors):
+        """Vectors of elements of this field, all of one length, as (nums,
+        dens): nums a (vectors, entries, phi) integer array
+        (intlinalg.as_ints) of numerators, vector j over dens[j], the lcm of
+        its denominators."""
+        flat = [a for v in vectors for a in v]
+        if {a.field for a in flat} - {self}:
+            raise ValueError("scalars from different fields")
+        dens = [math.lcm(*{a.den for a in v}) for v in vectors]
+        shape = (len(vectors), len(vectors[0]) if vectors else 0, self.degree)
+        nums = il.as_ints([a.num for a in flat], shape)
+        if any(d != 1 for d in dens):
+            factors = il.as_ints([d // a.den for v, d in zip(vectors, dens) for a in v],
+                                 shape[:2] + (1,))
+            nums = il.exact_ints(nums, il.top(nums) * il.top(factors)) * factors
+        return nums, dens
+
+    def unpack(self, nums, den: int) -> list:
+        """The elements nums[j] / den of an (entries x phi) integer array, in
+        lowest terms; an all-zero row is the shared zero."""
+        zero, rows = self._zero, nums.tolist()
+        nonzero = nums.any(axis=-1).tolist()
+        if den == 1:
+            return [CycloScalar(self, tuple(r), 1) if z else zero for r, z in zip(rows, nonzero)]
+        return [self._make(r, den) if z else zero for r, z in zip(rows, nonzero)]
+
+    @cached_property
+    def _fold_table(self):
+        """x^k modulo Phi_L for k < 2 phi - 1, the degrees of a product of
+        two reduced elements, as an int64 array (x^L = 1 modulo Phi_L)."""
+        return np.array([self._root_powers[k % self.order] for k in range(2 * self.degree - 1)],
+                        dtype=np.int64)
+
+    def fold_bound(self, bound: int) -> int:
+        """A bound on the entries of fold(acc) for |acc| <= bound."""
+        return bound * (2 * self.degree - 1) * il.top(self._fold_table)
+
+    def fold(self, acc):
+        """Products from convolve, (..., 2 phi - 1) integer arrays, reduced
+        modulo Phi_L: (..., phi).  Callers bound the result (fold_bound)."""
+        table = self._fold_table
+        return acc @ (table if acc.dtype != object else table.astype(object))
 
     def __repr__(self):
         return f"CycloField({self.order})"

@@ -3,10 +3,18 @@
 The lattice helpers work on plain lists of Python ints: their sizes are tiny
 (at most a few dozen rows of the balanced lattice), so clarity beats
 vectorization.  `solve_mod` works on residues mod its modulus throughout, so
-no entry grows.  `rank_mod` is the one vectorized routine: it takes the rank
-of a representation-sized matrix (hundreds of rows) over F_p as int64 row
-reduction, with p < 2^31 so that a product of two residues stays below
-2^62.
+no entry grows.
+
+The array routines serve representation-sized matrices (hundreds or
+thousands of rows) and the array form of cyclotomic elements.  `rref_mod`
+(and `rank_mod`, the length of its pivots) row-reduces over F_p as int64
+arrays, with p < 2^31 so that a product of two residues stays below 2^62;
+`rational_reconstruction` lifts residues mod p back to small fractions by
+the extended Euclidean algorithm, one array step for all of them.  Integer
+arrays are int64 only where a bound proves that no value or partial sum
+overflows (`exact_ints`), and object arrays of Python ints otherwise, on
+the same code; numpy raises rather than wraps when a Python int does not
+fit an int64 (`as_ints`), and nothing is a float.
 """
 
 from __future__ import annotations
@@ -148,27 +156,100 @@ def solve_mod(A, b, modulus):
     return [sum(v * yj for v, yj in zip(row, y)) % modulus for row in V]
 
 
-def rank_mod(M, p: int) -> int:
-    """Rank over F_p of an int64 array with entries in [0, p), p < 2^31.
+# An int64 array is used only where every value and partial sum is proven to
+# stay within this bound; otherwise the same code runs on Python ints.
+INT64_MAX = 2 ** 63 - 1
 
-    Row reduction to echelon form, one column at a time: the first row at or
-    below the current rank with a nonzero entry there becomes the pivot row,
-    scaled to pivot 1, and is subtracted from only those rows below it that
-    are nonzero in that column, on the columns from the pivot on.  Every
-    product is of two residues, so below 2^62.
-    """
+
+def top(values) -> int:
+    """max |value|, and at least 1."""
+    return int(np.abs(values).max(initial=1))
+
+
+def exact_ints(values, bound: int):
+    """values as int64 while bound holds every value and partial sum made
+    from them, else as an object array of Python ints."""
+    return values if values.dtype == object or bound <= INT64_MAX else values.astype(object)
+
+
+def as_ints(rows, shape):
+    """Integer rows as an int64 array of the given shape, or as an object
+    array of Python ints when one of them does not fit an int64."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(shape)
+
+
+def _row_reduce(M, p: int, above: bool):
+    """(pivots, R): M row-reduced over F_p to echelon form, its rank rows
+    R, and reduced (zero above each pivot too) when above holds.
+
+    One column at a time: the first row at or below the current rank with
+    a nonzero entry there becomes the pivot row, scaled to pivot 1, and is
+    subtracted from the other rows (those below it only, unless above)
+    that are nonzero in that column, on the columns from the pivot on (the
+    pivot row is zero to its left).  Every product is of two residues, so
+    below 2^62.  M is not modified."""
     M = np.array(M, dtype=np.int64)
-    rank = 0
+    rank, pivots = 0, []
     for col in range(M.shape[1]):
-        nonzero = np.flatnonzero(M[rank:, col])
-        if not len(nonzero):
+        rows = M[:, col].nonzero()[0]
+        below = rows[rows >= rank]
+        if not len(below):
             continue
-        piv = rank + nonzero[0]
-        M[[rank, piv]] = M[[piv, rank]]
-        pivot_row = M[rank, col:] * pow(int(M[rank, col]), -1, p) % p
-        below = rank + 1 + np.flatnonzero(M[rank + 1:, col])
-        M[below, col:] = (M[below, col:] - M[below, col, None] * pivot_row) % p
+        piv = below[0]
+        if piv != rank:
+            M[[rank, piv]] = M[[piv, rank]]
+        M[rank, col:] = pivot_row = M[rank, col:] * pow(int(M[rank, col]), -1, p) % p
+        # the row swapped to piv is zero here, and every other row kept its place
+        others = rows[rows != piv] if above else below[1:]
+        if len(others):
+            M[others, col:] = (M[others, col:] - M[others, col, None] * pivot_row) % p
+        pivots.append(col)
         rank += 1
         if rank == M.shape[0]:
             break
-    return rank
+    return pivots, M[:rank]
+
+
+def rref_mod(M, p: int):
+    """(pivots, R) for an int64 array M with entries in [0, p), p < 2^31:
+    R is the reduced row echelon form of M over F_p, its rank rows, and
+    pivots the list of its pivot columns in order (Gauss-Jordan
+    elimination)."""
+    return _row_reduce(M, p, above=True)
+
+
+def rank_mod(M, p: int) -> int:
+    """Rank over F_p of an int64 array with entries in [0, p), p < 2^31, by
+    reduction to echelon form alone."""
+    return len(_row_reduce(M, p, above=False)[0])
+
+
+def rational_reconstruction(a, p: int):
+    """(num, den) for an int64 array a of residues in [0, p): int64 arrays
+    of a's shape with num = a den (mod p), |num| <= B and 0 < den <= B, B =
+    isqrt((p - 1) / 2), so that 2 B^2 < p and the fraction is unique; None
+    when some residue has no such fraction.
+
+    The extended Euclidean algorithm on (p, a), run on all residues at once
+    and stopped per residue at the first remainder r <= B: with its
+    cofactor t, a t = r (mod p), so num, den = r sign(t), |t| when |t| <= B
+    and gcd(r, t) = 1 (Wang's rule; von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 5.10).  Each cofactor is at most p divided by
+    the remainder before it, so nothing leaves the int64 range.
+    """
+    bound = math.isqrt((p - 1) // 2)
+    r0, r1 = np.full(a.shape, p, dtype=np.int64), np.array(a, dtype=np.int64)
+    t0, t1 = np.zeros(a.shape, dtype=np.int64), np.ones(a.shape, dtype=np.int64)
+    while True:
+        active = r1 > bound
+        if not active.any():
+            break
+        q = np.where(active, r0 // np.where(active, r1, 1), 0)
+        r0, r1 = np.where(active, r1, r0), np.where(active, r0 - q * r1, r1)
+        t0, t1 = np.where(active, t1, t0), np.where(active, t0 - q * t1, t1)
+    if np.any((np.abs(t1) > bound) | (np.gcd(r1, t1) != 1)):
+        return None
+    return np.sign(t1) * r1, np.abs(t1)

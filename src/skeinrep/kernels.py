@@ -45,9 +45,12 @@ when they all have one dimension.
   assembled basis K.  A shortfall would show as dim ker D < dim F in the
   sweep check.
 
-A certificate that fails, spaces that do not fill the space, and exact
-operators, whose eigenvalues are not computed, take the kernel of the
-dense operator instead.
+A certificate that fails and spaces that do not fill the space take the
+kernel of the dense operator instead.  Exact operators, whose eigenvalues
+are not computed, have no spaces: their kernel is found modulo the field's
+prime and certified exactly (the backend's certified_kernel; it is the
+basis that elimination gives), and only when that certificate fails is
+the dense operator eliminated.
 
 The sweep check (qtrace.sweep_check) needs only dim ker D, and for exact
 operators it usually gets it from two bounds with no kernel of D at all: an
@@ -132,11 +135,13 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
     """ker op for an operator op whose kernel the operators of spaces
     preserve, from spaces, their joint eigenspaces U in block form
     (pants_spaces: a JointSpaces), or None: ker op is the sum of its meets
-    U ker(op U) with the U, thin n x dim kernels taken a chunk of spaces at a time (JointSpaces.chunks), op applied to
-    all spaces of a chunk in one scatter per term.  The assembled basis K
-    is accepted when |op K| is within residual_bound(op).  When it is not,
-    when the spaces do not fill the space, or when there are none (exact
-    operators), this is matrix_kernel of op made dense."""
+    U ker(op U) with the U, thin n x dim kernels taken a chunk of spaces at
+    a time (JointSpaces.chunks), op applied to all spaces of a chunk in one
+    scatter per term.  The assembled basis K is accepted when |op K| is
+    within residual_bound(op).  With no spaces (exact operators) it is
+    certified_kernel of op, when certified.  Otherwise, when the spaces do
+    not fill the space, or when a basis is not accepted, this is
+    matrix_kernel of op made dense."""
     ctx = scalars.of(op)
     n = len(op[0][0])
     if spaces is not None and spaces.count * spaces.dim == n:
@@ -149,7 +154,8 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
         if all(ctx.is_zero(ctx.image(op, K[:, at:at + step]), residual_bound(op))
                for at in range(0, K.shape[1], step)):
             return Subspace(n, K)
-    return matrix_kernel(ctx.dense(n, op), tol)
+    basis = ctx.certified_kernel(op)
+    return Subspace(n, basis) if basis is not None else matrix_kernel(ctx.dense(n, op), tol)
 
 
 def pants_spaces(rep: CFRep, edge: int, tol: float):
@@ -190,10 +196,10 @@ def total_kernel(rep: CFRep, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     dense matrix is made.  Certified: |mu(Q_v) F| for the assembled basis
     F is within residual_bound, so F lies in the kernel.  That it is the
     whole kernel rests on each family loop preserving F; a shortfall would
-    show as dim F < N^3.  When the basis is not accepted, and for exact
-    weights, which have no pants spaces, this is the kernel of the dense
-    mu(Q_v).  Every other representation takes the kernel of its stacked
-    dense mu(Q_v)."""
+    show as dim F < N^3.  Exact weights have no pants spaces, and F is the
+    certified modular kernel of mu(Q_v).  When a basis is not accepted or
+    not certified, this is the kernel of the dense mu(Q_v).  Every other
+    representation takes the kernel of its stacked dense mu(Q_v)."""
     key = tol if rep.weights.mode == "float" else None
     if key not in rep.total_kernels:
         T, alg = rep.T, rep.algebra

@@ -229,9 +229,10 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     rank_p D >= n - dim F gives dim ker D <= dim F, and ker D = F with no
     elimination of D.  A prime at which D loses rank only fails this
     certificate; then, and for float weights, ker D is computed
-    (kernels.eigenspace_kernel, in the same joint spaces, or dense when
-    there are none).  kernel_prime is the p that certified dim ker D,
-    or None when the kernel was computed."""
+    (kernels.eigenspace_kernel: in the same joint spaces, modulo the prime
+    and certified exactly for exact weights, or dense).  kernel_prime is
+    the p that certified dim ker D, or None when the kernel was
+    computed."""
     T = rep.T
     if T.num_vertices != 1:
         raise NotOneVertex("sweep check needs a one-vertex triangulation")

@@ -20,18 +20,20 @@ An operator is a square matrix as its translation terms: a list of (perm,
 scale), entries M[perm[i], i] = scale[i], no two terms sharing an entry (in
 a representation image each monomial is a translation of the index group
 times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
-dense, image, rank_bound and scalar_of take operators, operator makes them
-(dense, image and scalar_of also take [term] for a term (perm, scale) of
-lists, as CFRep.monomial_image gives); only kernel, rank and spans take
-dense matrices.  An operator is zero when is_zero holds for its scale
-vectors.  Callers pass the threshold they use as `tol`; exact methods
-ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
+dense, image, rank_bound, certified_kernel and scalar_of take operators,
+operator makes them (dense, image and scalar_of also take [term] for a term
+(perm, scale) of lists, as CFRep.monomial_image gives); only kernel, rank
+and spans take dense matrices.  An operator is zero when is_zero holds for
+its scale vectors.  Callers pass the threshold they use as `tol`; exact
+methods ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
 
     operator(terms)   sum c P over pairs (c, P = (perm, scale)), one term per
                       permutation, all-zero terms dropped
     rank_bound(op)    (0, None) | (r, p): rank op >= r, r the rank of op
                       reduced modulo the field's prime p (intlinalg.rank_mod),
                       (0, None) if a denominator is divisible by p
+    certified_kernel(op) None | the basis kernel gives for the dense op,
+                      found modulo p and certified exactly, or None
     is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
@@ -85,24 +87,39 @@ for kernels taken one joint space at a time (kernels.eigenspace_kernel).
 ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
 and the weights-file format (deserialize, json_fields).
 
-The exact image calls the field's fused `dot` once per entry, Gauss-Jordan
-elimination its fused `row_update`, and rank_bound reduces each scale
-vector with `CycloField.reduce_mod_prime`; omega_log reads the field's
-root-of-unity table through `CycloScalar.root_log`.  The element format
-belongs to module cyclotomic: nothing here reads a numerator or a
-denominator.
+Exact operators, images and kernels run on the array form of the field's
+elements (CycloField.pack): a vector is an (entries x phi(L)) integer array
+of numerators over one denominator, int64 where a bound rules out overflow
+and Python ints otherwise, on the same code, and never a float.  operator
+adds the products c scale of each translation unreduced and reduces once;
+image packs the basis once and multiplies by each term's phi x phi
+multiplication matrices (the products folded through the field's table)
+at the permuted rows, EXACT_CHUNK integers at a time, only where the basis
+is nonzero; an all-zero entry comes out as the field's shared zero.
+Elements are made once per entry, at the end.  The exact kernel of an operator
+(certified_kernel) reduces its scale vectors under the
+phi(L) embeddings of the field modulo its prime p, row-reduces one
+embedding at a time (intlinalg.rref_mod), rebuilds the coefficients by
+interpolation and rational reconstruction, and is certified by op K = 0,
+exactly, and the rank modulo p; rank_bound reads the same reduction.  When
+the certificate cannot be made, the caller falls back to Gauss-Jordan
+elimination in the field (kernel, with its fused `row_update`).  omega_log
+reads the field's root-of-unity table through `CycloScalar.root_log`.  The
+element format belongs to module cyclotomic: nothing here reads a
+numerator or a denominator of an element, only its array form.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import intlinalg
-from .cyclotomic import CycloField, CycloScalar
+from .cyclotomic import CycloField, CycloScalar, convolve
 
 
 def _exact_zero(v) -> bool:
@@ -113,6 +130,90 @@ def _identity_scale(op):
     """The scale of op's identity term, or None: the whole diagonal of an
     image, as no other translation fixes an index."""
     return next((s for p, s in op if np.array_equal(p, np.arange(len(p)))), None)
+
+
+def _packed(op):
+    """An exact operator in array form: (field, perms, S, den), perms the
+    (terms x n) int64 permutations and S the (terms, n, phi) integer
+    numerators of the scale vectors over their one denominator den."""
+    field = op[0][1][0].field
+    S, dens = field.pack([scale for _, scale in op])
+    den = math.lcm(*dens)
+    if den != 1:
+        factors = [den // d for d in dens]
+        S = (intlinalg.exact_ints(S, intlinalg.top(S) * max(factors))
+             * intlinalg.as_ints(factors, (-1, 1, 1)))
+    return field, np.array([perm for perm, _ in op], dtype=np.int64), S, den
+
+
+def _dense_mod(perms, values):
+    """The n x n int64 matrix of the residues values[t, i] at (perms[t, i], i)."""
+    n = perms.shape[1]
+    M = np.zeros((n, n), dtype=np.int64)
+    M[perms, np.arange(n)] = values
+    return M
+
+
+def _multipliers(field, S):
+    """The (terms, n, phi, phi) integer matrices of multiplication by the
+    entries of S in the power basis: column j is S x^j modulo Phi_L, so
+    each entry is at most fold_bound(max|S|)."""
+    eye = np.eye(S.shape[-1], dtype=np.int64)
+    return np.swapaxes(field.fold(convolve(S[..., None, :], eye)), -1, -2)
+
+
+# Integers (128 KB in int64) that one step of an exact image gathers, each
+# column once per term: small, so that no step grows the process's heap.
+EXACT_CHUNK = 1 << 14
+
+
+def _columns_per_chunk(G) -> int:
+    """Columns that one step of _image_nums gathers EXACT_CHUNK integers of
+    (G from _multipliers), at least one."""
+    terms, n, d, _ = G.shape
+    return max(1, EXACT_CHUNK // (terms * n * d))
+
+
+def _image_nums(perms, G, X):
+    """The numerators of op X, for op's permutations perms (terms x n) and
+    multipliers G (_multipliers), and X a (k, n, phi) integer array of k
+    columns: entry j of a column is the sum over the terms t of G[t, i]
+    X[i], i = perm_t^-1(j), gathered only at the j = perm_t(i) of rows i
+    where some column of X is nonzero (kernel bases are mostly zero);
+    int64 where a bound rules out overflow."""
+    terms, n, d, _ = G.shape
+    bound = terms * d * intlinalg.top(G) * intlinalg.top(X)
+    G, X = intlinalg.exact_ints(G, bound), intlinalg.exact_ints(X, bound)
+    reached = np.zeros(n, dtype=bool)
+    reached[perms[:, X.any(axis=(0, 2))]] = True
+    targets = np.flatnonzero(reached)
+    sources = np.argsort(perms, axis=1)[:, targets]
+    out = np.zeros(X.shape, dtype=np.result_type(G, X))
+    products = G[np.arange(terms)[:, None], sources] @ X[:, sources][..., None]
+    out[:, targets] = products[..., 0].sum(axis=1)
+    return out
+
+
+def _lifted_columns(field, n, pivots, free, images):
+    """The kernel columns of the free columns free, as (K, dens): K the
+    (k, n, phi) integer numerators, column j over dens[j], from images, the
+    (phi, |pivots|, k) residues of the reduced rows at free under the
+    embeddings; None when a coefficient has no small fraction."""
+    fractions = intlinalg.rational_reconstruction(field.interpolate_mod_prime(images),
+                                                  field.prime)
+    if fractions is None:
+        return None
+    num, dens = (a.swapaxes(0, 1) for a in fractions)  # (k, |pivots|, phi)
+    col_dens = [math.lcm(*set(d.ravel().tolist())) for d in dens]
+    # |K| <= max col_den max|num|
+    if max(col_dens, default=1) * intlinalg.top(num) <= intlinalg.INT64_MAX:
+        cd = np.array(col_dens, dtype=np.int64)
+    else:
+        cd, num, dens = np.array(col_dens, dtype=object), num.astype(object), dens.astype(object)
+    K = np.zeros((len(free), n, field.degree), dtype=cd.dtype)
+    K[:, pivots] = -num * (cd.reshape(-1, 1, 1) // dens)
+    K[np.arange(len(free)), free, 0] = cd
+    return K, col_dens
 
 
 class ExactArithmetic:
@@ -133,13 +234,27 @@ class ExactArithmetic:
         return a.inv()
 
     def operator(self, terms):
+        """Per translation, the products c scale of its terms in array form
+        (CycloField.convolve) summed unreduced over their one denominator,
+        reduced once (fold) and made into elements once per entry."""
         by_perm = {}
         for c, (perm, scale) in terms:
-            key = tuple(perm)
-            by_perm[key] = [b + c * s for b, s
-                            in zip(by_perm.get(key, [0] * len(scale)), scale)]
-        return [(list(perm), scale) for perm, scale in by_perm.items()
-                if not all(a.is_zero() for a in scale)]
+            by_perm.setdefault(tuple(perm), []).append((c, scale))
+        out = []
+        for perm, group in by_perm.items():
+            field = group[0][1][0].field
+            (cs, c_dens), (ss, s_dens) = (field.pack([[c] for c, _ in group]),
+                                          field.pack([scale for _, scale in group]))
+            den = math.lcm(*(a * b for a, b in zip(c_dens, s_dens)))
+            factors = [(den // (a * b), c[0], s) for a, b, c, s in zip(c_dens, s_dens, cs, ss)]
+            bound = field.fold_bound(sum(m * field.degree * intlinalg.top(c) * intlinalg.top(s)
+                                         for m, c, s in factors))
+            acc = sum(m * convolve(intlinalg.exact_ints(c, bound), intlinalg.exact_ints(s, bound))
+                      for m, c, s in factors)
+            scale = field.fold(acc)
+            if scale.any():
+                out.append((list(perm), field.unpack(scale, den)))
+        return out
 
     def dense(self, dim, op):
         # an empty operator takes the zero of these scalars (ExactScalars)
@@ -154,17 +269,20 @@ class ExactArithmetic:
         return [row for M in mats for row in M]
 
     def image(self, op, basis):
-        """op B: entry p of a column is one fused dot over the terms, at
-        i = perm^-1(p), where the column is nonzero (kernel bases are mostly
-        zero)."""
-        out = []
-        for col in basis:
-            field = col[0].field
-            pairs = [[] for _ in col]
-            for i in [i for i, v in enumerate(col) if not v.is_zero()]:
-                for perm, scale in op:
-                    pairs[perm[i]].append((scale[i], col[i]))
-            out.append([field.dot(*zip(*q)) if q else field.zero() for q in pairs])
+        """op B: B packed once, each column over its own denominator, and
+        mapped in array form (_image_nums); an all-zero entry is the field's
+        shared zero."""
+        if not basis:
+            return []
+        field = basis[0][0].field
+        if not op:
+            return [[field.zero()] * len(col) for col in basis]
+        _, perms, S, den = _packed(op)
+        G = _multipliers(field, S)
+        out, step = [], _columns_per_chunk(G)
+        for at in range(0, len(basis), step):
+            X, dens = field.pack(basis[at:at + step])
+            out += [field.unpack(col, den * d) for col, d in zip(_image_nums(perms, G, X), dens)]
         return out
 
     def ncols(self, basis) -> int:
@@ -210,18 +328,76 @@ class ExactArithmetic:
         return len(self._eliminate(M)[1])
 
     def rank_bound(self, op):
-        """(r, p) with rank op >= r: r is the rank of op modulo the field's
-        prime p (see CycloField.reduce_mod_prime), as every minor maps to
-        the reduced minor; (0, None) when a denominator is divisible by p."""
-        field = op[0][1][0].field
-        n = len(op[0][0])
-        reduced = np.zeros((n, n), dtype=np.int64)
-        for perm, scale in op:
-            values = field.reduce_mod_prime(scale)
-            if values is None:
-                return 0, None
-            reduced[perm, np.arange(n)] = values
-        return intlinalg.rank_mod(reduced, field.prime), field.prime
+        """(r, p) with rank op >= r: r is the rank of op under the embedding
+        zeta_L -> z modulo the field's prime p (CycloField.embed_mod_prime),
+        as every minor maps to the reduced minor; (0, None) when a
+        denominator is divisible by p."""
+        field, perms, S, den = _packed(op)
+        images = field.embed_mod_prime(S, den)
+        if images is None:
+            return 0, None
+        return intlinalg.rank_mod(_dense_mod(perms, images[0]), field.prime), field.prime
+
+    def certified_kernel(self, op):
+        """The kernel basis of an exact operator that Gauss-Jordan
+        elimination of its dense matrix gives (kernel), from one prime p,
+        or None when it is not certified.
+
+        The scale vectors are reduced under the phi(L) embeddings zeta_L ->
+        z^u mod p (CycloField.embed_mod_prime), and the dense residue matrix
+        of one embedding at a time is row-reduced over F_p
+        (intlinalg.rref_mod), of which only the pivots and the free columns
+        are kept.  All embeddings must give the same pivots P.  The entries
+        R[r, f] of the reduced rows at the free columns f are then
+        interpolated to their coefficients mod p (interpolate_mod_prime) and
+        lifted to fractions (intlinalg.rational_reconstruction), and K has,
+        for each free f in order, the column with 1 at f, -R[r, f] at the
+        pivot P[r] and 0 at the other free columns.  R[r, f] = 0 for f <
+        P[r] in a reduced row, so each column of K writes column f of op as
+        a combination of the pivot columns to its left.
+
+        Certificate.  op K = 0 exactly (_image_nums), and rank_p op = |P| =
+        n - k.  The first puts every free column f in the span of the pivot
+        columns left of it, so for each j the columns up to j span what the
+        pivot columns among them span.  Every minor of op maps to the minor
+        of the reduced matrix, so rank op >= rank_p op = |P|; then the |P|
+        pivot columns, which span the column space, are independent.  So the
+        columns that are not in the span of the columns left of them, the
+        pivots of the reduced row echelon form of op over Q(zeta_L), are
+        exactly P, and the kernel vector with 1 at f and 0 at the other free
+        columns is unique, since two differ by a combination of the
+        independent pivot columns that vanishes.  So K is, column for
+        column, the basis that elimination gives.
+
+        None when a denominator is divisible by p, when the pivots differ
+        between embeddings, when a coefficient has no fraction of numerator
+        and denominator below sqrt(p / 2), or when op K != 0."""
+        field, perms, S, den = _packed(op)
+        p, n = field.prime, perms.shape[1]
+        images = field.embed_mod_prime(S, den)
+        if images is None:
+            return None
+        pivots, entries = None, []
+        for values in images:
+            piv, rows = intlinalg.rref_mod(_dense_mod(perms, values), p)
+            if pivots is None:
+                pivots, free = piv, np.ones(n, dtype=bool)
+                free[piv] = False
+                free = np.flatnonzero(free)
+            elif piv != pivots:
+                return None
+            entries.append(rows[:, free].astype(np.int32))  # residues below 2^31
+        del rows  # as large as op; only the free columns are kept
+        G = _multipliers(field, S)
+        basis, step = [], _columns_per_chunk(G)
+        for at in range(0, len(free), step):
+            cols = slice(at, at + step)
+            lifted = _lifted_columns(field, n, pivots, free[cols],
+                                     np.stack([e[:, cols] for e in entries]))
+            if lifted is None or _image_nums(perms, G, lifted[0]).any():
+                return None
+            basis += [field.unpack(col, d) for col, d in zip(*lifted)]
+        return basis
 
     def spans(self, B, C, tol: float = 0.0) -> bool:
         """Kernel bases are independent, so B spans C iff B + C has rank |B|."""
@@ -541,6 +717,10 @@ class FloatArithmetic:
             M = np.linalg.qr(M, mode="r")
         u, s, vh = np.linalg.svd(M)
         return vh.conj().T[:, int(np.sum(s > _cut(s, tol))):]
+
+    def certified_kernel(self, op):
+        """None: a float kernel is a decision at a tolerance, not a certificate."""
+        return None
 
     def rank(self, M, tol: float) -> int:
         """Number of singular values above the cut; values only, no U or V."""

@@ -1,4 +1,7 @@
+import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,3 +95,32 @@ def record_float_kernels(monkeypatch) -> list:
 
     monkeypatch.setattr(scalars.FloatArithmetic, "kernel", kernel)
     return shapes
+
+
+# ---- committed reference reports (tests/reports, regenerate.py) ----
+
+REPORTS = Path(__file__).resolve().parent / "reports"
+
+# a number with a decimal point or an exponent; integers stay in the text
+DECIMAL = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+
+
+def split_decimals(detail: str):
+    """(detail with each decimal number replaced by '#', the numbers)."""
+    return DECIMAL.sub("#", detail), [float(x) for x in DECIMAL.findall(detail)]
+
+
+def assert_same_report(got: dict, want: dict):
+    """Suite, N, seed, check names, pass/fail and every detail equal,
+    except the decimal numbers inside a detail, which match to a relative
+    1e-9 or an absolute 1e-12: a residual at the noise level may differ
+    between BLAS builds and Python versions."""
+    assert {k: v for k, v in got.items() if k != "checks"} == \
+        {k: v for k, v in want.items() if k != "checks"}
+    assert [(c["name"], c["passed"]) for c in got["checks"]] == \
+        [(c["name"], c["passed"]) for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        (g_text, g_nums), (w_text, w_nums) = (split_decimals(r["detail"]) for r in (g, w))
+        assert g_text == w_text, g["name"]
+        assert all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+                   for a, b in zip(g_nums, w_nums)), (g["name"], g_nums, w_nums)

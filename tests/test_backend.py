@@ -1,8 +1,9 @@
 """The exact and float backends against each other, float rank, the
 multiplicities and the block-form joint eigenspaces against dense LAPACK, the
 omega-exponent commutant count against field-arithmetic orbit propagation,
-the exact rank bound modulo a prime against elimination, and the sparse
-exact image against the dense dot loop."""
+the exact rank bound modulo a prime against elimination, the exact image and
+operator sums on integer arrays against CycloScalar arithmetic, and the
+certified modular kernel against Gauss-Jordan elimination."""
 
 import copy
 import functools
@@ -473,6 +474,15 @@ def test_dense_matches_the_index_loop():
 EXACT = scalars.ExactArithmetic()
 
 
+def dot(us, vs, field):
+    """sum u v by CycloScalar products and sums: the reference for the
+    array forms of images and operators."""
+    out = field.zero()
+    for u, v in zip(us, vs):
+        out = out + u * v
+    return out
+
+
 @st.composite
 def planted_rank_matrices(draw):
     """(field, M, r): an m x n matrix X Y over Q(zeta_L), L in {12, 20},
@@ -485,7 +495,7 @@ def planted_rank_matrices(draw):
     r = draw(st.integers(0, min(m, n)))
     X = [[draw(entry) for _ in range(r)] for _ in range(m)]
     Y = [[draw(entry) for _ in range(n)] for _ in range(r)]
-    M = [[field.dot(X[i], [Y[t][j] for t in range(r)]) for j in range(n)]
+    M = [[dot(X[i], [Y[t][j] for t in range(r)], field) for j in range(n)]
          for i in range(m)]
     return field, M, r
 
@@ -513,24 +523,27 @@ def test_float_rank_bound_is_trivial():
     assert FLOAT.rank_bound(diagonals(np.eye(3))) == (0, None)
 
 
-# ---- sparse exact image ----
+# ---- exact image and operator sums on integer arrays ----
 
 def dense_image(M, basis):
-    """M B with one fused dot over every entry of each row."""
-    dot = M[0][0].field.dot
-    return [[dot(row, col) for row in M] for col in basis]
+    """M B, each entry a sum of CycloScalar products over a row."""
+    field = M[0][0].field
+    return [[dot(row, col, field) for row in M] for col in basis]
 
 
-@pytest.mark.parametrize("case", ["sparse", "all-zero-matrix", "empty-basis"])
+@pytest.mark.parametrize("case", ["sparse", "all-zero-matrix", "empty-basis",
+                                  "big-coefficients"])
 def test_exact_image_matches_the_dense_dot_loop(case):
     field = CycloField(12)
     rng = random.Random(3)
     zero = field.zero()
+    # coefficients of 2^40 make products past int64: the Python-int path
+    size = 2 ** 40 if case == "big-coefficients" else 1
 
     def entry(density):
         if rng.random() >= density:
             return zero
-        return field.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return field.from_coeffs([Fraction(size * rng.randint(-4, 4), rng.randint(1, 3))
                                   for _ in range(field.degree)])
 
     M = [[entry(0.3) for _ in range(7)] for _ in range(6)]
@@ -543,9 +556,179 @@ def test_exact_image_matches_the_dense_dot_loop(case):
     if case == "empty-basis":
         basis = []
     # the operator of M is M padded with a zero row to 7 x 7
-    got = EXACT.image(diagonals(M), basis)
+    op = diagonals(M)
+    if case == "big-coefficients":
+        _, perms, S, _ = scalars._packed(op)
+        X, _ = field.pack(basis)
+        G = scalars._multipliers(field, S)
+        assert S.dtype == np.int64 and scalars._image_nums(perms, G, X).dtype == object
+    got = EXACT.image(op, basis)
     assert got == dense_image(M + [[zero] * 7], basis)
     assert [len(col) for col in got] == [7] * len(basis)
+    assert all(v is zero for col in got for v in col if v.is_zero())
+
+
+@pytest.mark.parametrize("size", [1, 2 ** 40], ids=["small", "big-coefficients"])
+def test_exact_operator_sums_match_the_scalar_reference(size):
+    # three terms on two permutations, with coefficients over two
+    # denominators, summed by CycloScalar arithmetic in the reference
+    field = CycloField(12)
+    rng = random.Random(size)
+
+    def element():
+        return field.from_coeffs([Fraction(size * rng.randint(-4, 4), rng.randint(1, 3))
+                                  for _ in range(field.degree)])
+
+    n = 6
+    perm_a, perm_b = rng.sample(range(n), n), rng.sample(range(n), n)
+    terms = [(element(), (perm, [element() if rng.random() < 0.7 else field.zero()
+                                 for _ in range(n)]))
+             for perm in (perm_a, perm_b, perm_a)]
+    want = {}
+    for c, (perm, scale) in terms:
+        old = want.get(tuple(perm), [field.zero()] * n)
+        want[tuple(perm)] = [b + c * s for b, s in zip(old, scale)]
+    got = EXACT.operator(terms)
+    assert got == [(list(perm), scale) for perm, scale in want.items()]
+    # a term and its negative cancel to no term at all
+    assert EXACT.operator(terms[:1] + [(-terms[0][0], terms[0][1])]) == []
+
+
+# ---- certified modular kernel ----
+
+def eliminated(op):
+    """The Gauss-Jordan kernel basis of the dense op: the reference."""
+    return EXACT.kernel(EXACT.dense(len(op[0][0]), op))
+
+
+def genus2_systems(alg, count):
+    """The first count +-1 weight systems of genus2_sep that satisfy the
+    vertex relations, as in verify.exact_genus2_weights."""
+    T = alg.T
+    one, w = alg.scalars.one(), alg.scalars.omega(1)
+    two = alg.scalars.from_rational(2)
+    tr = pushoff_pair(alg, T.designated_edge)[0]
+    out = []
+    for signs in itertools.product([1, -1], repeat=T.num_edges):
+        if signs.count(-1) % 2 == 0:
+            continue
+        prefix, tot = 1, 0
+        for e in T.fans[0].edges:
+            tot += prefix
+            prefix *= signs[e]
+        if tot or prefix != 1:
+            continue
+        W = WeightSystem(T, alg.N, u=[w if s < 0 else one for s in signs])
+        tau = verify.classical_trace(alg, tr, W)
+        if tau != two and tau != -two:
+            out.append(W)
+        if len(out) == count:
+            return out
+
+
+@pytest.fixture(scope="module")
+def genus2_exact_offdiag():
+    """mu(Q_v) on ten exact genus2_sep systems at N=3."""
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    return [build_rep(alg.T, 3, W, algebra=alg).operator(alg.offdiag_Q(0))
+            for W in genus2_systems(alg, 10)]
+
+
+def test_modular_kernel_is_the_eliminated_basis_on_genus2(genus2_exact_offdiag):
+    for op in genus2_exact_offdiag:
+        got = EXACT.certified_kernel(op)
+        assert got is not None and len(got) == 27
+        assert got == eliminated(op)
+
+
+def test_exact_genus2_kernels_eliminate_nothing(genus2_exact_offdiag):
+    with mock.patch.object(scalars.ExactArithmetic, "_eliminate",
+                           wraps=EXACT._eliminate) as spy:
+        dims = [eigenspace_kernel(None, op, 0.0).dim for op in genus2_exact_offdiag]
+    assert dims == [27] * 10 and spy.call_count == 0
+
+
+@pytest.mark.parametrize("name", ["torus1", "sphere2"])
+def test_modular_kernel_is_the_eliminated_basis_on_exact_weights(name):
+    rep = contract_rep(name, "exact")
+    for v in range(rep.T.num_vertices):
+        for a in (rep.algebra.offdiag_Q(v), random_element(rep.algebra, random.Random(v))):
+            op = rep.operator(a)
+            if op:
+                assert EXACT.certified_kernel(op) == eliminated(op)
+
+
+@given(planted_rank_matrices())
+def test_modular_kernel_is_the_eliminated_basis_or_none(fMr):
+    field, M, _ = fMr
+    op = diagonals(M)
+    got = EXACT.certified_kernel(op)
+    assert got is None or got == eliminated(op)
+    assert eigenspace_kernel(None, op, 0.0).basis == eliminated(op)
+
+
+def test_modular_kernel_of_zero_and_full_rank_operators():
+    field = CycloField(12)
+    zero, one = field.zero(), field.one()
+    n = 5
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    # a zero operator has every column free, a full-rank one none
+    zero_op = diagonals([[zero] * n for _ in range(n)])
+    assert EXACT.certified_kernel(zero_op) == identity == eliminated(zero_op)
+    unit = [[field.root_pow(i * j) + (2 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert EXACT.rank(unit) == n
+    assert EXACT.certified_kernel(diagonals(unit)) == [] == eliminated(diagonals(unit))
+
+
+def test_lifted_columns_past_int64_take_python_ints():
+    # reduced-row entries with coefficients 1/q for 12 primes q near 2^15:
+    # their column denominator, the lcm, is past int64
+    field = CycloField(12)
+    primes = [q for q in range(32400, 32768) if all(q % t for t in range(2, 182))][:12]
+    entries = [field.from_coeffs([Fraction(1, q) for q in primes[i:i + 4]]) for i in (0, 4, 8)]
+    nums, dens = field.pack([entries])
+    images = field.embed_mod_prime(nums[0], dens[0])[:, :, None]
+    K, col_dens = scalars._lifted_columns(field, 4, [0, 1, 2], np.array([3]), images)
+    assert K.dtype == object and col_dens[0] > intlinalg.INT64_MAX
+    assert field.unpack(K[0], col_dens[0]) == [-a for a in entries] + [field.one()]
+
+
+def offdiag_with_a_planted_failure(genus2_exact_offdiag, monkeypatch, plant):
+    """mu(Q_v) of the first system, or a copy that the modular kernel must
+    refuse: over a denominator p, with reconstructed fractions one off, or
+    with an entry zero modulo p under the first embedding alone."""
+    op = genus2_exact_offdiag[0]
+    field = op[0][1][0].field
+    p = field.prime
+    if plant == "denominator":
+        return [(perm, [a * Fraction(1, p) for a in scale]) for perm, scale in op]
+    if plant == "reconstruction":
+        original = intlinalg.rational_reconstruction
+
+        def off_by_one(a, q):
+            num, den = original(a, q)
+            return num + 1, den
+        monkeypatch.setattr(intlinalg, "rational_reconstruction", off_by_one)
+        return op
+    # zeta - z vanishes under zeta -> z alone: column 0 times it is zero
+    # modulo p there, and a pivot under the other embeddings
+    z = int(field.embed_mod_prime(np.array(field.root_pow(1).num), 1)[0])
+    planted = field.root_pow(1) - z
+    assert (field.embed_mod_prime(np.array(planted.num), 1)[1:] != 0).all()
+    return [(perm, [scale[0] * planted] + scale[1:]) for perm, scale in op]
+
+
+@pytest.mark.parametrize("plant", ["denominator", "reconstruction", "pivots"])
+def test_planted_failures_fall_back_to_elimination(genus2_exact_offdiag, monkeypatch, plant):
+    op = offdiag_with_a_planted_failure(genus2_exact_offdiag, monkeypatch, plant)
+    assert EXACT.certified_kernel(op) is None
+    with mock.patch.object(scalars.ExactArithmetic, "_eliminate",
+                           wraps=EXACT._eliminate) as spy:
+        K = eigenspace_kernel(None, op, 0.0)
+    assert spy.call_count == 1
+    assert K.basis == eliminated(op)
+    if plant != "pivots":  # the same operator, or p^-1 times it
+        assert K.basis == eliminated(genus2_exact_offdiag[0])
 
 
 # ---- operators: representation images as translation terms ----
@@ -706,6 +889,7 @@ def test_operator_contract(name, mode, seed):
     assert M == want
     assert ctx.image(op, X) == dense_image(M, X)
     p = ctx.field.prime
-    reduced = np.array([ctx.field.reduce_mod_prime(row) for row in M])
+    nums, dens = ctx.field.pack(M)
+    reduced = np.array([ctx.field.embed_mod_prime(x, d)[0] for x, d in zip(nums, dens)])
     assert ctx.rank_bound(op) == (intlinalg.rank_mod(reduced, p), p)
     assert diff == [[x - y for x, y in zip(r, s)] for r, s in zip(M, accumulated(rep, b))]

@@ -14,7 +14,7 @@ from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_torus_weights, suite_signrev
 
-from conftest import record_float_kernels
+from conftest import REPORTS, assert_same_report, record_float_kernels, split_decimals
 
 
 def test_info_name(capsys):
@@ -319,8 +319,29 @@ def test_verify_suite_passes(suite, seed, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", suite, "--N", "3", "--seed", str(seed),
                  "--out", str(out)]) == 0
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["name"] for c in checks] == REPORT_CHECKS[suite]
+    report = json.loads(out.read_text())
+    assert [c["name"] for c in report["checks"]] == REPORT_CHECKS[suite]
+    if seed == 0:  # the committed reference reports (tests/reports/regenerate.py)
+        assert_same_report(report, json.loads((REPORTS / f"verify-{suite}-N3.json").read_text()))
+
+
+def test_report_comparison_catches_a_changed_detail_or_a_flipped_check():
+    want = json.loads((REPORTS / "verify-threading-N3.json").read_text())
+    assert [c["detail"] for c in want["checks"]][1].endswith("residual <= 1.11e-14")
+
+    def changed(index, **kw):
+        report = json.loads(json.dumps(want))
+        report["checks"][index].update(kw)
+        return report
+
+    assert_same_report(changed(1, detail="20 random weight systems, residual <= 1.12e-14"), want)
+    for bad in (changed(0, passed=False),
+                changed(1, detail="21 random weight systems, residual <= 1.11e-14"),
+                changed(1, detail="20 random weight systems, residual <= 1.11e-11"),
+                changed(2, detail="T_N of a central image is the expected scalar")):
+        with pytest.raises(AssertionError):
+            assert_same_report(bad, want)
+    assert split_decimals("dim F = 27, tol 1e-8, 0.5") == ("dim F = 27, tol #, #", [1e-8, 0.5])
 
 
 def test_threading_suite_is_exact_beyond_N3(tmp_path):

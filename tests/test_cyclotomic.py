@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skeinrep.cyclotomic import CycloField, CycloScalar, cyclotomic_polynomial
+from skeinrep.cyclotomic import CycloField, CycloScalar, convolve, cyclotomic_polynomial
 from skeinrep.scalars import ExactScalars, FloatScalars
 
 ORDERS = (12, 20, 36)
@@ -194,17 +195,6 @@ def test_field_laws(fabc):
         assert (a * b) / a == b
 
 
-@given(field_vectors(2))
-def test_fused_dot_is_the_sum_of_products(fuv):
-    field, u, v = fuv
-    expected = field.zero()
-    for x, y in zip(u, v):
-        expected = expected + x * y
-    got = field.dot(u, v)
-    assert got == expected
-    assert_normal(got)
-
-
 @given(field_vectors(2), st.data())
 def test_fused_row_update_is_a_minus_f_b(fab, data):
     field, a, b = fab
@@ -249,35 +239,92 @@ def is_prime(n):
     return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
+def pack_one(field, values):
+    """(nums, den) of one vector."""
+    nums, dens = field.pack([values])
+    return nums[0], dens[0]
+
+
+def embed(field, values):
+    """The (phi, len) images of values under the embeddings, or None."""
+    return field.embed_mod_prime(*pack_one(field, values))
+
+
 @pytest.mark.parametrize("L", ORDERS)
 def test_field_prime_is_the_largest_below_2_31_holding_the_L_th_roots(L):
     field = CycloField(L)
     p = field.prime
     assert p < 2 ** 31 and p % L == 1 and is_prime(p)
     assert not any(is_prime(q) for q in range(p + L, 2 ** 31, L))
-    z = int(field.reduce_mod_prime([field.root_pow(1)])[0])
+    # zeta -> z^u for the units u, so the images of zeta are the phi(L)
+    # distinct roots of order exactly L
+    zs = embed(field, [field.root_pow(1)])[:, 0].tolist()
+    z = zs[0]
     assert [k for k in range(1, L + 1) if pow(z, k, p) == 1] == [L]
+    units = [u for u in range(1, L) if math.gcd(u, L) == 1]
+    assert zs == [pow(z, u, p) for u in units] and len(set(zs)) == field.degree
 
 
-def reduce_one(field, a):
-    return int(field.reduce_mod_prime([a])[0])
+def reduce_all(field, a):
+    return embed(field, [a])[:, 0]
 
 
 @given(field_elements(2))
 def test_reduction_mod_the_prime_is_a_ring_map(fab):
     field, a, b = fab
     p = field.prime
-    ra, rb = reduce_one(field, a), reduce_one(field, b)
-    assert reduce_one(field, a + b) == (ra + rb) % p
-    assert reduce_one(field, a * b) == ra * rb % p
-    assert reduce_one(field, field.one()) == 1
+    ra, rb = reduce_all(field, a), reduce_all(field, b)
+    assert np.array_equal(reduce_all(field, a + b), (ra + rb) % p)
+    assert np.array_equal(reduce_all(field, a * b), ra * rb % p)
+    assert (reduce_all(field, field.one()) == 1).all()
     if not a.is_zero():
-        assert reduce_one(field, a.inv()) * ra % p == 1
+        assert (reduce_all(field, a.inv()) * ra % p == 1).all()
 
 
 def test_reduction_of_an_entry_whose_denominator_the_prime_divides():
     field = CycloField(12)
     p, one = field.prime, field.one()
-    assert field.reduce_mod_prime([one, field.from_rational(p)]).tolist() == [1, 0]
-    assert field.reduce_mod_prime([one, field.from_rational(Fraction(3, 2 * p))]) is None
-    assert field.reduce_mod_prime([]).shape == (0,)
+    assert embed(field, [one, field.from_rational(p)]).tolist() == [[1, 0]] * 4
+    assert embed(field, [one, field.from_rational(Fraction(3, 2 * p))]) is None
+    assert embed(field, []).shape == (4, 0)
+
+
+@given(field_vectors(1))
+def test_interpolation_inverts_the_embeddings(fv):
+    # the images under all embeddings give every coefficient back mod p
+    field, v = fv
+    p = field.prime
+    nums, den = pack_one(field, v)
+    coeffs = field.interpolate_mod_prime(field.embed_mod_prime(nums, den))
+    assert np.array_equal(coeffs, (nums % p) * pow(den, -1, p) % p)
+
+
+# ---- array form ----
+
+@given(field_vectors(2))
+def test_packed_products_folded_once_are_the_products(fuv):
+    field, u, v = fuv
+    (un, ud), (vn, vd) = pack_one(field, u), pack_one(field, v)
+    assert field.unpack(un, ud) == u and field.unpack(vn, vd) == v
+    assert ud == math.lcm(*(a.den for a in u))
+    got = field.unpack(field.fold(convolve(un, vn)), ud * vd)
+    assert got == [x * y for x, y in zip(u, v)]
+    for r in got:
+        assert_normal(r)
+
+
+def test_packing_past_int64_takes_python_ints():
+    field = CycloField(12)
+    big = field.from_rational(2 ** 70) * field.root_pow(1) + 3
+    nums, den = pack_one(field, [big, field.one()])
+    assert nums.dtype == object and den == 1
+    square = field.unpack(field.fold(convolve(nums, nums)), 1)
+    assert square == [big * big, field.one()]
+    small, _ = pack_one(field, [field.one()])
+    assert small.dtype == np.int64
+    # vectors of one length, each over its own denominator
+    both, dens = field.pack([[field.from_rational(Fraction(1, 2))], [field.one()]])
+    assert both.shape == (2, 1, 4) and dens == [2, 1]
+    assert field.pack([])[0].shape == (0, 0, 4)
+    assert field.unpack(np.zeros((2, 4), dtype=np.int64), 7) == [field.zero()] * 2
+    assert field.unpack(np.zeros((2, 4), dtype=np.int64), 7)[0] is field.zero()

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,3 +116,77 @@ def test_rank_mod_matches_python_elimination(p):
         before = M.copy()
         assert il.rank_mod(M, p) == rank_mod_reference(A, p) <= r
         assert np.array_equal(M, before)
+
+
+def rref_reference(A, p):
+    """(pivots, rows) of Gauss-Jordan elimination over F_p on Python ints,
+    each pivot row scaled to pivot 1."""
+    rows = [[a % p for a in row] for row in A]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+@pytest.mark.parametrize("p", [7, 2147483629])
+def test_rref_mod_matches_python_elimination(p):
+    rng = random.Random(p + 1)
+    for _ in range(40):
+        m, n, r = rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 6)
+        X = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(r)]
+             for _ in range(m)]
+        Y = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+             for _ in range(r)]
+        A = [[sum(X[i][t] * Y[t][j] for t in range(r)) % p for j in range(n)]
+             for i in range(m)]
+        M = np.array(A, dtype=np.int64).reshape(m, n)
+        before = M.copy()
+        pivots, rows = il.rref_mod(M, p)
+        want_pivots, want_rows = rref_reference(A, p)
+        assert pivots == want_pivots
+        assert rows.shape == (len(pivots), n) and rows.tolist() == want_rows
+        assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("p", [101, 2147483629])
+def test_rational_reconstruction_lifts_every_small_fraction(p):
+    bound = math.isqrt((p - 1) // 2)
+    rng = random.Random(p)
+    fractions = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(300)]
+    fractions += [Fraction(0), Fraction(bound), Fraction(-bound), Fraction(1, bound),
+                  Fraction(-1, bound)]
+    fractions = [f for f in fractions if abs(f.numerator) <= bound and f.denominator <= bound]
+    a = np.array([f.numerator * pow(f.denominator, -1, p) % p for f in fractions],
+                 dtype=np.int64).reshape(-1, 1)
+    num, den = il.rational_reconstruction(a, p)
+    assert [Fraction(int(x), int(y)) for x, y in zip(num[:, 0], den[:, 0])] == fractions
+    assert (den > 0).all()
+
+
+def test_rational_reconstruction_refuses_a_residue_of_no_small_fraction():
+    p = 101  # bound 7: 1/2 lifts, but 8 and 1/8 do not
+    assert il.rational_reconstruction(np.array([51]), p)[1].tolist() == [2]
+    for a in (8, pow(8, -1, p)):
+        assert il.rational_reconstruction(np.array([1, a]), p) is None
+    empty = il.rational_reconstruction(np.zeros((0, 3), dtype=np.int64), p)
+    assert empty[0].shape == empty[1].shape == (0, 3)
+
+
+def test_int64_arrays_only_where_they_fit():
+    assert il.as_ints([[1, 2]], (1, 2)).dtype == np.int64
+    big = il.as_ints([[2 ** 63, 1]], (1, 2))
+    assert big.dtype == object and big.tolist() == [[2 ** 63, 1]]
+    small = np.array([3], dtype=np.int64)
+    assert il.exact_ints(small, il.INT64_MAX) is small
+    assert il.exact_ints(small, il.INT64_MAX + 1).dtype == object

@@ -133,7 +133,7 @@ def test_sweep_check(g2_rep, monkeypatch):
     assert report["kernel_prime"] is None and calls == [81]
 
 
-# sweep_check on exact_genus2_weights at N=3 when ker D was eliminated
+# sweep_check on exact_genus2_weights at N=3 when ker D was computed
 EXACT_SWEEP_REPORT = {"restriction_norm": 0.0, "restriction_zero": True,
                       "kernel_dim": 27, "total_kernel_dim": 27,
                       "kernel_equals_total": True, "passed": True}
@@ -161,8 +161,9 @@ def test_exact_sweep_kernel_is_certified_by_the_field_prime(g2_alg, monkeypatch)
     calls = count_exact_kernels(monkeypatch)
     report = sweep_check(rep, g2_alg.T.designated_edge)
     assert report == dict(EXACT_SWEEP_REPORT, kernel_prime=rep.ctx.field.prime)
-    # one elimination, of the stacked mu(Q_v) for total_kernel; none of D
-    assert calls == [rep.ctx.stack([rep.apply(g2_alg.offdiag_Q(0))])]
+    # no elimination over the field: F is the certified modular kernel of
+    # mu(Q_v), and dim ker D is certified by the rank of D modulo the prime
+    assert calls == []
 
 
 @pytest.mark.parametrize("plant", ["vanishes", "no-image"])
@@ -186,7 +187,10 @@ def test_exact_sweep_falls_back_to_elimination_at_a_bad_prime(g2_alg, monkeypatc
     report = sweep_check(rep, g2_alg.T.designated_edge)
     assert bounds == [(0, p if plant == "vanishes" else None)]
     assert report == dict(EXACT_SWEEP_REPORT, kernel_prime=None)
-    assert len(calls) == 2  # total_kernel, then ker D by elimination
+    # ker D is then eliminated, modulo the prime and certified exactly
+    # (certified_kernel, which the planted bound does not reach), so
+    # nothing is eliminated over the field
+    assert calls == []
 
 
 def test_certified_exact_sweep_forms_no_dense_matrix(g2_alg, monkeypatch):

@@ -91,7 +91,8 @@ Exact operators, images and kernels run on the array form of the field's
 elements (CycloField.pack): a vector is an (entries x phi(L)) integer array
 of numerators over one denominator, int64 where a bound rules out overflow
 and Python ints otherwise, on the same code, and never a float.  operator
-adds the products c scale of each translation unreduced and reduces once;
+adds the products c scale of each translation unreduced, EXACT_CHUNK
+integers of rows at a time, and reduces once;
 image packs the basis once and multiplies by each term's phi x phi
 multiplication matrices (the products folded through the field's table)
 at the permuted rows, EXACT_CHUNK integers at a time, only where the basis
@@ -162,8 +163,9 @@ def _multipliers(field, S):
     return np.swapaxes(field.fold(convolve(S[..., None, :], eye)), -1, -2)
 
 
-# Integers (128 KB in int64) that one step of an exact image gathers, each
-# column once per term: small, so that no step grows the process's heap.
+# Integers (128 KB in int64) that one step of an exact image gathers (each
+# column once per term) or of an exact operator sum holds unreduced: small,
+# so that no step grows the process's heap.
 EXACT_CHUNK = 1 << 14
 
 
@@ -192,6 +194,34 @@ def _image_nums(perms, G, X):
     products = G[np.arange(terms)[:, None], sources] @ X[:, sources][..., None]
     out[:, targets] = products[..., 0].sum(axis=1)
     return out
+
+
+def _summed(field, cs, c_den: int, scales):
+    """(nums, den): sum c_t scales[t] over the coefficients cs[t] / c_den
+    (integer rows) and the vectors of elements scales[t], in array form.
+    The products (CycloField.convolve) are added one term at a time,
+    unreduced, over the terms' common denominator, and reduced once
+    (fold); int64 while the running bound holds."""
+    acc, den, bound = None, 1, 0
+    for c, scale in zip(cs, scales):
+        (s,), (s_den,) = field.pack([scale])
+        common = math.lcm(den, c_den * s_den)
+        # acc is rescaled to the common denominator, the term scaled to it
+        grow, m = common // den, common // (c_den * s_den)
+        bound = bound * grow + m * field.degree * intlinalg.top(c) * intlinalg.top(s)
+        limit = field.fold_bound(bound)
+        term = convolve(intlinalg.exact_ints(c, limit), intlinalg.exact_ints(s, limit))
+        if m != 1:
+            term *= m
+        if acc is None:
+            acc = term
+        else:
+            acc = intlinalg.exact_ints(acc, limit)
+            if grow != 1:
+                acc *= grow
+            acc += term
+        den = common
+    return field.fold(acc), den
 
 
 def _lifted_columns(field, n, pivots, free, images):
@@ -234,26 +264,23 @@ class ExactArithmetic:
         return a.inv()
 
     def operator(self, terms):
-        """Per translation, the products c scale of its terms in array form
-        (CycloField.convolve) summed unreduced over their one denominator,
-        reduced once (fold) and made into elements once per entry."""
+        """Per translation, the sum of c scale over its terms (_summed), a
+        block of rows at a time, with the elements made once per entry."""
         by_perm = {}
         for c, (perm, scale) in terms:
             by_perm.setdefault(tuple(perm), []).append((c, scale))
         out = []
         for perm, group in by_perm.items():
             field = group[0][1][0].field
-            (cs, c_dens), (ss, s_dens) = (field.pack([[c] for c, _ in group]),
-                                          field.pack([scale for _, scale in group]))
-            den = math.lcm(*(a * b for a, b in zip(c_dens, s_dens)))
-            factors = [(den // (a * b), c[0], s) for a, b, c, s in zip(c_dens, s_dens, cs, ss)]
-            bound = field.fold_bound(sum(m * field.degree * intlinalg.top(c) * intlinalg.top(s)
-                                         for m, c, s in factors))
-            acc = sum(m * convolve(intlinalg.exact_ints(c, bound), intlinalg.exact_ints(s, bound))
-                      for m, c, s in factors)
-            scale = field.fold(acc)
-            if scale.any():
-                out.append((list(perm), field.unpack(scale, den)))
+            (cs,), (c_den,) = field.pack([[c for c, _ in group]])
+            step = max(1, EXACT_CHUNK // (2 * field.degree - 1))
+            scale, nonzero = [], False
+            for at in range(0, len(perm), step):
+                nums, den = _summed(field, cs, c_den, [s[at:at + step] for _, s in group])
+                nonzero = nonzero or bool(nums.any())
+                scale += field.unpack(nums, den)
+            if nonzero:
+                out.append((list(perm), scale))
         return out
 
     def dense(self, dim, op):

@@ -394,8 +394,7 @@ class CycloField:
     def fold(self, acc):
         """Products from convolve, (..., 2 phi - 1) integer arrays, reduced
         modulo Phi_L: (..., phi).  Callers bound the result (fold_bound)."""
-        table = self._fold_table
-        return acc @ (table if acc.dtype != object else table.astype(object))
+        return acc @ self._fold_table
 
     def __repr__(self):
         return f"CycloField({self.order})"

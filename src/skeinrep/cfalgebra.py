@@ -110,9 +110,7 @@ class CFAlgebra:
         """(S, R) for QTArray products: S the n x n matrix with k S l the
         zeta_L-exponent of product_twist(k, l), and R the L x phi(L) table
         of x^k modulo Phi_L."""
-        S = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j, s in self._lower:
-            S[i, j] = 2 * self.scalars.omega_step * s
+        S = 2 * self.scalars.omega_step * np.tril(np.array(self.sigma, dtype=np.int64), -1)
         return S, np.array(self.scalars.field._root_powers, dtype=np.int64)
 
     def weyl_weight(self, k) -> int:

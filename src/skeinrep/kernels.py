@@ -150,9 +150,7 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
         K = np.empty((n, sum(W.shape[1] for W in bases)), dtype=complex)
         spaces.span(bases, K)
         # op K a CHUNK of entries at a time, so that no second n x dim K array is formed
-        step = max(1, scalars.CHUNK // n)
-        if all(ctx.is_zero(ctx.image(op, K[:, at:at + step]), residual_bound(op))
-               for at in range(0, K.shape[1], step)):
+        if ctx.is_zero(ctx.image_norm(op, K), residual_bound(op)):
             return Subspace(n, K)
     basis = ctx.certified_kernel(op)
     return Subspace(n, basis) if basis is not None else matrix_kernel(ctx.dense(n, op), tol)

@@ -242,10 +242,8 @@ def sweep_check(rep: CFRep, edge: int, tol: float = DEFAULT_RANK_TOL) -> dict:
     tr1, tr2 = pushoff_pair(rep.algebra, edge)
     diff = rep.operator(tr1 - tr2)
     F = total_kernel(rep, tol)
-    restriction = ctx.image(diff, F.basis)
-    restriction_zero = ctx.is_zero(restriction, residual_bound(diff))
-    restriction_norm = ctx.norm(restriction)
-    del restriction  # as large as F; not kept while ker D is taken
+    restriction_norm = ctx.image_norm(diff, F.basis)
+    restriction_zero = ctx.is_zero(restriction_norm, residual_bound(diff))
     rank, prime = ctx.rank_bound(diff)
     if prime is not None and restriction_zero and rank >= rep.dim - F.dim:
         kernel_dim = F.dim

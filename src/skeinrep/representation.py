@@ -25,7 +25,7 @@ import numpy as np
 from . import intlinalg as il
 from . import scalars
 from .cfalgebra import CFAlgebra, QTElement, SignReversalClass
-from .errors import (DimensionMismatch, InconsistentCenter, NotScalar,
+from .errors import (DimensionMismatch, InconsistentCenter, NotBalanced, NotScalar,
                      ParseError, ZeroWeight)
 from .triangulation import Triangulation
 
@@ -135,13 +135,9 @@ class CFRep:
     def _setup_factors(self):
         N, T = self.N, self.T
         self.pairs = self.lattice.pairs
-        self.orders = []
-        for _, _, d in self.pairs:
-            m = (4 * N) // math.gcd(4 * N, 2 * d)
-            self.orders.append(m)
+        self.orders = [4 * N // math.gcd(4 * N, 2 * d) for _, _, d in self.pairs]
         self.active = [t for t, m in enumerate(self.orders) if m > 1]
-        radix = self.radix = np.array([self.orders[t] for t in self.active],
-                                      dtype=np.int64)
+        radix = self.radix = np.array(self.orders, dtype=np.int64)[self.active]
         dim = self.dim = int(radix.prod())
         expected = N ** (3 * T.genus + T.num_vertices - 3)
         if dim != expected:
@@ -149,72 +145,57 @@ class CFRep:
                 f"clock/shift dimension {dim} != N^(3g+p-3) = {expected}")
         # mixed-radix strides for the tensor index, and the digits of every
         # index: digits[i, j] is the position of index i in active factor j
-        self.strides = np.array([radix[j + 1:].prod() for j in range(len(radix))],
-                                dtype=np.int64)
+        self.strides = np.array([radix[j + 1:].prod() for j in range(len(radix))], dtype=np.int64)
         self.digits = (np.arange(dim)[:, None] // self.strides) % radix
-
-    def _w_data(self, gamma):
-        """Scalar omega-exponent and (alpha, beta) per active pair.
-
-        W(k) = omega^(sum_t d_t alpha_t beta_t) prod_t V_t^(beta_t) U_t^(alpha_t)
-        with U V = omega^(2d) V U satisfies W(k) W(l) = omega^(k.sigma.l) W(k+l).
-        """
-        s = 0
-        ab = []
-        for t, (a, b, d) in enumerate(self.pairs):
-            al, be = gamma[a], gamma[b]
-            s += d * al * be
-            if t in self.active:
-                ab.append((al, be, d, self.orders[t]))
-        return s % (4 * self.N), ab
+        # the tables of _factors modulo 8N: twice the coordinates (as in
+        # BalancedLattice.coords), the pairs' d and the Weyl weight's lower form
+        n = T.num_edges
+        self._coord_rows = (il.as_ints(self.lattice._two_inv, (n, n)) % (8 * N)).astype(np.int64).T
+        a, b, d = np.array(self.pairs, dtype=np.int64).reshape(-1, 3).T
+        self._pair_ends, self._pair_d = (a, b), d % (8 * N)
+        self._lower = np.tril(np.array(self.algebra.sigma, dtype=np.int64), -1) % (8 * N)
+        self._powers = {}  # (i, j) -> u_i^j, for _u_power; the sign leaves it valid
 
     # -- character --
 
     def _solve_character(self):
-        N, T = self.N, self.T
-        n = self.algebra.n
-        mod = 4 * N
-        rows, rhs = [], []
-        self.x = list(self.weights.x)
-        for i in range(n):
-            k = [0] * n
-            k[i] = 2 * N
-            gamma = self.lattice.coords(k)
-            s, ab = self._w_data(gamma)
-            for al, be, d, m in ab:
-                if be % m != 0 or (2 * d * al) % mod != 0:
-                    raise NotScalar("W(Z_i^2N) is not scalar; construction bug")
-            rows.append(list(gamma))
-            rhs.append(-s % mod)
+        """rho from the s with W(k) = omega^s Id at k = 2N e_i and the fan
+        vectors h_v (_factors with rho = 0): mu(Z_i^2N) = x_i Id needs rho .
+        coords(k) = -s, and mu(H_v) = -omega^4 Id, with u^(h_v) = omega^(l_v),
+        needs rho . coords(h_v) = 2N + 4 - l_v - s mod 4N."""
+        N, T, n = self.N, self.T, self.algebra.n
+        keys = [[2 * N * (j == i) for j in range(n)] for i in range(n)]
+        keys += [T.end_counts(v) for v in range(T.num_vertices)]
+        self.rho = [0] * n
+        shifts, phases, s, _ = self._factors(keys)
+        if shifts.any() or phases.any():
+            raise NotScalar("W(Z_i^2N) or W(H_v) is not scalar; construction bug")
         self._hv_logs = []
-        for v in range(T.num_vertices):
-            h = T.end_counts(v)
-            gamma = self.lattice.coords(h)
-            s, ab = self._w_data(gamma)
-            if ab and any(al or be for al, be, _, _ in ab):
-                raise NotScalar("W(H_v) is not the identity; construction bug")
-            uh = self._u_power(h)
+        for v, h in enumerate(keys[n:]):
             try:
-                duh = self.ctx.omega_log(uh)
+                self._hv_logs.append(self.ctx.omega_log(self._u_power(h)))
             except ValueError as exc:
                 raise InconsistentCenter(
                     f"fan product u^(h_v) at vertex {v} is not a root of "
                     f"unity; weights are not vertex-valid") from exc
-            self._hv_logs.append(duh)
-            rows.append(list(gamma))
-            rhs.append((2 * N + 4 - duh - s) % mod)
-        rho = il.solve_mod(rows, rhs, mod)
+        rhs = [-e for e in s[:n].tolist()] + [2 * N + 4 - l - e for l, e in
+                                               zip(self._hv_logs, s[n:].tolist())]
+        rho = il.solve_mod([self.lattice.coords(k) for k in keys], rhs, 4 * N)
         if rho is None:
             raise InconsistentCenter(
                 "no character realizes mu(Z_i^2N) = x_i and mu(H_v) = -omega^4")
         self.rho = rho
 
     def _u_power(self, k):
+        """u^k, the powers u_i^(+-j) multiplied in the order of k, each power
+        made once per representation (_powers)."""
         out = self.ctx.one()
         for i, ki in enumerate(k):
             if ki:
-                ui = self.weights.u[i]
-                out = out * (ui if ki > 0 else self.ctx.inv(ui)) ** abs(ki)
+                if (i, ki) not in self._powers:
+                    ui = self.weights.u[i]
+                    self._powers[i, ki] = (ui if ki > 0 else self.ctx.inv(ui)) ** abs(ki)
+                out = out * self._powers[i, ki]
         return out
 
     # -- evaluation --
@@ -224,49 +205,81 @@ class CFRep:
         return self._u_power(k) * self.ctx.omega(self.cocycle_exponent(k))
 
     def cocycle_exponent(self, k) -> int:
-        """Weight-independent omega-exponent part of tau(k)."""
-        gamma = self.lattice.coords(k)
-        e = sum(r * g for r, g in zip(self.rho, gamma)) % (4 * self.N)
-        if self.sign is not None and self.sign.value(k):
-            e = (e + 2 * self.N) % (4 * self.N)
-        return e
+        """Weight-independent omega-exponent part of tau(k) (_factors)."""
+        return int(self._factors([k])[3][0])
+
+    def _factors(self, keys, weyl: bool = False):
+        """(shifts, phases, exps, cocycles) of A_k over the exponent rows k of
+        keys: A_k translates the index group by shifts[t] (be mod m per active
+        pair), with omega-exponent exps[t] + phases[t] . digits[i] (2 d al per
+        pair) mod 4N at i, exps[t] that of W(k) plus the cocycle's cocycles[t],
+        and plus w(k) with weyl (mu(Z^k) = omega^(w(k)) mu([Z^k])).  The coordinates
+        come from k mod 8N, which fixes them mod 4N; an odd doubled one
+        raises NotBalanced."""
+        mod, n = 4 * self.N, self.algebra.n
+        K = il.as_ints(keys, (len(keys), n)) % (2 * mod)
+        # every entry is below 8N, so a sum below is at most n^2 (8N)^3
+        K = il.exact_ints(K.astype(np.int64), n * n * (2 * mod) ** 3)
+        two = K @ self._coord_rows
+        odd = (two % 2).any(axis=1)
+        if odd.any():
+            raise NotBalanced(f"{tuple(keys[int(np.argmax(odd))])} is not in the balanced lattice")
+        gamma = two // 2 % mod
+        (a, b), act = self._pair_ends, self.active
+        cocycles = gamma @ self.rho + (0 if self.sign is None else
+                                       2 * self.N * (K @ self.sign.c % 2))
+        exps = (self._pair_d * gamma[:, a] * gamma[:, b]).sum(axis=1) + cocycles
+        if weyl:
+            exps -= (K @ self._lower * K).sum(axis=1)
+        return tuple(np.asarray(x % m, dtype=np.int64) for x, m in
+                     ((gamma[:, b[act]], self.radix),
+                      (2 * self._pair_d[act] * gamma[:, a[act]], mod), (exps, mod), (cocycles, mod)))
+
+    def _perm(self, shift):
+        """The translation of the index group by shift: i -> perm[i]."""
+        return ((self.digits + shift) % self.radix) @ self.strides
+
+    def _exponents(self, phases, exps):
+        """The (terms x dim) omega-exponents of _factors at every index."""
+        return (exps[:, None] + phases @ self.digits.T) % (4 * self.N)
 
     def weyl_image(self, k) -> tuple:
         """mu([Z^k]) as one term (perm, scale)."""
-        return self._image(k, 0)
+        return self._image(k, False)
 
     def intertwiner_part(self, k):
         """A_k with mu([Z^k]) = u^k A_k, as weight-independent discrete data:
         (perm tuple, omega-exponent tuple)."""
-        base, ab = self._w_data(self.lattice.coords(k))
-        base += self.cocycle_exponent(k)
-        mod = 4 * self.N
-        # reduced before entering int64, so no sum below can overflow
-        shift, phase = np.array([(be % m, 2 * d * al % mod) for al, be, d, m in ab],
-                                dtype=np.int64).reshape(-1, 2).T
-        perm = ((self.digits + shift) % self.radix) @ self.strides
-        expo = (base + self.digits @ phase) % mod
-        return tuple(perm.tolist()), tuple(expo.tolist())
+        (shift,), phases, exps, _ = self._factors([k])
+        return tuple(self._perm(shift).tolist()), tuple(self._exponents(phases, exps)[0].tolist())
 
     def monomial_image(self, k) -> tuple:
         """mu(Z^k) = omega^(w(k)) mu([Z^k]) as one term (perm, scale)."""
-        return self._image(k, self.algebra.weyl_weight(k))
+        return self._image(k, True)
 
-    def _image(self, k, extra_exp) -> tuple:
-        """omega^extra_exp u^k A_k as one translation term (perm, scale) of
-        lists, e_i -> scale[i] e[perm[i]]; ctx.operator sums such terms."""
-        perm, expo = self.intertwiner_part(k)
+    def _image(self, k, weyl: bool) -> tuple:
+        """u^k A_k, times omega^(w(k)) with weyl, as one translation term
+        (perm, scale) of lists, e_i -> scale[i] e[perm[i]], its scales read
+        from the 4N products u^k omega^j: the row of k that operator sums."""
+        (shift,), phases, exps, _ = self._factors([k], weyl)
         uk = self._u_power(k)
-        mod = 4 * self.N
-        scales = [uk * self.ctx.omega(j) for j in range(mod)]
-        return list(perm), [scales[(e + extra_exp) % mod] for e in expo]
+        scales = [uk * self.ctx.omega(j) for j in range(4 * self.N)]
+        return self._perm(shift).tolist(), [scales[e] for e in self._exponents(phases, exps)[0]]
 
     def operator(self, a: QTElement) -> list:
         """mu(a) as an operator (module scalars): each monomial image is a
-        translation of the index group Z_radix times a diagonal, and those
-        of one translation are summed in a.terms order."""
-        self.algebra.require_balanced(a)
-        return self.ctx.operator((c, self.monomial_image(k)) for k, c in a.terms.items())
+        translation of the index group Z_radix times a diagonal, and those of
+        one translation are summed (ctx.operator), translations and terms in
+        a.terms order, from one _factors of all of a's exponents."""
+        keys, coeffs = list(a.terms), list(a.terms.values())
+        shifts, phases, exps, _ = self._factors(keys, weyl=True)
+        groups = {}
+        for t, shift in enumerate(map(tuple, shifts.tolist())):
+            groups.setdefault(shift, []).append(t)
+        return self.ctx.operator((self._perm(shifts[ts[0]]), [coeffs[t] for t in ts],
+                                  [self._u_power(keys[t]) for t in ts],
+                                  self._exponents(phases[ts], exps[ts]))
+                                 for ts in groups.values())
 
     def apply(self, a: QTElement):
         """Dense matrix of mu(a); float mode returns a numpy array."""
@@ -279,39 +292,41 @@ class CFRep:
     # -- derived checks --
 
     def commutant_dim(self) -> int:
-        """Dimension of the commutant of the image, via orbit-phase
-        propagation over the monomial generator matrices.
+        """Dimension of the commutant of the image, exact in both modes.
 
-        A generator u^k A_k with A_k e_i = omega^(e_i) e_(p(i)) forces
-        X[p(i), p(j)] = omega^(e_i - e_j) X[i, j] on a commuting X: the factor
-        u^k cancels, so phases are integer omega-exponents mod 4N and the count
-        is exact in both modes.
-        """
-        gens = [self.intertwiner_part(b) for b in self.lattice.basis]
-        mod = 4 * self.N
-        D = self.dim
-        phase = [None] * (D * D)
-        dim = 0
-        for root in range(D * D):
-            if phase[root] is not None:
-                continue
-            phase[root] = 0
-            stack = [root]
-            consistent = True
-            while stack:
-                pos = stack.pop()
-                i, j = divmod(pos, D)
-                for perm, expo in gens:
-                    npos = perm[i] * D + perm[j]
-                    val = (phase[pos] + expo[i] - expo[j]) % mod
-                    if phase[npos] is None:
-                        phase[npos] = val
-                        stack.append(npos)
-                    elif phase[npos] != val:
-                        consistent = False
-            if consistent:
-                dim += 1
-        return dim
+        X commutes with u^b A_b (b in the lattice basis, A_b e_i = omega^(e(i))
+        e_(p(i))) iff X[p(i), p(j)] = omega^(e(i) - e(j)) X[i, j]: u^b cancels.
+        A_b translates Z_radix by s_b, and e_b = base_b + chi_b (_factors) with
+        chi_b(i) = phases_b . digits(i) additive, as m_t 2 d al = 0 mod 4N.  So
+        (i, i + delta) goes to (i + s_b, i + delta + s_b) with phase change
+        -chi_b(delta): delta is invariant, base_b cancels, and the orbits are
+        (coset of H = <s_b>, delta), alike on every coset, each one free entry
+        of X when its phases agree.  So dim = (D / |H|) #{delta : the phases
+        -chi_b(delta) agree on the Cayley graph of H}, by one breadth-first
+        search of H from 0 for all delta at once: node h holds its phases over
+        delta as small ints (a row of a D x D array, rows outside H never
+        written), each edge out of a node checked against the row it reaches,
+        CHUNK entries at a time."""
+        mod, D = 4 * self.N, self.dim
+        shifts, phases, _, _ = self._factors(self.lattice.basis)
+        moves = [self._perm(s) for s in shifts]
+        small = np.min_scalar_type(2 * mod)  # holds a sum of two phases
+        steps = (-(phases @ self.digits.T) % mod).astype(small)  # -chi_b(delta)
+        phase = np.zeros((D, D), dtype=small)
+        seen, agree = np.arange(D) == 0, np.ones(D, dtype=bool)
+        frontier, block = np.zeros(1, dtype=np.int64), max(1, scalars.CHUNK // D)
+        while len(frontier):
+            reached = [frontier[:0]]
+            for at in range(0, len(frontier), block):
+                nodes = frontier[at:at + block]
+                for move, step in zip(moves, steps):
+                    targets, values = move[nodes], (phase[nodes] + step) % mod
+                    new = ~seen[targets]
+                    agree &= (phase[targets[~new]] == values[~new]).all(axis=0)
+                    phase[targets[new]], seen[targets[new]] = values[new], True
+                    reached.append(targets[new])
+            frontier = np.concatenate(reached)
+        return D // int(seen.sum()) * int(agree.sum())
 
     def precompose_sign_reversal(self, eps: SignReversalClass) -> "CFRep":
         eps.require_admissible()

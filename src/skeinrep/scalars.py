@@ -20,15 +20,16 @@ An operator is a square matrix as its translation terms: a list of (perm,
 scale), entries M[perm[i], i] = scale[i], no two terms sharing an entry (in
 a representation image each monomial is a translation of the index group
 times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
-dense, image, rank_bound, certified_kernel and scalar_of take operators,
-operator makes them (dense, image and scalar_of also take [term] for a term
-(perm, scale) of lists, as CFRep.monomial_image gives); only kernel, rank
-and spans take dense matrices.  An operator is zero when is_zero holds for
-its scale vectors.  Callers pass the threshold they use as `tol`; exact
-methods ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
+dense, image, image_norm, rank_bound, certified_kernel and scalar_of take
+operators, which ExactScalars and FloatScalars make (operator; dense, image
+and scalar_of also take [term], one term (perm, scale) of lists, as
+CFRep.monomial_image gives); only kernel, rank and spans take dense
+matrices.  An operator is zero when is_zero holds for its scale vectors.
+Callers pass the threshold they use as `tol`; exact methods ignore it.  The
+N-free Exact/FloatArithmetic give (float | exact):
 
-    operator(terms)   sum c P over pairs (c, P = (perm, scale)), one term per
-                      permutation, all-zero terms dropped
+    image_norm(op, B) norm(op B), a chunk of B at a time | read from the
+                      numerators, with no element made
     rank_bound(op)    (0, None) | (r, p): rank op >= r, r the rank of op
                       reduced modulo the field's prime p (intlinalg.rank_mod),
                       (0, None) if a denominator is divisible by p
@@ -84,16 +85,18 @@ all, against N^8 for dense bases.  An operator maps a chunk of spaces
 (CHUNK) by one scatter of the block entries per term (JointSpaces.images),
 for kernels taken one joint space at a time (kernels.eigenspace_kernel).
 
-ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N)
-and the weights-file format (deserialize, json_fields).
+ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N),
+the weights-file format (deserialize, json_fields) and operator(groups): per
+group (perm, cs, us, expos) of monomial images (CFRep.operator) the term at
+perm of scale sum_t c_t u_t omega^(expos[t, i]) at i; all-zero terms dropped.
 
 Exact operators, images and kernels run on the array form of the field's
 elements (CycloField.pack): a vector is an (entries x phi(L)) integer array
 of numerators over one denominator, int64 where a bound rules out overflow
 and Python ints otherwise, on the same code, and never a float.  operator
-adds the products c scale of each translation unreduced, EXACT_CHUNK
-integers of rows at a time, and reduces once;
-image packs the basis once and multiplies by each term's phi x phi
+packs each c u once and multiplies it by the 4N powers of omega, of which
+every entry gathers one by its exponent, EXACT_CHUNK integers of rows at a
+time; image packs the basis once and multiplies by each term's phi x phi
 multiplication matrices (the products folded through the field's table)
 at the permuted rows, EXACT_CHUNK integers at a time, only where the basis
 is nonzero; an all-zero entry comes out as the field's shared zero.
@@ -196,32 +199,15 @@ def _image_nums(perms, G, X):
     return out
 
 
-def _summed(field, cs, c_den: int, scales):
-    """(nums, den): sum c_t scales[t] over the coefficients cs[t] / c_den
-    (integer rows) and the vectors of elements scales[t], in array form.
-    The products (CycloField.convolve) are added one term at a time,
-    unreduced, over the terms' common denominator, and reduced once
-    (fold); int64 while the running bound holds."""
-    acc, den, bound = None, 1, 0
-    for c, scale in zip(cs, scales):
-        (s,), (s_den,) = field.pack([scale])
-        common = math.lcm(den, c_den * s_den)
-        # acc is rescaled to the common denominator, the term scaled to it
-        grow, m = common // den, common // (c_den * s_den)
-        bound = bound * grow + m * field.degree * intlinalg.top(c) * intlinalg.top(s)
-        limit = field.fold_bound(bound)
-        term = convolve(intlinalg.exact_ints(c, limit), intlinalg.exact_ints(s, limit))
-        if m != 1:
-            term *= m
-        if acc is None:
-            acc = term
-        else:
-            acc = intlinalg.exact_ints(acc, limit)
-            if grow != 1:
-                acc *= grow
-            acc += term
-        den = common
-    return field.fold(acc), den
+def _image_chunks(op, basis):
+    """(field, den, nums, dens) per chunk of the columns X of an exact basis:
+    nums the numerators of op X (_image_nums), column j over den dens[j]."""
+    field, perms, S, den = _packed(op)
+    G = _multipliers(field, S)
+    step = _columns_per_chunk(G)
+    for at in range(0, len(basis), step):
+        X, dens = field.pack(basis[at:at + step])
+        yield field, den, _image_nums(perms, G, X), dens
 
 
 def _lifted_columns(field, n, pivots, free, images):
@@ -263,26 +249,6 @@ class ExactArithmetic:
     def inv(self, a):
         return a.inv()
 
-    def operator(self, terms):
-        """Per translation, the sum of c scale over its terms (_summed), a
-        block of rows at a time, with the elements made once per entry."""
-        by_perm = {}
-        for c, (perm, scale) in terms:
-            by_perm.setdefault(tuple(perm), []).append((c, scale))
-        out = []
-        for perm, group in by_perm.items():
-            field = group[0][1][0].field
-            (cs,), (c_den,) = field.pack([[c for c, _ in group]])
-            step = max(1, EXACT_CHUNK // (2 * field.degree - 1))
-            scale, nonzero = [], False
-            for at in range(0, len(perm), step):
-                nums, den = _summed(field, cs, c_den, [s[at:at + step] for _, s in group])
-                nonzero = nonzero or bool(nums.any())
-                scale += field.unpack(nums, den)
-            if nonzero:
-                out.append((list(perm), scale))
-        return out
-
     def dense(self, dim, op):
         # an empty operator takes the zero of these scalars (ExactScalars)
         zero = op[0][1][0].field.zero() if op else self.zero()
@@ -297,20 +263,20 @@ class ExactArithmetic:
 
     def image(self, op, basis):
         """op B: B packed once, each column over its own denominator, and
-        mapped in array form (_image_nums); an all-zero entry is the field's
-        shared zero."""
+        mapped in array form (_image_chunks); an all-zero entry is the
+        field's shared zero."""
         if not basis:
             return []
-        field = basis[0][0].field
         if not op:
-            return [[field.zero()] * len(col) for col in basis]
-        _, perms, S, den = _packed(op)
-        G = _multipliers(field, S)
-        out, step = [], _columns_per_chunk(G)
-        for at in range(0, len(basis), step):
-            X, dens = field.pack(basis[at:at + step])
-            out += [field.unpack(col, den * d) for col, d in zip(_image_nums(perms, G, X), dens)]
-        return out
+            return [[basis[0][0].field.zero()] * len(col) for col in basis]
+        return [field.unpack(col, den * d) for field, den, nums, dens in _image_chunks(op, basis)
+                for col, d in zip(nums, dens)]
+
+    def image_norm(self, op, basis) -> float:
+        """norm(image(op, basis)), read from the numerators of op B alone: no
+        element is made."""
+        return float(bool(op and basis) and any(nums.any() for _, _, nums, _ in
+                                                _image_chunks(op, basis)))
 
     def ncols(self, basis) -> int:
         return len(basis)
@@ -699,15 +665,6 @@ class FloatArithmetic:
     def inv(self, a):
         return 1 / a
 
-    def operator(self, terms):
-        by_perm = {}
-        for c, (perm, scale) in terms:
-            key = tuple(perm)
-            by_perm[key] = (by_perm.get(key, 0)
-                            + complex(c) * np.asarray(scale, dtype=complex))
-        return [(np.array(perm), scale) for perm, scale in by_perm.items()
-                if scale.any()]
-
     def dense(self, dim, op):
         M = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim)
@@ -729,6 +686,12 @@ class FloatArithmetic:
             for inv, scale in terms:
                 out[:, cols] += scale[inv, None] * basis[inv, cols]
         return out
+
+    def image_norm(self, op, basis) -> float:
+        """norm(image(op, basis)), CHUNK entries of the image at a time."""
+        step = max(1, CHUNK // max(len(basis), 1))
+        return max((self.norm(self.image(op, basis[:, at:at + step]))
+                    for at in range(0, basis.shape[1], step)), default=0.0)
 
     def stack(self, mats):
         return np.vstack([np.asarray(M) for M in mats])
@@ -794,6 +757,25 @@ class ExactScalars(ExactArithmetic):
     def from_rational(self, q) -> CycloScalar:
         return self.field.from_rational(q)
 
+    def operator(self, groups):
+        """Per translation, sum c u omega^e in array form: each c u packed once
+        and times the 4N omega^j (convolve, fold), gathered by exponent and
+        summed a block of rows at a time; elements made once per entry."""
+        field, d = self.field, self.field.degree
+        (omegas,), _ = field.pack([[self.omega(j) for j in range(4 * self.N)]])
+        out = []
+        for perm, cs, powers, expos in groups:
+            (W,), (den,) = field.pack([[c * u for c, u in zip(cs, powers)]])
+            # a table entry is at most fold_bound(d max|W| max|omegas|), and a sum of len(cs)
+            limit = len(cs) * field.fold_bound(d * intlinalg.top(W) * intlinalg.top(omegas))
+            table = field.fold(convolve(intlinalg.exact_ints(W, limit)[:, None], omegas))
+            rows, step = np.arange(len(cs))[:, None], max(1, EXACT_CHUNK // (len(cs) * d))
+            scale = [v for at in range(0, len(perm), step)
+                     for v in field.unpack(table[rows, expos[:, at:at + step]].sum(axis=0), den)]
+            if any(v is not field.zero() for v in scale):
+                out.append((perm.tolist(), scale))
+        return out
+
     def omega_log(self, a) -> int:
         """k with a == omega^k, or raise ValueError."""
         k = a.root_log() if a.field is self.field else None
@@ -817,6 +799,15 @@ class FloatScalars(FloatArithmetic):
 
     def omega(self, k: int = 1) -> complex:
         return cmath.exp(2j * cmath.pi * k / (4 * self.N))
+
+    def operator(self, groups):
+        """Per translation, sum c (u omega^e) in the terms' order, u omega^e
+        gathered from the 4N products u omega^j of Python complexes."""
+        omegas = [self.omega(j) for j in range(4 * self.N)]
+        sums = ((perm, sum((complex(c) * np.array([u * w for w in omegas])[e]
+                            for c, u, e in zip(cs, powers, expos)), 0))
+                for perm, cs, powers, expos in groups)
+        return [(perm, scale) for perm, scale in sums if scale.any()]
 
     def one(self) -> complex:
         return 1.0 + 0j

@@ -225,7 +225,7 @@ def subdivision_checks(N, rng):
                         "mu'(Q_v0 - 1) has the N-th roots of -1, equal multiplicities"))
     diff = alg2E.offdiag_Q(rec.vertex_map[0]) - phi(rec, algE.offdiag_Q(0), alg2E)
     checks.append(Check("subdivision-restriction-identity",
-                        rep2.ctx.is_zero(rep2.ctx.image(rep2.operator(diff), K.basis)),
+                        rep2.ctx.is_zero(rep2.ctx.image_norm(rep2.operator(diff), K.basis)),
                         "mu'(Q'_v) = mu'(Phi(Q_v)) on ker mu'(Q_v0)"))
     return checks
 

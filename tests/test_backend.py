@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skeinrep import intlinalg, kernels, scalars, verify
-from skeinrep.cfalgebra import CFAlgebra
+from skeinrep.cfalgebra import CFAlgebra, SignReversalClass
 from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
 from skeinrep.kernels import (eigen_analysis, eigenspace_kernel, pants_spaces,
@@ -357,6 +357,39 @@ def test_dense_fallbacks_give_the_dense_answer():
 
 # ---- commutant ----
 
+def orbit_commutant_dim(rep):
+    """The orbit walk over all D^2 positions (i, j) of X, with the
+    generators' integer omega-exponents: A_b e_i = omega^(e_i) e_(p(i))
+    forces X[p(i), p(j)] = omega^(e_i - e_j) X[i, j] on a commuting X, and
+    each orbit whose phases agree carries one free entry.  The reference
+    for the shift-subgroup count of CFRep.commutant_dim."""
+    gens = [rep.intertwiner_part(b) for b in rep.lattice.basis]
+    mod = 4 * rep.N
+    D = rep.dim
+    phase = [None] * (D * D)
+    dim = 0
+    for root in range(D * D):
+        if phase[root] is not None:
+            continue
+        phase[root] = 0
+        stack = [root]
+        consistent = True
+        while stack:
+            pos = stack.pop()
+            i, j = divmod(pos, D)
+            for perm, expo in gens:
+                npos = perm[i] * D + perm[j]
+                val = (phase[pos] + expo[i] - expo[j]) % mod
+                if phase[npos] is None:
+                    phase[npos] = val
+                    stack.append(npos)
+                elif phase[npos] != val:
+                    consistent = False
+        if consistent:
+            dim += 1
+    return dim
+
+
 def field_commutant_dim(rep, tol=1e-8):
     """Orbit-phase propagation with the generator scales themselves: each
     generator forces X[p(i), p(j)] = s_i / s_j X[i, j] on a commuting X."""
@@ -392,6 +425,10 @@ def field_commutant_dim(rep, tol=1e-8):
     return dim
 
 
+def assert_commutant_matches_references(rep, expected):
+    assert rep.commutant_dim() == orbit_commutant_dim(rep) == field_commutant_dim(rep) == expected
+
+
 def with_basis_prefix(rep, m):
     """A copy of rep generated by the first m balanced-lattice basis vectors."""
     cut = copy.copy(rep)
@@ -400,30 +437,73 @@ def with_basis_prefix(rep, m):
     return cut
 
 
-@pytest.fixture(scope="module")
-def library_reps():
-    reps = {}
-    for name in ("torus1", "sphere2"):
-        alg = CFAlgebra(standard_library(name), 3)
-        reps[name] = build_rep(alg.T, 3, exact_weights(name, alg), algebra=alg)
-    T = standard_library("genus2_sep")
-    reps["genus2_float"] = build_rep(T, 3, sample_generic_weights(T, 3, random.Random(101)))
-    return reps
+@functools.lru_cache(maxsize=None)
+def library_rep(name, N):
+    """The library triangulation at N with its exact weights, or with
+    generic float weights for genus2_float and for genus2_sep at N=5 (whose
+    exact field walk over D^2 = 390,625 positions would take minutes)."""
+    T = standard_library("genus2_sep" if name == "genus2_float" else name)
+    if name == "genus2_float" or (name, N) == ("genus2_sep", 5):
+        return build_rep(T, N, sample_generic_weights(T, N, random.Random(101)))
+    alg = CFAlgebra(T, N)
+    return build_rep(T, N, exact_weights(name, alg), algebra=alg)
+
+
+@pytest.mark.parametrize("name,N", [("genus2_sep", 3), ("torus1", 5), ("sphere2", 5),
+                                    ("genus2_sep", 5)])
+def test_commutant_matches_both_references_on_the_library(name, N):
+    # the library at N=3 and 5, with test_commutant_matches_field_reference
+    assert_commutant_matches_references(library_rep(name, N), 1)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", ["torus1", "sphere2", "genus2_sep", "genus2_float"])
+def test_generators_translate_times_an_additive_character(name, N):
+    # the structure the shift-subgroup count rests on: A_b e_i = omega^(e(i))
+    # e_(i + s), with e(i) - e(0) additive on the index group
+    rep = library_rep(name, N)
+    digits, radix, strides = rep.digits, rep.radix, rep.strides
+    total = (digits[:, None] + digits[None]) % radix @ strides  # total[i, j] = index of i + j
+    for b in rep.lattice.basis:
+        perm, expo = (np.array(x) for x in rep.intertwiner_part(b))
+        assert np.array_equal(perm, total[:, perm[0]])
+        chi = (expo - expo[0]) % (4 * N)
+        assert np.array_equal(chi[total], (chi[:, None] + chi[None]) % (4 * N))
 
 
 @pytest.mark.parametrize("name", ["torus1", "sphere2", "genus2_float"])
-def test_commutant_matches_field_reference(library_reps, name):
-    rep = library_reps[name]
-    assert rep.commutant_dim() == field_commutant_dim(rep) == 1
+def test_commutant_matches_field_reference(name):
+    assert_commutant_matches_references(library_rep(name, 3), 1)
 
 
 @pytest.mark.parametrize("name,prefix,expected", [
     ("torus1", 0, 9), ("torus1", 1, 3), ("torus1", 2, 1),
     ("genus2_float", 2, 729), ("genus2_float", 5, 27), ("genus2_float", 8, 1),
 ])
-def test_commutant_of_reducible_generator_sets(library_reps, name, prefix, expected):
-    cut = with_basis_prefix(library_reps[name], prefix)
-    assert cut.commutant_dim() == field_commutant_dim(cut) == expected
+def test_commutant_of_reducible_generator_sets(name, prefix, expected):
+    assert_commutant_matches_references(with_basis_prefix(library_rep(name, 3), prefix),
+                                        expected)
+
+
+@pytest.mark.parametrize("prefix,expected", [(0, 390625), (1, 78125), (2, 15625),
+                                             (5, 125), (8, 1)])
+def test_commutant_of_genus2_float_cuts_at_N5(prefix, expected):
+    assert_commutant_matches_references(with_basis_prefix(library_rep("genus2_sep", 5), prefix),
+                                        expected)
+
+
+def test_commutant_of_exact_genus2_systems_and_a_sign_reversal():
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    reps = [build_rep(alg.T, 3, W, algebra=alg) for W in genus2_systems(alg, 10)]
+    rng = random.Random(3)
+    while True:
+        eps = SignReversalClass(alg.T, [rng.randint(0, 1) for _ in range(alg.n)])
+        if any(eps.c) and eps.is_admissible():
+            break
+    for rep in reps + [reps[0].precompose_sign_reversal(eps),
+                       library_rep("torus1", 3).precompose_sign_reversal(
+                           SignReversalClass(standard_library("torus1"), (1, 1, 0)))]:
+        assert_commutant_matches_references(rep, 1)
 
 
 # ---- float kernel and dense matrices ----
@@ -453,15 +533,19 @@ def dense_loop(dim, terms):
 
 def test_dense_matches_the_index_loop():
     rng = np.random.default_rng(5)
-    dim = 12
-    perm_a, perm_b = rng.permutation(dim).tolist(), rng.permutation(dim).tolist()
+    dim, ctx = 12, scalars.FloatScalars(3)
+    perm_a, perm_b = rng.permutation(dim), rng.permutation(dim)
 
-    def mono(perm):
-        return perm, list(random_complex(rng, 1, dim)[0])
+    def factors():
+        return complex(*rng.normal(size=2)), rng.integers(0, 12, (1, dim))
 
+    (ua, ea), (ub, eb), (uc, ec) = factors(), factors(), factors()
     # two terms share a permutation, so their entries add
-    terms = [(1.5 - 2j, mono(perm_a)), (0.25j, mono(perm_b)), (-3 + 0j, mono(perm_a))]
-    got, want = FLOAT.dense(dim, FLOAT.operator(terms)), dense_loop(dim, terms)
+    groups = [(perm_a, [1.5 - 2j, -3 + 0j], [ua, uc], np.vstack([ea, ec])),
+              (perm_b, [0.25j], [ub], eb)]
+    terms = [(c, (perm, [u * ctx.omega(int(j)) for j in e]))
+             for perm, cs, us, es in groups for c, u, e in zip(cs, us, es)]
+    got, want = ctx.dense(dim, ctx.operator(groups)), dense_loop(dim, terms)
     # the same sums in the same order; numpy may round a complex product
     # differently from Python (a fused multiply-add), by a few ulps
     scale = sum(abs(c) * max(map(abs, s)) for c, (_, s) in terms)
@@ -570,28 +654,30 @@ def test_exact_image_matches_the_dense_dot_loop(case):
 
 @pytest.mark.parametrize("size", [1, 2 ** 40], ids=["small", "big-coefficients"])
 def test_exact_operator_sums_match_the_scalar_reference(size):
-    # three terms on two permutations, with coefficients over two
-    # denominators, summed by CycloScalar arithmetic in the reference
-    field = CycloField(12)
+    # three terms on two translations, with coefficients and weight factors
+    # over several denominators, summed by CycloScalar arithmetic in the
+    # reference; the big ones take Python ints
+    ctx = scalars.ExactScalars(3)
+    field, n = ctx.field, 6
     rng = random.Random(size)
 
     def element():
         return field.from_coeffs([Fraction(size * rng.randint(-4, 4), rng.randint(1, 3))
                                   for _ in range(field.degree)])
 
-    n = 6
-    perm_a, perm_b = rng.sample(range(n), n), rng.sample(range(n), n)
-    terms = [(element(), (perm, [element() if rng.random() < 0.7 else field.zero()
-                                 for _ in range(n)]))
+    perm_a, perm_b = np.array(rng.sample(range(n), n)), np.array(rng.sample(range(n), n))
+    terms = [(perm, element(), element(), np.array([rng.randrange(12) for _ in range(n)]))
              for perm in (perm_a, perm_b, perm_a)]
     want = {}
-    for c, (perm, scale) in terms:
+    for perm, c, u, e in terms:
         old = want.get(tuple(perm), [field.zero()] * n)
-        want[tuple(perm)] = [b + c * s for b, s in zip(old, scale)]
-    got = EXACT.operator(terms)
+        want[tuple(perm)] = [b + c * (u * ctx.omega(int(j))) for b, j in zip(old, e)]
+    (_, c0, u0, e0), (_, c1, u1, e1), (_, c2, u2, e2) = terms
+    got = ctx.operator([(perm_a, [c0, c2], [u0, u2], np.stack([e0, e2])),
+                        (perm_b, [c1], [u1], e1[None])])
     assert got == [(list(perm), scale) for perm, scale in want.items()]
     # a term and its negative cancel to no term at all
-    assert EXACT.operator(terms[:1] + [(-terms[0][0], terms[0][1])]) == []
+    assert ctx.operator([(perm_a, [c0, -c0], [u0, u0], np.stack([e0, e0]))]) == []
 
 
 # ---- certified modular kernel ----
@@ -848,7 +934,7 @@ def test_of_reads_a_term_as_its_representation(mode):
     # a [term] of lists, as monomial_image gives, goes by its first scale entry
     rep = contract_rep("torus1", mode)
     term = rep.monomial_image(rep.lattice.basis[0])
-    assert scalars.of([term]) is scalars.of(rep.ctx.operator([(rep.ctx.one(), term)]))
+    assert scalars.of([term]) is scalars.of(rep.operator(rep.algebra.monomial(rep.lattice.basis[0])))
     assert scalars.of([term]).mode == mode
     assert type(scalars.of([term], 3)) is type(rep.ctx)
 
@@ -860,8 +946,25 @@ def test_image_reads_a_term_as_its_representation(mode):
     term = rep.monomial_image(rep.lattice.basis[0])
     X = random_columns(rep.ctx, rep.dim, random.Random(5))
     got = rep.ctx.image([term], X)
-    want = rep.ctx.image(rep.ctx.operator([(rep.ctx.one(), term)]), X)
+    want = rep.ctx.image(rep.operator(rep.algebra.monomial(rep.lattice.basis[0])), X)
     assert np.array_equal(got, want) if mode == "float" else got == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_image_norm_is_the_norm_of_the_image_in_chunks(mode, monkeypatch):
+    rep = contract_rep("genus2_sep", mode)
+    ctx, n = rep.ctx, rep.dim
+    op = rep.operator(rep.algebra.offdiag_Q(0))
+    F = total_kernel(rep, RANK_TOL).basis
+    X = random_columns(ctx, n, random.Random(1))
+    # a few columns per chunk, so that the norm is taken over several
+    monkeypatch.setattr(scalars, "CHUNK", 2 * n)
+    monkeypatch.setattr(scalars, "EXACT_CHUNK", 2 * n * 4 * len(op))
+    for B in (F, X):
+        assert ctx.image_norm(op, B) == ctx.norm(ctx.image(op, B))
+    assert ctx.image_norm(op, F) <= kernels.residual_bound(op) < ctx.image_norm(op, X)
+    empty = [] if mode == "exact" else np.zeros((n, 0), dtype=complex)
+    assert ctx.image_norm(op, empty) == 0.0
 
 
 @given(st.sampled_from(["torus1", "sphere2", "genus2_sep"]),

@@ -325,6 +325,15 @@ def test_verify_suite_passes(suite, seed, tmp_path, capsys):
         assert_same_report(report, json.loads((REPORTS / f"verify-{suite}-N3.json").read_text()))
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suite_matches_its_N5_reference_report(suite, tmp_path):
+    # float genus-2 reports at N=5 read the monomial images of dim 625
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--N", "5", "--seed", "0", "--out", str(out)]) == 0
+    assert_same_report(json.loads(out.read_text()),
+                       json.loads((REPORTS / f"verify-{suite}-N5.json").read_text()))
+
+
 def test_report_comparison_catches_a_changed_detail_or_a_flipped_check():
     want = json.loads((REPORTS / "verify-threading-N3.json").read_text())
     assert [c["detail"] for c in want["checks"]][1].endswith("residual <= 1.11e-14")

@@ -1,12 +1,16 @@
+import functools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from skeinrep import scalars
 from skeinrep.cfalgebra import BalancedLattice, CFAlgebra, SignReversalClass
 from skeinrep.errors import (Inadmissible, InconsistentCenter, NotBalanced,
                              ZeroWeight)
 from skeinrep.kernels import sample_generic_weights, total_kernel
+from skeinrep.qtrace import LoopSpec, edge_parallel_trace, element_chebyshev, pushoff_pair
 from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
@@ -369,8 +373,14 @@ def reference_intertwiner_part(rep, k):
     for t in reversed(rep.active):
         strides.insert(0, s)
         s *= rep.orders[t]
-    base, ab = rep._w_data(rep.lattice.coords(k))
-    base += rep.cocycle_exponent(k)
+    # W(k) = omega^(sum_t d_t al_t be_t) prod_t V_t^(be_t) U_t^(al_t) over the pairs
+    gamma, ab = rep.lattice.coords(k), []
+    base = sum(r * g for r, g in zip(rep.rho, gamma)) + 2 * rep.N * (rep.sign is not None
+                                                                    and rep.sign.value(k))
+    for t, (a, b, d) in enumerate(rep.pairs):
+        base += d * gamma[a] * gamma[b]
+        if t in rep.active:
+            ab.append((gamma[a], gamma[b], d, rep.orders[t]))
     perm, expo = [], []
     for i in range(rep.dim):
         e, target = base, 0
@@ -401,5 +411,157 @@ def test_intertwiner_part_matches_index_loop(name, N):
     ks = [tuple(b) for b in alg.lattice.basis]
     ks += [random_balanced_exponent(alg, rng) for _ in range(20)]
     for r in (rep, rep.precompose_sign_reversal(eps)):
-        for k in ks:
-            assert r.intertwiner_part(k) == reference_intertwiner_part(r, k)
+        # one row of the batched images, and every row of them
+        shifts, phases, exps, _ = r._factors(ks)
+        expos = r._exponents(phases, exps)
+        for k, shift, expo in zip(ks, shifts, expos):
+            want = reference_intertwiner_part(r, k)
+            assert r.intertwiner_part(k) == want
+            assert (tuple(r._perm(shift).tolist()), tuple(expo.tolist())) == want
+
+
+# ---- monomial images and operators on arrays ----
+
+def reference_monomial_image(rep, k):
+    """mu(Z^k) = omega^(w(k)) u^k A_k from reference_intertwiner_part, the
+    Weyl weight of the algebra and u^k by scalar powers, as one term
+    (perm, scale) of lists."""
+    perm, expo = reference_intertwiner_part(rep, k)
+    uk = rep.ctx.one()
+    for i, ki in enumerate(k):
+        if ki:
+            ui = rep.weights.u[i]
+            uk = uk * (ui if ki > 0 else rep.ctx.inv(ui)) ** abs(ki)
+    mod, w = 4 * rep.N, rep.algebra.weyl_weight(k)
+    scales = [uk * rep.ctx.omega(j) for j in range(mod)]
+    return list(perm), [scales[(e + w) % mod] for e in expo]
+
+
+def reference_operator(rep, a):
+    """mu(a) as the sum of the reference images per translation, in a.terms
+    order, all-zero translations dropped: CycloScalar sums of c scale
+    (exact), or numpy sums of complex(c) times each scale vector (float)."""
+    sums = {}
+    for k, c in a.terms.items():
+        perm, scale = reference_monomial_image(rep, k)
+        key = tuple(perm)
+        if rep.ctx.mode == "float":
+            sums[key] = sums.get(key, 0) + complex(c) * np.asarray(scale, dtype=complex)
+        else:
+            old = sums.get(key, [rep.ctx.zero()] * rep.dim)
+            sums[key] = [b + c * v for b, v in zip(old, scale)]
+    return [(list(p), s) for p, s in sums.items()
+            if any(not rep.ctx.is_zero(v, 0.0) for v in s)]
+
+
+def assert_operator_matches_reference(rep, a):
+    got, want = rep.operator(a), reference_operator(rep, a)
+    assert [list(p) for p, _ in got] == [p for p, _ in want]
+    if rep.ctx.mode == "float":
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+    else:
+        assert [s for _, s in got] == [s for _, s in want]
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def image_reps():
+    """genus2_sep at N=3 under +-1 weights, under weights that are not
+    roots of unity (2, 1/2, 1 + zeta, 1/(1 + zeta) times the +-1 ones: the
+    same fan product), under the +-1 weights as floats, and the first two
+    sign-reversed."""
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    W, f = exact_genus2_weights(alg), alg.scalars.field
+    one_plus = f.one() + f.root_pow(1)
+    factors = [f.from_rational(2), f.from_rational(Fraction(1, 2)), one_plus, one_plus.inv()]
+    factors += [f.one()] * (alg.n - len(factors))
+    reps = {"roots": build_rep(alg.T, 3, W, algebra=alg),
+            "non-roots": build_rep(alg.T, 3, WeightSystem(
+                alg.T, 3, u=[u * c for u, c in zip(W.u, factors)]), algebra=alg),
+            "float": build_rep(alg.T, 3, WeightSystem(alg.T, 3, u=[complex(u) for u in W.u]),
+                               algebra=alg)}
+    rng = random.Random(5)
+    while True:
+        eps = SignReversalClass(alg.T, [rng.randint(0, 1) for _ in range(alg.n)])
+        if any(eps.c) and eps.is_admissible():
+            break
+    for name in ("roots", "non-roots"):
+        reps[name + "-signed"] = reps[name].precompose_sign_reversal(eps)
+    return alg, reps
+
+
+def job_elements(alg):
+    """Q_v, D = rho[K1] - rho[K2] and the threaded traces T_N of both
+    push-offs: the operators of an exact genus-2 job."""
+    e = alg.T.designated_edge
+    tr1, tr2 = pushoff_pair(alg, e)
+    threaded = [element_chebyshev(edge_parallel_trace(alg, LoopSpec.edge_parallel(e, side)),
+                                  alg.N) for side in (1, 2)]
+    return [alg.offdiag_Q(0), tr1 - tr2] + threaded
+
+
+def fraction_elements(alg, rng):
+    """Random balanced monomials with Fraction coefficients, and the
+    negated exponents of the first basis vectors."""
+    def coeff():
+        return alg.scalars.from_rational(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+
+    out = [random_balanced_monomial(alg, rng).scale(coeff()) for _ in range(3)]
+    out.append(sum((alg.monomial([-x for x in b], coeff()) for b in alg.lattice.basis[:3]),
+                   alg.zero()))
+    return [out[0] + out[1] + out[2], out[3]]
+
+
+@pytest.mark.parametrize("name", ["roots", "non-roots", "float", "roots-signed",
+                                  "non-roots-signed"])
+def test_operator_matches_the_scalar_sum_of_reference_images(name):
+    alg, reps = image_reps()
+    rep = reps[name]
+    rng = random.Random(len(name))
+    for a in job_elements(alg) + fraction_elements(alg, rng):
+        assert_operator_matches_reference(rep, a)
+    k = random_balanced_exponent(alg, rng)
+    assert rep.monomial_image(k) == reference_monomial_image(rep, k)
+    assert rep.weyl_image(k) == rep._image(k, False)
+
+
+def test_sign_reversal_leaves_the_kept_powers_valid():
+    # precompose_sign_reversal copies the representation's tables: images
+    # of one are still right after the other has filled them, both ways
+    alg, reps = image_reps()
+    rep, signed = reps["non-roots"], reps["non-roots-signed"]
+    a = fraction_elements(alg, random.Random(9))[0]
+    for r in (signed, rep, signed):
+        assert_operator_matches_reference(r, a)
+    assert signed._powers is rep._powers
+    assert reference_operator(signed, a) != reference_operator(rep, a)
+
+
+def test_operator_with_coefficients_past_int64_takes_python_ints(monkeypatch):
+    alg, reps = image_reps()
+    rep = reps["non-roots"]
+    dtypes = []
+    convolve = scalars.convolve
+
+    def spy(a, b):
+        out = convolve(a, b)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(scalars, "convolve", spy)
+    big = alg.scalars.from_rational(Fraction(2 ** 62 + 1, 3))
+    rng = random.Random(2)
+    a = sum((random_balanced_monomial(alg, rng).scale(big) for _ in range(3)), alg.zero())
+    assert_operator_matches_reference(rep, a + alg.offdiag_Q(0))
+    assert object in dtypes
+
+
+def test_unbalanced_exponents_raise_not_balanced():
+    alg, reps = image_reps()
+    rep = reps["roots"]
+    k = alg.lattice.basis[0]
+    with pytest.raises(NotBalanced):
+        rep.operator(alg.monomial(k) + alg.gen(0))
+    for call in (rep.intertwiner_part, rep.monomial_image):
+        with pytest.raises(NotBalanced):
+            call((1,) + (0,) * (alg.n - 1))

@@ -111,7 +111,7 @@ class CFAlgebra:
         zeta_L-exponent of product_twist(k, l), and R the L x phi(L) table
         of x^k modulo Phi_L."""
         S = 2 * self.scalars.omega_step * np.tril(np.array(self.sigma, dtype=np.int64), -1)
-        return S, np.array(self.scalars.field._root_powers, dtype=np.int64)
+        return S, self.scalars.field.root_table
 
     def weyl_weight(self, k) -> int:
         """w(k) with [Z^k] = omega^(-w(k)) Z^k."""
@@ -345,11 +345,7 @@ class QTArray:
         small = max(size, alg.n * top * max(il.top(S), len(R))) <= il.INT64_MAX
         dtype = np.int64 if small else object
         exps = np.array(list(a.terms), dtype=dtype).reshape(len(a.terms), alg.n)
-        den = math.lcm(*(c.den for c in a.terms.values()))
-        rows = [[x * (den // c.den) for x in c.num] for c in a.terms.values()]
-        nums = np.array(rows, dtype=object).reshape(len(rows), R.shape[1])
-        if il.top(nums) <= il.INT64_MAX:
-            nums = nums.astype(np.int64)
+        nums, den = alg.scalars.field.array(list(a.terms.values()))
         strides = np.array(strides, dtype=dtype)
         return cls(alg, (tuple(lo), tuple(hi)), strides, exps, exps @ strides, nums, den)
 

@@ -16,15 +16,17 @@ The field owns two fused loops:
   denominator, shifts cyclically when a or b is a root of unity, and reduces
   modulo Phi_L once.  The long products of the Chebyshev recurrence do the
   same on integer arrays (cfalgebra.QTArray), reducing through the table of
-  x^k modulo Phi_L, k < L, that every field keeps (`_root_powers`).
+  x^k modulo Phi_L, k < L, that every field keeps (`root_table`).
 
-Vectors of elements also have an array form (`pack`, `unpack`): an
-(entries x phi(L)) integer array of numerators over one denominator,
-int64 where a bound rules out overflow and Python ints otherwise
-(intlinalg.exact_ints).  `convolve` multiplies such arrays entry by entry
-without reducing, and `fold` reduces modulo Phi_L once, so that a sum of
-products is one reduction; the exact operators, images and kernels of
-module scalars run on it.
+Elements also have an array form: an (entries x phi(L)) integer array of
+numerators over one denominator (`array`), or a stack of such arrays,
+each over its own (`pack`, the form of a basis's columns), int64 where a
+bound rules out overflow and Python ints otherwise (intlinalg.exact_ints);
+`unpack` makes the elements again and `root_table` holds the zeta_L^k.
+`convolve` multiplies such arrays entry by entry without reducing, and
+`fold` reduces modulo Phi_L once, so that a sum of products is one
+reduction; the exact operators, images and kernels of module scalars run
+on it.
 
 Roots of unity zeta^k are recognised by a table lookup, which gives their
 inverses and discrete logarithms directly.  A complex-double evaluation
@@ -354,22 +356,25 @@ class CycloField:
 
     # -- array form --
 
-    def pack(self, vectors):
-        """Vectors of elements of this field, all of one length, as (nums,
-        dens): nums a (vectors, entries, phi) integer array
-        (intlinalg.as_ints) of numerators, vector j over dens[j], the lcm of
-        its denominators."""
-        flat = [a for v in vectors for a in v]
-        if {a.field for a in flat} - {self}:
+    def array(self, elements):
+        """Elements of this field as (nums, den): nums an (entries x phi)
+        integer array (intlinalg.as_ints) of their numerators over den, the
+        lcm of their denominators."""
+        if any(a.field is not self for a in elements):
             raise ValueError("scalars from different fields")
-        dens = [math.lcm(*{a.den for a in v}) for v in vectors]
-        shape = (len(vectors), len(vectors[0]) if vectors else 0, self.degree)
-        nums = il.as_ints([a.num for a in flat], shape)
-        if any(d != 1 for d in dens):
-            factors = il.as_ints([d // a.den for v, d in zip(vectors, dens) for a in v],
-                                 shape[:2] + (1,))
-            nums = il.exact_ints(nums, il.top(nums) * il.top(factors)) * factors
-        return nums, dens
+        den = math.lcm(*{a.den for a in elements})
+        rows = [a.num if a.den == den else [c * (den // a.den) for c in a.num]
+                for a in elements]
+        return il.as_ints(rows, (len(rows), self.degree)), den
+
+    def pack(self, vectors):
+        """Vectors of elements, all of one length, as (nums, dens): nums a
+        (vectors, entries, phi) integer array, vector j over dens[j]
+        (array)."""
+        forms = [self.array(v) for v in vectors]
+        if not forms:
+            return np.zeros((0, 0, self.degree), dtype=np.int64), []
+        return np.stack([nums for nums, _ in forms]), [den for _, den in forms]
 
     def unpack(self, nums, den: int) -> list:
         """The elements nums[j] / den of an (entries x phi) integer array, in
@@ -381,11 +386,15 @@ class CycloField:
         return [self._make(r, den) if z else zero for r, z in zip(rows, nonzero)]
 
     @cached_property
+    def root_table(self):
+        """zeta_L^k for k < L as numerators over 1: an int64 (L x phi) array."""
+        return np.array(self._root_powers, dtype=np.int64)
+
+    @cached_property
     def _fold_table(self):
         """x^k modulo Phi_L for k < 2 phi - 1, the degrees of a product of
-        two reduced elements, as an int64 array (x^L = 1 modulo Phi_L)."""
-        return np.array([self._root_powers[k % self.order] for k in range(2 * self.degree - 1)],
-                        dtype=np.int64)
+        two reduced elements (x^L = 1 modulo Phi_L)."""
+        return self.root_table[np.arange(2 * self.degree - 1) % self.order]
 
     def fold_bound(self, bound: int) -> int:
         """A bound on the entries of fold(acc) for |acc| <= bound."""

@@ -23,6 +23,17 @@ class ParseError(SkeinrepError):
     """Malformed input file."""
 
 
+def require_fields(data, what: str, *names) -> dict:
+    """data, parsed from a JSON file (what), if it is an object with the
+    named fields; otherwise ParseError naming the fault."""
+    if not isinstance(data, dict):
+        raise ParseError(f"bad {what}: the top level must be a JSON object")
+    for name in names:
+        if name not in data:
+            raise ParseError(f"bad {what}: missing field {name!r}")
+    return data
+
+
 # --- algebra ---
 
 class MixedAlgebra(SkeinrepError):

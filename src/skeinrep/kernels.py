@@ -3,62 +3,36 @@
 A matrix's type picks how its kernel is computed: a list of exact rows by
 Gaussian elimination over the cyclotomic field (division is exact, so no
 tolerance enters), a numpy array by singular value thresholding at a
-relative tolerance.
+relative tolerance.  Kernel bases are in the backend's form (module
+scalars): an array of columns in float, Columns of numerators in exact.
 
 Two float kernels of a genus-2 representation are taken one joint
 eigenspace of a commuting family at a time (eigenspace_kernel).  The
-family (qtrace.pants_family) is chosen once per algebra from the
-edge-parallel loops of the other edges: a loop is kept when its trace
-commutes exactly with both push-offs K1 and K2 of the separating edge and
-with every loop kept before it, and its image's translations enlarge the
-subgroup that those of the kept loops generate; rho[K1] comes last.  On
-genus2_sep this is (1,1), (5,1), K1, a pants decomposition.  Its joint
+family (qtrace.pants_family: on genus2_sep the loops (1,1), (5,1) and K1,
+a pants decomposition) is chosen once per algebra, and its joint
 eigenspaces (pants_spaces, kept in CFRep.spectra, so that F and ker D
-share them) are built nested, from the operators' translation terms alone
-(scalars.joint_spaces, in block form: one scalars.JointSpaces per
-level): each loop's translations join the components of the index group
-into cosets of a larger subgroup, and each joint space splits by the
-loop's restriction to it on each coset.  The levels are N spaces of
-dimension N^3, N^2 of dimension N^2 and N^3 of dimension N, each of the
-last meeting F in one dimension.  A split into spaces of unequal
-dimensions is refused, and then there are none; so spaces end with
-rho[K1]'s level, and their spectrum (JointSpaces.spectrum) is rho[K1]'s,
-with no dense rho[K1].  A family of one operator gives its eigenspaces
-when they all have one dimension.
+share them) are built nested from the operators' translation terms alone
+(scalars.joint_spaces, one scalars.JointSpaces per level).  The levels are
+N spaces of dimension N^3, N^2 of dimension N^2 and N^3 of dimension N,
+each of the last meeting F in one dimension; in block form they hold N^7
+entries against N^8 dense.  A split into spaces of unequal dimensions is
+refused, and then there are none; so spaces end with rho[K1]'s level, and
+their spectrum (JointSpaces.spectrum) is rho[K1]'s, with no dense rho[K1].
 
-- F = ker mu(Q_v), the total kernel (total_kernel), is the sum of the
-  U ker(mu(Q_v) U): N^3 kernels of thin n x N matrices.  F splits so
-  because every quantum trace of a curve in S - V acts on F, the space
-  that carries the skein representation: each family operator preserves
-  F, so F is the sum of its meets with the joint eigenspaces.  The
-  certificate |mu(Q_v) F| <= residual_bound, on the assembled basis F,
-  puts F inside the kernel; were F not invariant under the family, the
-  basis would fall short of dim F = N^3, which the genus2-kernel-dim check
-  would then fail.  The tests compare F with the dense kernel of mu(Q_v)
-  (offdiag_kernel) at N <= 5.  On one vertex F is ker mu(Q_v) itself, so
-  `skeinrep kernels` reports it as the vertex's kernel too.
-- ker D, for the difference D = rho[K1] - rho[K2] = rho(K1 - K2) of the
-  push-offs (eigenspace_kernel again): the family's traces commute exactly
-  with K1 and K2 (qtrace.pants_family checks it in the algebra), so D maps
-  each U into itself, and ker D is the sum of the U ker(D U), again thin
-  n x N kernels, certified by |D K| <= residual_bound(D) for the
-  assembled basis K.  A shortfall would show as dim ker D < dim F in the
-  sweep check.
-
-A certificate that fails and spaces that do not fill the space take the
-kernel of the dense operator instead.  Exact operators, whose eigenvalues
-are not computed, have no spaces: their kernel is found modulo the field's
-prime and certified exactly (the backend's certified_kernel; it is the
-basis that elimination gives), and only when that certificate fails is
-the dense operator eliminated.
-
-The sweep check (qtrace.sweep_check) needs only dim ker D, and for exact
-operators it usually gets it from two bounds with no kernel of D at all: an
-exact D F = 0 for the total kernel F gives dim ker D >= dim F, and the rank
-of D modulo the field's prime p (the backend's rank_bound) is at most its
-rank over Q(zeta_L), so rank_p D >= n - dim F gives dim ker D <= dim F.  A
-prime at which D loses rank only fails to certify, and eigenspace_kernel
-then takes ker D.
+F = ker mu(Q_v), the total kernel (total_kernel), and ker D for the
+difference D = rho(K1 - K2) of the push-offs (qtrace.sweep_check) are each
+the sum of the thin kernels U ker(op U) over the joint eigenspaces U, as
+every family operator preserves F, the space that carries the skein
+representation, and commutes with K1 and K2; the assembled basis K is
+certified by |op K| <= residual_bound (eigenspace_kernel).  A certificate
+that fails and spaces that do not fill the space take the kernel of the
+dense operator instead.  Exact operators, whose eigenvalues are not
+computed, have no spaces: their kernel is found modulo the field's prime
+from the operator's numerators and certified exactly (the backend's
+certified_kernel, the basis that elimination gives), and only when that
+certificate fails is the dense operator eliminated.  For exact D the sweep
+check usually needs no kernel of D at all, only D F = 0 and the rank of D
+modulo the prime (the backend's rank_bound).
 """
 
 from __future__ import annotations
@@ -86,8 +60,8 @@ TRACE_MARGIN = 0.2
 
 
 class Subspace:
-    """Column span of an (ambient x d) numpy array (float) or of a list of d
-    exact columns."""
+    """Column span of an (ambient x d) numpy array (float) or of d exact
+    columns in array form (scalars.Columns)."""
 
     def __init__(self, ambient: int, basis):
         self.ambient = ambient
@@ -126,9 +100,9 @@ EIGEN_TOL = 1e-6
 
 def residual_bound(op) -> float:
     """Largest entry of op X at which X still counts as lying in ker op:
-    1e-7 max(|op|, 1), |op| the largest entry of its scale vectors, as its
-    terms share no entry."""
-    return 1e-7 * max(scalars.of(op).norm([scale for _, scale in op]), 1)
+    1e-7 max(|op|, 1), |op| the largest entry of its scales, as its terms
+    share no entry."""
+    return 1e-7 * max(scalars.of(op).norm(op.scales), 1)
 
 
 def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
@@ -143,7 +117,7 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
     not fill the space, or when a basis is not accepted, this is
     matrix_kernel of op made dense."""
     ctx = scalars.of(op)
-    n = len(op[0][0])
+    n = op.n
     if spaces is not None and spaces.count * spaces.dim == n:
         bases = [matrix_kernel(X[..., j], tol).basis
                  for X in spaces.images(op, spaces.chunks()) for j in range(X.shape[-1])]
@@ -153,7 +127,7 @@ def eigenspace_kernel(spaces, op, tol: float) -> Subspace:
         if ctx.is_zero(ctx.image_norm(op, K), residual_bound(op)):
             return Subspace(n, K)
     basis = ctx.certified_kernel(op)
-    return Subspace(n, basis) if basis is not None else matrix_kernel(ctx.dense(n, op), tol)
+    return Subspace(n, basis) if basis is not None else matrix_kernel(ctx.dense(op), tol)
 
 
 def pants_spaces(rep: CFRep, edge: int, tol: float):

@@ -26,7 +26,7 @@ from . import intlinalg as il
 from . import scalars
 from .cfalgebra import CFAlgebra, QTElement, SignReversalClass
 from .errors import (DimensionMismatch, InconsistentCenter, NotBalanced, NotScalar,
-                     ParseError, ZeroWeight)
+                     ParseError, ZeroWeight, require_fields)
 from .triangulation import Triangulation
 
 
@@ -97,11 +97,12 @@ class WeightSystem:
     @staticmethod
     def from_json(T: Triangulation, text: str) -> "WeightSystem":
         try:
-            data = json.loads(text)
+            data = require_fields(json.loads(text), "weights file", "N", "mode", "u")
             N = data["N"]
             ctx = scalars.backend(data["mode"], N, data.get("field_order"))
             u = [ctx.deserialize(d) for d in data["u"]] or None
-            x = [ctx.deserialize(d) for d in data["x"]] if u is None else None
+            x = None if u else [ctx.deserialize(d) for d in
+                                require_fields(data, "weights file", "x")["x"]]
             return WeightSystem(T, N, u=u, x=x)
         except (KeyError, TypeError, ValueError, ZeroDivisionError,
                 json.JSONDecodeError) as exc:
@@ -128,6 +129,9 @@ class CFRep:
         self.total_kernels = {}  # tol (None if exact) -> Subspace, kernels.total_kernel
         self.spectra = {}  # (edge, tol) -> joint eigenspaces, kernels.pants_spaces
         self._setup_factors()
+        split = [self.ctx.root_split(ui) for ui in weights.u]  # u_i = omega^(e_i) r_i
+        self._logs = [(i, e) for i, (e, _) in enumerate(split) if e]
+        self._residues = [(i, r) for i, (_, r) in enumerate(split) if r is not None]
         self._solve_character()
 
     # -- structure --
@@ -154,7 +158,7 @@ class CFRep:
         a, b, d = np.array(self.pairs, dtype=np.int64).reshape(-1, 3).T
         self._pair_ends, self._pair_d = (a, b), d % (8 * N)
         self._lower = np.tril(np.array(self.algebra.sigma, dtype=np.int64), -1) % (8 * N)
-        self._powers = {}  # (i, j) -> u_i^j, for _u_power; the sign leaves it valid
+        self._powers = {}  # (i, j) -> r_i^j, for _u_power; the sign leaves it valid
 
     # -- character --
 
@@ -172,8 +176,9 @@ class CFRep:
             raise NotScalar("W(Z_i^2N) or W(H_v) is not scalar; construction bug")
         self._hv_logs = []
         for v, h in enumerate(keys[n:]):
+            r, e = self._u_power(h)
             try:
-                self._hv_logs.append(self.ctx.omega_log(self._u_power(h)))
+                self._hv_logs.append((e + (0 if r is None else self.ctx.omega_log(r))) % (4 * N))
             except ValueError as exc:
                 raise InconsistentCenter(
                     f"fan product u^(h_v) at vertex {v} is not a root of "
@@ -187,22 +192,26 @@ class CFRep:
         self.rho = rho
 
     def _u_power(self, k):
-        """u^k, the powers u_i^(+-j) multiplied in the order of k, each power
-        made once per representation (_powers)."""
-        out = self.ctx.one()
-        for i, ki in enumerate(k):
+        """(r, e) with u^k = r omega^e, for u_i = omega^(e_i) r_i: e = sum
+        k_i e_i mod 4N, and r the powers r_i^(+-j) multiplied in the order
+        of k, each made once per representation (_powers), or None when
+        every u_i with k_i != 0 is a power of omega."""
+        r = None
+        for i, ri in self._residues:
+            ki = k[i]
             if ki:
                 if (i, ki) not in self._powers:
-                    ui = self.weights.u[i]
-                    self._powers[i, ki] = (ui if ki > 0 else self.ctx.inv(ui)) ** abs(ki)
-                out = out * self._powers[i, ki]
-        return out
+                    self._powers[i, ki] = (ri if ki > 0 else self.ctx.inv(ri)) ** abs(ki)
+                r = self._powers[i, ki] if r is None else r * self._powers[i, ki]
+        return r, sum(k[i] * e for i, e in self._logs) % (4 * self.N)
 
     # -- evaluation --
 
     def cocycle(self, k):
         """tau(k) with mu([Z^k]) = tau(k) W(k)."""
-        return self._u_power(k) * self.ctx.omega(self.cocycle_exponent(k))
+        r, e = self._u_power(k)
+        w = self.ctx.omega(e + self.cocycle_exponent(k))
+        return w if r is None else r * w
 
     def cocycle_exponent(self, k) -> int:
         """Weight-independent omega-exponent part of tau(k) (_factors)."""
@@ -243,9 +252,9 @@ class CFRep:
         """The (terms x dim) omega-exponents of _factors at every index."""
         return (exps[:, None] + phases @ self.digits.T) % (4 * self.N)
 
-    def weyl_image(self, k) -> tuple:
-        """mu([Z^k]) as one term (perm, scale)."""
-        return self._image(k, False)
+    def weyl_image(self, k) -> scalars.Operator:
+        """mu([Z^k]) as an operator of one term."""
+        return self._operator([k], [self.algebra.scalars.one()], False)
 
     def intertwiner_part(self, k):
         """A_k with mu([Z^k]) = u^k A_k, as weight-independent discrete data:
@@ -253,37 +262,33 @@ class CFRep:
         (shift,), phases, exps, _ = self._factors([k])
         return tuple(self._perm(shift).tolist()), tuple(self._exponents(phases, exps)[0].tolist())
 
-    def monomial_image(self, k) -> tuple:
-        """mu(Z^k) = omega^(w(k)) mu([Z^k]) as one term (perm, scale)."""
-        return self._image(k, True)
+    def monomial_image(self, k) -> scalars.Operator:
+        """mu(Z^k) = omega^(w(k)) mu([Z^k]) as an operator of one term."""
+        return self._operator([k], [self.algebra.scalars.one()], True)
 
-    def _image(self, k, weyl: bool) -> tuple:
-        """u^k A_k, times omega^(w(k)) with weyl, as one translation term
-        (perm, scale) of lists, e_i -> scale[i] e[perm[i]], its scales read
-        from the 4N products u^k omega^j: the row of k that operator sums."""
-        (shift,), phases, exps, _ = self._factors([k], weyl)
-        uk = self._u_power(k)
-        scales = [uk * self.ctx.omega(j) for j in range(4 * self.N)]
-        return self._perm(shift).tolist(), [scales[e] for e in self._exponents(phases, exps)[0]]
+    def operator(self, a: QTElement) -> scalars.Operator:
+        """mu(a) as an operator (module scalars)."""
+        return self._operator(list(a.terms), list(a.terms.values()), True)
 
-    def operator(self, a: QTElement) -> list:
-        """mu(a) as an operator (module scalars): each monomial image is a
-        translation of the index group Z_radix times a diagonal, and those of
-        one translation are summed (ctx.operator), translations and terms in
-        a.terms order, from one _factors of all of a's exponents."""
-        keys, coeffs = list(a.terms), list(a.terms.values())
-        shifts, phases, exps, _ = self._factors(keys, weyl=True)
+    def _operator(self, keys, coeffs, weyl: bool) -> scalars.Operator:
+        """sum c u^k A_k (times omega^(w(k)) with weyl) over the keys k and
+        coefficients c, from one _factors of all keys: the images of one
+        translation summed (ctx.operator) in the order of keys, u^k = r
+        omega^e (_u_power) entering as its r, e joining the exponents."""
+        shifts, phases, exps, _ = self._factors(keys, weyl)
         groups = {}
         for t, shift in enumerate(map(tuple, shifts.tolist())):
             groups.setdefault(shift, []).append(t)
-        return self.ctx.operator((self._perm(shifts[ts[0]]), [coeffs[t] for t in ts],
-                                  [self._u_power(keys[t]) for t in ts],
-                                  self._exponents(phases[ts], exps[ts]))
-                                 for ts in groups.values())
+        powers = [self._u_power(k) for k in keys]
+        exps = exps + np.array([e for _, e in powers], dtype=np.int64)
+        return self.ctx.operator(self.dim, ((self._perm(shifts[ts[0]]), [coeffs[t] for t in ts],
+                                             [powers[t][0] for t in ts],
+                                             self._exponents(phases[ts], exps[ts]))
+                                            for ts in groups.values()))
 
     def apply(self, a: QTElement):
         """Dense matrix of mu(a); float mode returns a numpy array."""
-        return self.ctx.dense(self.dim, self.operator(a))
+        return self.ctx.dense(self.operator(a))
 
     def hv_scalar(self):
         """The common scalar of mu(H_v)."""

@@ -8,34 +8,35 @@ backends only decide how representation matrices and kernels are evaluated.
 
 This module alone chooses between the two arithmetics.  Values pick it by
 their type (`of`, `one_like`, `is_zero`, `serialize`; `one_like` and
-`is_zero` also take the Fraction points of holonomy): a complex or a numpy
-array is float, anything else is exact, and an operator goes by the first
-entry of its first scale vector.  A mode string picks it only where the
-values are not at hand yet (`backend`, for the "mode" tag of a weights
-file).
+`is_zero` also take the Fraction points of holonomy): a complex, a numpy
+array or an Operator with no field is float, anything else is exact.  A
+mode string picks it only where the values are not at hand yet
+(`backend`, for the "mode" tag of a weights file).
 
-Contract.  A matrix is a numpy array (float) or a list of rows (exact); a
-subspace basis is an ambient x d array (float) or a list of d columns (exact).
-An operator is a square matrix as its translation terms: a list of (perm,
-scale), entries M[perm[i], i] = scale[i], no two terms sharing an entry (in
-a representation image each monomial is a translation of the index group
-times a diagonal); perm and scale are numpy arrays (float) or lists (exact).
-dense, image, image_norm, rank_bound, certified_kernel and scalar_of take
-operators, which ExactScalars and FloatScalars make (operator; dense, image
-and scalar_of also take [term], one term (perm, scale) of lists, as
-CFRep.monomial_image gives); only kernel, rank and spans take dense
-matrices.  An operator is zero when is_zero holds for its scale vectors.
-Callers pass the threshold they use as `tol`; exact methods ignore it.  The
-N-free Exact/FloatArithmetic give (float | exact):
+Contract.  A matrix is a numpy array (float) or a list of rows (exact).  A
+subspace basis is an ambient x d array (float) or Columns (exact: d
+columns of numerators, each over its own denominator).  An operator is an
+Operator, a square matrix as its translation terms (in a representation
+image each monomial is a translation of the index group times a
+diagonal): int64 permutations and their scales, complex (float) or
+integer numerators over one denominator (exact).  dense, image,
+image_norm, rank_bound, certified_kernel and scalar_of take operators,
+which ExactScalars and FloatScalars make (operator); only kernel, rank and
+spans take dense matrices.  An operator is zero when is_zero holds for its
+scales.  Field elements are made only where a value leaves the arrays:
+scalar_of's value, dense, and the accessors Operator.terms and
+Columns.elements.  Callers pass the threshold they use as `tol`; exact
+methods ignore it.  The N-free Exact/FloatArithmetic give (float | exact):
 
     image_norm(op, B) norm(op B), a chunk of B at a time | read from the
                       numerators, with no element made
     rank_bound(op)    (0, None) | (r, p): rank op >= r, r the rank of op
                       reduced modulo the field's prime p (intlinalg.rank_mod),
-                      (0, None) if a denominator is divisible by p
+                      (0, None) if its denominator is divisible by p
     certified_kernel(op) None | the basis kernel gives for the dense op,
                       found modulo p and certified exactly, or None
-    is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or a matrix
+    is_zero(a, tol)   max |a| <= tol | a == 0, for a scalar or an array
+                      (an operator's scales)
     norm(a)           max |a| (0.0 when empty) | 0.0 if a == 0 else 1.0
     residual(a)       |a| | repr(a), for weight validation reports
     kernel(M, tol)    basis: right singular vectors under the cut, of the
@@ -47,70 +48,29 @@ N-free Exact/FloatArithmetic give (float | exact):
                       norm, |scale - c| there and |scale| on the other terms,
                       at most max(tol, 1e-9 max(|c|, 1)) | exact equality
     inv, stack, spans(B, C) (span of B contains C), image(op, B) = op B,
-    ncols, dense(dim, op) = the matrix of op
+    ncols, dense(op) = the matrix of op
 
 Exact eigenvalues are not computed, so two float-only module functions
-stand outside the arithmetics:
+stand outside the arithmetics: multiplicities (the eigenvalue clusters of
+a dense array with their kernel dimensions, from singular values only)
+and joint_spaces (the joint eigenspaces of commuting operators, built from
+their terms alone in block form, JointSpaces; see _refine).  Every float
+rank decision is the one cut of _cut.
 
-    multiplicities(M, tol, rank_tol)  [(lam, multiplicity, dim ker(M - lam
-                      Id) under the cut at rank_tol)] per cluster at tol of
-                      the eigenvalues of a dense array, from singular values
-                      only
-    joint_spaces(ops, tol, rank_tol)  the joint eigenspaces of commuting
-                      operators whose terms translate the index group, in
-                      block form (one JointSpaces), or None
+ExactScalars and FloatScalars add omega, one, zero, omega_log, root_split
+(which need N), the weights-file format (deserialize, json_fields) and
+operator(n, groups), which sums the monomial images of each translation
+(CFRep.operator).  An exact weight that is a power of omega enters those
+sums as an exponent alone (root_split), so roots of unity make no product.
 
-Every float rank decision is the one cut of _cut.  multiplicities splits a
-square matrix into the diagonal blocks of its nonzero pattern and counts
-each kernel dimension over all blocks together.  Joint eigenspaces come
-from the operators' terms alone, with no dense matrix.  The translations
-of the operators taken so far split the indices into components, the
-cosets of the subgroup they generate, all of one size s; every joint
-space meets every component in m orthonormal columns, kept as an s x m
-block, one m for all spaces and components, so that each level is one
-JointSpaces (comps and local).  The next operator's translations join the
-components r at a time into the cosets of a larger subgroup, and its
-r m x r m restrictions to each space on each joined component, clustered
-and cut as one batch, split every space, each new space keeping its
-cluster's eigenvalue.  A split is kept when every new space meets every
-joined component in one and the same number of columns and the new spaces
-fill the joined components; otherwise, new spaces of unequal dimensions
-among them, there are no spaces (None).  So spaces end with the last
-operator's level, and their values are its spectrum.  Every level
-of the pants family of genus2_sep is uniform, as each pants curve has N
-eigenvalues of equal multiplicity.
-For the pants family of genus2_sep there are N^3 spaces of dimension N,
-each with one column of N^3 entries on each of N cosets: N^7 entries in
-all, against N^8 for dense bases.  An operator maps a chunk of spaces
-(CHUNK) by one scatter of the block entries per term (JointSpaces.images),
-for kernels taken one joint space at a time (kernels.eigenspace_kernel).
-
-ExactScalars and FloatScalars add omega, one, zero, omega_log (which need N),
-the weights-file format (deserialize, json_fields) and operator(groups): per
-group (perm, cs, us, expos) of monomial images (CFRep.operator) the term at
-perm of scale sum_t c_t u_t omega^(expos[t, i]) at i; all-zero terms dropped.
-
-Exact operators, images and kernels run on the array form of the field's
-elements (CycloField.pack): a vector is an (entries x phi(L)) integer array
-of numerators over one denominator, int64 where a bound rules out overflow
-and Python ints otherwise, on the same code, and never a float.  operator
-packs each c u once and multiplies it by the 4N powers of omega, of which
-every entry gathers one by its exponent, EXACT_CHUNK integers of rows at a
-time; image packs the basis once and multiplies by each term's phi x phi
-multiplication matrices (the products folded through the field's table)
-at the permuted rows, EXACT_CHUNK integers at a time, only where the basis
-is nonzero; an all-zero entry comes out as the field's shared zero.
-Elements are made once per entry, at the end.  The exact kernel of an operator
-(certified_kernel) reduces its scale vectors under the
-phi(L) embeddings of the field modulo its prime p, row-reduces one
-embedding at a time (intlinalg.rref_mod), rebuilds the coefficients by
-interpolation and rational reconstruction, and is certified by op K = 0,
-exactly, and the rank modulo p; rank_bound reads the same reduction.  When
-the certificate cannot be made, the caller falls back to Gauss-Jordan
-elimination in the field (kernel, with its fused `row_update`).  omega_log
-reads the field's root-of-unity table through `CycloScalar.root_log`.  The
-element format belongs to module cyclotomic: nothing here reads a
-numerator or a denominator of an element, only its array form.
+Exact operators, images and kernels run on arrays of numerators over
+denominators (CycloField.array), EXACT_CHUNK integers a step, int64 where
+a bound rules out overflow and Python ints otherwise, on the same code,
+and never a float.  When certified_kernel cannot certify a kernel, the
+caller falls back to Gauss-Jordan elimination in the field (kernel, with
+its fused `row_update`).  The element format belongs to module
+cyclotomic: nothing here reads a numerator or a denominator of an
+element, only its array form.
 """
 
 from __future__ import annotations
@@ -118,6 +78,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -126,36 +87,68 @@ from . import intlinalg
 from .cyclotomic import CycloField, CycloScalar, convolve
 
 
+class Operator:
+    """A square matrix as its translation terms: M[perms[t, i], i] is the
+    scale of term t at i, no two terms sharing an entry.  perms is a
+    (terms x n) int64 array of permutations; scales a complex (terms, n)
+    array (float, field None), or a (terms, n, phi) integer array of
+    numerators over one denominator den (exact, over field)."""
+
+    def __init__(self, perms, scales, field: CycloField | None = None, den: int = 1):
+        self.perms, self.scales, self.field, self.den = perms, scales, field, den
+        self.n = perms.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.perms)
+
+    @cached_property
+    def inverse(self):
+        """The inverse permutations: inverse[t, perms[t, i]] = i."""
+        inverse = np.empty_like(self.perms)
+        np.put_along_axis(inverse, self.perms, np.arange(self.n), axis=1)
+        return inverse
+
+    def identity_term(self):
+        """The index of the term that fixes every index, or None: its scale
+        is the whole diagonal, as no translation but 0 fixes an index."""
+        at = np.flatnonzero((self.perms == np.arange(self.n)).all(axis=1))
+        return int(at[0]) if len(at) else None
+
+    def terms(self) -> list:
+        """[(perm, scale)] as lists, scale of Python complexes or of field
+        elements in lowest terms."""
+        perms = self.perms.tolist()
+        if self.field is None:
+            return list(zip(perms, self.scales.tolist()))
+        return [(p, self.field.unpack(s, self.den)) for p, s in zip(perms, self.scales)]
+
+
+class Columns(NamedTuple):
+    """An exact basis: column j is nums[j] / dens[j], nums a (columns, n,
+    phi) integer array of numerators (CycloField.pack)."""
+
+    field: CycloField
+    nums: np.ndarray
+    dens: list
+
+    def elements(self) -> list:
+        """The columns as lists of elements in lowest terms."""
+        return [self.field.unpack(col, d) for col, d in zip(self.nums, self.dens)]
+
+
 def _exact_zero(v) -> bool:
     return v.is_zero() if isinstance(v, CycloScalar) else v == 0
 
 
-def _identity_scale(op):
-    """The scale of op's identity term, or None: the whole diagonal of an
-    image, as no other translation fixes an index."""
-    return next((s for p, s in op if np.array_equal(p, np.arange(len(p)))), None)
-
-
-def _packed(op):
-    """An exact operator in array form: (field, perms, S, den), perms the
-    (terms x n) int64 permutations and S the (terms, n, phi) integer
-    numerators of the scale vectors over their one denominator den."""
-    field = op[0][1][0].field
-    S, dens = field.pack([scale for _, scale in op])
-    den = math.lcm(*dens)
-    if den != 1:
-        factors = [den // d for d in dens]
-        S = (intlinalg.exact_ints(S, intlinalg.top(S) * max(factors))
-             * intlinalg.as_ints(factors, (-1, 1, 1)))
-    return field, np.array([perm for perm, _ in op], dtype=np.int64), S, den
-
-
-def _dense_mod(perms, values):
-    """The n x n int64 matrix of the residues values[t, i] at (perms[t, i], i)."""
-    n = perms.shape[1]
-    M = np.zeros((n, n), dtype=np.int64)
-    M[perms, np.arange(n)] = values
-    return M
+def _residue_matrices(op):
+    """The n x n int64 matrices of op's residues under each embedding
+    modulo the field's prime (CycloField.embed_mod_prime), one at a time;
+    none when the prime divides op's denominator."""
+    images = op.field.embed_mod_prime(op.scales, op.den)
+    for values in images if images is not None else []:
+        M = np.zeros((op.n, op.n), dtype=np.int64)
+        M[op.perms, np.arange(op.n)] = values
+        yield M
 
 
 def _multipliers(field, S):
@@ -176,23 +169,22 @@ def _columns_per_chunk(G) -> int:
     """Columns that one step of _image_nums gathers EXACT_CHUNK integers of
     (G from _multipliers), at least one."""
     terms, n, d, _ = G.shape
-    return max(1, EXACT_CHUNK // (terms * n * d))
+    return max(1, EXACT_CHUNK // max(1, terms * n * d))
 
 
-def _image_nums(perms, G, X):
-    """The numerators of op X, for op's permutations perms (terms x n) and
-    multipliers G (_multipliers), and X a (k, n, phi) integer array of k
-    columns: entry j of a column is the sum over the terms t of G[t, i]
-    X[i], i = perm_t^-1(j), gathered only at the j = perm_t(i) of rows i
-    where some column of X is nonzero (kernel bases are mostly zero);
-    int64 where a bound rules out overflow."""
+def _image_nums(op, G, X):
+    """The numerators of op X, for op's multipliers G (_multipliers) and X a
+    (k, n, phi) integer array of k columns: entry j of a column is the sum
+    over the terms t of G[t, i] X[i], i = perm_t^-1(j), gathered only at
+    the j = perm_t(i) of rows i where some column of X is nonzero (kernel
+    bases are mostly zero); int64 where a bound rules out overflow."""
     terms, n, d, _ = G.shape
     bound = terms * d * intlinalg.top(G) * intlinalg.top(X)
     G, X = intlinalg.exact_ints(G, bound), intlinalg.exact_ints(X, bound)
     reached = np.zeros(n, dtype=bool)
-    reached[perms[:, X.any(axis=(0, 2))]] = True
+    reached[op.perms[:, X.any(axis=(0, 2))]] = True
     targets = np.flatnonzero(reached)
-    sources = np.argsort(perms, axis=1)[:, targets]
+    sources = op.inverse[:, targets]
     out = np.zeros(X.shape, dtype=np.result_type(G, X))
     products = G[np.arange(terms)[:, None], sources] @ X[:, sources][..., None]
     out[:, targets] = products[..., 0].sum(axis=1)
@@ -200,14 +192,12 @@ def _image_nums(perms, G, X):
 
 
 def _image_chunks(op, basis):
-    """(field, den, nums, dens) per chunk of the columns X of an exact basis:
-    nums the numerators of op X (_image_nums), column j over den dens[j]."""
-    field, perms, S, den = _packed(op)
-    G = _multipliers(field, S)
+    """The numerators of op X per chunk of the columns X of an exact basis
+    (_image_nums), column j over op.den basis.dens[j]."""
+    G = _multipliers(op.field, op.scales)
     step = _columns_per_chunk(G)
-    for at in range(0, len(basis), step):
-        X, dens = field.pack(basis[at:at + step])
-        yield field, den, _image_nums(perms, G, X), dens
+    for at in range(0, len(basis.nums), step):
+        yield _image_nums(op, G, basis.nums[at:at + step])
 
 
 def _lifted_columns(field, n, pivots, free, images):
@@ -236,8 +226,8 @@ class ExactArithmetic:
     mode = "exact"
 
     def is_zero(self, a, tol: float = 0.0) -> bool:
-        if isinstance(a, list):
-            return all(_exact_zero(v) for row in a for v in row)
+        if isinstance(a, np.ndarray):  # numerators in array form
+            return not a.any()
         return _exact_zero(a)
 
     def norm(self, a) -> float:
@@ -249,37 +239,27 @@ class ExactArithmetic:
     def inv(self, a):
         return a.inv()
 
-    def dense(self, dim, op):
-        # an empty operator takes the zero of these scalars (ExactScalars)
-        zero = op[0][1][0].field.zero() if op else self.zero()
-        M = [[zero] * dim for _ in range(dim)]
-        for perm, scale in op:
-            for i, (p, a) in enumerate(zip(perm, scale)):
-                M[p][i] = a
-        return M
+    def dense(self, op):
+        M = np.full((op.n, op.n), op.field.zero(), dtype=object)
+        for perm, scale in op.terms():
+            M[perm, np.arange(op.n)] = scale
+        return M.tolist()
 
     def stack(self, mats):
         return [row for M in mats for row in M]
 
     def image(self, op, basis):
-        """op B: B packed once, each column over its own denominator, and
-        mapped in array form (_image_chunks); an all-zero entry is the
-        field's shared zero."""
-        if not basis:
-            return []
-        if not op:
-            return [[basis[0][0].field.zero()] * len(col) for col in basis]
-        return [field.unpack(col, den * d) for field, den, nums, dens in _image_chunks(op, basis)
-                for col, d in zip(nums, dens)]
+        """op B as Columns, mapped in array form (_image_chunks)."""
+        nums = np.concatenate([basis.nums[:0], *_image_chunks(op, basis)])
+        return Columns(basis.field, nums, [op.den * d for d in basis.dens])
 
     def image_norm(self, op, basis) -> float:
         """norm(image(op, basis)), read from the numerators of op B alone: no
         element is made."""
-        return float(bool(op and basis) and any(nums.any() for _, _, nums, _ in
-                                                _image_chunks(op, basis)))
+        return float(any(nums.any() for nums in _image_chunks(op, basis)))
 
     def ncols(self, basis) -> int:
-        return len(basis)
+        return len(basis.nums)
 
     def _eliminate(self, rows):
         """Gauss-Jordan reduction of a copy of rows: (reduced rows, pivot columns)."""
@@ -303,19 +283,17 @@ class ExactArithmetic:
         return rows, pivots
 
     def kernel(self, M, tol: float = 0.0):
+        """Per free column f, the column with 1 at f and -R[r, f] at the
+        pivot of each reduced row R[r]."""
         rows, pivots = self._eliminate(M)
-        n = len(M[0])
-        field = M[0][0].field
-        zero, one = field.zero(), field.one()
-        pivot_set = set(pivots)
+        field, n = M[0][0].field, len(M[0])
         basis = []
-        for fcol in (c for c in range(n) if c not in pivot_set):
-            vec = [zero] * n
-            vec[fcol] = one
-            for r, pcol in enumerate(pivots):
-                vec[pcol] = -rows[r][fcol]
+        for f in sorted(set(range(n)) - set(pivots)):
+            vec = [field.one() if c == f else field.zero() for c in range(n)]
+            for r, p in enumerate(pivots):
+                vec[p] = -rows[r][f]
             basis.append(vec)
-        return basis
+        return Columns(field, *field.pack(basis))
 
     def rank(self, M, tol: float = 0.0) -> int:
         return len(self._eliminate(M)[1])
@@ -323,31 +301,28 @@ class ExactArithmetic:
     def rank_bound(self, op):
         """(r, p) with rank op >= r: r is the rank of op under the embedding
         zeta_L -> z modulo the field's prime p (CycloField.embed_mod_prime),
-        as every minor maps to the reduced minor; (0, None) when a
+        as every minor maps to the reduced minor; (0, None) when the
         denominator is divisible by p."""
-        field, perms, S, den = _packed(op)
-        images = field.embed_mod_prime(S, den)
-        if images is None:
-            return 0, None
-        return intlinalg.rank_mod(_dense_mod(perms, images[0]), field.prime), field.prime
+        M, p = next(_residue_matrices(op), None), op.field.prime
+        return (0, None) if M is None else (intlinalg.rank_mod(M, p), p)
 
     def certified_kernel(self, op):
         """The kernel basis of an exact operator that Gauss-Jordan
-        elimination of its dense matrix gives (kernel), from one prime p,
-        or None when it is not certified.
+        elimination of its dense matrix gives (kernel), as Columns, from
+        one prime p, or None when it is not certified.
 
-        The scale vectors are reduced under the phi(L) embeddings zeta_L ->
-        z^u mod p (CycloField.embed_mod_prime), and the dense residue matrix
-        of one embedding at a time is row-reduced over F_p
-        (intlinalg.rref_mod), of which only the pivots and the free columns
-        are kept.  All embeddings must give the same pivots P.  The entries
-        R[r, f] of the reduced rows at the free columns f are then
-        interpolated to their coefficients mod p (interpolate_mod_prime) and
-        lifted to fractions (intlinalg.rational_reconstruction), and K has,
-        for each free f in order, the column with 1 at f, -R[r, f] at the
-        pivot P[r] and 0 at the other free columns.  R[r, f] = 0 for f <
-        P[r] in a reduced row, so each column of K writes column f of op as
-        a combination of the pivot columns to its left.
+        The scales are reduced under the phi(L) embeddings zeta_L -> z^u mod
+        p (CycloField.embed_mod_prime), and the dense residue matrix of one
+        embedding at a time is row-reduced over F_p (intlinalg.rref_mod), of
+        which only the pivots and the free columns are kept.  All embeddings
+        must give the same pivots P.  The entries R[r, f] of the reduced
+        rows at the free columns f are then interpolated to their
+        coefficients mod p (interpolate_mod_prime) and lifted to fractions
+        (intlinalg.rational_reconstruction), and K has, for each free f in
+        order, the column with 1 at f, -R[r, f] at the pivot P[r] and 0 at
+        the other free columns.  R[r, f] = 0 for f < P[r] in a reduced row,
+        so each column of K writes column f of op as a combination of the
+        pivot columns to its left.
 
         Certificate.  op K = 0 exactly (_image_nums), and rank_p op = |P| =
         n - k.  The first puts every free column f in the span of the pivot
@@ -362,17 +337,13 @@ class ExactArithmetic:
         independent pivot columns that vanishes.  So K is, column for
         column, the basis that elimination gives.
 
-        None when a denominator is divisible by p, when the pivots differ
+        None when the denominator is divisible by p, when the pivots differ
         between embeddings, when a coefficient has no fraction of numerator
         and denominator below sqrt(p / 2), or when op K != 0."""
-        field, perms, S, den = _packed(op)
-        p, n = field.prime, perms.shape[1]
-        images = field.embed_mod_prime(S, den)
-        if images is None:
-            return None
+        field, n = op.field, op.n
         pivots, entries = None, []
-        for values in images:
-            piv, rows = intlinalg.rref_mod(_dense_mod(perms, values), p)
+        for M in _residue_matrices(op):
+            piv, rows = intlinalg.rref_mod(M, field.prime)
             if pivots is None:
                 pivots, free = piv, np.ones(n, dtype=bool)
                 free[piv] = False
@@ -380,29 +351,36 @@ class ExactArithmetic:
             elif piv != pivots:
                 return None
             entries.append(rows[:, free].astype(np.int32))  # residues below 2^31
-        del rows  # as large as op; only the free columns are kept
-        G = _multipliers(field, S)
-        basis, step = [], _columns_per_chunk(G)
+        if pivots is None:  # p divides the denominator
+            return None
+        del M, rows  # as large as op; only the free columns are kept
+        G = _multipliers(field, op.scales)
+        # filled in place, so that no second K is formed
+        K, dens = np.zeros((len(free), n, field.degree), dtype=np.int64), []
+        step = _columns_per_chunk(G)
         for at in range(0, len(free), step):
             cols = slice(at, at + step)
             lifted = _lifted_columns(field, n, pivots, free[cols],
                                      np.stack([e[:, cols] for e in entries]))
-            if lifted is None or _image_nums(perms, G, lifted[0]).any():
+            if lifted is None or _image_nums(op, G, lifted[0]).any():
                 return None
-            basis += [field.unpack(col, d) for col, d in zip(*lifted)]
-        return basis
+            K = K.astype(np.result_type(K, lifted[0]), copy=False)
+            K[cols], dens = lifted[0], dens + lifted[1]
+        return Columns(field, K, dens)
 
     def spans(self, B, C, tol: float = 0.0) -> bool:
         """Kernel bases are independent, so B spans C iff B + C has rank |B|."""
-        return self.rank(list(B) + list(C)) == len(B)
+        return self.rank(B.elements() + C.elements()) == len(B.dens)
 
     def scalar_of(self, op, tol: float = 0.0):
         """Every term is nonzero, so another beside the identity's is not
-        scalar; no term at all is the zero of these scalars (ExactScalars)."""
-        diag = _identity_scale(op)
-        if diag is None or len(op) > 1:
-            return None if op else self.zero()
-        return diag[0] if all((v - diag[0]).is_zero() for v in diag) else None
+        scalar; no term at all is zero.  The entries share one denominator,
+        so they are equal when their numerators are."""
+        t = op.identity_term()
+        if t is None or len(op) > 1:
+            return None if len(op) else op.field.zero()
+        diag = op.scales[t]
+        return op.field.unpack(diag[:1], op.den)[0] if (diag == diag[0]).all() else None
 
 
 def _labels(n, rows, cols):
@@ -545,8 +523,9 @@ class JointSpaces(NamedTuple):
         meet."""
         C, s, m, _ = self.local.shape
         cols = np.arange(C * m).reshape(C, 1, m)
-        terms = [((np.asarray(perm)[self.comps][..., None] * (C * m) + cols).ravel(),
-                  np.repeat(np.asarray(scale)[self.comps], m)[:, None]) for perm, scale in op]
+        terms = [((perm[self.comps][..., None] * (C * m) + cols).ravel(),
+                  np.repeat(scale[self.comps], m)[:, None])
+                 for perm, scale in zip(op.perms, op.scales)]
         for js in slices:
             entries = self.local[..., js].reshape(C * s * m, -1)
             out = np.zeros((self.n * C * m, entries.shape[1]), dtype=complex)
@@ -592,7 +571,7 @@ def _refine(spaces, op, tol: float, rank_tol: float):
     comp_of[comps] = np.arange(C)[:, None]
     pos = np.empty(comps.size, dtype=np.int64)
     pos[comps] = np.arange(s)
-    images = [np.asarray(perm)[comps] for perm, _ in op]
+    images = op.perms[:, comps]
     targets = [comp_of[image[:, 0]] for image in images]
     label = components(C, targets)
     _, sizes = np.unique(label, return_counts=True)
@@ -605,9 +584,9 @@ def _refine(spaces, op, tol: float, rank_tol: float):
     slot[groups] = np.arange(r)
     # R[new component, target slot, source slot, space] is an m x m block
     R = np.zeros((len(groups), r, r, J, m, m), dtype=complex)
-    for image, target, (_, scale) in zip(images, targets, op):
+    for image, target, scale in zip(images, targets, op.scales):
         moved = spaces.local[target[:, None], pos[image]]
-        scaled = np.asarray(scale)[comps][..., None, None] * spaces.local
+        scaled = scale[comps][..., None, None] * spaces.local
         R[new_of, slot[target], slot] += np.einsum("casj,catj->cjst", moved.conj(), scaled)
     R = R.transpose(3, 0, 1, 4, 2, 5).reshape(J, len(groups), r * m, r * m)
     # (dims (J, C'), vh) of R - lam per cluster lam
@@ -640,7 +619,7 @@ def joint_spaces(ops, tol, rank_tol):
     form, a JointSpaces, refined by each operator in turn from the whole
     space (_refine at tol and rank_tol), or None when a level does not split
     uniformly."""
-    n = len(ops[0][0][0])
+    n = ops[0].n
     spaces = JointSpaces(np.arange(n)[:, None], np.ones((n, 1, 1, 1), dtype=complex),
                          np.ones(1, dtype=complex))
     for op in ops:
@@ -665,26 +644,25 @@ class FloatArithmetic:
     def inv(self, a):
         return 1 / a
 
-    def dense(self, dim, op):
-        M = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
+    def dense(self, op):
+        M = np.zeros((op.n, op.n), dtype=complex)
         # distinct terms share no entry
-        for perm, scale in op:
-            M[perm, cols] += scale
+        for perm, scale in zip(op.perms, op.scales):
+            M[perm, np.arange(op.n)] += scale
         return M
 
     def image(self, op, basis):
-        """op X: row j gains scale[i] X[i] from each term, i = perm^-1(j),
-        CHUNK entries of X at a time, so that no other array of X's shape
-        is formed."""
+        """op X: row j gains scale[i] X[i] from each term, i = perm^-1(j)
+        (op.inverse), CHUNK entries of X at a time, so that no other array
+        of X's shape is formed."""
         basis = np.asarray(basis)
         out = np.zeros(basis.shape, dtype=complex)
-        terms = [(np.argsort(perm), np.asarray(scale)) for perm, scale in op]
+        terms = list(zip(op.inverse, np.take_along_axis(op.scales, op.inverse, axis=1)))
         step = max(1, CHUNK // max(len(basis), 1))
         for at in range(0, basis.shape[1], step):
             cols = slice(at, at + step)
             for inv, scale in terms:
-                out[:, cols] += scale[inv, None] * basis[inv, cols]
+                out[:, cols] += scale[:, None] * basis[inv, cols]
         return out
 
     def image_norm(self, op, basis) -> float:
@@ -725,9 +703,9 @@ class FloatArithmetic:
         return 0, None
 
     def scalar_of(self, op, tol: float):
-        diag = _identity_scale(op)
-        c = complex(np.mean(diag)) if diag is not None else 0j
-        off = max((self.norm(np.asarray(s) - c if s is diag else s) for _, s in op),
+        t = op.identity_term()
+        c = complex(np.mean(op.scales[t])) if t is not None else 0j
+        off = max((self.norm(s - c if i == t else s) for i, s in enumerate(op.scales)),
                   default=0.0)
         return c if off <= max(tol, 1e-9 * max(abs(c), 1)) else None
 
@@ -757,31 +735,50 @@ class ExactScalars(ExactArithmetic):
     def from_rational(self, q) -> CycloScalar:
         return self.field.from_rational(q)
 
-    def operator(self, groups):
-        """Per translation, sum c u omega^e in array form: each c u packed once
-        and times the 4N omega^j (convolve, fold), gathered by exponent and
-        summed a block of rows at a time; elements made once per entry."""
+    @cached_property
+    def _omegas(self):
+        """omega^j for j < 4N as numerators over 1."""
+        return self.field.root_table[self.omega_step * np.arange(4 * self.N)]
+
+    def operator(self, n: int, groups) -> Operator:
+        """Per translation, sum c r omega^e in array form: every c r of all
+        groups in one array (CycloField.array; c itself where r is None),
+        times the 4N omega^j (convolve, fold), gathered by exponent and
+        summed over each translation's terms a block of columns at a time."""
         field, d = self.field, self.field.degree
-        (omegas,), _ = field.pack([[self.omega(j) for j in range(4 * self.N)]])
-        out = []
-        for perm, cs, powers, expos in groups:
-            (W,), (den,) = field.pack([[c * u for c, u in zip(cs, powers)]])
-            # a table entry is at most fold_bound(d max|W| max|omegas|), and a sum of len(cs)
-            limit = len(cs) * field.fold_bound(d * intlinalg.top(W) * intlinalg.top(omegas))
-            table = field.fold(convolve(intlinalg.exact_ints(W, limit)[:, None], omegas))
-            rows, step = np.arange(len(cs))[:, None], max(1, EXACT_CHUNK // (len(cs) * d))
-            scale = [v for at in range(0, len(perm), step)
-                     for v in field.unpack(table[rows, expos[:, at:at + step]].sum(axis=0), den)]
-            if any(v is not field.zero() for v in scale):
-                out.append((perm.tolist(), scale))
-        return out
+        groups = list(groups)
+        if not groups:
+            return Operator(np.zeros((0, n), dtype=np.int64),
+                            np.zeros((0, n, d), dtype=np.int64), field)
+        W, den = field.array([c if r is None else c * r
+                              for _, cs, rs, _ in groups for c, r in zip(cs, rs)])
+        sizes = [len(cs) for _, cs, _, _ in groups]
+        # a table entry is at most fold_bound(d max|W| max|omega^j|), and a sum of max(sizes)
+        limit = max(sizes) * field.fold_bound(d * intlinalg.top(W) * intlinalg.top(self._omegas))
+        table = field.fold(convolve(intlinalg.exact_ints(W, limit)[:, None], self._omegas))
+        expos = np.concatenate([e for *_, e in groups])
+        rows, starts = np.arange(len(W))[:, None], np.cumsum([0] + sizes[:-1])
+        S = np.empty((len(groups), n, d), dtype=table.dtype)
+        step = max(1, EXACT_CHUNK // (len(W) * d))
+        for at in range(0, n, step):  # in place, so that no second S is formed
+            S[:, at:at + step] = np.add.reduceat(table[rows, expos[:, at:at + step]], starts)
+        perms, keep = np.stack([perm for perm, *_ in groups]), S.any(axis=(1, 2))
+        if not keep.all():
+            perms, S = perms[keep], S[keep]
+        return Operator(perms, S, field, den)
+
+    def root_split(self, a) -> tuple:
+        """(e, r) with a = omega^e r: (k, None) for a = omega^k (None for 1),
+        and (0, a) otherwise."""
+        k = a.root_log() if a.field is self.field else None
+        return (0, a) if k is None or k % self.omega_step else (k // self.omega_step, None)
 
     def omega_log(self, a) -> int:
-        """k with a == omega^k, or raise ValueError."""
-        k = a.root_log() if a.field is self.field else None
-        if k is None or k % self.omega_step:
+        """k with a == omega^k (root_split), or raise ValueError."""
+        k, r = self.root_split(a)
+        if r is not None:
             raise ValueError("not a power of omega")
-        return k // self.omega_step
+        return k
 
     def deserialize(self, data) -> CycloScalar:
         return CycloScalar.deserialize(self.field, data)
@@ -800,14 +797,21 @@ class FloatScalars(FloatArithmetic):
     def omega(self, k: int = 1) -> complex:
         return cmath.exp(2j * cmath.pi * k / (4 * self.N))
 
-    def operator(self, groups):
-        """Per translation, sum c (u omega^e) in the terms' order, u omega^e
-        gathered from the 4N products u omega^j of Python complexes."""
+    def operator(self, n: int, groups) -> Operator:
+        """Per translation, sum c (r omega^e) in the terms' order, r omega^e
+        gathered from the 4N products r omega^j of Python complexes (omega^j
+        itself where r is None)."""
         omegas = [self.omega(j) for j in range(4 * self.N)]
-        sums = ((perm, sum((complex(c) * np.array([u * w for w in omegas])[e]
-                            for c, u, e in zip(cs, powers, expos)), 0))
-                for perm, cs, powers, expos in groups)
-        return [(perm, scale) for perm, scale in sums if scale.any()]
+        sums = ((perm, sum((complex(c) * np.array([w if r is None else r * w for w in omegas])[e]
+                            for c, r, e in zip(cs, rs, expos)), 0))
+                for perm, cs, rs, expos in groups)
+        kept = [(perm, scale) for perm, scale in sums if scale.any()]
+        return Operator(np.array([p for p, _ in kept], dtype=np.int64).reshape(-1, n),
+                        np.array([s for _, s in kept], dtype=complex).reshape(-1, n))
+
+    def root_split(self, a) -> tuple:
+        """(0, a): float weights keep their Python products."""
+        return 0, a
 
     def one(self) -> complex:
         return 1.0 + 0j
@@ -851,19 +855,17 @@ def backend(mode: str, N: int, order: int | None = None):
 
 
 def of(x, N: int | None = None):
-    """The arithmetic of a scalar, a matrix, a basis or an operator (by the
-    first entry of its first scale vector, so a [term] of lists reads as
-    its representation's), picked by its type: float for a complex or a
-    numpy array, exact otherwise (a CycloScalar or a list of rows or
-    columns).  Given N, the scalars of that arithmetic; exact ones live in
-    the field of a CycloScalar x, Q(zeta_4N) otherwise."""
-    if isinstance(x, list) and x and isinstance(x[0], tuple):
-        x = x[0][1][0]
-    if isinstance(x, (complex, np.ndarray)):
+    """The arithmetic of a scalar, a matrix, a basis or an operator, picked
+    by its type: float for a complex, a numpy array or an Operator with no
+    field, exact otherwise (a CycloScalar, a list of rows, Columns or an
+    Operator over a field).  Given N, the scalars of that arithmetic; exact
+    ones live in the field of x, Q(zeta_4N) when it has none."""
+    field = getattr(x, "field", None)
+    if isinstance(x, (complex, np.ndarray)) or isinstance(x, Operator) and field is None:
         return _ARITHMETIC["float"] if N is None else FloatScalars(N)
     if N is None:
         return _ARITHMETIC["exact"]
-    return ExactScalars(N, x.field.order if isinstance(x, CycloScalar) else None)
+    return ExactScalars(N, field.order if field is not None else None)
 
 
 def one_like(v):

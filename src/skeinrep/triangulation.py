@@ -18,7 +18,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .errors import NonInvolution, ParseError, RepeatedFaceEdge, UnknownName
+from .errors import NonInvolution, ParseError, RepeatedFaceEdge, UnknownName, require_fields
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,7 @@ class Triangulation:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: line {exc.lineno}: {exc.msg}") from exc
+        require_fields(data, "triangulation file", "faces", "glue")
         try:
             return build(data["faces"], data["glue"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -36,9 +36,9 @@ class Check(NamedTuple):
 
 
 def image_is_zero(rep, a, tol: float = 0.0) -> bool:
-    """mu(a) = 0 within tol, read from the scale vectors of its operator: its
-    terms share no entry, so their largest entry is that of mu(a)."""
-    return rep.ctx.is_zero([scale for _, scale in rep.operator(a)], tol)
+    """mu(a) = 0 within tol, read from the scales of its operator: its terms
+    share no entry, so their largest entry is that of mu(a)."""
+    return rep.ctx.is_zero(rep.operator(a).scales, tol)
 
 
 # ---- inputs ----

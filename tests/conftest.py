@@ -16,6 +16,7 @@ settings.load_profile("tier1")
 from skeinrep import scalars
 from skeinrep.cfalgebra import CFAlgebra
 from skeinrep.triangulation import octahedron, standard_library
+from skeinrep.verify import exact_genus2_weights
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +57,15 @@ def random_balanced_monomial(alg: CFAlgebra, rng: random.Random, bound: int = 2)
     return alg.monomial(k, alg.omega(rng.randrange(4 * alg.N)))
 
 
+def exact_operator(field, terms):
+    """The operator (scalars.Operator) of terms (perm, scale) of lists, the
+    scales elements of field."""
+    n = len(terms[0][0])
+    nums, den = field.array([a for _, scale in terms for a in scale])
+    return scalars.Operator(np.array([perm for perm, _ in terms], dtype=np.int64),
+                            nums.reshape(len(terms), n, field.degree), field, den)
+
+
 def diagonals(M):
     """A matrix (numpy array or list of exact rows) as an operator: its n
     cyclic diagonals, term s holding M[(i + s) % n, i] at column i.  A
@@ -65,14 +75,15 @@ def diagonals(M):
         n = max(M.shape)
         P = np.zeros((n, n), dtype=complex)
         P[:M.shape[0], :M.shape[1]] = M
-        cols = np.arange(n)
-        return [((cols + s) % n, P[(cols + s) % n, cols]) for s in range(n)]
+        perms = (np.arange(n) + np.arange(n)[:, None]) % n
+        return scalars.Operator(perms, P[perms, np.arange(n)])
     n = max(len(M), len(M[0]))
     zero = M[0][0].field.zero()
     P = [list(row) + [zero] * (n - len(row)) for row in M]
     P += [[zero] * n for _ in range(n - len(M))]
-    return [([(i + s) % n for i in range(n)], [P[(i + s) % n][i] for i in range(n)])
-            for s in range(n)]
+    return exact_operator(zero.field, [([(i + s) % n for i in range(n)],
+                                        [P[(i + s) % n][i] for i in range(n)])
+                                       for s in range(n)])
 
 
 def dense_bases(spaces):
@@ -124,3 +135,33 @@ def assert_same_report(got: dict, want: dict):
         assert g_text == w_text, g["name"]
         assert all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
                    for a, b in zip(g_nums, w_nums)), (g["name"], g_nums, w_nums)
+
+
+# name -> (N, weights) of the committed `skeinrep kernels` reports of
+# genus2_sep at seed 0: float weights drawn by the CLI, or exact ones
+KERNELS_REPORTS = {"kernels-genus2_sep-N3": (3, "float"), "kernels-genus2_sep-N5": (5, "float"),
+                   "kernels-genus2_sep-exact-N3": (3, "exact")}
+
+
+def kernels_command(name: str, workdir) -> list:
+    """The `skeinrep kernels` arguments of a committed report; exact weights
+    are those of verify.exact_genus2_weights, written to workdir."""
+    N, weights = KERNELS_REPORTS[name]
+    args = ["kernels", "--name", "genus2_sep", "--N", str(N), "--seed", "0"]
+    if weights == "exact":
+        path = Path(workdir) / "weights.json"
+        alg = CFAlgebra(standard_library("genus2_sep"), N)
+        path.write_text(exact_genus2_weights(alg).to_json())
+        args += ["--weights", str(path)]
+    return args
+
+
+def assert_same_kernels_report(got: dict, want: dict):
+    """Every field equal, the eigenvalues' multiplicities too, but the
+    eigenvalues themselves only to an absolute 1e-12."""
+    def without_values(report):
+        return dict(report, eigen=[e["multiplicity"] for e in report["eigen"]])
+
+    assert without_values(got) == without_values(want)
+    assert all(math.isclose(a, b, rel_tol=0, abs_tol=1e-12)
+               for g, w in zip(got["eigen"], want["eigen"]) for a, b in zip(g["value"], w["value"]))

@@ -25,9 +25,9 @@ EIGEN_TOL = 1e-6
 
 
 def compose(a, b):
-    """The term of the product of two terms (perm, scale): b sends e_i to
-    t_i e_(q(i)), which a sends to t_i s_(q(i)) e_(p(q(i)))."""
-    (p, s), (q, t) = a, b
+    """The term (perm, scale) of the product of two one-term operators: b
+    sends e_i to t_i e_(q(i)), which a sends to t_i s_(q(i)) e_(p(q(i)))."""
+    ((p, s),), ((q, t),) = a.terms(), b.terms()
     return [p[j] for j in q], [ti * s[j] for ti, j in zip(t, q)]
 
 
@@ -151,7 +151,7 @@ def test_criterion_7_representation_contract():
             for l in lat.basis:
                 perm, scale = compose(rep.weyl_image(k), rep.weyl_image(l))
                 kl = tuple(a + b for a, b in zip(k, l))
-                want_perm, want_scale = rep.weyl_image(kl)
+                ((want_perm, want_scale),) = rep.weyl_image(kl).terms()
                 w = rep.ctx.omega(alg.pairing(k, l))
                 ok = ok and perm == want_perm and \
                     all((a - b * w).is_zero() for a, b in zip(scale, want_scale))

@@ -23,13 +23,13 @@ from skeinrep.cyclotomic import CycloField
 from skeinrep.errors import NotDiagonalizable
 from skeinrep.kernels import (eigen_analysis, eigenspace_kernel, pants_spaces,
                               sample_generic_weights, total_kernel)
-from skeinrep.qtrace import LoopSpec, pushoff_pair, threading_check
-from skeinrep.representation import WeightSystem, build_rep
+from skeinrep.qtrace import LoopSpec, pushoff_pair, sweep_check, threading_check
+from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import (exact_genus2_weights, exact_sphere_weights,
                              exact_torus_weights)
 
-from conftest import dense_bases, diagonals, random_balanced_monomial
+from conftest import dense_bases, diagonals, exact_operator, random_balanced_monomial
 
 RANK_TOL = 1e-8
 
@@ -133,7 +133,9 @@ def on_cosets(blocks):
 def nonzero_diagonals(M):
     """M as an operator of its nonzero cyclic diagonals alone, so that its
     translations are those of M's pattern."""
-    return [(perm, scale) for perm, scale in diagonals(M) if scale.any()]
+    op = diagonals(M)
+    keep = op.scales.any(axis=1)
+    return scalars.Operator(op.perms[keep], op.scales[keep])
 
 
 def uneven_blocks(rng):
@@ -217,7 +219,8 @@ def assert_a_refused_split_leaves_no_spaces(M, kernel_dim):
     """The identity splits off the one whole space, but the joint spaces of
     the identity and then M, whose split is refused, are none, and
     ker (M - 1) is found as the dense kernel."""
-    ops = [[(np.arange(18), np.ones(18, dtype=complex))], nonzero_diagonals(M)]
+    ops = [scalars.Operator(np.arange(18)[None], np.ones((1, 18), dtype=complex)),
+           nonzero_diagonals(M)]
     first = scalars.joint_spaces(ops[:1], 1e-6, 1e-9)
     assert (first.count, first.dim) == (1, 18)
     spaces = scalars.joint_spaces(ops, 1e-6, 1e-9)
@@ -311,7 +314,7 @@ def test_block_image_matches_the_dense_image(case):
     spaces, ops = case()
     U = dense_bases(spaces)
     for op in ops:
-        bound = 4 * np.finfo(float).eps * sum(np.abs(scale).max() for _, scale in op)
+        bound = 4 * np.finfo(float).eps * np.abs(op.scales).max(axis=1).sum()
         want = FLOAT.image(op, U.reshape(spaces.n, -1)).reshape(U.shape)
         slices = [slice(None)] + spaces.chunks()
         for js, got in zip(slices, spaces.images(op, slices)):
@@ -393,7 +396,7 @@ def orbit_commutant_dim(rep):
 def field_commutant_dim(rep, tol=1e-8):
     """Orbit-phase propagation with the generator scales themselves: each
     generator forces X[p(i), p(j)] = s_i / s_j X[i, j] on a commuting X."""
-    gens = [rep.weyl_image(b) for b in rep.lattice.basis]
+    gens = [rep.weyl_image(b).terms()[0] for b in rep.lattice.basis]
     D = rep.dim
     seen = [False] * (D * D)
     dim = 0
@@ -545,7 +548,7 @@ def test_dense_matches_the_index_loop():
               (perm_b, [0.25j], [ub], eb)]
     terms = [(c, (perm, [u * ctx.omega(int(j)) for j in e]))
              for perm, cs, us, es in groups for c, u, e in zip(cs, us, es)]
-    got, want = ctx.dense(dim, ctx.operator(groups)), dense_loop(dim, terms)
+    got, want = ctx.dense(ctx.operator(dim, groups)), dense_loop(dim, terms)
     # the same sums in the same order; numpy may round a complex product
     # differently from Python (a fused multiply-add), by a few ulps
     scale = sum(abs(c) * max(map(abs, s)) for c, (_, s) in terms)
@@ -640,13 +643,11 @@ def test_exact_image_matches_the_dense_dot_loop(case):
     if case == "empty-basis":
         basis = []
     # the operator of M is M padded with a zero row to 7 x 7
-    op = diagonals(M)
+    op, X = diagonals(M), scalars.Columns(field, *field.pack(basis))
     if case == "big-coefficients":
-        _, perms, S, _ = scalars._packed(op)
-        X, _ = field.pack(basis)
-        G = scalars._multipliers(field, S)
-        assert S.dtype == np.int64 and scalars._image_nums(perms, G, X).dtype == object
-    got = EXACT.image(op, basis)
+        G = scalars._multipliers(field, op.scales)
+        assert op.scales.dtype == np.int64 and scalars._image_nums(op, G, X.nums).dtype == object
+    got = EXACT.image(op, X).elements()
     assert got == dense_image(M + [[zero] * 7], basis)
     assert [len(col) for col in got] == [7] * len(basis)
     assert all(v is zero for col in got for v in col if v.is_zero())
@@ -673,18 +674,19 @@ def test_exact_operator_sums_match_the_scalar_reference(size):
         old = want.get(tuple(perm), [field.zero()] * n)
         want[tuple(perm)] = [b + c * (u * ctx.omega(int(j))) for b, j in zip(old, e)]
     (_, c0, u0, e0), (_, c1, u1, e1), (_, c2, u2, e2) = terms
-    got = ctx.operator([(perm_a, [c0, c2], [u0, u2], np.stack([e0, e2])),
-                        (perm_b, [c1], [u1], e1[None])])
-    assert got == [(list(perm), scale) for perm, scale in want.items()]
+    got = ctx.operator(n, [(perm_a, [c0, c2], [u0, u2], np.stack([e0, e2])),
+                           (perm_b, [c1], [u1], e1[None])])
+    assert got.terms() == [(list(perm), scale) for perm, scale in want.items()]
     # a term and its negative cancel to no term at all
-    assert ctx.operator([(perm_a, [c0, -c0], [u0, u0], np.stack([e0, e0]))]) == []
+    assert len(ctx.operator(n, [(perm_a, [c0, -c0], [u0, u0], np.stack([e0, e0]))])) == 0
 
 
 # ---- certified modular kernel ----
 
 def eliminated(op):
-    """The Gauss-Jordan kernel basis of the dense op: the reference."""
-    return EXACT.kernel(EXACT.dense(len(op[0][0]), op))
+    """The Gauss-Jordan kernel basis of the dense op, as element columns:
+    the reference."""
+    return EXACT.kernel(EXACT.dense(op)).elements()
 
 
 def genus2_systems(alg, count):
@@ -723,8 +725,8 @@ def genus2_exact_offdiag():
 def test_modular_kernel_is_the_eliminated_basis_on_genus2(genus2_exact_offdiag):
     for op in genus2_exact_offdiag:
         got = EXACT.certified_kernel(op)
-        assert got is not None and len(got) == 27
-        assert got == eliminated(op)
+        assert got is not None and len(got.dens) == 27
+        assert got.elements() == eliminated(op)
 
 
 def test_exact_genus2_kernels_eliminate_nothing(genus2_exact_offdiag):
@@ -741,7 +743,7 @@ def test_modular_kernel_is_the_eliminated_basis_on_exact_weights(name):
         for a in (rep.algebra.offdiag_Q(v), random_element(rep.algebra, random.Random(v))):
             op = rep.operator(a)
             if op:
-                assert EXACT.certified_kernel(op) == eliminated(op)
+                assert EXACT.certified_kernel(op).elements() == eliminated(op)
 
 
 @given(planted_rank_matrices())
@@ -749,8 +751,8 @@ def test_modular_kernel_is_the_eliminated_basis_or_none(fMr):
     field, M, _ = fMr
     op = diagonals(M)
     got = EXACT.certified_kernel(op)
-    assert got is None or got == eliminated(op)
-    assert eigenspace_kernel(None, op, 0.0).basis == eliminated(op)
+    assert got is None or got.elements() == eliminated(op)
+    assert eigenspace_kernel(None, op, 0.0).basis.elements() == eliminated(op)
 
 
 def test_modular_kernel_of_zero_and_full_rank_operators():
@@ -760,10 +762,11 @@ def test_modular_kernel_of_zero_and_full_rank_operators():
     identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
     # a zero operator has every column free, a full-rank one none
     zero_op = diagonals([[zero] * n for _ in range(n)])
-    assert EXACT.certified_kernel(zero_op) == identity == eliminated(zero_op)
+    assert EXACT.certified_kernel(zero_op).elements() == identity == eliminated(zero_op)
     unit = [[field.root_pow(i * j) + (2 if i == j else 0) for j in range(n)] for i in range(n)]
     assert EXACT.rank(unit) == n
-    assert EXACT.certified_kernel(diagonals(unit)) == [] == eliminated(diagonals(unit))
+    assert EXACT.certified_kernel(diagonals(unit)).elements() == [] == \
+        eliminated(diagonals(unit))
 
 
 def test_lifted_columns_past_int64_take_python_ints():
@@ -784,10 +787,10 @@ def offdiag_with_a_planted_failure(genus2_exact_offdiag, monkeypatch, plant):
     refuse: over a denominator p, with reconstructed fractions one off, or
     with an entry zero modulo p under the first embedding alone."""
     op = genus2_exact_offdiag[0]
-    field = op[0][1][0].field
+    field = op.field
     p = field.prime
     if plant == "denominator":
-        return [(perm, [a * Fraction(1, p) for a in scale]) for perm, scale in op]
+        return scalars.Operator(op.perms, op.scales, field, op.den * p)
     if plant == "reconstruction":
         original = intlinalg.rational_reconstruction
 
@@ -801,7 +804,8 @@ def offdiag_with_a_planted_failure(genus2_exact_offdiag, monkeypatch, plant):
     z = int(field.embed_mod_prime(np.array(field.root_pow(1).num), 1)[0])
     planted = field.root_pow(1) - z
     assert (field.embed_mod_prime(np.array(planted.num), 1)[1:] != 0).all()
-    return [(perm, [scale[0] * planted] + scale[1:]) for perm, scale in op]
+    return exact_operator(field, [(perm, [scale[0] * planted] + scale[1:])
+                                  for perm, scale in op.terms()])
 
 
 @pytest.mark.parametrize("plant", ["denominator", "reconstruction", "pivots"])
@@ -812,9 +816,50 @@ def test_planted_failures_fall_back_to_elimination(genus2_exact_offdiag, monkeyp
                            wraps=EXACT._eliminate) as spy:
         K = eigenspace_kernel(None, op, 0.0)
     assert spy.call_count == 1
-    assert K.basis == eliminated(op)
+    assert K.basis.elements() == eliminated(op)
     if plant != "pivots":  # the same operator, or p^-1 times it
-        assert K.basis == eliminated(genus2_exact_offdiag[0])
+        assert K.basis.elements() == eliminated(genus2_exact_offdiag[0])
+
+
+def test_an_exact_job_makes_no_elements_inside_its_array_steps(monkeypatch):
+    # the exact_g2_n3 job on one +-1 system: operators, F, D F and the rank
+    # bound run on the array form alone, with no element packed or unpacked
+    alg = CFAlgebra(standard_library("genus2_sep"), 3)
+    rep = build_rep(alg.T, 3, exact_genus2_weights(alg), algebra=alg)
+    inside, seen, calls = [], set(), []
+
+    def watch(owner, name):
+        original = getattr(owner, name)
+
+        def watched(*args, **kwargs):
+            inside.append(name)
+            seen.add(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, watched)
+
+    def spy(name):
+        original = getattr(CycloField, name)
+
+        def spied(*args, **kwargs):
+            calls.extend([(inside[-1], name)] if inside else [])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(CycloField, name, spied)
+
+    watch(CFRep, "operator")
+    for name in ("image_norm", "certified_kernel", "rank_bound"):
+        watch(scalars.ExactArithmetic, name)
+    spy("pack")
+    spy("unpack")
+    e = alg.T.designated_edge
+    assert total_kernel(rep).dim == 27
+    assert all(threading_check(rep, LoopSpec.edge_parallel(e, side))["passed"] for side in (1, 2))
+    assert rep.commutant_dim() == 1
+    assert sweep_check(rep, e)["passed"]
+    assert seen == {"operator", "image_norm", "certified_kernel", "rank_bound"}
+    assert calls == []
 
 
 # ---- operators: representation images as translation terms ----
@@ -837,7 +882,7 @@ def contract_rep(name, mode):
 def accumulated(rep, a):
     """mu(a) by the per-term accumulation loop that builds a dense matrix
     monomial by monomial, in a.terms order: the reference for operators."""
-    n, terms = rep.dim, [(c, rep.monomial_image(k)) for k, c in a.terms.items()]
+    n, terms = rep.dim, [(c, rep.monomial_image(k).terms()[0]) for k, c in a.terms.items()]
     if rep.ctx.mode == "float":
         M = np.zeros((n, n), dtype=complex)
         for c, (perm, scale) in terms:
@@ -863,8 +908,9 @@ def random_columns(ctx, n, rng):
     if ctx.mode == "float":
         return random_complex(np.random.default_rng(rng.randrange(2 ** 32)), n, 3)
     zero = ctx.zero()
-    return [[ctx.omega(rng.randrange(12)) * rng.randint(1, 3) if rng.random() < 0.3 else zero
-             for _ in range(n)] for _ in range(3)]
+    return scalars.Columns(ctx.field, *ctx.field.pack([
+        [ctx.omega(rng.randrange(12)) * rng.randint(1, 3) if rng.random() < 0.3 else zero
+         for _ in range(n)] for _ in range(3)]))
 
 
 def dense_scalar_of(ctx, M, tol):
@@ -912,11 +958,11 @@ def assert_operator_decisions(name, rep, a, rng):
     # mu(m Z_i^(2N)) = x_i mu(m), and both images share one permutation
     cancel = m * alg.gen(i, 2 * alg.N) - m.scale(W.x[i])
     tiny = [alg.scalars.from_rational(Fraction(1, 10 ** e)) for e in (10, 8)]
-    assert rep.operator(alg.zero()) == []
+    assert len(rep.operator(alg.zero())) == 0
     k = tuple(2 * alg.N * (j == i) for j in range(alg.n))
-    assert rep.ctx.scalar_of([rep.monomial_image(k)], 1e-9) == \
+    assert rep.ctx.scalar_of(rep.monomial_image(k), 1e-9) == \
         rep.ctx.scalar_of(rep.operator(alg.gen(i, 2 * alg.N)), 1e-9)
-    assert rep.ctx.mode == "float" or rep.operator(cancel) == []
+    assert rep.ctx.mode == "float" or len(rep.operator(cancel)) == 0
     for tol in (1e-12, 1e-9, 1e-6):
         assert_decisions_match_dense(rep, a, tol)
         central = [alg.central_H(v) for v in range(alg.T.num_vertices)] + \
@@ -931,23 +977,23 @@ def assert_operator_decisions(name, rep, a, rng):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_of_reads_a_term_as_its_representation(mode):
-    # a [term] of lists, as monomial_image gives, goes by its first scale entry
+    # a one-term operator, as monomial_image gives, goes by its type
     rep = contract_rep("torus1", mode)
     term = rep.monomial_image(rep.lattice.basis[0])
-    assert scalars.of([term]) is scalars.of(rep.operator(rep.algebra.monomial(rep.lattice.basis[0])))
-    assert scalars.of([term]).mode == mode
-    assert type(scalars.of([term], 3)) is type(rep.ctx)
+    assert scalars.of(term) is scalars.of(rep.operator(rep.algebra.monomial(rep.lattice.basis[0])))
+    assert scalars.of(term).mode == mode
+    assert type(scalars.of(term, 3)) is type(rep.ctx)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_image_reads_a_term_as_its_representation(mode):
-    # a [term] of lists maps a basis as the operator of that one term
+    # a one-term operator maps a basis as the operator of that monomial
     rep = contract_rep("torus1", mode)
     term = rep.monomial_image(rep.lattice.basis[0])
     X = random_columns(rep.ctx, rep.dim, random.Random(5))
-    got = rep.ctx.image([term], X)
+    got = rep.ctx.image(term, X)
     want = rep.ctx.image(rep.operator(rep.algebra.monomial(rep.lattice.basis[0])), X)
-    assert np.array_equal(got, want) if mode == "float" else got == want
+    assert np.array_equal(got, want) if mode == "float" else got.elements() == want.elements()
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -961,9 +1007,11 @@ def test_image_norm_is_the_norm_of_the_image_in_chunks(mode, monkeypatch):
     monkeypatch.setattr(scalars, "CHUNK", 2 * n)
     monkeypatch.setattr(scalars, "EXACT_CHUNK", 2 * n * 4 * len(op))
     for B in (F, X):
-        assert ctx.image_norm(op, B) == ctx.norm(ctx.image(op, B))
+        image = ctx.image(op, B)
+        assert ctx.image_norm(op, B) == ctx.norm(image.nums if mode == "exact" else image)
     assert ctx.image_norm(op, F) <= kernels.residual_bound(op) < ctx.image_norm(op, X)
-    empty = [] if mode == "exact" else np.zeros((n, 0), dtype=complex)
+    empty = (scalars.Columns(ctx.field, *ctx.field.pack([])) if mode == "exact"
+             else np.zeros((n, 0), dtype=complex))
     assert ctx.image_norm(op, empty) == 0.0
 
 
@@ -975,12 +1023,12 @@ def test_operator_contract(name, mode, seed):
     a, b = random_element(rep.algebra, rng), random_element(rep.algebra, rng)
     op = rep.operator(a)
     # distinct permutations share no entry
-    for (p, _), (q, _) in itertools.combinations(op, 2):
-        assert not any(x == y for x, y in zip(p, q))
-    M = ctx.dense(n, op)
+    for p, q in itertools.combinations(op.perms, 2):
+        assert not (p == q).any()
+    M = ctx.dense(op)
     want = accumulated(rep, a)
     X = random_columns(ctx, n, rng)
-    diff = ctx.dense(n, rep.operator(a - b))
+    diff = ctx.dense(rep.operator(a - b))
     assert_operator_decisions(name, rep, a, rng)
     if mode == "float":
         assert np.array_equal(M, want)
@@ -990,7 +1038,7 @@ def test_operator_contract(name, mode, seed):
             np.abs(M).max(), 1)
         return
     assert M == want
-    assert ctx.image(op, X) == dense_image(M, X)
+    assert ctx.image(op, X).elements() == dense_image(M, X.elements())
     p = ctx.field.prime
     nums, dens = ctx.field.pack(M)
     reduced = np.array([ctx.field.embed_mod_prime(x, d)[0] for x, d in zip(nums, dens)])

@@ -14,7 +14,8 @@ from skeinrep.representation import CFRep, WeightSystem, build_rep
 from skeinrep.triangulation import standard_library
 from skeinrep.verify import exact_torus_weights, suite_signrev
 
-from conftest import REPORTS, assert_same_report, record_float_kernels, split_decimals
+from conftest import (KERNELS_REPORTS, REPORTS, assert_same_kernels_report, assert_same_report,
+                      kernels_command, record_float_kernels, split_decimals)
 
 
 def test_info_name(capsys):
@@ -171,6 +172,23 @@ def test_kernels_rejects_malformed_exact_weights(tmp_path, capsys, key, bad, mat
     wpath.write_text(text)
     assert_input_error(main(["kernels", "--name", "torus1", "--weights", str(wpath)]),
                        capsys)
+
+
+@pytest.mark.parametrize("option,text,message", [
+    ("--weights", '{"N": 3, "mode": "exact"}', "bad weights file: missing field 'u'"),
+    ("--weights", "[1, 2]", "bad weights file: the top level must be a JSON object"),
+    ("--triangulation", '{"faces": 2}', "bad triangulation file: missing field 'glue'"),
+    ("--triangulation", "[1, 2]", "bad triangulation file: the top level must be a JSON object"),
+], ids=["weights-without-u", "weights-list", "triangulation-without-glue",
+        "triangulation-list"])
+def test_input_errors_name_the_missing_field_or_the_top_level(tmp_path, capsys, option,
+                                                               text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    where = ["--name", "torus1"] if option == "--weights" else []
+    # exit code 2 and one line
+    rc = main(["kernels", *where, option, str(path)])
+    assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_kernels_weights_too_few_entries(tmp_path, capsys):
@@ -332,6 +350,30 @@ def test_verify_suite_matches_its_N5_reference_report(suite, tmp_path):
     assert main(["verify", "--suite", suite, "--N", "5", "--seed", "0", "--out", str(out)]) == 0
     assert_same_report(json.loads(out.read_text()),
                        json.loads((REPORTS / f"verify-{suite}-N5.json").read_text()))
+
+
+@pytest.mark.parametrize("name", KERNELS_REPORTS)
+def test_kernels_report_matches_its_reference(name, tmp_path):
+    # pants_spaces, total_kernel and certified_kernel through the CLI
+    out = tmp_path / "report.json"
+    assert main(kernels_command(name, tmp_path) + ["--out", str(out)]) == 0
+    assert_same_kernels_report(json.loads(out.read_text()),
+                               json.loads((REPORTS / f"{name}.json").read_text()))
+
+
+def test_kernels_report_comparison_catches_a_changed_dimension_or_eigenvalue():
+    want = json.loads((REPORTS / "kernels-genus2_sep-N3.json").read_text())
+
+    def moved(shift):
+        report = json.loads(json.dumps(want))
+        report["eigen"][1]["value"][0] += shift
+        return report
+
+    assert_same_kernels_report(moved(1e-13), want)
+    for bad in (moved(1e-11), dict(want, total_dim=26), dict(want, eigen=want["eigen"][:-1]),
+                dict(want, eigen=[dict(e, multiplicity=26) for e in want["eigen"]])):
+        with pytest.raises(AssertionError):
+            assert_same_kernels_report(bad, want)
 
 
 def test_report_comparison_catches_a_changed_detail_or_a_flipped_check():

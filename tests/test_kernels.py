@@ -187,7 +187,7 @@ def test_total_kernel_falls_back_to_the_dense_kernel(monkeypatch, plant, thin_ke
 
 def test_exact_total_kernel_makes_no_dense_matrix():
     # exact eigenvalues are not computed, so only mu(Q_v) is built, and its
-    # kernel is certified modulo the field's prime from its scale vectors
+    # kernel is certified modulo the field's prime from its scales
     T = standard_library("genus2_sep")
     alg = CFAlgebra(T, 3)
     rep = build_rep(T, 3, exact_genus2_weights(alg), algebra=alg)

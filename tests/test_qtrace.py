@@ -171,15 +171,13 @@ def test_exact_sweep_falls_back_to_elimination_at_a_bad_prime(g2_alg, monkeypatc
     # the bound is taken of p D or D / p: the rank of D, but p D is zero
     # modulo p and D / p has no image there, so the bound falls short
     rep = exact_g2_rep(g2_alg)
-    field = rep.ctx.field
-    p = field.prime
-    factor = field.from_rational(p if plant == "vanishes" else Fraction(1, p))
+    p = rep.ctx.field.prime
     bounds = []
     original = scalars.ExactArithmetic.rank_bound
 
     def planted(self, op):
-        bounds.append(original(self, [(perm, [a * factor for a in scale])
-                                      for perm, scale in op]))
+        scales, den = (op.scales * p, op.den) if plant == "vanishes" else (op.scales, op.den * p)
+        bounds.append(original(self, scalars.Operator(op.perms, scales, op.field, den)))
         return bounds[-1]
 
     monkeypatch.setattr(scalars.ExactArithmetic, "rank_bound", planted)

@@ -40,14 +40,16 @@ def genus2_rep():
 
 
 def compose(a, b):
-    """The term of the product of two terms (perm, scale): b sends e_i to
-    t_i e_(q(i)), which a sends to t_i s_(q(i)) e_(p(q(i)))."""
-    (p, s), (q, t) = a, b
+    """The term (perm, scale) of the product of two one-term operators: b
+    sends e_i to t_i e_(q(i)), which a sends to t_i s_(q(i)) e_(p(q(i)))."""
+    ((p, s),), ((q, t),) = a.terms(), b.terms()
     return [p[j] for j in q], [ti * s[j] for ti, j in zip(t, q)]
 
 
-def scaled(term, c):
-    return term[0], [s * c for s in term[1]]
+def scaled(op, c):
+    """The term of a one-term operator, its scale times c."""
+    ((p, s),) = op.terms()
+    return p, [x * c for x in s]
 
 
 def exact_is_scalar(rep, M, scalar):
@@ -145,9 +147,9 @@ def test_character_contract_exact(name, weights, N):
     for i in range(alg.n):
         k = [0] * alg.n
         k[i] = 2 * N
-        assert rep.ctx.scalar_of([rep.monomial_image(k)]) == W.x[i]
+        assert rep.ctx.scalar_of(rep.monomial_image(k)) == W.x[i]
     for v in range(alg.T.num_vertices):
-        assert rep.ctx.scalar_of([rep.weyl_image(alg.T.end_counts(v))]) == rep.hv_scalar()
+        assert rep.ctx.scalar_of(rep.weyl_image(alg.T.end_counts(v))) == rep.hv_scalar()
 
 
 def test_central_values_float(genus2_rep):
@@ -227,7 +229,7 @@ def test_scalar_iff_pairing_divisible(torus_rep):
     for _ in range(60):
         k = random_balanced_monomial(alg, rng, bound=2).monomial_data()[0]
         divisible = all(alg.pairing(k, l) % (2 * alg.N) == 0 for l in lat.basis)
-        assert (rep.ctx.scalar_of([rep.weyl_image(k)]) is not None) == divisible
+        assert (rep.ctx.scalar_of(rep.weyl_image(k)) is not None) == divisible
 
 
 # ---- errors ----
@@ -422,17 +424,17 @@ def test_intertwiner_part_matches_index_loop(name, N):
 
 # ---- monomial images and operators on arrays ----
 
-def reference_monomial_image(rep, k):
+def reference_monomial_image(rep, k, weyl=True):
     """mu(Z^k) = omega^(w(k)) u^k A_k from reference_intertwiner_part, the
     Weyl weight of the algebra and u^k by scalar powers, as one term
-    (perm, scale) of lists."""
+    (perm, scale) of lists; without weyl, mu([Z^k]) = u^k A_k."""
     perm, expo = reference_intertwiner_part(rep, k)
     uk = rep.ctx.one()
     for i, ki in enumerate(k):
         if ki:
             ui = rep.weights.u[i]
             uk = uk * (ui if ki > 0 else rep.ctx.inv(ui)) ** abs(ki)
-    mod, w = 4 * rep.N, rep.algebra.weyl_weight(k)
+    mod, w = 4 * rep.N, rep.algebra.weyl_weight(k) if weyl else 0
     scales = [uk * rep.ctx.omega(j) for j in range(mod)]
     return list(perm), [scales[(e + w) % mod] for e in expo]
 
@@ -456,11 +458,11 @@ def reference_operator(rep, a):
 
 def assert_operator_matches_reference(rep, a):
     got, want = rep.operator(a), reference_operator(rep, a)
-    assert [list(p) for p, _ in got] == [p for p, _ in want]
+    assert got.perms.tolist() == [p for p, _ in want]
     if rep.ctx.mode == "float":
-        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+        assert all(np.array_equal(g, w) for g, (_, w) in zip(got.scales, want))
     else:
-        assert [s for _, s in got] == [s for _, s in want]
+        assert [s for _, s in got.terms()] == [s for _, s in want]
     return got
 
 
@@ -468,16 +470,22 @@ def assert_operator_matches_reference(rep, a):
 def image_reps():
     """genus2_sep at N=3 under +-1 weights, under weights that are not
     roots of unity (2, 1/2, 1 + zeta, 1/(1 + zeta) times the +-1 ones: the
-    same fan product), under the +-1 weights as floats, and the first two
-    sign-reversed."""
+    same fan product), under weights that mix the two (omega, 2, 1 + zeta,
+    omega^-3, 1/2, 1/(1 + zeta) and omega^2 times the +-1 ones), under the
+    +-1 weights as floats, and the first two sign-reversed."""
     alg = CFAlgebra(standard_library("genus2_sep"), 3)
-    W, f = exact_genus2_weights(alg), alg.scalars.field
+    W, f, w = exact_genus2_weights(alg), alg.scalars.field, alg.scalars.omega
     one_plus = f.one() + f.root_pow(1)
-    factors = [f.from_rational(2), f.from_rational(Fraction(1, 2)), one_plus, one_plus.inv()]
-    factors += [f.one()] * (alg.n - len(factors))
-    reps = {"roots": build_rep(alg.T, 3, W, algebra=alg),
-            "non-roots": build_rep(alg.T, 3, WeightSystem(
-                alg.T, 3, u=[u * c for u, c in zip(W.u, factors)]), algebra=alg),
+    two, half = f.from_rational(2), f.from_rational(Fraction(1, 2))
+    factors = [two, half, one_plus, one_plus.inv()] + [f.one()] * (alg.n - 4)
+    mixed = [w(1), two, one_plus, w(-3), half, one_plus.inv(), w(2)] + [f.one()] * (alg.n - 7)
+
+    def rescaled(cs):
+        return build_rep(alg.T, 3, WeightSystem(alg.T, 3, u=[u * c for u, c in zip(W.u, cs)]),
+                         algebra=alg)
+
+    reps = {"roots": build_rep(alg.T, 3, W, algebra=alg), "non-roots": rescaled(factors),
+            "mixed": rescaled(mixed),
             "float": build_rep(alg.T, 3, WeightSystem(alg.T, 3, u=[complex(u) for u in W.u]),
                                algebra=alg)}
     rng = random.Random(5)
@@ -512,17 +520,26 @@ def fraction_elements(alg, rng):
     return [out[0] + out[1] + out[2], out[3]]
 
 
-@pytest.mark.parametrize("name", ["roots", "non-roots", "float", "roots-signed",
+@pytest.mark.parametrize("name", ["roots", "non-roots", "mixed", "float", "roots-signed",
                                   "non-roots-signed"])
 def test_operator_matches_the_scalar_sum_of_reference_images(name):
     alg, reps = image_reps()
     rep = reps[name]
+    # the split u_i = omega^(e_i) r_i: the exponents e_i and the products
+    # of the r_i each run on the weights that need them
+    roots = [rep.ctx.mode == "exact" and ui in {rep.ctx.omega(j) for j in range(12)}
+             for ui in rep.weights.u]
+    assert [i for i, _ in rep._logs] == [i for i, (r, ui) in enumerate(zip(roots, rep.weights.u))
+                                         if r and ui != 1]
+    assert [i for i, _ in rep._residues] == [i for i, r in enumerate(roots) if not r]
+    if name == "mixed":
+        assert any(rep._logs) and rep._residues
     rng = random.Random(len(name))
     for a in job_elements(alg) + fraction_elements(alg, rng):
         assert_operator_matches_reference(rep, a)
     k = random_balanced_exponent(alg, rng)
-    assert rep.monomial_image(k) == reference_monomial_image(rep, k)
-    assert rep.weyl_image(k) == rep._image(k, False)
+    assert rep.monomial_image(k).terms() == [reference_monomial_image(rep, k)]
+    assert rep.weyl_image(k).terms() == [reference_monomial_image(rep, k, weyl=False)]
 
 
 def test_sign_reversal_leaves_the_kept_powers_valid():
